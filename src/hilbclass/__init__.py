@@ -8,16 +8,14 @@ from .hilbert import (
     TANGENT,
     TAUTOLOGICAL,
     ClassSpec,
-    ClassSum,
     builtin_f,
     chern_f,
     cprime_pow_f,
     cup,
     cup_basis,
-    cup_from_class_sums,
+    cup_nilpotent,
     hilbert_class,
     lemma_b1,
-    ls_oracle,
     oracle_top_tangent,
     oracle_top_taut,
     p_n_series,

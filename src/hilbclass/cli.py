@@ -15,39 +15,54 @@ from fractions import Fraction
 
 from . import __version__
 from .exact import parse_rational
-from .hilbert import TANGENT, TAUTOLOGICAL, ClassSpec, builtin_f, cup_basis, tangent_g, taut_g
+from .hilbert import (
+    TANGENT, TAUTOLOGICAL, ClassSpec, builtin_f, cup_basis, hilbert_class, tangent_g, taut_g,
+)
+from .partitions import check_partition
 from .series import TruncatedSeries
 from .verify import run_suite
-from .fock import FockElement
-from .hilbert import hilbert_class
 
 DEFAULT_ORDER = 12
 
 CLASS_NAMES = ("chern", "segre", "sqrt-todd", "cprime-pow", "custom")
 
 
-def _parse_partition(text: str) -> tuple[int, ...]:
+def _parse_partition(field: str, text: str) -> tuple[int, ...]:
+    message = f"{field} must be a JSON array of integers: {text!r}"
     try:
         parts = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"partition must be a JSON array of integers: {text!r}") from exc
-    if not isinstance(parts, list) or not all(isinstance(p, int) for p in parts):
-        raise ValueError(f"partition must be a JSON array of integers: {text!r}")
-    return tuple(parts)
+        raise ValueError(message) from exc
+    if not isinstance(parts, list) or not all(
+        isinstance(p, int) and not isinstance(p, bool) for p in parts
+    ):
+        raise ValueError(message)
+    try:
+        return check_partition(parts)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
+def _parse_rational(field: str, text: str, index: int | None = None) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        where = f"--{field}" if index is None else f"--{field} entry {index}"
+        raise ValueError(f"{where} is not a rational p/q with q != 0: {text!r}") from None
 
 
 def _defining_series(args, min_order: int) -> TruncatedSeries:
     if args.class_name == "custom":
         if args.f is None:
             raise ValueError("class 'custom' requires --f c0,c1,...")
-        coeffs = [parse_rational(c) for c in args.f.split(",")]
+        coeffs = [_parse_rational("f", c, i) for i, c in enumerate(args.f.split(","))]
         if not coeffs or coeffs[0] != 1:
             raise ValueError("custom series must have leading coefficient 1")
         order = max(min_order, len(coeffs) - 1)
         return TruncatedSeries.from_coeffs(coeffs, order)
     if args.class_name == "cprime-pow" and args.r is None:
         raise ValueError("class 'cprime-pow' requires --r p/q")
-    r = parse_rational(args.r) if args.r is not None else None
+    r = _parse_rational("r", args.r) if args.r is not None else None
     return builtin_f(args.class_name, min_order, r)
 
 
@@ -94,8 +109,8 @@ def cmd_class(args) -> int:
 
 
 def cmd_cup(args) -> int:
-    nu = _parse_partition(args.partition_a)
-    nu2 = _parse_partition(args.partition_b)
+    nu = _parse_partition("partition_a", args.partition_a)
+    nu2 = _parse_partition("partition_b", args.partition_b)
     result = cup_basis(nu, nu2)
     request = {"subcommand": "cup", "a": list(nu), "b": list(nu2)}
     _emit(_document(request, result.to_records()), args.out)

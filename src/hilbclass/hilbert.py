@@ -14,23 +14,32 @@ Both series are cross-checked against brute-force partition sums over torus
 fixed points, where the tangent Chern roots specialize to the +-hook lengths
 of a cell and the tautological Chern roots to the cell contents.
 
-The cup product on the weight-n piece is computed by squaring a universal
-class with nilpotent parameter coefficients and extracting multilinear
-coefficients; an independent oracle multiplies conjugacy-class sums in the
-center of the symmetric group algebra.
+The cup product on the weight-n piece comes from the class algebra of the
+symmetric group S_n (Lehn-Sorger): under q_lam <-> z(lam) * C_lam, with C_lam
+the sum of the permutations of cycle type lam and z(lam) its centralizer
+order, the ring is the degree-graded centre of Q[S_n].  The Frobenius
+character formula gives each structure constant,
+
+    [q_rho] q_lam * q_mu = (1/z(rho)) sum_chi chi(lam) chi(mu) chi(rho) H(chi),
+
+H(chi) the hook product of the shape of chi, for every rho with
+n - len(rho) = (n - len(lam)) + (n - len(mu)); all other coefficients vanish.
+The paper's own route, which multiplies two universal classes with
+nilpotent parameter coefficients and extracts multilinear coefficients, is
+kept as the independent oracle `cup_nilpotent`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
-from itertools import permutations
+from functools import lru_cache
 from math import factorial
 
 from .exact import QQ, ParamContext, ParamRing
 from .fock import FockElement, exp_linear
 from .partitions import (
+    _mn,
     check_partition,
     chi_mn,
     contents,
@@ -210,7 +219,72 @@ def p_n_series(f: TruncatedSeries, n: int, order: int) -> TruncatedSeries:
     return total
 
 
-# -- cup product via nilpotent parameters --------------------------------
+# -- cup product in the class algebra of the symmetric group -------------
+
+
+@lru_cache(maxsize=None)
+def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
+    n = weight(nu)
+    length = len(nu) + len(nu2) - n  # degree additivity fixes the length
+    shapes = [(chi, _mn(chi, nu) * _mn(chi, nu2) * hook_product(chi))
+              for chi in enumerate_partitions(n)]
+    shapes = [(chi, w) for chi, w in shapes if w]
+    out = {}
+    for rho in enumerate_partitions(n):
+        if len(rho) != length:
+            continue
+        total = sum(w * _mn(chi, rho) for chi, w in shapes)
+        if total:
+            out[rho] = Fraction(total, z_of(rho))
+    return FockElement(QQ, n, out)
+
+
+def _same_rank_pair(nu, nu2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    nu = check_partition(nu)
+    nu2 = check_partition(nu2)
+    if weight(nu) != weight(nu2) or weight(nu) < 1:
+        raise ValueError("the cup product needs two partitions of the same n >= 1")
+    if nu2 < nu:  # cup is commutative; canonicalize
+        nu, nu2 = nu2, nu
+    return nu, nu2
+
+
+def cup_basis(nu, nu2) -> FockElement:
+    """Cup product of the basis monomials q_nu and q_nu2 on the weight-n
+    piece, n = weight(nu) = weight(nu2).
+
+    The ring is the degree-graded class algebra of the symmetric group
+    S_n (Lehn-Sorger), with q_lam <-> z(lam) * C_lam, C_lam the sum of the
+    permutations of cycle type lam.  The Frobenius character formula then
+    gives every structure constant: for each rho with n - len(rho) =
+    (n - len(nu)) + (n - len(nu2)),
+
+        [q_rho] q_nu * q_nu2 = (1/z(rho)) sum_chi chi(nu) chi(nu2) chi(rho) H(chi)
+
+    over the irreducible characters chi of S_n, H(chi) the hook product of
+    its shape.  Other rho get coefficient zero.  `cup_nilpotent` is the
+    independent oracle.  Unequal weights are rejected (the product across
+    different weights is zero by definition; rejecting catches caller
+    mistakes).
+    """
+    return _cup_basis_cached(*_same_rank_pair(nu, nu2))
+
+
+def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
+    """Bilinear extension of cup_basis to elements supported in weight n."""
+    for elem in (a, b):
+        if elem.ring != QQ:
+            raise ValueError("cup needs rational coefficients")
+        if any(weight(p) != n for p in elem.terms):
+            raise ValueError(f"element has support outside weight {n}")
+    out = FockElement(QQ, n, {})
+    for p1, c1 in a.terms.items():
+        for p2, c2 in b.terms.items():
+            out = out + cup_basis(p1, p2).scale(c1 * c2)
+    return out
+
+
+# -- oracle: cup product via nilpotent parameters -------------------------
 
 
 def _f_minus_from_g(g: TruncatedSeries) -> TruncatedSeries:
@@ -230,8 +304,12 @@ def _parametric_g(ring: ParamRing, prefix: str, mults: dict[int, int], order: in
     return TruncatedSeries(ring, order, coeffs)
 
 
-@lru_cache(maxsize=None)
-def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
+def cup_nilpotent(nu, nu2) -> FockElement:
+    """cup_basis by the paper's route, uncached: build the universal class
+    exp(sum (t-shifted parameter series) q_k) for each factor, multiply the
+    two through the tautological Lagrange machinery, and extract the
+    coefficient multilinear in the parameters of both factors."""
+    nu, nu2 = _same_rank_pair(nu, nu2)
     n = weight(nu)
     m1, m2 = multiplicities(nu), multiplicities(nu2)
     names = tuple(f"a{k}" for k in sorted(m1)) + tuple(f"b{k}" for k in sorted(m2))
@@ -243,16 +321,13 @@ def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
     h = lagrange_g(F1 * F2, n)
     expansion = exp_linear(h, n)
 
-    target = tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2))
     scale = 1
-    for m in m1.values():
-        scale *= factorial(m)
-    for m in m2.values():
+    for m in bounds:
         scale *= factorial(m)
 
     out = {}
     for parts, coeff in expansion.terms.items():
-        c = coeff.coefficient(target) * scale
+        c = coeff.coefficient(bounds) * scale
         if c == 0:
             continue
         if weight(parts) < n:
@@ -262,125 +337,3 @@ def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
             )
         out[parts] = c
     return FockElement(QQ, n, out)
-
-
-def cup_basis(nu, nu2) -> FockElement:
-    """Cup product of the basis monomials q_nu and q_nu2 on the weight-n
-    piece, n = weight(nu) = weight(nu2).
-
-    Computed by building the universal class exp(sum (t-shifted parameter
-    series) q_k), squaring it through the tautological Lagrange machinery,
-    and extracting the coefficient multilinear in the parameters of both
-    factors.  Unequal weights are rejected (the product across different
-    weights is zero by definition; rejecting catches caller mistakes).
-    """
-    nu = check_partition(nu)
-    nu2 = check_partition(nu2)
-    if weight(nu) != weight(nu2) or weight(nu) < 1:
-        raise ValueError("cup_basis needs two partitions of the same n >= 1")
-    if nu2 < nu:  # cup is commutative; canonicalize for the cache
-        nu, nu2 = nu2, nu
-    return _cup_basis_cached(nu, nu2)
-
-
-def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
-    """Bilinear extension of cup_basis to elements supported in weight n."""
-    for elem in (a, b):
-        if elem.ring != QQ:
-            raise ValueError("cup needs rational coefficients")
-        if any(weight(p) != n for p in elem.terms):
-            raise ValueError(f"element has support outside weight {n}")
-    out = FockElement(QQ, n, {})
-    for p1, c1 in a.terms.items():
-        for p2, c2 in b.terms.items():
-            out = out + cup_basis(p1, p2).scale(c1 * c2)
-    return out
-
-
-# -- class-sum oracle in the symmetric group algebra ---------------------
-
-
-@dataclass(frozen=True)
-class ClassSum:
-    """Nonnegative-integer combination of conjugacy-class sums of a fixed
-    symmetric group rank."""
-
-    n: int
-    counts: tuple[tuple[tuple[int, ...], int], ...]
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.counts)
-
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-@cache
-def _conjugacy_classes(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    classes: dict[tuple[int, ...], list] = {}
-    for perm in permutations(range(n)):
-        classes.setdefault(_cycle_type(perm), []).append(perm)
-    return {t: tuple(ps) for t, ps in classes.items()}
-
-
-def ls_oracle(lam, mu, degree_additive: bool = True) -> ClassSum:
-    """Product of the conjugacy-class sums C_lam * C_mu in the center of the
-    rational group ring of the symmetric group (rank <= 7).
-
-    Computed by fixing one permutation of type lam, convolving with the full
-    class of mu, and rescaling by class sizes.  With degree_additive=True
-    (the default) only classes nu with n - len(nu) = (n - len(lam)) +
-    (n - len(mu)) are kept.
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    n = weight(lam)
-    if n != weight(mu):
-        raise ValueError("cycle types must have equal rank")
-    if n > 7:
-        raise ValueError("class-sum oracle is limited to rank <= 7")
-    classes = _conjugacy_classes(n)
-    rep = classes[lam][0]
-    hits: dict[tuple[int, ...], int] = {}
-    for perm in classes[mu]:
-        t = _cycle_type(tuple(rep[perm[i]] for i in range(n)))
-        hits[t] = hits.get(t, 0) + 1
-    size_lam = factorial(n) // z_of(lam)
-    counts = []
-    for t in sorted(hits, key=lambda p: (sum(p), tuple(-x for x in p))):
-        size_t = len(classes[t])
-        num = size_lam * hits[t]
-        if num % size_t:
-            raise AssertionError("class-sum multiplicity is not integral")
-        counts.append((t, num // size_t))
-    if degree_additive:
-        target = (n - len(lam)) + (n - len(mu))
-        counts = [(t, c) for t, c in counts if n - len(t) == target]
-    return ClassSum(n, tuple(counts))
-
-
-def cup_from_class_sums(lam, mu) -> FockElement:
-    """cup_basis rebuilt from the class-sum oracle under the calibrated
-    identification q_lam <-> z(lam) * C_lam: the q_nu coefficient is
-    z(lam) z(mu) / z(nu) times the multiplicity of C_nu."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    n = weight(lam)
-    product = ls_oracle(lam, mu)
-    terms = {
-        nu: Fraction(z_of(lam) * z_of(mu) * mult, z_of(nu))
-        for nu, mult in product.counts
-    }
-    return FockElement(QQ, n, terms)

@@ -24,7 +24,7 @@ from .hilbert import (
     cprime_pow_f,
     cup,
     cup_basis,
-    cup_from_class_sums,
+    cup_nilpotent,
     hilbert_class,
     lemma_b1,
     oracle_top_tangent,
@@ -287,13 +287,14 @@ def suite_ring(max_n: int = 5) -> list[Check]:
 def suite_crossoracle(max_n: int = 7) -> list[Check]:
     checks = []
 
-    # calibration: the conjectural scalar z(lam) must satisfy every
-    # structure-constant equation at small rank before it is trusted.
+    # calibration: the class-sum route (q_lam <-> z(lam) C_lam) must match
+    # the nilpotent-parameter route on every pair at small rank before the
+    # wider comparison is trusted.
     bad = []
     for n in (2, 3):
         for nu in enumerate_partitions(n):
             for nu2 in enumerate_partitions(n):
-                if cup_basis(nu, nu2) != cup_from_class_sums(nu, nu2):
+                if cup_basis(nu, nu2) != cup_nilpotent(nu, nu2):
                     bad.append((n, nu, nu2))
     if bad:
         checks.append(Check("class-sum calibration on ranks 2 and 3", False,
@@ -310,7 +311,7 @@ def suite_crossoracle(max_n: int = 7) -> list[Check]:
                 if nu2 < nu:
                     continue
                 got = cup_basis(nu, nu2)
-                expected = cup_from_class_sums(nu, nu2)
+                expected = cup_nilpotent(nu, nu2)
                 if got != expected:
                     bad.append((n, nu, nu2, got.terms, expected.terms))
     checks.append(Check(

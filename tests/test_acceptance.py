@@ -23,7 +23,7 @@ from hilbclass.hilbert import (
     cprime_pow_f,
     cup,
     cup_basis,
-    cup_from_class_sums,
+    cup_nilpotent,
     hilbert_class,
     lemma_b1,
     oracle_top_tangent,
@@ -205,20 +205,21 @@ def test_criterion_09_cross_path():
 
 def test_criterion_10_class_algebra_cross_oracle():
     calibration_ok = all(
-        cup_basis(lam, mu) == cup_from_class_sums(lam, mu)
+        cup_basis(lam, mu) == cup_nilpotent(lam, mu)
         for n in (2, 3)
         for lam in enumerate_partitions(n)
         for mu in enumerate_partitions(n)
     )
     if not calibration_ok:
-        report(10, "class-sum cross-oracle", False,
-               "calibration of the centralizer-order identification failed "
-               "on ranks 2 and 3")
+        report(10, "class-algebra cup against the nilpotent-parameter oracle",
+               False, "calibration of the centralizer-order identification "
+               "failed on ranks 2 and 3")
     ok = True
     for n in range(4, 8):
         parts = enumerate_partitions(n)
         for i, lam in enumerate(parts):
             for mu in parts[i:]:
-                ok = ok and cup_basis(lam, mu) == cup_from_class_sums(lam, mu)
-    report(10, "class-sum cross-oracle: calibrated on ranks 2-3, agreement "
+                ok = ok and cup_basis(lam, mu) == cup_nilpotent(lam, mu)
+    report(10, "class-algebra cup against the nilpotent-parameter oracle: "
+               "calibrated on ranks 2-3, agreement "
                "for all pairs at ranks 4-7", ok)

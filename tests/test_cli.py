@@ -124,3 +124,22 @@ def test_unknown_arguments_rejected():
         main(["gseries", "euler", "tangent"])
     with pytest.raises(SystemExit):
         main(["verify", "everything"])
+
+
+def test_partition_rejects_bools(capsys):
+    assert main(["cup", "[true,1]", "[2]"]) == 2
+    assert "partition_a" in capsys.readouterr().err
+    assert main(["cup", "[2]", "[1,false]"]) == 2
+    assert "partition_b" in capsys.readouterr().err
+    assert main(["cup", "[2]", "[1,2]"]) == 2
+    assert "partition_b" in capsys.readouterr().err
+
+
+def test_rational_errors_name_the_field(capsys):
+    assert main(["gseries", "custom", "tangent", "--f", "1,1/0"]) == 2
+    assert "--f entry 1" in capsys.readouterr().err
+    assert main(["gseries", "custom", "tangent", "--f", "1,0,x"]) == 2
+    assert "--f entry 2" in capsys.readouterr().err
+    assert main(["gseries", "cprime-pow", "tangent", "--r=-1/0"]) == 2
+    err = capsys.readouterr().err
+    assert "--r" in err and "'-1/0'" in err

@@ -1,10 +1,13 @@
 """Tests for the class engine: exponent series, fixed-point oracles, the
-appendix identities, and the cup product with its class-sum cross-oracle."""
+appendix identities, and the cup product with its nilpotent-parameter
+cross-oracle."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbclass.fock import FockElement, hilb_unit
 from hilbclass.hilbert import (
@@ -16,10 +19,9 @@ from hilbclass.hilbert import (
     cprime_pow_f,
     cup,
     cup_basis,
-    cup_from_class_sums,
+    cup_nilpotent,
     hilbert_class,
     lemma_b1,
-    ls_oracle,
     oracle_top_tangent,
     oracle_top_taut,
     p_n_series,
@@ -28,6 +30,7 @@ from hilbclass.hilbert import (
     tangent_g,
     taut_g,
 )
+from hilbclass.partitions import enumerate_partitions
 from hilbclass.series import TruncatedSeries
 
 
@@ -140,15 +143,24 @@ def test_cup_guards():
         cup(a, a, 3)  # support in weight 2, not 3
 
 
-def test_ls_oracle_transpositions_squared():
-    full = ls_oracle((2, 1), (2, 1), degree_additive=False)
-    assert full.as_dict() == {(1, 1, 1): 3, (3,): 3}
-    top = ls_oracle((2, 1), (2, 1))
-    assert top.as_dict() == {(3,): 3}
-    with pytest.raises(ValueError):
-        ls_oracle((2,), (1, 1, 1))
-    with pytest.raises(ValueError):
-        ls_oracle((8,), (8,))
+def test_cup_unit_at_higher_rank():
+    for n in range(8, 11):
+        unit = hilb_unit(n, bound=n)
+        for lam in enumerate_partitions(n):
+            q = FockElement.monomial(lam, n)
+            assert cup(unit, q, n) == q
+
+
+def test_transposition_class_squared():
+    # q_(2,1^(n-2)) squared, from C_T^2 = (n(n-1)/2) C_1 + 3 C_(3,1^(n-3))
+    # + 2 C_(2,2,1^(n-4)) with q_lam = z(lam) C_lam
+    assert cup_basis((2, 1), (2, 1)).terms == {(3,): Fraction(4)}
+    for n in range(4, 13):
+        t = (2,) + (1,) * (n - 2)
+        assert cup_basis(t, t).terms == {
+            (3,) + (1,) * (n - 3): 4 * factorial(n - 2) * (n - 2),
+            (2, 2) + (1,) * (n - 4): factorial(n - 2) * (n - 2) * (n - 3),
+        }
 
 
 def test_cup_matches_class_sum_oracle_samples():
@@ -159,7 +171,27 @@ def test_cup_matches_class_sum_oracle_samples():
         ((4, 2), (3, 2, 1)),
     ]
     for lam, mu in samples:
-        assert cup_basis(lam, mu) == cup_from_class_sums(lam, mu)
+        assert cup_basis(lam, mu) == cup_nilpotent(lam, mu)
+
+
+_small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    target=st.sampled_from((TANGENT, TAUTOLOGICAL)),
+    tails=st.lists(st.lists(_small_rational, min_size=7, max_size=7),
+                   min_size=2, max_size=2),
+)
+def test_class_is_multiplicative(n, target, tails):
+    f1, f2 = (TruncatedSeries.from_coeffs([1] + tail[: n - 1], n - 1)
+              for tail in tails)
+
+    def component(f):
+        return hilbert_class(ClassSpec(f, target), n).component(n)
+
+    assert cup(component(f1), component(f2), n) == component(f1 * f2)
 
 
 def test_cprime_square_is_lehn_cup_square():
