@@ -51,6 +51,11 @@ def _parse_rational(field: str, text: str, index: int | None = None) -> Fraction
         raise ValueError(f"{where} is not a rational p/q with q != 0: {text!r}") from None
 
 
+def _check_nonnegative(flag: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
+
+
 def _defining_series(args, min_order: int) -> TruncatedSeries:
     if args.class_name == "custom":
         if args.f is None:
@@ -81,6 +86,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 def cmd_gseries(args) -> int:
     order = args.order
+    _check_nonnegative("--order", order)
     f = _defining_series(args, max(order - 1, 0))
     g = tangent_g(f, order) if args.target == TANGENT else taut_g(f, order)
     payload = [str(c) for c in g.coeffs[1:]]
@@ -94,6 +100,12 @@ def cmd_gseries(args) -> int:
 
 def cmd_class(args) -> int:
     bound = args.weight
+    _check_nonnegative("--weight", bound)
+    _check_nonnegative("--degree", args.degree)
+    if args.weight_only is not None and not 0 <= args.weight_only <= bound:
+        raise ValueError(
+            f"--weight-only must lie in 0..{bound} (0..--weight), got {args.weight_only}"
+        )
     f = _defining_series(args, max(bound - 1, 0))
     element = hilbert_class(ClassSpec(f, args.target), bound)
     if args.weight_only is not None:
@@ -137,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("class_name", choices=CLASS_NAMES, metavar="class",
                        help="one of " + ", ".join(CLASS_NAMES))
         p.add_argument("target", choices=(TANGENT, TAUTOLOGICAL))
-        p.add_argument("--r", help="exponent p/q for cprime-pow")
+        p.add_argument("--r", help="exponent p/q for cprime-pow; write a "
+                                   "negative one as --r=-3/2")
         p.add_argument("--f", help="comma-separated coefficients for custom")
 
     p = sub.add_parser("gseries", help="exponent series g_1..g_N of a class")

@@ -18,11 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def rational(p, q=1) -> Fraction:
-    """Normalized rational p/q; q = 0 raises ZeroDivisionError."""
-    return Fraction(p, q)
-
-
 def format_rational(a: Fraction) -> str:
     """Render as ``p/q``, or plain ``p`` when the denominator is 1."""
     return str(a)
@@ -30,21 +25,6 @@ def format_rational(a: Fraction) -> str:
 
 def parse_rational(s: str) -> Fraction:
     return Fraction(s)
-
-
-def rat_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Dispatch form of the four field operations, used by the CLI layer."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 @dataclass(frozen=True)

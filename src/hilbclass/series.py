@@ -13,7 +13,7 @@ series whose linear coefficient is 1 + nilpotent.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .exact import QQ, format_rational
 
@@ -122,20 +122,35 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other):
+        """Truncated product: one convolution over the nonzero terms.
+
+        Over QQ both operands enter as integer numerators over their common
+        denominators, so the loop multiplies and adds plain ints and each
+        output coefficient becomes a `Fraction` once; over a parameter ring
+        the coefficients enter as they are.
+        """
         self._check_compatible(other)
         n = self.order
         a, b = self.coeffs, other.coeffs
-        zero = self.ring.zero
+        rational = self.ring == QQ
+        if rational:
+            den_a, a = _integer_numerators(a)
+            den_b, b = _integer_numerators(b)
+            zero = 0
+        else:
+            zero = self.ring.zero
+        a_terms = [(i, c) for i, c in enumerate(a) if c != zero]
+        b_terms = [(j, c) for j, c in enumerate(b) if c != zero]
         out = [zero] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai == zero:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj == zero:
-                    continue
+        for i, ai in a_terms:
+            last = n - i
+            for j, bj in b_terms:
+                if j > last:
+                    break
                 out[i + j] = out[i + j] + ai * bj
+        if rational:
+            den = den_a * den_b
+            out = [Fraction(c, den) for c in out]
         return TruncatedSeries(self.ring, n, out)
 
     def scale(self, c) -> "TruncatedSeries":
@@ -274,6 +289,13 @@ class TruncatedSeries:
         if self.ring != QQ:
             raise ValueError("only rational-coefficient series serialize")
         return [format_rational(c) for c in self.coeffs]
+
+
+def _integer_numerators(coeffs):
+    """A common denominator d of rational coefficients (ints included), and
+    the integer numerators n_k with coeffs[k] = n_k / d."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:

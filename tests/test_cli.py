@@ -2,6 +2,7 @@
 and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,27 @@ def test_gseries_cprime_pow(capsys):
     assert code == 0
     # (-1)^(n-1) C(2n, n-1) / n^2
     assert doc["payload"] == ["1", "-1", "5/3", "-7/2"]
+
+
+def test_gseries_cprime_pow_negative_r(capsys):
+    # argparse reads "--r -3/2" as a missing value, so the "=" form is needed.
+    r, order = Fraction(-3, 2), 6
+    code, doc = run_json(
+        capsys, "gseries", "cprime-pow", "tautological", f"--r={r}",
+        "--order", str(order),
+    )
+    assert code == 0
+
+    def binom(a, k):
+        out = Fraction(1)
+        for i in range(k):
+            out = out * (a - i) / (i + 1)
+        return out
+
+    # f = (1+x)^r on the tautological target: g_n = [x^(n-1)] (1-x)^(rn) / n^2
+    expected = [(-1) ** (n - 1) * binom(r * n, n - 1) / (n * n)
+                for n in range(1, order + 1)]
+    assert doc["payload"] == [str(c) for c in expected]
 
 
 def test_gseries_custom(capsys):
@@ -143,3 +165,19 @@ def test_rational_errors_name_the_field(capsys):
     assert main(["gseries", "cprime-pow", "tangent", "--r=-1/0"]) == 2
     err = capsys.readouterr().err
     assert "--r" in err and "'-1/0'" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["gseries", "chern", "tangent", "--order", "-1"], "--order must be nonnegative, got -1"),
+    (["class", "chern", "tangent", "--weight", "-1"], "--weight must be nonnegative, got -1"),
+    (["class", "chern", "tangent", "--weight", "5", "--weight-only", "7"],
+     "--weight-only must lie in 0..5"),
+    (["class", "chern", "tangent", "--weight-only", "-1"], "--weight-only must lie in 0..12"),
+    (["class", "chern", "tangent", "--degree", "-3"], "--degree must be nonnegative, got -3"),
+], ids=["order", "weight", "weight-only-above", "weight-only-negative", "degree"])
+def test_range_errors_name_the_flag(capsys, argv, named):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+    assert argv[-1] in captured.err

@@ -14,20 +14,11 @@ from hilbclass.exact import (
     ParamRing,
     format_rational,
     parse_rational,
-    rat_arith,
-    rational,
 )
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
-
-
-def test_rational_normalizes():
-    assert rational(2, 4) == Fraction(1, 2)
-    assert rational(-3, -6) == Fraction(1, 2)
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
 
 
 def test_format_rational():
@@ -40,22 +31,6 @@ def test_format_rational():
 @given(rationals)
 def test_parse_format_round_trip(a):
     assert parse_rational(format_rational(a)) == a
-
-
-@given(rationals, rationals)
-def test_rat_arith_matches_operators(a, b):
-    assert rat_arith(a, b, "add") == a + b
-    assert rat_arith(a, b, "sub") == a - b
-    assert rat_arith(a, b, "mul") == a * b
-    if b != 0:
-        assert rat_arith(a, b, "div") == a / b
-
-
-def test_rat_arith_errors():
-    with pytest.raises(ZeroDivisionError):
-        rat_arith(Fraction(1), Fraction(0), "div")
-    with pytest.raises(ValueError):
-        rat_arith(Fraction(1), Fraction(1), "pow")
 
 
 def test_param_context_validation():

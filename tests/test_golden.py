@@ -1,0 +1,65 @@
+"""Golden CLI outputs: the exit status and the SHA-256 of stdout of a fixed
+list of requests, recorded before the series kernel moved to integer
+numerators.  Any change to a byte of these outputs fails here, so
+determinism and exactness are enforced rather than assumed.
+
+To re-record after a deliberate change of output, print
+``(argv, code, _digest(out))`` for each request and review the diff of the
+outputs themselves, not only of the digests.
+"""
+
+import hashlib
+
+import pytest
+
+from hilbclass.cli import main
+
+CUSTOM_F = "1,1/2,-1/3,2/3,-1,1/5"
+
+GOLDEN = [
+    (("gseries", "chern", "tangent", "--order", "41"), 0,
+     "6a8cb150ba30d6daf0e4cdbd120972afbb5c8bf41734b1850332bbde3465e6fd"),
+    (("gseries", "chern", "tautological", "--order", "41"), 0,
+     "cd371e298b71b93e94c0a97115ee7d25248d9ff5c855021f2511c68919c878a0"),
+    (("gseries", "segre", "tangent", "--order", "41"), 0,
+     "88be6ae88eb9bbbfd43c0b79809bba2fd1a8ac6cc3f5e6919620725b86025051"),
+    (("gseries", "segre", "tautological", "--order", "41"), 0,
+     "25e2378c98afec19b943b405f877525fcd653078d96c16e59715fa0516665e9e"),
+    (("gseries", "sqrt-todd", "tangent", "--order", "41"), 0,
+     "04d2d49c706f0142b2b806dfe48c2299c38028a2531de95a77055fb66c1f887e"),
+    (("gseries", "sqrt-todd", "tautological", "--order", "41"), 0,
+     "fcf72a0027c8efc5f41c0a0d074efffb711d26d46d928dc2a9db69059825ad79"),
+    (("gseries", "cprime-pow", "tangent", "--r=-3/2", "--order", "41"), 0,
+     "1867e76b3672418024efa840efe4c5aaae5fa3e7350226f5313ef99025285813"),
+    (("gseries", "cprime-pow", "tautological", "--r=-3/2", "--order", "41"), 0,
+     "0e6a8a60233fd1fc13dce06b62ff4f044cba7239a82ffc8e0076bcc68280eeb4"),
+    (("gseries", "custom", "tangent", "--f", CUSTOM_F, "--order", "41"), 0,
+     "85e2c99c8225f60338968eba939a583888ab78692cc1bc44aed1be2f5c4d137c"),
+    (("class", "sqrt-todd", "tangent", "--weight", "12"), 0,
+     "0e8df0fdd001bc0526f2858dcce05a3ae379ca75bf6a5903b2ef65df54b44244"),
+    (("class", "sqrt-todd", "tangent", "--weight", "12", "--weight-only", "10"), 0,
+     "e534b3933dfef3ac92f122fd4f574d38541c7d9838bc0a20a6939231d61459fd"),
+    (("class", "sqrt-todd", "tangent", "--weight", "12", "--degree", "5"), 0,
+     "ea4e3b5cdff7f43600e415ed1fea3dcd30d39d38494a653172b13cdfc02b9c00"),
+    (("cup", "[2,1]", "[2,1]"), 0,
+     "8a9a425364240cd2dbc2c0a91d6b2d3d83c8bf85119d420cde045600e20c6c85"),
+    (("cup", "[3,2,1]", "[2,2,1,1]"), 0,
+     "e2b70848bfc05af2d78b20eede89e3cba8a96f4c53469b2fb8c61e40d068b854"),
+    (("verify", "appendix"), 0,
+     "2800653bb160d64405abad2c455bce2673e47fcf28133b9eb601ca9163340d2c"),
+    # exits 1: the quoted sqrt-Todd closed form is a source erratum
+    (("verify", "examples"), 1,
+     "994ac89f84a4080e4f30249cc432175fd88962239ed84e07e8bfe1339c679e65"),
+]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN],
+)
+def test_golden_output(capsys, argv, code, digest):
+    assert main(list(argv)) == code
+    assert _digest(capsys.readouterr().out) == digest

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbclass.exact import QQ
+from hilbclass.exact import QQ, ParamContext, ParamRing
 from hilbclass.series import (
     TruncatedSeries,
     lagrange_g,
@@ -70,6 +70,62 @@ def test_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
     assert a - a == TruncatedSeries.zero(6)
+
+
+def convolve(a, b, zero):
+    """Test-local truncated product: the plain double loop over every pair."""
+    n = len(a) - 1
+    out = [zero] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+big_rationals = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)
+)
+
+
+@st.composite
+def sparse_series(draw, order):
+    """Mostly-zero series (the zero series included): a few nonzero terms at
+    drawn positions, either Fractions with denominators up to 10^6 through
+    `from_coeffs`, or plain ints passed to the constructor directly."""
+    ints = draw(st.booleans())
+    values = st.integers(-10**6, 10**6) if ints else big_rationals
+    terms = draw(st.dictionaries(st.integers(0, order), values, max_size=4))
+    coeffs = [terms.get(k, 0) for k in range(order + 1)]
+    if ints:
+        return TruncatedSeries(QQ, order, coeffs)
+    return TruncatedSeries.from_coeffs(coeffs, order)
+
+
+@st.composite
+def series_pairs(draw):
+    order = draw(st.integers(0, 12))
+    return draw(sparse_series(order)), draw(sparse_series(order))
+
+
+@given(series_pairs())
+@settings(max_examples=150)
+def test_mul_matches_double_loop(pair):
+    a, b = pair
+    product = a * b
+    assert product.coeffs == tuple(convolve(a.coeffs, b.coeffs, Fraction(0)))
+    assert all(isinstance(c, Fraction) for c in product.coeffs)
+
+
+def test_mul_over_param_ring():
+    ring = ParamRing(ParamContext(("a", "b"), (2, 1)))
+    a, b = ring.parameter("a"), ring.parameter("b")
+    s = TruncatedSeries.from_coeffs([1 + a, b, 0, a * b - Fraction(1, 3)], 4, ring)
+    t = TruncatedSeries.from_coeffs([2 - b, 0, a * a, 0, Fraction(5, 7)], 4, ring)
+    product = s * t
+    assert product.coeffs == tuple(convolve(s.coeffs, t.coeffs, ring.zero))
+    # b^2 = 0 kills the b * b term of coefficient 3
+    assert product.coeffs[3] == a * a * b + 2 * a * b + b / 3 - Fraction(2, 3)
+    assert product.coeffs[4] == 5 * (1 + a) / 7
 
 
 @given(series_strategy(6, constant=1))
