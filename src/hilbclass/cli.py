@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .exact import parse_rational
 from .hilbert import (
     TANGENT, TAUTOLOGICAL, ClassSpec, builtin_f, cup_basis, hilbert_class, tangent_g, taut_g,
 )
@@ -45,7 +44,7 @@ def _parse_partition(field: str, text: str) -> tuple[int, ...]:
 
 def _parse_rational(field: str, text: str, index: int | None = None) -> Fraction:
     try:
-        return parse_rational(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         where = f"--{field}" if index is None else f"--{field} entry {index}"
         raise ValueError(f"{where} is not a rational p/q with q != 0: {text!r}") from None

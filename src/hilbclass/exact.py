@@ -18,15 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def format_rational(a: Fraction) -> str:
-    """Render as ``p/q``, or plain ``p`` when the denominator is 1."""
-    return str(a)
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class ParamContext:
     """Ordered parameter names with per-parameter nilpotency bounds.

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exact import QQ, format_rational
+from .exact import QQ
 from .partitions import check_partition, enumerate_partitions, multiplicities, weight
 
 
@@ -139,7 +139,7 @@ class FockElement:
         if self.ring != QQ:
             raise ValueError("only rational-coefficient elements serialize")
         return [
-            {"partition": list(p), "coeff": format_rational(c)}
+            {"partition": list(p), "coeff": str(c)}
             for p, c in self.sorted_terms()
         ]
 

@@ -94,21 +94,6 @@ def contents(parts) -> tuple[int, ...]:
     return tuple(i - j for i, row in enumerate(parts) for j in range(row))
 
 
-def chi_on_n_cycle(parts) -> int:
-    """Irreducible character on the full cycle: (-1)**s on the hook shape
-    (n - s, 1, ..., 1), zero on every other shape.
-    """
-    parts = check_partition(parts)
-    n = weight(parts)
-    if n == 0:
-        raise ValueError("character on the n-cycle needs weight >= 1")
-    if len(parts) == 1 or parts[0] == 1:
-        return (-1) ** (len(parts) - 1)
-    if all(p == 1 for p in parts[1:]):
-        return (-1) ** (len(parts) - 1)
-    return 0
-
-
 def chi_mn(lam, mu) -> int:
     """Irreducible character value by the Murnaghan-Nakayama recursion.
 

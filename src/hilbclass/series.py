@@ -13,9 +13,9 @@ series whose linear coefficient is 1 + nilpotent.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
-from .exact import QQ, format_rational
+from .exact import QQ
 
 
 class TruncatedSeries:
@@ -263,7 +263,8 @@ class TruncatedSeries:
         return result
 
     def revert(self) -> "TruncatedSeries":
-        """Compositional inverse, by term-by-term back-substitution.
+        """Compositional inverse, by Lagrange inversion: writing self as
+        x/F, the inverse is t dg/dt for g = lagrange_g(F).
 
         Needs constant term 0 and a unit linear coefficient (which may be of
         the shape rational-unit + nilpotent over a parameter ring).
@@ -273,14 +274,8 @@ class TruncatedSeries:
             raise ValueError("revert needs constant term 0")
         if self.order < 1 or not ring.is_unit(self.coeffs[1]):
             raise ValueError("revert needs a unit linear coefficient")
-        inv_a1 = ring.inv(self.coeffs[1])
-        out = [ring.zero] * (self.order + 1)
-        out[1] = inv_a1
-        for n in range(2, self.order + 1):
-            partial = TruncatedSeries(ring, self.order, out)
-            residual = self.compose(partial).coeffs[n]
-            out[n] = -(residual * inv_a1)
-        return TruncatedSeries(ring, self.order, out)
+        F = TruncatedSeries(ring, self.order - 1, self.coeffs[1:]).inverse()
+        return lagrange_g(F, self.order).x_derivative()
 
     # -- serialization ----------------------------------------------------
 
@@ -288,7 +283,7 @@ class TruncatedSeries:
         """JSON form: coefficient strings indexed by exponent (QQ only)."""
         if self.ring != QQ:
             raise ValueError("only rational-coefficient series serialize")
-        return [format_rational(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
 
 def _integer_numerators(coeffs):
@@ -319,25 +314,4 @@ def lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
     for m in range(1, order + 1):
         power = power * Ft
         out[m] = power.coeffs[m - 1] * Fraction(1, m * m)
-    return TruncatedSeries(ring, order, out)
-
-
-def lagrange_g_derivative_form(F: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Same series via iterated differentiation of F^n: the coefficient of
-    t^n is (d/dx)^(n-1) F^n at 0, divided by n * n!.  Kept as an
-    independently coded route for cross-checking.
-    """
-    ring = F.ring
-    work = max(order - 1, 0)
-    if F.order < work:
-        raise ValueError("F is truncated too low for the requested order")
-    out = [ring.zero] * (order + 1)
-    power = TruncatedSeries.one(work, ring)
-    Ft = F.truncate(work)
-    for m in range(1, order + 1):
-        power = power * Ft
-        deriv = power
-        for _ in range(m - 1):
-            deriv = deriv.derivative()
-        out[m] = deriv.coeffs[0] * Fraction(1, m * factorial(m))
     return TruncatedSeries(ring, order, out)

@@ -9,14 +9,12 @@ string.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import QQ
 from .fock import FockElement, hilb_unit
 from .hilbert import (
-    TANGENT,
     TAUTOLOGICAL,
     ClassSpec,
     _cup_basis_cached,
@@ -61,12 +59,6 @@ def random_unit_series(rng: random.Random, order: int,
         coeffs.append(Fraction(rng.randint(-numerator_bound, numerator_bound),
                                rng.randint(1, denominator_bound)))
     return TruncatedSeries.from_coeffs(coeffs, order)
-
-
-def _check_equal(name: str, got, expected) -> Check:
-    if got == expected:
-        return Check(name, True)
-    return Check(name, False, f"got {got!r}, expected {expected!r}")
 
 
 # -- suite: appendix ------------------------------------------------------

@@ -12,25 +12,11 @@ from hilbclass.exact import (
     ParamContext,
     ParamPoly,
     ParamRing,
-    format_rational,
-    parse_rational,
 )
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
-
-
-def test_format_rational():
-    assert format_rational(Fraction(1, 2)) == "1/2"
-    assert format_rational(Fraction(-7, 3)) == "-7/3"
-    assert format_rational(Fraction(5)) == "5"
-    assert format_rational(Fraction(0)) == "0"
-
-
-@given(rationals)
-def test_parse_format_round_trip(a):
-    assert parse_rational(format_rational(a)) == a
 
 
 def test_param_context_validation():

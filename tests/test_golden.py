@@ -47,6 +47,9 @@ GOLDEN = [
      "e2b70848bfc05af2d78b20eede89e3cba8a96f4c53469b2fb8c61e40d068b854"),
     (("verify", "appendix"), 0,
      "2800653bb160d64405abad2c455bce2673e47fcf28133b9eb601ca9163340d2c"),
+    # the payload acceptance criteria 8 and 9 read
+    (("verify", "ring"), 0,
+     "442248915ef9af80da1e27697fd586a9ea0d8c69b7f3808e992c2dd7f8703249"),
     # exits 1: the quoted sqrt-Todd closed form is a source erratum
     (("verify", "examples"), 1,
      "994ac89f84a4080e4f30249cc432175fd88962239ed84e07e8bfe1339c679e65"),

