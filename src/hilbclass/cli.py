@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .fock import FockElement
 from .hilbert import (
     TANGENT, TAUTOLOGICAL, ClassSpec, builtin_f, cup_basis, hilbert_class, tangent_g, taut_g,
 )
@@ -22,6 +23,8 @@ from .series import TruncatedSeries
 from .verify import run_suite
 
 DEFAULT_ORDER = 12
+
+MAX_WEIGHT = 40  # class time and memory double about every 4 weights (README)
 
 CLASS_NAMES = ("chern", "segre", "sqrt-todd", "cprime-pow", "custom")
 
@@ -74,8 +77,23 @@ def _document(request: dict, payload) -> dict:
     return {"request": request, "payload": payload, "engine": f"hilbclass {__version__}"}
 
 
+def _records_json(element: FockElement) -> str:
+    """[{"coeff": "p/q", "partition": [...]}, ...] in sorted_terms order, as json.dumps(
+    indent=2, sort_keys=True) writes it one level deep, without its Python encoder."""
+    records = []
+    for parts, c in element.sorted_terms():
+        partition = ("[\n        " + ",\n        ".join(map(str, parts)) + "\n      ]"
+                     if parts else "[]")
+        records.append(f'{{\n      "coeff": "{c}",\n      "partition": {partition}\n    }}')
+    return "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    payload = doc["payload"]
+    records = isinstance(payload, FockElement)
+    text = json.dumps({**doc, "payload": None} if records else doc, indent=2, sort_keys=True)
+    if records:  # sort_keys writes "payload" before "request", whose values may be null
+        text = text.replace('"payload": null', '"payload": ' + _records_json(payload), 1)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -100,22 +118,22 @@ def cmd_gseries(args) -> int:
 def cmd_class(args) -> int:
     bound = args.weight
     _check_nonnegative("--weight", bound)
+    if bound > MAX_WEIGHT:
+        raise ValueError(f"--weight must be at most {MAX_WEIGHT}, got {bound}")
     _check_nonnegative("--degree", args.degree)
     if args.weight_only is not None and not 0 <= args.weight_only <= bound:
         raise ValueError(
             f"--weight-only must lie in 0..{bound} (0..--weight), got {args.weight_only}"
         )
     f = _defining_series(args, max(bound - 1, 0))
-    element = hilbert_class(ClassSpec(f, args.target), bound)
-    if args.weight_only is not None:
-        element = element.component(args.weight_only)
+    element = hilbert_class(ClassSpec(f, args.target), bound, args.weight_only)
     if args.degree is not None:
         element = element.degree_component(args.degree)
     request = {
         "subcommand": "class", "class": args.class_name, "target": args.target,
         "weight": bound, "degree": args.degree, "r": args.r, "f": args.f,
     }
-    _emit(_document(request, element.to_records()), args.out)
+    _emit(_document(request, element), args.out)
     return 0
 
 
@@ -124,7 +142,7 @@ def cmd_cup(args) -> int:
     nu2 = _parse_partition("partition_b", args.partition_b)
     result = cup_basis(nu, nu2)
     request = {"subcommand": "cup", "a": list(nu), "b": list(nu2)}
-    _emit(_document(request, result.to_records()), args.out)
+    _emit(_document(request, result), args.out)
     return 0
 
 

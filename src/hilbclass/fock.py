@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 
 from .exact import QQ
-from .partitions import check_partition, enumerate_partitions, multiplicities, weight
-
-
-def _revlex_key(parts: tuple[int, ...]):
-    return (sum(parts), tuple(-p for p in parts))
+from .partitions import check_partition, weight
+from .series import _integer_numerators
 
 
 class FockElement:
@@ -114,15 +112,6 @@ class FockElement:
                 out[merged] = prod if prev is None else prev + prod
         return FockElement(self.ring, self.bound, out)
 
-    def component(self, n: int) -> "FockElement":
-        """Restriction to terms of weight n."""
-        if n > self.bound:
-            raise ValueError("weight beyond the truncation bound")
-        return FockElement(
-            self.ring, self.bound,
-            {p: c for p, c in self.terms.items() if weight(p) == n},
-        )
-
     def degree_component(self, d: int) -> "FockElement":
         """Restriction to algebraic degree d, i.e. weight - length = d."""
         return FockElement(
@@ -132,16 +121,9 @@ class FockElement:
 
     def sorted_terms(self):
         """Terms sorted by weight, then reverse-lexicographically."""
-        return sorted(self.terms.items(), key=lambda item: _revlex_key(item[0]))
-
-    def to_records(self) -> list[dict]:
-        """JSON form: [{"partition": [...], "coeff": "p/q"}, ...]."""
-        if self.ring != QQ:
-            raise ValueError("only rational-coefficient elements serialize")
-        return [
-            {"partition": list(p), "coeff": str(c)}
-            for p, c in self.sorted_terms()
-        ]
+        out = sorted(self.terms.items(), key=itemgetter(0), reverse=True)
+        out.sort(key=lambda item: weight(item[0]))  # stable: keeps revlex order
+        return out
 
     def __repr__(self):
         if self.is_zero:
@@ -150,30 +132,45 @@ class FockElement:
         return "FockElement(" + " + ".join(bits) + ")"
 
 
-def exp_linear(g, bound: int) -> FockElement:
-    """exp of the linear creation field with weight-k coefficient g_k.
-
-    Expands exp(sum_k g_k q_k) applied to the vacuum: the monomial q_lambda
-    receives prod_i g_{lambda_i} divided by the product of part-multiplicity
-    factorials.  Requires g(0) = 0 and g truncated at order >= bound.
+def exp_linear(g, bound: int, only: int | None = None) -> FockElement:
+    """exp(sum_k g_k q_k) applied to the vacuum, or with `only` just its
+    weight-`only` terms: q_lambda gets prod_i g_{lambda_i} / prod_i m_i!, m_i
+    the part multiplicities.  Requires g(0) = 0 and g truncated at order >=
+    bound.  A depth-first walk appends parts in decreasing order, drawn from
+    the k with g_k != 0.  Over QQ it multiplies integer numerators N_k over one
+    common denominator D and builds one Fraction per term,
+    prod N_{lambda_i} / (D^len(lambda) prod m_i!).
     """
     ring = g.ring
     if g.coeffs[0] != ring.zero:
         raise ValueError("exp_linear needs a series with zero constant term")
     if g.order < bound:
         raise ValueError("series truncated below the requested weight bound")
+    if only is not None and not 0 <= only <= bound:
+        raise ValueError("the single weight must lie in 0..bound")
+    top = bound if only is None else only
+    rational = ring == QQ
+    if rational:
+        den, coeffs = _integer_numerators(g.coeffs[: top + 1])
+        zero, one = 0, 1
+    else:
+        den, coeffs = 1, g.coeffs[: top + 1]
+        zero, one = ring.zero, ring.one
+    support = [k for k in range(top, 0, -1) if coeffs[k] != zero]
     terms = {}
-    for n in range(bound + 1):
-        for parts in enumerate_partitions(n):
-            c = ring.one
-            for part in parts:
-                c = c * g.coeffs[part]
-            denom = 1
-            for m in multiplicities(parts).values():
-                denom *= factorial(m)
-            c = c * Fraction(1, denom)
-            if c != ring.zero:
-                terms[parts] = c
+    # parts, first support index allowed, weight left, product, divisor, last multiplicity
+    stack = [((), 0, top, one, 1, 0)]
+    while stack:
+        parts, first, left, c, d, run = stack.pop()
+        if only is None or left == 0:
+            terms[parts] = Fraction(c, d) if rational else c * Fraction(1, d)
+        for i, k in enumerate(support[first:], first):
+            if k > left:
+                continue
+            m = run + 1 if i == first and parts else 1
+            ck = c * coeffs[k]
+            if ck != zero:  # a product of nilpotent parameters can vanish
+                stack.append((parts + (k,), i, left - k, ck, d * den * m, m))
     return FockElement(ring, bound, terms)
 
 

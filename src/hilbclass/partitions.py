@@ -15,10 +15,10 @@ from math import factorial
 
 def check_partition(parts) -> tuple[int, ...]:
     """Validate and normalize a partition to a tuple."""
-    parts = tuple(int(p) for p in parts)
-    if any(p < 1 for p in parts):
+    parts = tuple(map(int, parts))
+    if parts and min(parts) < 1:
         raise ValueError(f"partition parts must be positive: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if list(parts) != sorted(parts, reverse=True):
         raise ValueError(f"partition parts must be weakly decreasing: {parts}")
     return parts
 

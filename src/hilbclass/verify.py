@@ -198,7 +198,7 @@ def suite_oracle(instances: int = 10, max_n: int = 10) -> list[Check]:
 
 def _lehn_component(n: int) -> FockElement:
     spec = ClassSpec(chern_f(max(n - 1, 0)), TAUTOLOGICAL)
-    return hilbert_class(spec, n).component(n)
+    return hilbert_class(spec, n, n)
 
 
 def suite_ring(max_n: int = 5) -> list[Check]:
@@ -259,8 +259,8 @@ def suite_ring(max_n: int = 5) -> list[Check]:
     for r in (2, 3):
         for n in range(1, 7):
             direct = hilbert_class(
-                ClassSpec(cprime_pow_f(r, max(n - 1, 0)), TAUTOLOGICAL), n
-            ).component(n)
+                ClassSpec(cprime_pow_f(r, max(n - 1, 0)), TAUTOLOGICAL), n, n
+            )
             power = _lehn_component(n)
             for _ in range(r - 1):
                 power = cup(power, _lehn_component(n), n)

@@ -131,6 +131,18 @@ def test_out_file(tmp_path, capsys):
     assert doc["payload"] == ["1", "0", "-1/3"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("class", "sqrt-todd", "tautological", "--weight", "6"),
+    ("cup", "[3,2,1]", "[2,2,1,1]"),
+], ids=["class", "cup"])
+def test_out_file_bytes_equal_stdout(tmp_path, capsys, argv):
+    path = tmp_path / "result.json"
+    _, out = run_cli(capsys, *argv)
+    code, printed = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode()
+
+
 def test_error_exit_codes(capsys):
     assert main(["cup", "[2,1]", "not json"]) == 2
     assert main(["cup", "[1,2]", "[2,1]"]) == 2
@@ -174,7 +186,9 @@ def test_rational_errors_name_the_field(capsys):
      "--weight-only must lie in 0..5"),
     (["class", "chern", "tangent", "--weight-only", "-1"], "--weight-only must lie in 0..12"),
     (["class", "chern", "tangent", "--degree", "-3"], "--degree must be nonnegative, got -3"),
-], ids=["order", "weight", "weight-only-above", "weight-only-negative", "degree"])
+    (["class", "chern", "tangent", "--weight", "41"], "--weight must be at most 40, got 41"),
+], ids=["order", "weight", "weight-only-above", "weight-only-negative", "degree",
+        "weight-ceiling"])
 def test_range_errors_name_the_flag(capsys, argv, named):
     assert main(argv) == 2
     captured = capsys.readouterr()

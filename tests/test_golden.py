@@ -1,7 +1,10 @@
 """Golden CLI outputs: the exit status and the SHA-256 of stdout of a fixed
 list of requests, recorded before the series kernel moved to integer
-numerators.  Any change to a byte of these outputs fails here, so
-determinism and exactness are enforced rather than assumed.
+numerators; the three class requests with a dense, an empty and a
+vacuum-only payload were recorded before the class expansion became a
+depth-first walk with its own record writer.  Any change to a byte of
+these outputs fails here, so determinism and exactness are enforced rather
+than assumed.
 
 To re-record after a deliberate change of output, print
 ``(argv, code, _digest(out))`` for each request and review the diff of the
@@ -15,6 +18,7 @@ import pytest
 from hilbclass.cli import main
 
 CUSTOM_F = "1,1/2,-1/3,2/3,-1,1/5"
+DENSE_F = "1,1/2,-1/3,2/3,-1,1/5,3/4,-2/7"
 
 GOLDEN = [
     (("gseries", "chern", "tangent", "--order", "41"), 0,
@@ -41,6 +45,15 @@ GOLDEN = [
      "e534b3933dfef3ac92f122fd4f574d38541c7d9838bc0a20a6939231d61459fd"),
     (("class", "sqrt-todd", "tangent", "--weight", "12", "--degree", "5"), 0,
      "ea4e3b5cdff7f43600e415ed1fea3dcd30d39d38494a653172b13cdfc02b9c00"),
+    # dense g with many denominators
+    (("class", "custom", "tautological", "--weight", "16", "--f", DENSE_F), 0,
+     "e14eee7cf954e8d8dfe0fa00c49bbdf13a232042d2750ed1ac8d8cf2b02bf4ff"),
+    # an empty payload
+    (("class", "chern", "tangent", "--weight", "3", "--degree", "3"), 0,
+     "cf3df40c7c11f055d29d7df264589ebd4a9fc4b82dd5cf5b6453b922ee4d71a7"),
+    # the vacuum alone, whose partition is empty
+    (("class", "chern", "tangent", "--weight", "4", "--weight-only", "0"), 0,
+     "4775381355a2dfed78446c83cea9d5bbe0e874a272a1cbe1cc1782d48f9d60e8"),
     (("cup", "[2,1]", "[2,1]"), 0,
      "8a9a425364240cd2dbc2c0a91d6b2d3d83c8bf85119d420cde045600e20c6c85"),
     (("cup", "[3,2,1]", "[2,2,1,1]"), 0,

@@ -189,7 +189,7 @@ def test_class_is_multiplicative(n, target, tails):
               for tail in tails)
 
     def component(f):
-        return hilbert_class(ClassSpec(f, target), n).component(n)
+        return hilbert_class(ClassSpec(f, target), n, n)
 
     assert cup(component(f1), component(f2), n) == component(f1 * f2)
 
@@ -197,12 +197,8 @@ def test_class_is_multiplicative(n, target, tails):
 def test_cprime_square_is_lehn_cup_square():
     # the (1+x)^2 tautological class equals Lehn's class cupped with itself
     for n in range(1, 6):
-        lehn = hilbert_class(
-            ClassSpec(chern_f(max(n - 1, 0)), TAUTOLOGICAL), n
-        ).component(n)
-        direct = hilbert_class(
-            ClassSpec(cprime_pow_f(2, max(n - 1, 0)), TAUTOLOGICAL), n
-        ).component(n)
+        lehn = hilbert_class(ClassSpec(chern_f(max(n - 1, 0)), TAUTOLOGICAL), n, n)
+        direct = hilbert_class(ClassSpec(cprime_pow_f(2, max(n - 1, 0)), TAUTOLOGICAL), n, n)
         assert cup(lehn, lehn, n) == direct
 
 

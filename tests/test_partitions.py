@@ -44,6 +44,26 @@ def test_check_partition():
         check_partition((2, 0))
 
 
+@pytest.mark.parametrize("parts,expected", [
+    ((), ()),
+    ((3, 1, 1), (3, 1, 1)),
+    ((True, True), (1, 1)),
+    ([2.0, 1], (2, 1)),
+    ("21", (2, 1)),
+    ((0,), "partition parts must be positive: (0,)"),
+    ((3, 0), "partition parts must be positive: (3, 0)"),
+    ((2, 3), "partition parts must be weakly decreasing: (2, 3)"),
+    ((1, -1), "partition parts must be positive: (1, -1)"),
+])
+def test_check_partition_result_or_message(parts, expected):
+    if isinstance(expected, tuple):
+        assert check_partition(parts) == expected
+    else:
+        with pytest.raises(ValueError) as info:
+            check_partition(parts)
+        assert str(info.value) == expected
+
+
 def test_enumeration_matches_count():
     for n in range(31):
         assert len(enumerate_partitions(n)) == partition_count(n)
