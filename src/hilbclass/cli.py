@@ -18,13 +18,14 @@ from .fock import FockElement
 from .hilbert import (
     TANGENT, TAUTOLOGICAL, ClassSpec, builtin_f, cup_basis, hilbert_class, tangent_g, taut_g,
 )
-from .partitions import check_partition
+from .partitions import check_partition, weight
 from .series import TruncatedSeries
 from .verify import run_suite
 
 DEFAULT_ORDER = 12
 
 MAX_WEIGHT = 40  # class time and memory double about every 4 weights (README)
+MAX_RANK = 28  # the slowest cold cup pair takes about 5x longer every 4 ranks (README)
 
 CLASS_NAMES = ("chern", "segre", "sqrt-todd", "cprime-pow", "custom")
 
@@ -139,6 +140,9 @@ def cmd_class(args) -> int:
 
 def cmd_cup(args) -> int:
     nu = _parse_partition("partition_a", args.partition_a)
+    if weight(nu) > MAX_RANK:
+        raise ValueError(f"partition_a must have rank at most {MAX_RANK}, "
+                         f"got rank {weight(nu)}: {args.partition_a}")
     nu2 = _parse_partition("partition_b", args.partition_b)
     result = cup_basis(nu, nu2)
     request = {"subcommand": "cup", "a": list(nu), "b": list(nu2)}
@@ -202,9 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built by the first main call and reused: building it took most of a cached cup
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

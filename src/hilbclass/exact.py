@@ -16,13 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
 
 
 @dataclass(frozen=True)
 class ParamContext:
     """Ordered parameter names with per-parameter nilpotency bounds.
 
-    A parameter with bound b satisfies rho**(b+1) = 0.
+    A parameter with bound b satisfies rho**(b+1) = 0.  A monomial packs into
+    one int: parameter i's exponent sits at bit shifts[i], in a field of
+    k = b.bit_length() bits plus a guard bit.  Adding two packed monomials
+    adds exponents without carries between fields, and the sum exceeds a
+    bound iff (sum + bias) & guard, each field of `bias` holding 2**k - 1 - b.
     """
 
     names: tuple[str, ...]
@@ -35,147 +41,145 @@ class ParamContext:
             raise ValueError("duplicate parameter names")
         if any(b < 1 for b in self.bounds):
             raise ValueError("nilpotency bounds must be positive")
+        ks = [b.bit_length() for b in self.bounds]
+        shifts = tuple(accumulate((k + 1 for k in ks), initial=0))[:-1]
+        fields = list(zip(ks, self.bounds, shifts))
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "bias", sum(((1 << k) - 1 - b) << s for k, b, s in fields))
+        object.__setattr__(self, "guard", sum(1 << (s + k) for k, _, s in fields))
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
+    def pack(self, exps) -> int | None:
+        """The packed monomial of `exps`, or None if an exponent exceeds its bound."""
+        exps = tuple(exps)
+        if len(exps) != len(self.bounds):
+            raise ValueError("exponent vector has wrong length")
+        if any(e < 0 for e in exps):
+            raise ValueError("negative exponent")
+        fits = all(e <= b for e, b in zip(exps, self.bounds))
+        return sum(e << s for e, s in zip(exps, self.shifts)) if fits else None
 
 
 class ParamPoly:
-    """Polynomial in nilpotent parameters over the rationals.
-
-    Stored as a map from exponent vectors to nonzero rational coefficients.
-    Exponent vectors exceeding a per-parameter bound are dropped on
-    construction; zero is the empty map.
+    """Polynomial in nilpotent parameters over the rationals: `terms` maps
+    packed monomials (see `ParamContext`) to nonzero int numerators over one
+    denominator `den` > 0 with gcd(den, *numerators) == 1, so equal values
+    store equal data.  Monomials over a bound are dropped; zero is {} over 1.
     """
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "terms", "den")
 
-    def __init__(self, context: ParamContext, terms):
+    def __new__(cls, context: ParamContext, terms):
         clean = {}
-        bounds = context.bounds
         for exps, c in terms.items():
-            exps = tuple(exps)
-            if len(exps) != len(bounds):
-                raise ValueError("exponent vector has wrong length")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            if any(e > b for e, b in zip(exps, bounds)):
-                continue
-            c = Fraction(c)
-            if c:
-                clean[exps] = c
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", clean)
+            key = context.pack(exps)
+            if key is not None:
+                clean[key] = Fraction(c)
+        den = lcm(*(c.denominator for c in clean.values()))
+        return cls._make(context, {k: c.numerator * (den // c.denominator)
+                                   for k, c in clean.items() if c}, den)
+
+    @classmethod
+    def _make(cls, context, terms, den) -> "ParamPoly":
+        """The value of nonzero int numerators `terms` over `den`, stored in lowest terms."""
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den //= g
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (context, terms, den)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
 
     @classmethod
     def constant(cls, context: ParamContext, value) -> "ParamPoly":
-        zero_exps = (0,) * len(context.names)
-        return cls(context, {zero_exps: Fraction(value)})
+        value = Fraction(value)
+        return cls._make(context, {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def parameter(cls, context: ParamContext, name: str) -> "ParamPoly":
-        exps = [0] * len(context.names)
-        exps[context.index(name)] = 1
-        return cls(context, {tuple(exps): Fraction(1)})
+        return cls._make(context, {1 << context.shifts[context.names.index(name)]: 1}, 1)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.context.names), Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.terms.get(self.context.pack(exps), 0), self.den)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly.constant(self.context, other)
         if isinstance(other, ParamPoly):
             if other.context != self.context:
                 raise ValueError("mismatched parameter contexts")
             return other
+        if isinstance(other, (int, Fraction)):
+            return ParamPoly.constant(self.context, other)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return ParamPoly(self.context, out)
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, den // other.den
+        out = {k: c * s1 for k, c in self.terms.items()}
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c * s2
+        return ParamPoly._make(self.context, {k: c for k, c in out.items() if c}, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.context, {e: -c for e, c in self.terms.items()})
+        return ParamPoly._make(self.context, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return ParamPoly(self.context, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, ParamPoly):
-            return NotImplemented
-        if other.context != self.context:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            num = other.numerator
+            return ParamPoly._make(self.context, {k: c * num for k, c in self.terms.items()
+                                                  if num}, self.den * other.denominator)
+        context = self.context
+        if other.context is not context and other.context != context:
             raise ValueError("mismatched parameter contexts")
-        bounds = self.context.bounds
-        out: dict[tuple[int, ...], Fraction] = {}
-        # iterate the smaller term map on the outside
+        bias, guard = context.bias, context.guard
+        # the smaller term map goes outside; keys of `out` carry the bias
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if any(x > m for x, m in zip(e, bounds)):
-                    continue
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return ParamPoly(self.context, out)
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in a.items():
+            k1 += bias
+            for k2, c2 in b.items():
+                k = k1 + k2
+                if not k & guard:
+                    out[k] = get(k, 0) + c1 * c2
+        return ParamPoly._make(
+            context, {k - bias: c for k, c in out.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / c)
-        if isinstance(other, ParamPoly):
-            return self * other.invert()
-        return NotImplemented
-
     def invert(self) -> "ParamPoly":
-        """Two-sided inverse within the truncation.
-
-        Requires a nonzero rational part; the parameter part is nilpotent,
-        so the geometric series terminates.
-        """
+        """Two-sided inverse within the truncation.  Needs a nonzero rational part;
+        the parameter part is nilpotent, so the geometric series terminates."""
         c = self.constant_term
         if c == 0:
             raise ValueError("not a unit: zero rational part")
         inv_c = Fraction(1) / c
-        nil = self - c
         result = ParamPoly.constant(self.context, inv_c)
         power = ParamPoly.constant(self.context, 1)
-        step = nil * (-inv_c)
+        step = (self - c) * (-inv_c)
         while True:
             power = power * step
             if power.is_zero:
@@ -184,28 +188,25 @@ class ParamPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.constant(self.context, other)
         if not isinstance(other, ParamPoly):
-            return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ParamPoly.constant(self.context, other)
+        return (self.context, self.den, self.terms) == (other.context, other.den, other.terms)
 
     __hash__ = None
-
-    def sorted_terms(self):
-        """Terms in lexicographic order on the exponent vector."""
-        return sorted(self.terms.items())
 
     def __repr__(self):
         if self.is_zero:
             return "ParamPoly(0)"
+        names, shifts, bounds = self.context.names, self.context.shifts, self.context.bounds
         bits = []
-        for exps, c in self.sorted_terms():
-            mono = "*".join(
-                f"{n}^{e}" if e > 1 else n
-                for n, e in zip(self.context.names, exps)
-                if e
-            )
+        for exps, c in sorted(
+            (tuple(k >> s & ((1 << b.bit_length()) - 1) for s, b in zip(shifts, bounds)), c)
+            for k, c in self.terms.items()
+        ):
+            mono = "*".join(f"{n}^{e}" if e > 1 else n for n, e in zip(names, exps) if e)
+            c = Fraction(c, self.den)
             bits.append(f"{c}*{mono}" if mono else str(c))
         return "ParamPoly(" + " + ".join(bits) + ")"
 

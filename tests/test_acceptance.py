@@ -17,7 +17,7 @@ from functools import cache
 from hilbclass.exact import QQ
 from hilbclass.hilbert import oracle_top_tangent, sqrt_todd_f, tangent_g
 from hilbclass.series import TruncatedSeries, lagrange_g
-from hilbclass.verify import Check, random_unit_series, run_suite
+from hilbclass.verify import SUITES, Check, random_unit_series
 
 QUOTED_SQRT_TODD = ("sqrt-Todd exponent series to order 21, "
                     "hyperbolic-sine-integral closed form")
@@ -36,14 +36,14 @@ def report(number: int, title: str, ok: bool, detail: str = ""):
 
 
 @cache
-def suite_checks(suite: str) -> dict[str, Check]:
-    return {c.name: c for c in run_suite(suite)}
+def suite_checks(suite: str, **options) -> dict[str, Check]:
+    return {c.name: c for c in SUITES[suite](**options)}
 
 
-def report_checks(number: int, title: str, suite: str, *names: str):
-    """Report the named checks of one suite; a name the suite did not run
-    counts as failed."""
-    checks = [suite_checks(suite).get(name, Check(name, False, "not run"))
+def report_checks(number: int, title: str, suite: str, *names: str, **options):
+    """Report the named checks of one suite, run with `options`; a name the
+    suite did not run counts as failed."""
+    checks = [suite_checks(suite, **options).get(name, Check(name, False, "not run"))
               for name in names]
     failed = [c for c in checks if not c.passed]
     report(number, title, not failed,
@@ -146,6 +146,6 @@ def test_criterion_09_cross_path():
 def test_criterion_10_class_algebra_cross_oracle():
     report_checks(10, "class-algebra cup against the nilpotent-parameter oracle: "
                       "calibrated on ranks 2-3, agreement "
-                      "for all pairs at ranks 4-7", "crossoracle",
+                      "for all pairs at ranks 4-8", "crossoracle",
                   "class-sum calibration on ranks 2 and 3",
-                  "class-sum oracle agreement for all pairs, ranks 4..7")
+                  "class-sum oracle agreement for all pairs, ranks 4..8", max_n=8)

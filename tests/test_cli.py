@@ -187,8 +187,9 @@ def test_rational_errors_name_the_field(capsys):
     (["class", "chern", "tangent", "--weight-only", "-1"], "--weight-only must lie in 0..12"),
     (["class", "chern", "tangent", "--degree", "-3"], "--degree must be nonnegative, got -3"),
     (["class", "chern", "tangent", "--weight", "41"], "--weight must be at most 40, got 41"),
+    (["cup", "[29]", "[29]"], "partition_a must have rank at most 28, got rank 29"),
 ], ids=["order", "weight", "weight-only-above", "weight-only-negative", "degree",
-        "weight-ceiling"])
+        "weight-ceiling", "rank-ceiling"])
 def test_range_errors_name_the_flag(capsys, argv, named):
     assert main(argv) == 2
     captured = capsys.readouterr()

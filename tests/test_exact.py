@@ -2,9 +2,10 @@
 polynomials."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbclass.exact import (
@@ -48,10 +49,14 @@ def test_parampoly_arithmetic():
     assert p.constant_term == 1
     assert p.coefficient((1, 0)) == 2
     assert p.coefficient((0, 1)) == -1
+    assert p.coefficient((3, 0)) == 0  # over the bound
     assert p - p == RING.zero
     assert p * RING.one == p
-    q = (1 + a) * (1 - a)
-    assert q == 1 - a * a
+    q = (1 + a) * (-a + 1)
+    assert q == -(a * a) + 1
+    assert repr(p) == "ParamPoly(1 + -1*b + 2*a)"
+    assert repr(a * a * b * Fraction(-3, 7) + Fraction(1, 2)) == "ParamPoly(1/2 + -3/7*a^2*b)"
+    assert repr(RING.zero) == "ParamPoly(0)"
 
 
 def test_parampoly_context_mismatch():
@@ -65,7 +70,7 @@ def test_invert_simple():
     p = 1 + a
     inv = p.invert()
     # geometric series truncated by nilpotency: 1 - a + a^2
-    assert inv == 1 - a + a * a
+    assert inv == RING.one - a + a * a
     assert p * inv == RING.one
 
 
@@ -94,15 +99,6 @@ def test_invert_random(terms, const):
     assert p.invert() * p == RING.one
 
 
-def test_division():
-    a = RING.parameter("a")
-    p = 2 + a
-    assert p / 2 == 1 + a * Fraction(1, 2)
-    assert (p * p) / p == p
-    with pytest.raises(ZeroDivisionError):
-        p / 0
-
-
 def test_ring_objects():
     assert QQ.is_unit(Fraction(3, 7))
     assert not QQ.is_unit(Fraction(0))
@@ -117,3 +113,111 @@ def test_immutability():
     p = RING.parameter("a")
     with pytest.raises(AttributeError):
         p.terms = {}
+
+
+def test_constructor_validation():
+    with pytest.raises(ValueError, match="wrong length"):
+        ParamPoly(CTX, {(1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        ParamPoly(CTX, {(1, -1): 1})
+    assert ParamPoly(CTX, {(3, 0): 1, (0, 2): 5}).is_zero  # over-bound terms drop
+
+
+# Reference kernel on tuple exponent vectors and Fraction coefficients, with
+# the bounds checked coordinate by coordinate; the packed kernel must agree.
+
+
+def reference_poly(context, terms):
+    clean = {}
+    for exps, c in terms.items():
+        exps = tuple(exps)
+        if any(e > b for e, b in zip(exps, context.bounds)):
+            continue
+        c = Fraction(c)
+        if c:
+            clean[exps] = c
+    return clean
+
+
+def reference_add(context, a, b):
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out.get(exps, Fraction(0)) + c
+    return reference_poly(context, out)
+
+
+def reference_mul(context, a, b):
+    bounds = context.bounds
+    out = {}
+    if len(a) > len(b):
+        a, b = b, a
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if any(x > m for x, m in zip(e, bounds)):
+                continue
+            prev = out.get(e)
+            out[e] = c1 * c2 if prev is None else prev + c1 * c2
+    return reference_poly(context, out)
+
+
+def reference_invert(context, a):
+    zero = (0,) * len(context.bounds)
+    inv_c = 1 / a[zero]
+    step = {e: -c * inv_c for e, c in a.items() if e != zero}
+    result, power = {zero: inv_c}, {zero: Fraction(1)}
+    while power := reference_mul(context, power, step):
+        result = reference_add(context, result, {e: c * inv_c for e, c in power.items()})
+    return result
+
+
+def assert_matches(context, got, expected):
+    # stored in lowest terms, with no zero numerator
+    assert got.den > 0 and gcd(got.den, *got.terms.values()) == 1
+    assert all(got.terms.values())
+    assert got == ParamPoly(context, expected)
+    assert len(got.terms) == len(expected)
+    for exps, c in expected.items():
+        assert got.coefficient(exps) == c
+
+
+# bounds at 2**k - 1 fill their k value bits, bounds at 2**k start a longer field
+BOUNDS = (1, 2, 3, 4, 7, 8, 15, 16)
+
+
+@st.composite
+def context_and_polys(draw, count):
+    bounds = draw(st.lists(st.sampled_from(BOUNDS), min_size=1, max_size=6))
+    context = ParamContext(tuple(f"p{i}" for i in range(len(bounds))), tuple(bounds))
+    # exponents up to one over the bound, so construction has terms to drop
+    exps = st.tuples(*(st.integers(0, b + 1) for b in bounds))
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return context, [draw(st.dictionaries(exps, coeffs, max_size=6)) for _ in range(count)]
+
+
+@given(context_and_polys(3), rationals.filter(lambda c: c != 0))
+@settings(deadline=None)
+def test_packed_kernel_matches_reference(case, const):
+    context, (ta, tb, tc) = case
+    ra, rb, rc = (reference_poly(context, t) for t in (ta, tb, tc))
+    a, b, c = (ParamPoly(context, t) for t in (ta, tb, tc))
+    assert_matches(context, a, ra)
+    assert_matches(context, a * b, reference_mul(context, ra, rb))
+    assert_matches(context, a * b * c, reference_mul(context, reference_mul(context, ra, rb), rc))
+    assert_matches(context, a + b, reference_add(context, ra, rb))
+    assert_matches(context, a * const, {e: v * const for e, v in ra.items()})
+    over = tuple(bound + 1 for bound in context.bounds)
+    assert a.coefficient(over) == 0
+    assert a.constant_term == ra.get((0,) * len(over), 0)
+
+    zero = (0,) * len(over)
+    unit = {**{e: v for e, v in rb.items() if e != zero}, zero: const}
+    assert_matches(context, ParamPoly(context, unit).invert(), reference_invert(context, unit))
+
+    # equal values built different ways store equal data
+    assert (a * Fraction(1, 3)) * 3 == a
+    assert a + b - b == a
+    assert a * b == b * a
+    assert (a + b) * c == a * c + b * c
+    assert (a + b) * (a - b) == a * a - b * b  # the cross terms cancel
+    assert a * 0 == ParamPoly(context, {})

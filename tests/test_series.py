@@ -117,12 +117,12 @@ def test_mul_over_param_ring():
     ring = ParamRing(ParamContext(("a", "b"), (2, 1)))
     a, b = ring.parameter("a"), ring.parameter("b")
     s = TruncatedSeries.from_coeffs([1 + a, b, 0, a * b - Fraction(1, 3)], 4, ring)
-    t = TruncatedSeries.from_coeffs([2 - b, 0, a * a, 0, Fraction(5, 7)], 4, ring)
+    t = TruncatedSeries.from_coeffs([-b + 2, 0, a * a, 0, Fraction(5, 7)], 4, ring)
     product = s * t
     assert product.coeffs == tuple(convolve(s.coeffs, t.coeffs, ring.zero))
     # b^2 = 0 kills the b * b term of coefficient 3
-    assert product.coeffs[3] == a * a * b + 2 * a * b + b / 3 - Fraction(2, 3)
-    assert product.coeffs[4] == 5 * (1 + a) / 7
+    assert product.coeffs[3] == a * a * b + 2 * a * b + b * Fraction(1, 3) - Fraction(2, 3)
+    assert product.coeffs[4] == (1 + a) * Fraction(5, 7)
 
 
 @given(series_strategy(6, constant=1))
