@@ -26,6 +26,7 @@ DEFAULT_ORDER = 12
 
 MAX_WEIGHT = 40  # class time and memory double about every 4 weights (README)
 MAX_RANK = 28  # the slowest cold cup pair takes about 5x longer every 4 ranks (README)
+MAX_ORDER = 241  # the slowest gseries takes about 16 s at this order, 4.5x that at 321 (README)
 
 CLASS_NAMES = ("chern", "segre", "sqrt-todd", "cprime-pow", "custom")
 
@@ -54,9 +55,11 @@ def _parse_rational(field: str, text: str, index: int | None = None) -> Fraction
         raise ValueError(f"{where} is not a rational p/q with q != 0: {text!r}") from None
 
 
-def _check_nonnegative(flag: str, value: int | None) -> None:
+def _check_range(flag: str, value: int | None, top: int | None = None) -> None:
     if value is not None and value < 0:
         raise ValueError(f"{flag} must be nonnegative, got {value}")
+    if top is not None and value > top:
+        raise ValueError(f"{flag} must be at most {top}, got {value}")
 
 
 def _defining_series(args, min_order: int) -> TruncatedSeries:
@@ -104,7 +107,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 def cmd_gseries(args) -> int:
     order = args.order
-    _check_nonnegative("--order", order)
+    _check_range("--order", order, MAX_ORDER)
     f = _defining_series(args, max(order - 1, 0))
     g = tangent_g(f, order) if args.target == TANGENT else taut_g(f, order)
     payload = [str(c) for c in g.coeffs[1:]]
@@ -118,10 +121,8 @@ def cmd_gseries(args) -> int:
 
 def cmd_class(args) -> int:
     bound = args.weight
-    _check_nonnegative("--weight", bound)
-    if bound > MAX_WEIGHT:
-        raise ValueError(f"--weight must be at most {MAX_WEIGHT}, got {bound}")
-    _check_nonnegative("--degree", args.degree)
+    _check_range("--weight", bound, MAX_WEIGHT)
+    _check_range("--degree", args.degree)
     if args.weight_only is not None and not 0 <= args.weight_only <= bound:
         raise ValueError(
             f"--weight-only must lie in 0..{bound} (0..--weight), got {args.weight_only}"

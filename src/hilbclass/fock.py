@@ -4,11 +4,8 @@ An element is a linear combination of monomials q_lambda (one creation
 operator per part of the partition lambda, applied to the vacuum), with all
 partitions of weight at most a fixed bound N.  The weight-n piece models the
 cohomology of the Hilbert scheme of n points on the affine plane; the
-algebraic degree of q_lambda is weight(lambda) - length(lambda).
-
-The product implemented here is the symmetric-algebra (Fock) product,
-multiset union on partitions with weight overflow dropped.  It is *not* the
-cup product; that lives in :mod:`hilbclass.hilbert`.
+algebraic degree of q_lambda is weight(lambda) - length(lambda).  The cup
+product of such elements lives in :mod:`hilbclass.hilbert`.
 """
 
 from __future__ import annotations
@@ -23,40 +20,32 @@ from .series import _integer_numerators
 
 
 class FockElement:
+    """sum_lambda terms[lambda] q_lambda, stored as given: every producer keeps
+    each key a valid partition (`check_partition`) of weight at most `bound`,
+    and each coefficient nonzero.  `monomial` is where hand-built terms are
+    checked."""
+
     __slots__ = ("ring", "bound", "terms")
 
     def __init__(self, ring, bound: int, terms):
         if bound < 0:
             raise ValueError("weight bound must be nonnegative")
-        clean = {}
-        for parts, c in terms.items():
-            parts = check_partition(parts)
-            if weight(parts) > bound:
-                continue
-            if c != ring.zero:
-                clean[parts] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("FockElement is immutable")
 
     @classmethod
-    def vacuum(cls, bound: int, ring=QQ):
-        return cls(ring, bound, {(): ring.one})
-
-    @classmethod
-    def monomial(cls, parts, bound: int, coeff=1, ring=QQ):
-        coeff = ring.from_rational(coeff) if isinstance(coeff, (int, Fraction)) else coeff
-        return cls(ring, bound, {check_partition(parts): coeff})
+    def monomial(cls, parts, bound: int, coeff=1):
+        """coeff * q_parts over QQ; zero if coeff is 0 or parts is over the bound."""
+        parts, coeff = check_partition(parts), Fraction(coeff)
+        return cls(QQ, bound, {parts: coeff} if coeff and weight(parts) <= bound else {})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, parts):
-        return self.terms.get(check_partition(parts), self.ring.zero)
 
     def _check_compatible(self, other: "FockElement"):
         if not isinstance(other, FockElement):
@@ -79,38 +68,18 @@ class FockElement:
 
     def __add__(self, other):
         self._check_compatible(other)
+        zero = self.ring.zero
         out = dict(self.terms)
         for parts, c in other.terms.items():
-            out[parts] = out.get(parts, self.ring.zero) + c
-        return FockElement(self.ring, self.bound, out)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for parts, c in other.terms.items():
-            out[parts] = out.get(parts, self.ring.zero) - c
+            c = out.pop(parts, zero) + c
+            if c != zero:
+                out[parts] = c
         return FockElement(self.ring, self.bound, out)
 
     def scale(self, c) -> "FockElement":
-        return FockElement(
-            self.ring, self.bound, {p: v * c for p, v in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        """Fock (symmetric-algebra) product: multiset union of partitions,
-        terms of weight beyond the bound silently truncated."""
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], object] = {}
-        for p1, c1 in self.terms.items():
-            w1 = weight(p1)
-            for p2, c2 in other.terms.items():
-                if w1 + weight(p2) > self.bound:
-                    continue
-                merged = tuple(sorted(p1 + p2, reverse=True))
-                prev = out.get(merged)
-                prod = c1 * c2
-                out[merged] = prod if prev is None else prev + prod
-        return FockElement(self.ring, self.bound, out)
+        zero = self.ring.zero
+        return FockElement(self.ring, self.bound,
+                           {p: w for p, v in self.terms.items() if (w := v * c) != zero})
 
     def degree_component(self, d: int) -> "FockElement":
         """Restriction to algebraic degree d, i.e. weight - length = d."""
@@ -137,9 +106,10 @@ def exp_linear(g, bound: int, only: int | None = None) -> FockElement:
     weight-`only` terms: q_lambda gets prod_i g_{lambda_i} / prod_i m_i!, m_i
     the part multiplicities.  Requires g(0) = 0 and g truncated at order >=
     bound.  A depth-first walk appends parts in decreasing order, drawn from
-    the k with g_k != 0.  Over QQ it multiplies integer numerators N_k over one
-    common denominator D and builds one Fraction per term,
-    prod N_{lambda_i} / (D^len(lambda) prod m_i!).
+    the k with g_k != 0, so every term is a partition within the bound with a
+    nonzero coefficient, as `FockElement` requires.  Over QQ it multiplies
+    integer numerators N_k over one common denominator D and builds one
+    Fraction per term, prod N_{lambda_i} / (D^len(lambda) prod m_i!).
     """
     ring = g.ring
     if g.coeffs[0] != ring.zero:
@@ -174,8 +144,6 @@ def exp_linear(g, bound: int, only: int | None = None) -> FockElement:
     return FockElement(ring, bound, terms)
 
 
-def hilb_unit(n: int, bound: int | None = None, ring=QQ) -> FockElement:
+def hilb_unit(n: int) -> FockElement:
     """The cohomological unit of the weight-n piece: q_{1^n} / n!."""
-    if bound is None:
-        bound = n
-    return FockElement.monomial((1,) * n, bound, Fraction(1, factorial(n)), ring)
+    return FockElement.monomial((1,) * n, n, Fraction(1, factorial(n)))

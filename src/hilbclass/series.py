@@ -39,20 +39,14 @@ class TruncatedSeries:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs, order: int | None = None, ring=QQ):
+    def from_coeffs(cls, coeffs, order: int, ring=QQ):
         """Build from leading coefficients, zero-padded up to `order`."""
         coeffs = [ring.from_rational(c) if isinstance(c, (int, Fraction)) else c
                   for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the requested order admits")
         coeffs = coeffs + [ring.zero] * (order + 1 - len(coeffs))
         return cls(ring, order, coeffs)
-
-    @classmethod
-    def constant(cls, value, order: int, ring=QQ):
-        return cls.from_coeffs([value], order, ring)
 
     @classmethod
     def zero(cls, order: int, ring=QQ):
@@ -62,17 +56,7 @@ class TruncatedSeries:
     def one(cls, order: int, ring=QQ):
         return cls.from_coeffs([1], order, ring)
 
-    @classmethod
-    def identity(cls, order: int, ring=QQ):
-        """The series x."""
-        if order < 1:
-            raise ValueError("identity needs order >= 1")
-        return cls.from_coeffs([0, 1], order, ring)
-
     # -- basics -----------------------------------------------------------
-
-    def __getitem__(self, k: int):
-        return self.coeffs[k]
 
     def _check_compatible(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
@@ -117,9 +101,6 @@ class TruncatedSeries:
             self.ring, self.order,
             [a - b for a, b in zip(self.coeffs, other.coeffs)],
         )
-
-    def __neg__(self):
-        return TruncatedSeries(self.ring, self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         """Truncated product: one convolution over the nonzero terms.
@@ -187,19 +168,6 @@ class TruncatedSeries:
             out[k] = -(acc * inv0)
         return TruncatedSeries(ring, self.order, out)
 
-    def __truediv__(self, other):
-        self._check_compatible(other)
-        return self * other.inverse()
-
-    def derivative(self) -> "TruncatedSeries":
-        """d/dx; the result has order one less."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries(
-            self.ring, self.order - 1,
-            [self.coeffs[k] * Fraction(k) for k in range(1, self.order + 1)],
-        )
-
     def x_derivative(self) -> "TruncatedSeries":
         """x * d/dx, keeping the order."""
         return TruncatedSeries(
@@ -246,21 +214,7 @@ class TruncatedSeries:
             out[n] = acc * Fraction(1, 2)
         return TruncatedSeries(ring, self.order, out)
 
-    # -- composition ------------------------------------------------------
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner), by Horner evaluation; inner must kill the constant."""
-        self._check_compatible(inner)
-        if inner.coeffs[0] != self.ring.zero:
-            raise ValueError("compose needs inner constant term 0")
-        result = TruncatedSeries.constant(0, self.order, self.ring)
-        for k in range(self.order, -1, -1):
-            result = result * inner
-            result = TruncatedSeries(
-                self.ring, self.order,
-                (result.coeffs[0] + self.coeffs[k],) + result.coeffs[1:],
-            )
-        return result
+    # -- reversion --------------------------------------------------------
 
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse, by Lagrange inversion: writing self as

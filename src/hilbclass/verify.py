@@ -220,7 +220,7 @@ def suite_ring(max_n: int = 5) -> list[Check]:
     bad = []
     for n in range(1, max_n + 1):
         parts = enumerate_partitions(n)
-        unit = hilb_unit(n, bound=n)
+        unit = hilb_unit(n)
         for nu in parts:
             q = FockElement.monomial(nu, n)
             if cup(unit, q, n) != q:

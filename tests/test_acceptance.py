@@ -7,7 +7,8 @@ once, in `hilbclass.verify`; each suite runs once per session.  Criterion 3
 adds the fixed-point oracle to order 9 and pins the one check of `verify
 examples` that fails, the sqrt-Todd closed form quoted in the source,
 1/(4^n (2n+1) (2n+1)!), which does not solve the defining equation; the
-test records why.  Criterion 7 has no suite of its own.
+test records why.  Criterion 7 has no suite of its own; it composes
+series with the test-local `compose` of `test_series`.
 """
 
 import random
@@ -18,6 +19,7 @@ from hilbclass.exact import QQ
 from hilbclass.hilbert import oracle_top_tangent, sqrt_todd_f, tangent_g
 from hilbclass.series import TruncatedSeries, lagrange_g
 from hilbclass.verify import SUITES, Check, random_unit_series
+from test_series import compose
 
 QUOTED_SQRT_TODD = ("sqrt-Todd exponent series to order 21, "
                     "hyperbolic-sine-integral closed form")
@@ -110,19 +112,19 @@ def test_criterion_06_appendix_identities():
 def test_criterion_07_lagrange_inversion():
     rng = random.Random(1003)
     ok = True
+    x = TruncatedSeries.from_coeffs([0, 1], 14)
     for _ in range(10):
         F = random_unit_series(rng, 14)
         g = lagrange_g(F, 14)
-        x_over_F = (TruncatedSeries.identity(14) * F.inverse()).truncate(13)
+        x_over_F = (x * F.inverse()).truncate(13)
         dg = TruncatedSeries(
             QQ, 13, [g.coeffs[k + 1] * (k + 1) for k in range(14)]
         )
-        ok = ok and dg.compose(x_over_F) == F.truncate(13)
+        ok = ok and compose(dg, x_over_F) == F.truncate(13)
         # revert round trips on t dg/dt, whose linear coefficient is a unit
         tdg = g.x_derivative()
         r = tdg.revert()
-        x = TruncatedSeries.identity(14)
-        ok = ok and tdg.compose(r) == x and r.compose(tdg) == x
+        ok = ok and compose(tdg, r) == x and compose(r, tdg) == x
     report(7, "Lagrange functional equation at order 13 and reversion "
               "round trips, 10 random F at order 14", ok)
 

@@ -181,6 +181,7 @@ def test_rational_errors_name_the_field(capsys):
 
 @pytest.mark.parametrize("argv,named", [
     (["gseries", "chern", "tangent", "--order", "-1"], "--order must be nonnegative, got -1"),
+    (["gseries", "chern", "tangent", "--order", "242"], "--order must be at most 241, got 242"),
     (["class", "chern", "tangent", "--weight", "-1"], "--weight must be nonnegative, got -1"),
     (["class", "chern", "tangent", "--weight", "5", "--weight-only", "7"],
      "--weight-only must lie in 0..5"),
@@ -188,7 +189,7 @@ def test_rational_errors_name_the_field(capsys):
     (["class", "chern", "tangent", "--degree", "-3"], "--degree must be nonnegative, got -3"),
     (["class", "chern", "tangent", "--weight", "41"], "--weight must be at most 40, got 41"),
     (["cup", "[29]", "[29]"], "partition_a must have rank at most 28, got rank 29"),
-], ids=["order", "weight", "weight-only-above", "weight-only-negative", "degree",
+], ids=["order", "order-ceiling", "weight", "weight-only-above", "weight-only-negative", "degree",
         "weight-ceiling", "rank-ceiling"])
 def test_range_errors_name_the_flag(capsys, argv, named):
     assert main(argv) == 2

@@ -1,4 +1,9 @@
-"""Tests for weight-truncated creation-monomial combinations."""
+"""Tests for weight-truncated creation-monomial combinations.
+
+The Fock (symmetric-algebra) product is a test-local reference here: it
+checks that `exp_linear` is exponential.  No command multiplies Fock
+elements that way; the cup product lives in `hilbclass.hilbert`.
+"""
 
 import json
 from fractions import Fraction
@@ -11,7 +16,7 @@ from hypothesis import strategies as st
 from hilbclass.cli import _records_json
 from hilbclass.exact import QQ, ParamContext, ParamRing
 from hilbclass.fock import FockElement, exp_linear, hilb_unit
-from hilbclass.partitions import enumerate_partitions, multiplicities, weight
+from hilbclass.partitions import check_partition, enumerate_partitions, multiplicities, weight
 from hilbclass.series import TruncatedSeries
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -40,12 +45,38 @@ def weight_piece(e: FockElement, n: int) -> FockElement:
     return FockElement(e.ring, e.bound, {p: c for p, c in e.terms.items() if weight(p) == n})
 
 
-def test_monomial_and_vacuum():
-    v = FockElement.vacuum(3)
-    assert v.coefficient(()) == 1
+def fock_product(a: FockElement, b: FockElement) -> FockElement:
+    """Test-local Fock (symmetric-algebra) product: multiset union of
+    partitions, terms of weight beyond the bound dropped."""
+    assert a.ring == b.ring and a.bound == b.bound
+    zero = a.ring.zero
+    out = {}
+    for p1, c1 in a.terms.items():
+        for p2, c2 in b.terms.items():
+            if weight(p1) + weight(p2) <= a.bound:
+                merged = tuple(sorted(p1 + p2, reverse=True))
+                out[merged] = out.get(merged, zero) + c1 * c2
+    return FockElement(a.ring, a.bound, {p: c for p, c in out.items() if c != zero})
+
+
+def assert_valid_terms(e: FockElement, weights=None):
+    """The invariant FockElement trusts its producers to keep: each key a
+    partition within the bound (of a weight in `weights`, if given), each
+    coefficient nonzero."""
+    for p, c in e.terms.items():
+        assert check_partition(p) == p and weight(p) <= e.bound, p
+        assert weights is None or weight(p) in weights, p
+        assert c != e.ring.zero, p
+
+
+def test_monomial():
     q = FockElement.monomial((2, 1), 4, Fraction(1, 2))
-    assert q.coefficient((2, 1)) == Fraction(1, 2)
-    assert q.coefficient((3,)) == 0
+    assert q.terms == {(2, 1): Fraction(1, 2)}
+    assert FockElement.monomial((2, 1), 4, 0).is_zero
+    with pytest.raises(ValueError):
+        FockElement.monomial((1, 2), 4)
+    with pytest.raises(ValueError):
+        FockElement.monomial((1,), -1)
 
 
 def test_truncation_drops_overflow():
@@ -53,23 +84,25 @@ def test_truncation_drops_overflow():
     assert q.is_zero
     a = FockElement.monomial((2,), 3)
     b = FockElement.monomial((2,), 3)
-    assert (a * b).is_zero  # weight 4 > bound 3
+    assert fock_product(a, b).is_zero  # weight 4 > bound 3
     c = FockElement.monomial((1,), 3)
-    assert (a * c).coefficient((2, 1)) == 1
+    assert fock_product(a, c).terms.get((2, 1), 0) == 1
 
 
 def test_product_merges_partitions():
     a = FockElement.monomial((2, 1), 8, 2)
     b = FockElement.monomial((3, 2), 8, Fraction(1, 2))
-    assert (a * b).terms == {(3, 2, 2, 1): Fraction(1)}
+    assert fock_product(a, b).terms == {(3, 2, 2, 1): Fraction(1)}
 
 
 def test_linear_structure():
     a = FockElement.monomial((2,), 3)
     b = FockElement.monomial((1, 1), 3)
     s = a + b.scale(3)
-    assert s.coefficient((1, 1)) == 3
-    assert (s - s).is_zero
+    assert s.terms.get((1, 1), 0) == 3
+    assert (s + s.scale(-1)).terms == {}
+    assert s.scale(0).terms == {}
+    assert (s + b.scale(-3)).terms == {(2,): 1}
     assert s == s
 
 
@@ -136,9 +169,13 @@ def test_exp_linear_matches_reference(tail, bound):
     tail = (tail + [0] * bound)[:bound]
     g = TruncatedSeries.from_coeffs([0] + tail, bound)
     expected = exp_linear_reference(g, bound)
-    assert exp_linear(g, bound).terms == expected.terms
+    got = exp_linear(g, bound)
+    assert got.terms == expected.terms
+    assert_valid_terms(got)
     for only in range(bound + 1):
-        assert exp_linear(g, bound, only) == weight_piece(expected, only)
+        piece = exp_linear(g, bound, only)
+        assert piece == weight_piece(expected, only)
+        assert_valid_terms(piece, {only})
 
 
 def test_exp_linear_matches_reference_over_parameters():
@@ -162,12 +199,12 @@ def test_exp_linear_matches_reference_over_parameters():
 def test_exp_linear_is_exponential(c1, c2):
     g1 = TruncatedSeries.from_coeffs([0] + c1, 5)
     g2 = TruncatedSeries.from_coeffs([0] + c2, 5)
-    assert exp_linear(g1 + g2, 5) == exp_linear(g1, 5) * exp_linear(g2, 5)
+    assert exp_linear(g1 + g2, 5) == fock_product(exp_linear(g1, 5), exp_linear(g2, 5))
 
 
 def test_sorted_terms_and_records():
     e = FockElement(
-        FockElement.vacuum(3).ring,
+        QQ,
         3,
         {
             (1, 1, 1): Fraction(1, 6),

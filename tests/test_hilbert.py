@@ -32,6 +32,7 @@ from hilbclass.hilbert import (
 )
 from hilbclass.partitions import enumerate_partitions
 from hilbclass.series import TruncatedSeries
+from test_fock import assert_valid_terms
 
 
 def test_builtin_series():
@@ -129,7 +130,7 @@ def test_cup_basis_guards():
 
 def test_cup_unit_and_bilinearity():
     n = 4
-    unit = hilb_unit(n, bound=n)
+    unit = hilb_unit(n)
     a = FockElement.monomial((3, 1), n, Fraction(2, 3))
     b = FockElement.monomial((2, 2), n, 5)
     assert cup(unit, a + b, n) == a + b
@@ -145,7 +146,7 @@ def test_cup_guards():
 
 def test_cup_unit_at_higher_rank():
     for n in range(8, 11):
-        unit = hilb_unit(n, bound=n)
+        unit = hilb_unit(n)
         for lam in enumerate_partitions(n):
             q = FockElement.monomial(lam, n)
             assert cup(unit, q, n) == q
@@ -161,6 +162,15 @@ def test_transposition_class_squared():
             (3,) + (1,) * (n - 3): 4 * factorial(n - 2) * (n - 2),
             (2, 2) + (1,) * (n - 4): factorial(n - 2) * (n - 2) * (n - 3),
         }
+
+
+def test_cup_terms_keep_the_fock_invariant():
+    for n in range(1, 7):
+        for nu in enumerate_partitions(n):
+            for nu2 in enumerate_partitions(n):
+                assert_valid_terms(cup_basis(nu, nu2), {n})
+                if n <= 4:
+                    assert_valid_terms(cup_nilpotent(nu, nu2), {n})
 
 
 def test_cup_matches_class_sum_oracle_samples():
