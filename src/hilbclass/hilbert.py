@@ -10,9 +10,10 @@ Lagrange inversion:
 * tangent:       dg/dt ( x / (f(x) f(-x)) ) = f(x) f(-x)
 * tautological:  dg/dt ( x / f(-x) )        = f(-x)
 
-Both series are cross-checked against brute-force partition sums over torus
-fixed points, where the tangent Chern roots specialize to the +-hook lengths
-of a cell and the tautological Chern roots to the cell contents.
+Both series are cross-checked against literal products over the cells of
+the torus fixed points, where the tangent Chern roots specialize to the
++-hook lengths of a cell and the tautological Chern roots to the cell
+contents; only the hook shapes, whose n-cycle character is nonzero, enter.
 
 The cup product on the weight-n piece comes from the class algebra of the
 symmetric group S_n (Lehn-Sorger): under q_lam <-> z(lam) * C_lam, with C_lam
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .exact import QQ, ParamContext, ParamRing
 from .fock import FockElement, exp_linear
@@ -50,7 +52,7 @@ from .partitions import (
     weight,
     z_of,
 )
-from .series import TruncatedSeries, lagrange_g
+from .series import TruncatedSeries, _integer_numerators, lagrange_g
 
 TANGENT = "tangent"
 TAUTOLOGICAL = "tautological"
@@ -143,45 +145,44 @@ def hilbert_class(spec: ClassSpec, bound: int, only: int | None = None) -> FockE
 # -- brute-force fixed-point oracles -------------------------------------
 
 
-def _fixed_point_sum(f: TruncatedSeries, n: int, root_factors) -> Fraction:
+def _fixed_point_sum(f: TruncatedSeries, n: int, roots) -> Fraction:
+    """sum over lam |- n of chi^lam((n)) / (n H(lam)) times [x^(n-1)] of the
+    product over the Chern roots r in roots(lam) of f(r x).  chi^lam on an
+    n-cycle vanishes unless lam is a hook, so only hooks build the product,
+    on integer numerators over f's common denominator."""
     if n < 1:
         raise ValueError("the oracle needs n >= 1")
     _require_unit_one(f)
     if f.order < n - 1:
         raise ValueError("series truncated too low for this n")
-    ft = f.truncate(n - 1)
+    den, nums = _integer_numerators(f.coeffs[:n])
     total = Fraction(0)
     for lam in enumerate_partitions(n):
         chi = chi_mn(lam, (n,))
-        prod = TruncatedSeries.one(n - 1)
-        for factor in root_factors(ft, lam):
-            prod = prod * factor
-        total += Fraction(chi, hook_product(lam) * n) * prod.coeffs[n - 1]
+        if chi == 0:
+            continue
+        rs = roots(lam)
+        prod = [1] + [0] * (n - 1)
+        for r in rs:
+            factor = [a * r**k for k, a in enumerate(nums)]
+            prod = [sum(map(mul, prod[: k + 1], factor[k::-1])) for k in range(n)]
+        total += Fraction(chi * prod[n - 1], hook_product(lam) * n * den ** len(rs))
     return total
 
 
 def oracle_top_tangent(f: TruncatedSeries, n: int) -> Fraction:
     """The q_(n)-coefficient of the top-degree class on the weight-n piece,
-    by literal summation over all partitions of n (tangent Chern roots:
-    +-hook length per cell).  Must equal coefficient n of tangent_g(f)."""
-
-    def factors(ft, lam):
-        for h in hooks(lam):
-            yield ft.scale_arg(h) * ft.scale_arg(-h)
-
-    return _fixed_point_sum(f, n, factors)
+    by summation over the torus fixed points whose n-cycle character is
+    nonzero, the hooks (tangent Chern roots: +-hook length per cell).  Must
+    equal coefficient n of tangent_g(f)."""
+    return _fixed_point_sum(f, n, lambda lam: [r for h in hooks(lam) for r in (h, -h)])
 
 
 def oracle_top_taut(f: TruncatedSeries, n: int) -> Fraction:
-    """Same partition sum for the tautological sheaf, whose Chern roots
+    """Same fixed-point sum for the tautological sheaf, whose Chern roots
     specialize to the cell contents row - column.  Must equal coefficient n
     of taut_g(f)."""
-
-    def factors(ft, lam):
-        for c in contents(lam):
-            yield ft.scale_arg(c)
-
-    return _fixed_point_sum(f, n, factors)
+    return _fixed_point_sum(f, n, contents)
 
 
 # -- the two appendix identities -----------------------------------------

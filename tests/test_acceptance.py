@@ -94,11 +94,11 @@ def test_criterion_04_lehn_specialization():
 
 def test_criterion_05_oracle_equivalence():
     report_checks(5, "fixed-point partition sums equal both exponent series, "
-                     "10 random f, n <= 10", "oracle",
+                     "10 random f, n <= 12", "oracle",
                   "tangent fixed-point sum equals Lagrange route, "
-                  "10 random f, n <= 10",
+                  "10 random f, n <= 12",
                   "tautological fixed-point sum equals Lagrange route, "
-                  "10 random f, n <= 10")
+                  "10 random f, n <= 12", max_n=12)
 
 
 def test_criterion_06_appendix_identities():

@@ -2,7 +2,9 @@
 list of requests, recorded before the series kernel moved to integer
 numerators; the three class requests with a dense, an empty and a
 vacuum-only payload were recorded before the class expansion became a
-depth-first walk with its own record writer.  Any change to a byte of
+depth-first walk with its own record writer; `verify oracle` was recorded
+before the fixed-point oracles skipped the shapes with a zero n-cycle
+character and moved to integer numerators.  Any change to a byte of
 these outputs fails here, so determinism and exactness are enforced rather
 than assumed.
 
@@ -63,6 +65,9 @@ GOLDEN = [
     # the payload acceptance criteria 8 and 9 read
     (("verify", "ring"), 0,
      "442248915ef9af80da1e27697fd586a9ea0d8c69b7f3808e992c2dd7f8703249"),
+    # the payload acceptance criterion 5 reads, at the CLI's n <= 10
+    (("verify", "oracle"), 0,
+     "3393390d11f401fbf95ae7e189837e0ff73ad3fb9539016d6192f1d57c71d92a"),
     # exits 1: the quoted sqrt-Todd closed form is a source erratum
     (("verify", "examples"), 1,
      "994ac89f84a4080e4f30249cc432175fd88962239ed84e07e8bfe1339c679e65"),

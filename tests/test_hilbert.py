@@ -2,6 +2,7 @@
 appendix identities, and the cup product with its nilpotent-parameter
 cross-oracle."""
 
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -30,8 +31,15 @@ from hilbclass.hilbert import (
     tangent_g,
     taut_g,
 )
-from hilbclass.partitions import enumerate_partitions
+from hilbclass.partitions import (
+    chi_mn,
+    contents,
+    enumerate_partitions,
+    hook_product,
+    hooks,
+)
 from hilbclass.series import TruncatedSeries
+from hilbclass.verify import random_unit_series
 from test_fock import assert_valid_terms
 
 
@@ -88,6 +96,50 @@ def test_oracles_match_series_for_fixed_f():
         for n in range(1, 7):
             assert oracle_top_tangent(f, n) == gt.coeffs[n]
             assert oracle_top_taut(f, n) == gq.coeffs[n]
+
+
+def reference_fixed_point_sum(f, n, target):
+    """The fixed-point oracle as first written: a literal product of
+    TruncatedSeries over the Chern roots of every partition of n, each root
+    factor built by scale_arg, weighted by chi^lam((n)) / (n H(lam))."""
+    ft = f.truncate(n - 1)
+    total = Fraction(0)
+    for lam in enumerate_partitions(n):
+        if target == TANGENT:
+            roots = [r for h in hooks(lam) for r in (h, -h)]
+        else:
+            roots = contents(lam)
+        prod = TruncatedSeries.one(n - 1)
+        for r in roots:
+            prod = prod * ft.scale_arg(r)
+        total += Fraction(chi_mn(lam, (n,)), hook_product(lam) * n) * prod.coeffs[n - 1]
+    return total
+
+
+ORACLES = {TANGENT: oracle_top_tangent, TAUTOLOGICAL: oracle_top_taut}
+
+
+@pytest.mark.parametrize("target", (TANGENT, TAUTOLOGICAL))
+def test_oracles_match_literal_fixed_point_sum(target):
+    rng = random.Random(2024)
+    drawn = [random_unit_series(rng, 7, 4, 5) for _ in range(6)]
+    tails = [c for f in drawn for c in f.coeffs[1:]]
+    assert 0 in tails and min(tails) < 0  # zero and negative coefficients
+    for f in drawn + [chern_f(7), segre_f(7), sqrt_todd_f(7)]:
+        for n in range(1, 9):
+            assert ORACLES[target](f, n) == reference_fixed_point_sum(f, n, target)
+
+
+@pytest.mark.parametrize("target", (TANGENT, TAUTOLOGICAL))
+def test_oracle_input_errors(target):
+    oracle = ORACLES[target]
+    with pytest.raises(ValueError, match="n >= 1"):
+        oracle(chern_f(3), 0)
+    with pytest.raises(ValueError, match="constant term 1"):
+        oracle(TruncatedSeries.from_coeffs([2, 1], 3), 2)
+    with pytest.raises(ValueError, match="truncated too low"):
+        oracle(chern_f(3), 5)
+    assert oracle(chern_f(3), 4) == reference_fixed_point_sum(chern_f(3), 4, target)
 
 
 def test_oracle_anchored_values():
