@@ -102,6 +102,17 @@ class ParamPoly:
     def parameter(cls, context: ParamContext, name: str) -> "ParamPoly":
         return cls._make(context, {1 << context.shifts[context.names.index(name)]: 1}, 1)
 
+    def embed(self, context: ParamContext, shift: int) -> "ParamPoly":
+        """This value over a larger `context`, every packed monomial shifted
+        left by `shift` bits.  The target must repeat this context's fields,
+        bound for bound, starting at `shift`; otherwise ValueError."""
+        fields = dict(zip(context.shifts, context.bounds))
+        src = self.context
+        if any(fields.get(s + shift) != b for s, b in zip(src.shifts, src.bounds)):
+            raise ValueError("target context does not repeat the source fields at this shift")
+        return ParamPoly._make(context, {k << shift: c for k, c in self.terms.items()},
+                               self.den)
+
     @property
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get(0, 0), self.den)

@@ -27,7 +27,11 @@ H(chi) the hook product of the shape of chi, for every rho with
 n - len(rho) = (n - len(lam)) + (n - len(mu)); all other coefficients vanish.
 The paper's own route, which multiplies two universal classes with
 nilpotent parameter coefficients and extracts multilinear coefficients, is
-kept as the independent oracle `cup_nilpotent`.
+kept as the independent oracle `cup_nilpotent`.  Each factor's F = f(-x)
+depends only on its part multiplicities and n, so the coefficients
+0..m-1 of F^m are computed once per factor over its own parameters; a pair
+embeds both tables in its parameter ring and reads the exponent series
+h_m = [x^(m-1)] (F1 F2)^m / m^2 off their Cauchy sum.
 """
 
 from __future__ import annotations
@@ -305,36 +309,65 @@ def _parametric_g(ring: ParamRing, prefix: str, mults: dict[int, int], order: in
     return TruncatedSeries(ring, order, coeffs)
 
 
-def cup_nilpotent(nu, nu2) -> FockElement:
-    """cup_basis by the paper's route, uncached: build the universal class
-    exp(sum (t-shifted parameter series) q_k) for each factor, multiply the
-    two through the tautological Lagrange machinery, and extract the
-    coefficient multilinear in the parameters of both factors."""
-    nu, nu2 = _same_rank_pair(nu, nu2)
+@lru_cache(maxsize=None)
+def _factor_powers(mults: tuple[tuple[int, int], ...], n: int):
+    """Coefficients 0..m-1 of F^m, m = 1..n, for the F = f(-x) of the
+    universal class with part multiplicities `mults` (sorted (part, count)
+    pairs), over a ring holding only this factor's parameters."""
+    ring = ParamRing(ParamContext(tuple(f"r{k}" for k, _ in mults),
+                                  tuple(c for _, c in mults)))
+    F = _f_minus_from_g(_parametric_g(ring, "r", dict(mults), n))
+    rows, power = [], TruncatedSeries.one(n - 1, ring)
+    for m in range(1, n + 1):
+        power = power * F
+        rows.append(power.coeffs[:m])
+    return tuple(rows)
+
+
+def _pair_exponent(nu, nu2) -> TruncatedSeries:
+    """h = lagrange_g(F1 F2, n) for the universal classes of q_nu and q_nu2,
+    over the ring of both factors' parameters: [x^(m-1)] (F1 F2)^m is the
+    Cauchy sum of [x^i] F1^m [x^(m-1-i)] F2^m, read from the factors'
+    power tables embedded in that ring."""
     n = weight(nu)
-    m1, m2 = multiplicities(nu), multiplicities(nu2)
-    names = tuple(f"a{k}" for k in sorted(m1)) + tuple(f"b{k}" for k in sorted(m2))
-    bounds = tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2))
-    ring = ParamRing(ParamContext(names, bounds))
+    m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
+    context = ParamContext(tuple(f"a{k}" for k, _ in m1) + tuple(f"b{k}" for k, _ in m2),
+                           tuple(c for _, c in m1 + m2))
+    ring = ParamRing(context)
+    shift = context.shifts[len(m1)]  # the a fields come first, at shift 0
+    h = [ring.zero]
+    for m, (row1, row2) in enumerate(zip(_factor_powers(m1, n), _factor_powers(m2, n)), 1):
+        total = ring.zero
+        for c1, c2 in zip(row1, reversed(row2)):
+            total = total + c1.embed(context, 0) * c2.embed(context, shift)
+        h.append(total * Fraction(1, m * m))
+    return TruncatedSeries(ring, n, h)
 
-    F1 = _f_minus_from_g(_parametric_g(ring, "a", m1, n))
-    F2 = _f_minus_from_g(_parametric_g(ring, "b", m2, n))
-    h = lagrange_g(F1 * F2, n)
-    expansion = exp_linear(h, n)
 
+def _multilinear_part(expansion: FockElement) -> dict:
+    """Each term's coefficient at the top parameter monomial (every exponent
+    at its bound b), times prod b!: a parameter of bound b stands for b
+    parts of one size, so this is the coefficient multilinear in the parts
+    of both factors.  Terms where it vanishes are dropped."""
+    bounds = expansion.ring.context.bounds
     scale = 1
-    for m in bounds:
-        scale *= factorial(m)
-
+    for b in bounds:
+        scale *= factorial(b)
     out = {}
     for parts, coeff in expansion.terms.items():
         c = coeff.coefficient(bounds) * scale
-        if c == 0:
-            continue
-        if weight(parts) < n:
-            raise AssertionError(
-                f"cup extraction produced a weight-{weight(parts)} term "
-                f"{parts} for rank {n}: {c}"
-            )
-        out[parts] = c
-    return FockElement(QQ, n, out)
+        if c:
+            out[parts] = c
+    return out
+
+
+def cup_nilpotent(nu, nu2) -> FockElement:
+    """cup_basis by the paper's route: build the universal class
+    exp(sum (t-shifted parameter series) q_k) for each factor, multiply the
+    two through the tautological Lagrange machinery, and extract the
+    coefficient multilinear in the parameters of both factors from the
+    weight-n piece.  Each factor's power table is cached (keyed by its part
+    multiplicities and n); a pair is never cached."""
+    nu, nu2 = _same_rank_pair(nu, nu2)
+    n = weight(nu)
+    return FockElement(QQ, n, _multilinear_part(exp_linear(_pair_exponent(nu, nu2), n, n)))

@@ -148,6 +148,6 @@ def test_criterion_09_cross_path():
 def test_criterion_10_class_algebra_cross_oracle():
     report_checks(10, "class-algebra cup against the nilpotent-parameter oracle: "
                       "calibrated on ranks 2-3, agreement "
-                      "for all pairs at ranks 4-8", "crossoracle",
+                      "for all pairs at ranks 4-9", "crossoracle",
                   "class-sum calibration on ranks 2 and 3",
-                  "class-sum oracle agreement for all pairs, ranks 4..8", max_n=8)
+                  "class-sum oracle agreement for all pairs, ranks 4..9", max_n=9)

@@ -65,6 +65,23 @@ def test_parampoly_context_mismatch():
         RING.parameter("a") + other.parameter("c")
 
 
+def test_embed_repeats_the_fields_at_a_shift():
+    # CTX's fields (a: bound 2, b: bound 1) repeated after a field c
+    wide = ParamContext(("c", "a2", "b2"), (3, 2, 1))
+    shift = wide.shifts[1]
+    a, b = RING.parameter("a"), RING.parameter("b")
+    p = Fraction(1, 3) + 2 * a - b * a
+    got = p.embed(wide, shift)
+    a2, b2 = ParamPoly.parameter(wide, "a2"), ParamPoly.parameter(wide, "b2")
+    assert got == Fraction(1, 3) + 2 * a2 - b2 * a2
+    assert (p * p).embed(wide, shift) == got * got
+    for bad in (0, shift + 1, wide.shifts[2]):
+        with pytest.raises(ValueError):
+            p.embed(wide, bad)
+    with pytest.raises(ValueError):
+        p.embed(ParamContext(("c", "a2", "b2"), (3, 2, 2)), shift)
+
+
 def test_invert_simple():
     a = RING.parameter("a")
     p = 1 + a

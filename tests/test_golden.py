@@ -4,9 +4,10 @@ numerators; the three class requests with a dense, an empty and a
 vacuum-only payload were recorded before the class expansion became a
 depth-first walk with its own record writer; `verify oracle` was recorded
 before the fixed-point oracles skipped the shapes with a zero n-cycle
-character and moved to integer numerators.  Any change to a byte of
-these outputs fails here, so determinism and exactness are enforced rather
-than assumed.
+character and moved to integer numerators; `verify crossoracle` was
+recorded before the nilpotent cross-oracle built each factor's power
+table once.  Any change to a byte of these outputs fails here, so
+determinism and exactness are enforced rather than assumed.
 
 To re-record after a deliberate change of output, print
 ``(argv, code, _digest(out))`` for each request and review the diff of the
@@ -68,6 +69,9 @@ GOLDEN = [
     # the payload acceptance criterion 5 reads, at the CLI's n <= 10
     (("verify", "oracle"), 0,
      "3393390d11f401fbf95ae7e189837e0ff73ad3fb9539016d6192f1d57c71d92a"),
+    # the payload acceptance criterion 10 reads, at the CLI's ranks 4..7
+    (("verify", "crossoracle"), 0,
+     "74fdd9f2a6625abb09383d5f418acbd701fc1aafbd98c89dd3dea45e14922550"),
     # exits 1: the quoted sqrt-Todd closed form is a source erratum
     (("verify", "examples"), 1,
      "994ac89f84a4080e4f30249cc432175fd88962239ed84e07e8bfe1339c679e65"),

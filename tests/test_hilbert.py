@@ -4,17 +4,24 @@ cross-oracle."""
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbclass.fock import FockElement, hilb_unit
+from hilbclass.exact import QQ, ParamContext, ParamRing
+from hilbclass.fock import FockElement, exp_linear, hilb_unit
 from hilbclass.hilbert import (
     TANGENT,
     TAUTOLOGICAL,
     ClassSpec,
+    _f_minus_from_g,
+    _factor_powers,
+    _multilinear_part,
+    _pair_exponent,
+    _parametric_g,
     builtin_f,
     chern_f,
     cprime_pow_f,
@@ -37,8 +44,10 @@ from hilbclass.partitions import (
     enumerate_partitions,
     hook_product,
     hooks,
+    multiplicities,
+    weight,
 )
-from hilbclass.series import TruncatedSeries
+from hilbclass.series import TruncatedSeries, lagrange_g
 from hilbclass.verify import random_unit_series
 from test_fock import assert_valid_terms
 
@@ -234,6 +243,84 @@ def test_cup_matches_class_sum_oracle_samples():
     ]
     for lam, mu in samples:
         assert cup_basis(lam, mu) == cup_nilpotent(lam, mu)
+
+
+def reference_cup_nilpotent(nu, nu2):
+    """The nilpotent route built directly in the pair ring, as before the
+    factors' power tables: both F = f(-x) from their parametric g, one
+    lagrange_g of the product, every weight expanded, and each term's
+    multilinear coefficient read off; a nonzero one below weight n raises."""
+    n = weight(nu)
+    m1, m2 = multiplicities(nu), multiplicities(nu2)
+    names = tuple(f"a{k}" for k in sorted(m1)) + tuple(f"b{k}" for k in sorted(m2))
+    bounds = tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2))
+    ring = ParamRing(ParamContext(names, bounds))
+    F1 = _f_minus_from_g(_parametric_g(ring, "a", m1, n))
+    F2 = _f_minus_from_g(_parametric_g(ring, "b", m2, n))
+    expansion = exp_linear(lagrange_g(F1 * F2, n), n)
+    scale = 1
+    for m in bounds:
+        scale *= factorial(m)
+    out = {}
+    for parts, coeff in expansion.terms.items():
+        c = coeff.coefficient(bounds) * scale
+        if c == 0:
+            continue
+        if weight(parts) < n:
+            raise AssertionError(f"weight-{weight(parts)} term {parts} at rank {n}: {c}")
+        out[parts] = c
+    return FockElement(QQ, n, out)
+
+
+def _pairs(max_n):
+    for n in range(1, max_n + 1):
+        yield from combinations_with_replacement(enumerate_partitions(n), 2)
+
+
+def test_cup_nilpotent_matches_pair_ring_route():
+    for nu, nu2 in _pairs(6):
+        assert cup_nilpotent(nu, nu2) == reference_cup_nilpotent(nu, nu2), (nu, nu2)
+        assert cup_nilpotent(nu2, nu) == reference_cup_nilpotent(nu, nu2), (nu2, nu)
+
+
+def test_nilpotent_route_vanishes_below_weight_n():
+    # cup_nilpotent expands weight n only; the full expansion of the same h
+    # must carry no multilinear coefficient at a lower weight
+    for nu, nu2 in _pairs(5):
+        n = weight(nu)
+        full = _multilinear_part(exp_linear(_pair_exponent(nu, nu2), n))
+        assert all(weight(parts) == n for parts in full), (nu, nu2, full)
+        assert full == cup_nilpotent(nu, nu2).terms
+
+
+def test_factor_powers_embed_into_the_pair_ring():
+    # pairs whose second factor has several part sizes, so the b fields
+    # are several and start past every a field
+    pairs = [(nu, nu2) for nu, nu2 in _pairs(6) if len(set(nu2)) > 1]
+    assert len(pairs) > 50
+    for nu, nu2 in pairs:
+        n = weight(nu)
+        h = _pair_exponent(nu, nu2)
+        ring, context = h.ring, h.ring.context
+        m1, m2 = multiplicities(nu), multiplicities(nu2)
+        F1 = _f_minus_from_g(_parametric_g(ring, "a", m1, n))
+        F2 = _f_minus_from_g(_parametric_g(ring, "b", m2, n))
+        assert h == lagrange_g(F1 * F2, n)
+        shift = context.shifts[len(m1)]
+        for F, mults, at in ((F1, m1, 0), (F2, m2, shift)):
+            table = _factor_powers(tuple(sorted(mults.items())), n)
+            power = TruncatedSeries.one(n - 1, ring)
+            for m, row in enumerate(table, 1):
+                power = power * F
+                assert [c.embed(context, at) for c in row] == list(power.coeffs[:m])
+        b_top = _factor_powers(tuple(sorted(m2.items())), n)[-1][-1]
+        late = context.shifts[len(m1) + 1]
+        for bad in (shift + 1, shift - 1, late):
+            with pytest.raises(ValueError):
+                b_top.embed(context, bad)
+        wider = ParamContext(context.names, context.bounds[:-1] + (context.bounds[-1] + 2,))
+        with pytest.raises(ValueError):
+            b_top.embed(wider, shift)
 
 
 _small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
