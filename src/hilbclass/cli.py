@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -171,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("class_name", choices=CLASS_NAMES, metavar="class",
                        help="one of " + ", ".join(CLASS_NAMES))
         p.add_argument("target", choices=(TANGENT, TAUTOLOGICAL))
-        p.add_argument("--r", help="exponent p/q for cprime-pow; write a "
-                                   "negative one as --r=-3/2")
+        p.add_argument("--r", help="exponent p/q for cprime-pow")
         p.add_argument("--f", help="comma-separated coefficients for custom")
 
     p = sub.add_parser("gseries", help="exponent series g_1..g_N of a class")
@@ -210,11 +210,23 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = None  # built by the first main call and reused: building it took most of a cached cup
 
 
+def _join_negative_r(argv: list[str]) -> list[str]:
+    """`--r -3/2` as `--r=-3/2`: argparse reads a value that starts with '-'
+    as a flag unless it is a negative decimal number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--r" and re.match(r"-[\d./]", arg):
+            out[-1] = "--r=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_join_negative_r(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

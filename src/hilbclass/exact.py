@@ -234,11 +234,6 @@ class RationalField:
     def is_unit(self, a) -> bool:
         return a != 0
 
-    def inv(self, a) -> Fraction:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 

@@ -10,6 +10,10 @@ Lagrange inversion:
 * tangent:       dg/dt ( x / (f(x) f(-x)) ) = f(x) f(-x)
 * tautological:  dg/dt ( x / f(-x) )        = f(-x)
 
+The built-in f come from closed forms: (1 + x)^r (Segre at r = -1) from
+the binomial recurrence, and the square root of Todd as the exp of
+x/4 minus a Bernoulli series.
+
 Both series are cross-checked against literal products over the cells of
 the torus fixed points, where the tangent Chern roots specialize to the
 +-hook lengths of a cell and the tautological Chern roots to the cell
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 from .exact import QQ, ParamContext, ParamRing
@@ -91,21 +95,37 @@ def chern_f(order: int) -> TruncatedSeries:
 
 def segre_f(order: int) -> TruncatedSeries:
     """f = (1 + x)^-1 (total Segre class)."""
-    return chern_f(order).inverse()
+    return cprime_pow_f(-1, order)
+
+
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_m (B_1 = -1/2), by sum_(j<=k) C(k+1, j) B_j = 0 for k >= 1."""
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(comb(k + 1, j) * b[j] for j in range(k) if b[j]) / (k + 1))
+    return b
 
 
 def sqrt_todd_f(order: int) -> TruncatedSeries:
-    """f = sqrt(x / (1 - exp(-x))) (square root of the Todd class)."""
-    minus_x = TruncatedSeries.from_coeffs([0, -1], order + 1)
-    body = TruncatedSeries.one(order + 1) - minus_x.exp()  # x - x^2/2 + ...
-    shifted = TruncatedSeries(QQ, order, body.coeffs[1:])  # (1-exp(-x))/x
-    return shifted.inverse().sqrt_unit()
+    """f = sqrt(x / (1 - exp(-x))) (square root of the Todd class), as
+    exp(x/4 - sum_(k>=1) B_2k x^(2k) / (4k (2k)!)): x/(1 - e^-x) is
+    e^(x/2) (x/2)/sinh(x/2), and log(sinh(y)/y) = sum B_2k (2y)^(2k) / (2k (2k)!)."""
+    b = _bernoulli(order)
+    coeffs = [Fraction(0)] * (order + 1)
+    if order >= 1:
+        coeffs[1] = Fraction(1, 4)
+    for k in range(1, order // 2 + 1):
+        coeffs[2 * k] = -b[2 * k] / (4 * k * factorial(2 * k))
+    return TruncatedSeries(QQ, order, coeffs).exp()
 
 
 def cprime_pow_f(r, order: int) -> TruncatedSeries:
-    """f = (1 + x)^r for rational r, via exp(r * log(1 + x))."""
+    """f = (1 + x)^r for rational r: the binomial series, c_k = c_(k-1) (r - k + 1) / k."""
     r = Fraction(r)
-    return chern_f(order).log().scale(r).exp()
+    coeffs = [Fraction(1)]
+    for k in range(1, order + 1):
+        coeffs.append(coeffs[-1] * (r - k + 1) / k)
+    return TruncatedSeries(QQ, order, coeffs)
 
 
 def builtin_f(name: str, order: int, r=None) -> TruncatedSeries:
@@ -207,21 +227,27 @@ def p_n_series(f: TruncatedSeries, n: int, order: int) -> TruncatedSeries:
     """P_n = sum_{s=0}^n (-1)^s/(s!(n-s)!) prod_{k=-(n-s)}^{s} f(k x).
 
     Its coefficients below x^n vanish and the x^n coefficient equals
-    (-1)^n [x^n] f^(n+1).
+    (-1)^n [x^n] f^(n+1).  Each summand's n + 1 factors f(k x) are built
+    on integer numerators over f's common denominator d, and the summands
+    are added as integers with weights (-1)^s C(n, s), so the sum is
+    divided by n! d^(n+1) once per coefficient.
     """
     if order < n:
         raise ValueError("order must be at least n")
     _require_unit_one(f)
     if f.order < order:
         raise ValueError("series truncated below the requested order")
-    ft = f.truncate(order)
-    total = TruncatedSeries.zero(order)
+    den, nums = _integer_numerators(f.coeffs[: order + 1])
+    total = [0] * (order + 1)
     for s in range(n + 1):
-        prod = TruncatedSeries.one(order)
+        prod = [1] + [0] * order
         for k in range(-(n - s), s + 1):
-            prod = prod * ft.scale_arg(k)
-        total = total + prod.scale(Fraction((-1) ** s, factorial(s) * factorial(n - s)))
-    return total
+            factor = [a * k**j for j, a in enumerate(nums)]
+            prod = [sum(map(mul, prod[: j + 1], factor[j::-1])) for j in range(order + 1)]
+        weight_s = (-1) ** s * comb(n, s)
+        total = [t + weight_s * p for t, p in zip(total, prod)]
+    scale = factorial(n) * den ** (n + 1)
+    return TruncatedSeries(QQ, order, [Fraction(t, scale) for t in total])
 
 
 # -- cup product in the class algebra of the symmetric group -------------

@@ -7,7 +7,12 @@ series of different orders are rejected rather than silently truncated
 
 The coefficient ring is either :data:`hilbclass.exact.QQ` or a
 :class:`hilbclass.exact.ParamRing`; the latter is what allows reversion of a
-series whose linear coefficient is 1 + nilpotent.
+series whose linear coefficient is 1 + nilpotent.  The operations are the
+ones some command reaches: the product, `x -> -x`, `x d/dx`, `exp` (the
+square-root-of-Todd defining series), the inverse and reversion (reached
+over a parameter ring only), and the Lagrange solver.  The built-in
+defining series come from closed forms in :mod:`hilbclass.hilbert`, with no
+`log`, inverse or square root.
 """
 
 from __future__ import annotations
@@ -49,10 +54,6 @@ class TruncatedSeries:
         return cls(ring, order, coeffs)
 
     @classmethod
-    def zero(cls, order: int, ring=QQ):
-        return cls.from_coeffs([], order, ring)
-
-    @classmethod
     def one(cls, order: int, ring=QQ):
         return cls.from_coeffs([1], order, ring)
 
@@ -88,20 +89,6 @@ class TruncatedSeries:
             raise ValueError("cannot raise the truncation order")
         return TruncatedSeries(self.ring, order, self.coeffs[: order + 1])
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        return TruncatedSeries(
-            self.ring, self.order,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-        )
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return TruncatedSeries(
-            self.ring, self.order,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-        )
-
     def __mul__(self, other):
         """Truncated product: one convolution over the nonzero terms.
 
@@ -134,19 +121,6 @@ class TruncatedSeries:
             out = [Fraction(c, den) for c in out]
         return TruncatedSeries(self.ring, n, out)
 
-    def scale(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by the scalar c."""
-        return TruncatedSeries(self.ring, self.order, [a * c for a in self.coeffs])
-
-    def scale_arg(self, c) -> "TruncatedSeries":
-        """Substitute x -> c*x for a rational constant c."""
-        c = Fraction(c)
-        out, p = [], Fraction(1)
-        for a in self.coeffs:
-            out.append(a * p)
-            p *= c
-        return TruncatedSeries(self.ring, self.order, out)
-
     def negate_arg(self) -> "TruncatedSeries":
         """Substitute x -> -x."""
         return TruncatedSeries(
@@ -155,7 +129,9 @@ class TruncatedSeries:
         )
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; needs a unit constant term."""
+        """Multiplicative inverse; needs a unit constant term.  Commands reach it
+        only over a `ParamRing` (through `revert` and the nilpotent oracle),
+        and `QQ` has no `inv`."""
         ring = self.ring
         if not ring.is_unit(self.coeffs[0]):
             raise ValueError("inverse needs a unit constant term")
@@ -175,43 +151,21 @@ class TruncatedSeries:
             [a * Fraction(k) for k, a in enumerate(self.coeffs)],
         )
 
-    # -- transcendental operations ---------------------------------------
-
     def exp(self) -> "TruncatedSeries":
+        """exp of a series with constant term 0, by n e_n = sum_j j a_j e_(n-j)
+        over the nonzero a_j."""
         ring = self.ring
         if self.coeffs[0] != ring.zero:
             raise ValueError("exp needs constant term 0")
+        terms = [(j, a * j) for j, a in enumerate(self.coeffs) if a != ring.zero]
         out = [ring.one] + [ring.zero] * self.order
         for n in range(1, self.order + 1):
             acc = ring.zero
-            for j in range(1, n + 1):
-                acc = acc + self.coeffs[j] * out[n - j] * Fraction(j)
+            for j, ja in terms:
+                if j > n:
+                    break
+                acc = acc + ja * out[n - j]
             out[n] = acc * Fraction(1, n)
-        return TruncatedSeries(ring, self.order, out)
-
-    def log(self) -> "TruncatedSeries":
-        ring = self.ring
-        if self.coeffs[0] != ring.one:
-            raise ValueError("log needs constant term 1")
-        out = [ring.zero] * (self.order + 1)
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[n] * Fraction(n)
-            for j in range(1, n):
-                acc = acc - out[j] * self.coeffs[n - j] * Fraction(j)
-            out[n] = acc * Fraction(1, n)
-        return TruncatedSeries(ring, self.order, out)
-
-    def sqrt_unit(self) -> "TruncatedSeries":
-        """Square root with constant term 1."""
-        ring = self.ring
-        if self.coeffs[0] != ring.one:
-            raise ValueError("sqrt_unit needs constant term 1")
-        out = [ring.one] + [ring.zero] * self.order
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[n]
-            for j in range(1, n):
-                acc = acc - out[j] * out[n - j]
-            out[n] = acc * Fraction(1, 2)
         return TruncatedSeries(ring, self.order, out)
 
     # -- reversion --------------------------------------------------------

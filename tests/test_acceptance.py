@@ -7,8 +7,9 @@ once, in `hilbclass.verify`; each suite runs once per session.  Criterion 3
 adds the fixed-point oracle to order 9 and pins the one check of `verify
 examples` that fails, the sqrt-Todd closed form quoted in the source,
 1/(4^n (2n+1) (2n+1)!), which does not solve the defining equation; the
-test records why.  Criterion 7 has no suite of its own; it composes
-series with the test-local `compose` of `test_series`.
+test records why.  Criterion 7 has no suite of its own; it uses the
+test-local `compose` and `inverse` of `test_series`, and its `revert`,
+which runs the library reversion over a parameter ring.
 """
 
 import random
@@ -19,7 +20,7 @@ from hilbclass.exact import QQ
 from hilbclass.hilbert import oracle_top_tangent, sqrt_todd_f, tangent_g
 from hilbclass.series import TruncatedSeries, lagrange_g
 from hilbclass.verify import SUITES, Check, random_unit_series
-from test_series import compose
+from test_series import compose, inverse, revert
 
 QUOTED_SQRT_TODD = ("sqrt-Todd exponent series to order 21, "
                     "hyperbolic-sine-integral closed form")
@@ -116,14 +117,14 @@ def test_criterion_07_lagrange_inversion():
     for _ in range(10):
         F = random_unit_series(rng, 14)
         g = lagrange_g(F, 14)
-        x_over_F = (x * F.inverse()).truncate(13)
+        x_over_F = (x * inverse(F)).truncate(13)
         dg = TruncatedSeries(
             QQ, 13, [g.coeffs[k + 1] * (k + 1) for k in range(14)]
         )
         ok = ok and compose(dg, x_over_F) == F.truncate(13)
         # revert round trips on t dg/dt, whose linear coefficient is a unit
         tdg = g.x_derivative()
-        r = tdg.revert()
+        r = revert(tdg)
         ok = ok and compose(tdg, r) == x and compose(r, tdg) == x
     report(7, "Lagrange functional equation at order 13 and reversion "
               "round trips, 10 random F at order 14", ok)

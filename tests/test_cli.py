@@ -45,13 +45,14 @@ def test_gseries_cprime_pow(capsys):
 
 
 def test_gseries_cprime_pow_negative_r(capsys):
-    # argparse reads "--r -3/2" as a missing value, so the "=" form is needed.
     r, order = Fraction(-3, 2), 6
     code, doc = run_json(
-        capsys, "gseries", "cprime-pow", "tautological", f"--r={r}",
+        capsys, "gseries", "cprime-pow", "tautological", "--r", str(r),
         "--order", str(order),
     )
     assert code == 0
+    assert run_json(capsys, "gseries", "cprime-pow", "tautological", f"--r={r}",
+                    "--order", str(order)) == (code, doc)
 
     def binom(a, k):
         out = Fraction(1)
@@ -177,6 +178,33 @@ def test_rational_errors_name_the_field(capsys):
     assert main(["gseries", "cprime-pow", "tangent", "--r=-1/0"]) == 2
     err = capsys.readouterr().err
     assert "--r" in err and "'-1/0'" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "-3/2", "-.5", "-0.5", "-7/3"])
+def test_negative_r_parses_as_joined(capsys, value):
+    spaced = run_cli(capsys, "gseries", "cprime-pow", "tangent", "--r", value, "--order", "5")
+    joined = run_cli(capsys, "gseries", "cprime-pow", "tangent", f"--r={value}", "--order", "5")
+    assert spaced[0] == 0 and spaced == joined
+
+
+@pytest.mark.parametrize("value", ["-1/0", "-3/x", "-1/2/3", "-."])
+def test_bad_negative_r_names_the_flag(capsys, value):
+    assert main(["gseries", "cprime-pow", "tangent", "--r", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--r is not a rational p/q with q != 0: {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gseries", "cprime-pow", "tangent", "--r", "-x"],
+    ["gseries", "cprime-pow", "tangent", "--r"],
+    ["gseries", "cprime-pow", "tangent", "--r", "--order", "5"],
+])
+def test_missing_r_value_exits_2_naming_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --r: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -50,6 +50,7 @@ from hilbclass.partitions import (
 from hilbclass.series import TruncatedSeries, lagrange_g
 from hilbclass.verify import random_unit_series
 from test_fock import assert_valid_terms
+from test_series import derivative, inverse, log, scale, scale_arg, sqrt_unit
 
 
 def test_builtin_series():
@@ -67,6 +68,50 @@ def test_builtin_series():
         builtin_f("cprime-pow", 4)
     with pytest.raises(ValueError):
         builtin_f("euler", 4)
+
+
+# The earlier constructions of the closed-form defining series, through the
+# series log, inverse and square root, kept as references over the
+# benchmark's range of orders.
+REFERENCE_ORDERS = list(range(31)) + [41, 61, 81, 121]
+REFERENCE_R = [Fraction(r) for r in
+               ("-5/2", "-3/2", "-1/2", "2/3", "3/2", "5/2", "-1", "0", "2", "7/3")]
+
+
+def one_minus_exp_minus_x_over_x(order):
+    """(1 - e^-x)/x = sum_k (-1)^k x^k / (k+1)!, written out."""
+    return TruncatedSeries.from_coeffs(
+        [Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)], order)
+
+
+@pytest.mark.parametrize("r", REFERENCE_R, ids=str)
+def test_cprime_pow_matches_log_scale_exp(r):
+    for order in REFERENCE_ORDERS:
+        reference = scale(log(chern_f(order)), r).exp()
+        assert cprime_pow_f(r, order) == reference, order
+
+
+def test_segre_and_sqrt_todd_match_inverse_routes():
+    for order in REFERENCE_ORDERS:
+        assert segre_f(order) == inverse(chern_f(order)), order
+        minus_x = TruncatedSeries.from_coeffs([0, -1], order + 1)
+        body = TruncatedSeries(QQ, order, minus_x.exp().coeffs[1:])  # (e^-x - 1)/x
+        reference = sqrt_unit(inverse(scale(body, -1)))
+        assert sqrt_todd_f(order) == reference, order
+
+
+@pytest.mark.parametrize("r", REFERENCE_R, ids=str)
+def test_cprime_pow_solves_its_differential_equation(r):
+    """(1 + x) f' = r f, coefficientwise up to x^120."""
+    f = cprime_pow_f(r, 121)
+    df = derivative(f)
+    assert all(df.coeffs[k] + k * f.coeffs[k] == r * f.coeffs[k] for k in range(121))
+
+
+def test_sqrt_todd_squared_inverts_its_body():
+    """f^2 (1 - e^-x)/x = 1 at order 121."""
+    f = sqrt_todd_f(121)
+    assert f * f * one_minus_exp_minus_x_over_x(121) == TruncatedSeries.one(121)
 
 
 def test_class_spec_validation():
@@ -110,7 +155,7 @@ def test_oracles_match_series_for_fixed_f():
 def reference_fixed_point_sum(f, n, target):
     """The fixed-point oracle as first written: a literal product of
     TruncatedSeries over the Chern roots of every partition of n, each root
-    factor built by scale_arg, weighted by chi^lam((n)) / (n H(lam))."""
+    factor built by a test-local scale_arg, weighted by chi^lam((n)) / (n H(lam))."""
     ft = f.truncate(n - 1)
     total = Fraction(0)
     for lam in enumerate_partitions(n):
@@ -120,7 +165,7 @@ def reference_fixed_point_sum(f, n, target):
             roots = contents(lam)
         prod = TruncatedSeries.one(n - 1)
         for r in roots:
-            prod = prod * ft.scale_arg(r)
+            prod = prod * scale_arg(ft, r)
         total += Fraction(chi_mn(lam, (n,)), hook_product(lam) * n) * prod.coeffs[n - 1]
     return total
 

@@ -33,6 +33,7 @@ REQUESTS = [
     (("class", "custom", "tautological", "--f", "1,2", "--weight", "4"), 0),
     (("cup", "[2,1]", "[2,1]"), 0),
     (("verify", "appendix"), 0),
+    (("verify", "oracle"), 0),
     (("verify", "examples"), 1),  # the quoted sqrt-Todd form is a known erratum
     (("verify", "ring"), 0),
     (("verify", "crossoracle"), 0),
