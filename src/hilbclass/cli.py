@@ -70,8 +70,8 @@ def _defining_series(args, min_order: int) -> TruncatedSeries:
         coeffs = [_parse_rational("f", c, i) for i, c in enumerate(args.f.split(","))]
         if not coeffs or coeffs[0] != 1:
             raise ValueError("custom series must have leading coefficient 1")
-        order = max(min_order, len(coeffs) - 1)
-        return TruncatedSeries.from_coeffs(coeffs, order)
+        # coefficients past min_order cannot reach the output; every entry is still parsed
+        return TruncatedSeries.from_coeffs(coeffs[: min_order + 1], min_order)
     if args.class_name == "cprime-pow" and args.r is None:
         raise ValueError("class 'cprime-pow' requires --r p/q")
     r = _parse_rational("r", args.r) if args.r is not None else None

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import mul
 
 from .exact import QQ, ParamContext, ParamRing
 from .fock import FockElement, exp_linear
@@ -60,7 +59,7 @@ from .partitions import (
     weight,
     z_of,
 )
-from .series import TruncatedSeries, _integer_numerators, lagrange_g
+from .series import TruncatedSeries, _convolve, _integer_numerators, lagrange_g
 
 TANGENT = "tangent"
 TAUTOLOGICAL = "tautological"
@@ -189,7 +188,7 @@ def _fixed_point_sum(f: TruncatedSeries, n: int, roots) -> Fraction:
         prod = [1] + [0] * (n - 1)
         for r in rs:
             factor = [a * r**k for k, a in enumerate(nums)]
-            prod = [sum(map(mul, prod[: k + 1], factor[k::-1])) for k in range(n)]
+            prod = _convolve(prod, factor, n - 1)
         total += Fraction(chi * prod[n - 1], hook_product(lam) * n * den ** len(rs))
     return total
 
@@ -243,7 +242,7 @@ def p_n_series(f: TruncatedSeries, n: int, order: int) -> TruncatedSeries:
         prod = [1] + [0] * order
         for k in range(-(n - s), s + 1):
             factor = [a * k**j for j, a in enumerate(nums)]
-            prod = [sum(map(mul, prod[: j + 1], factor[j::-1])) for j in range(order + 1)]
+            prod = _convolve(prod, factor, order)
         weight_s = (-1) ** s * comb(n, s)
         total = [t + weight_s * p for t, p in zip(total, prod)]
     scale = factorial(n) * den ** (n + 1)

@@ -74,6 +74,23 @@ def test_gseries_custom(capsys):
     assert doc["payload"] == ["1", "0", "-1/3", "0", "2/5"]
 
 
+LONG_F = ",".join(["1"] + [f"{(-1) ** k * (k % 7 + 1)}/{k % 5 + 1}" for k in range(1, 3000)])
+
+
+@pytest.mark.parametrize("argv,kept", [
+    (("gseries", "custom", "tangent", "--order", "9"), 9),
+    (("gseries", "custom", "tautological", "--order", "9"), 9),
+    (("class", "custom", "tangent", "--weight", "6"), 6),
+], ids=["gseries-tangent", "gseries-tautological", "class"])
+def test_long_custom_f_equals_its_truncation(capsys, argv, kept):
+    # only coefficients 0..order-1 (0..weight-1) of --f reach the output
+    short_f = ",".join(LONG_F.split(",")[:kept])
+    _, long_out = run_cli(capsys, *argv, "--f", LONG_F)
+    _, short_out = run_cli(capsys, *argv, "--f", short_f)
+    assert long_out.count(LONG_F) == 1
+    assert long_out.replace(LONG_F, short_f) == short_out
+
+
 def test_class_lehn_weight_two(capsys):
     code, doc = run_json(
         capsys, "class", "chern", "tautological", "--weight", "2",

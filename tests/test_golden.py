@@ -6,8 +6,11 @@ depth-first walk with its own record writer; `verify oracle` was recorded
 before the fixed-point oracles skipped the shapes with a zero n-cycle
 character and moved to integer numerators; `verify crossoracle` was
 recorded before the nilpotent cross-oracle built each factor's power
-table once.  Any change to a byte of these outputs fails here, so
-determinism and exactness are enforced rather than assumed.
+table once; the four gseries requests at orders 51-121, the orders the
+benchmark pool reaches, were recorded before the Lagrange power loop kept
+`F^m` on reduced integer numerators from one step to the next.  Any
+change to a byte of these outputs fails here, so determinism and
+exactness are enforced rather than assumed.
 
 To re-record after a deliberate change of output, print
 ``(argv, code, _digest(out))`` for each request and review the diff of the
@@ -42,6 +45,15 @@ GOLDEN = [
      "0e6a8a60233fd1fc13dce06b62ff4f044cba7239a82ffc8e0076bcc68280eeb4"),
     (("gseries", "custom", "tangent", "--f", CUSTOM_F, "--order", "41"), 0,
      "85e2c99c8225f60338968eba939a583888ab78692cc1bc44aed1be2f5c4d137c"),
+    # the bench's orders, where numerator growth shows
+    (("gseries", "custom", "tangent", "--f", DENSE_F, "--order", "121"), 0,
+     "e20016946c3c29a2a37d47d939597ec996558f7872c60df207aafb7a6c3087bc"),
+    (("gseries", "sqrt-todd", "tautological", "--order", "61"), 0,
+     "c45dde5ff5603fe05a90c77f6232ac16c2049e2d5909299d4268a8b5a7407a0e"),
+    (("gseries", "cprime-pow", "tautological", "--r=-5/2", "--order", "51"), 0,
+     "dded53df5e959e34f4666b5a4f0cea962c8ce9d2706f08e4d961069f1e861dd7"),
+    (("gseries", "segre", "tangent", "--order", "81"), 0,
+     "5c3cd1298bf238ea82becfbc58f5c6f1c75bd81aaafcd46a140455c12850a05d"),
     (("class", "sqrt-todd", "tangent", "--weight", "12"), 0,
      "0e8df0fdd001bc0526f2858dcce05a3ae379ca75bf6a5903b2ef65df54b44244"),
     (("class", "sqrt-todd", "tangent", "--weight", "12", "--weight-only", "10"), 0,

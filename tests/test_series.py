@@ -7,8 +7,9 @@ here; no command needs them.  Commands reach `revert` and `inverse` only
 over a parameter ring, so the rational tests run them over a ring with no
 parameters (`via_params`).  Reversion is checked by round trips through
 `compose` and against a test-local copy of the classical coefficient
-formula, and the Lagrange solver against both its defining functional
-equation (through `compose`) and a test-local iterated-derivative route.
+formula, and the Lagrange solver against its defining functional equation
+(through `compose`), a test-local iterated-derivative route, and the
+`Fraction` power loop it replaced (`reference_lagrange_g`).
 The acceptance gate and the other test modules import these helpers from
 this module.
 """
@@ -21,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbclass.exact import QQ, ParamContext, ParamRing
-from hilbclass.series import TruncatedSeries, lagrange_g
+from hilbclass.hilbert import builtin_f
+from hilbclass.series import TruncatedSeries, _convolve, lagrange_g
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -182,13 +184,27 @@ def series_pairs(draw):
     return draw(sparse_series(order)), draw(sparse_series(order))
 
 
-@given(series_pairs())
+@st.composite
+def int_lists(draw):
+    """Two int lists of unequal lengths, with zeros and negative values, and
+    an n below both lengths, as the fixed-point oracle hands them to
+    `_convolve`."""
+    values = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+    a = draw(st.lists(values, min_size=1, max_size=14))
+    b = draw(st.lists(values, min_size=1, max_size=14).filter(lambda b: len(b) != len(a)))
+    n = draw(st.integers(0, min(len(a), len(b)) - 1))
+    return a, b, n
+
+
+@given(series_pairs(), int_lists())
 @settings(max_examples=150)
-def test_mul_matches_double_loop(pair):
+def test_mul_matches_double_loop(pair, lists):
     a, b = pair
     product = a * b
     assert product.coeffs == tuple(convolve(a.coeffs, b.coeffs, Fraction(0)))
     assert all(isinstance(c, Fraction) for c in product.coeffs)
+    xs, ys, n = lists
+    assert _convolve(xs, ys, n) == convolve(xs[: n + 1], ys[: n + 1], 0)
 
 
 def test_mul_over_param_ring():
@@ -303,6 +319,60 @@ def test_revert_requires_unit_linear():
         TruncatedSeries.from_coeffs([0, 0, 1], 4).revert()
     with pytest.raises(ValueError):
         TruncatedSeries.from_coeffs([1, 1], 4).revert()
+
+
+def reference_lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Test-local Lagrange power loop on `Fraction` series: F^m is one
+    truncated series product per step, with no common denominator kept
+    from one step to the next."""
+    work = max(order - 1, 0)
+    Ft = F.truncate(work)
+    out = [Fraction(0)] * (order + 1)
+    power = TruncatedSeries.one(work)
+    for m in range(1, order + 1):
+        power = power * Ft
+        out[m] = power.coeffs[m - 1] * Fraction(1, m * m)
+    return TruncatedSeries(QQ, order, out)
+
+
+CLASSES = [("chern", None), ("segre", None), ("sqrt-todd", None),
+           ("cprime-pow", Fraction(-5, 2)), ("custom", None)]
+CUSTOM_F = [1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), -1,
+            Fraction(1, 5), Fraction(3, 4), Fraction(-2, 7)]
+
+
+@pytest.mark.parametrize("target", ["tangent", "tautological"])
+@pytest.mark.parametrize("name,r", CLASSES, ids=[n for n, _ in CLASSES])
+def test_lagrange_matches_fraction_power_loop(name, r, target):
+    """The reduced integer power loop equals the Fraction loop on the
+    defining series of every class, up to the orders the benchmark runs."""
+    top = 121
+    f = (TruncatedSeries.from_coeffs(CUSTOM_F, top) if name == "custom"
+         else builtin_f(name, top, r))
+    F = f * f.negate_arg() if target == "tangent" else f.negate_arg()
+    for order in [*range(31), 41, 61, 81, 121]:
+        assert lagrange_g(F, order) == reference_lagrange_g(F, order), order
+
+
+@st.composite
+def unit_series(draw):
+    """F of order up to 19 with a unit constant term other than 1, zeros,
+    negative values and denominators up to 7, and an order up to 20."""
+    order = draw(st.integers(0, 20))
+    work = max(order - 1, 0)
+    values = st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    constant = draw(st.fractions(min_value=-9, max_value=9, max_denominator=7)
+                    .filter(lambda c: c not in (0, 1)))
+    rest = draw(st.lists(values, min_size=work, max_size=work))
+    return TruncatedSeries.from_coeffs([constant, *rest], work), order
+
+
+@given(unit_series())
+@settings(max_examples=100)
+def test_lagrange_matches_fraction_power_loop_random(case):
+    F, order = case
+    assert lagrange_g(F, order) == reference_lagrange_g(F, order)
 
 
 @given(series_strategy(9, constant=1))
