@@ -83,10 +83,10 @@ def _document(request: dict, payload) -> dict:
 
 
 def _records_json(element: FockElement) -> str:
-    """[{"coeff": "p/q", "partition": [...]}, ...] in sorted_terms order, as json.dumps(
-    indent=2, sort_keys=True) writes it one level deep, without its Python encoder."""
+    """[{"coeff": "p/q", "partition": [...]}, ...] in term order, as json.dumps(indent=2,
+    sort_keys=True) writes it one level deep, without its Python encoder."""
     records = []
-    for parts, c in element.sorted_terms():
+    for parts, c in element.terms.items():
         partition = ("[\n        " + ",\n        ".join(map(str, parts)) + "\n      ]"
                      if parts else "[]")
         records.append(f'{{\n      "coeff": "{c}",\n      "partition": {partition}\n    }}')
@@ -129,9 +129,7 @@ def cmd_class(args) -> int:
             f"--weight-only must lie in 0..{bound} (0..--weight), got {args.weight_only}"
         )
     f = _defining_series(args, max(bound - 1, 0))
-    element = hilbert_class(ClassSpec(f, args.target), bound, args.weight_only)
-    if args.degree is not None:
-        element = element.degree_component(args.degree)
+    element = hilbert_class(ClassSpec(f, args.target), bound, args.weight_only, args.degree)
     request = {
         "subcommand": "class", "class": args.class_name, "target": args.target,
         "weight": bound, "degree": args.degree, "r": args.r, "f": args.f,

@@ -4,26 +4,27 @@ An element is a linear combination of monomials q_lambda (one creation
 operator per part of the partition lambda, applied to the vacuum), with all
 partitions of weight at most a fixed bound N.  The weight-n piece models the
 cohomology of the Hilbert scheme of n points on the affine plane; the
-algebraic degree of q_lambda is weight(lambda) - length(lambda).  The cup
-product of such elements lives in :mod:`hilbclass.hilbert`.
+algebraic degree of q_lambda is weight(lambda) - length(lambda).  Terms are
+kept in output order, by weight and then reverse-lexicographically, so a
+writer iterates them as stored.  The cup product of such elements lives in
+:mod:`hilbclass.hilbert`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from operator import itemgetter
 
 from .exact import QQ
 from .partitions import check_partition, weight
-from .series import _integer_numerators
 
 
 class FockElement:
     """sum_lambda terms[lambda] q_lambda, stored as given: every producer keeps
     each key a valid partition (`check_partition`) of weight at most `bound`,
-    and each coefficient nonzero.  `monomial` is where hand-built terms are
-    checked."""
+    each coefficient nonzero, and the keys in canonical order, by weight and
+    then reverse-lexicographically.  `monomial` is where hand-built terms
+    are checked; `scale` keeps the order and `__add__` restores it."""
 
     __slots__ = ("ring", "bound", "terms")
 
@@ -74,42 +75,33 @@ class FockElement:
             c = out.pop(parts, zero) + c
             if c != zero:
                 out[parts] = c
-        return FockElement(self.ring, self.bound, out)
+        order = sorted(out, key=lambda p: (-weight(p), p), reverse=True)  # weight up, then revlex
+        return FockElement(self.ring, self.bound, {p: out[p] for p in order})
 
     def scale(self, c) -> "FockElement":
         zero = self.ring.zero
         return FockElement(self.ring, self.bound,
                            {p: w for p, v in self.terms.items() if (w := v * c) != zero})
 
-    def degree_component(self, d: int) -> "FockElement":
-        """Restriction to algebraic degree d, i.e. weight - length = d."""
-        return FockElement(
-            self.ring, self.bound,
-            {p: c for p, c in self.terms.items() if weight(p) - len(p) == d},
-        )
-
-    def sorted_terms(self):
-        """Terms sorted by weight, then reverse-lexicographically."""
-        out = sorted(self.terms.items(), key=itemgetter(0), reverse=True)
-        out.sort(key=lambda item: weight(item[0]))  # stable: keeps revlex order
-        return out
-
     def __repr__(self):
         if self.is_zero:
             return "FockElement(0)"
-        bits = [f"{c!r}*q{list(p)}" for p, c in self.sorted_terms()]
+        bits = [f"{c!r}*q{list(p)}" for p, c in self.terms.items()]
         return "FockElement(" + " + ".join(bits) + ")"
 
 
-def exp_linear(g, bound: int, only: int | None = None) -> FockElement:
-    """exp(sum_k g_k q_k) applied to the vacuum, or with `only` just its
-    weight-`only` terms: q_lambda gets prod_i g_{lambda_i} / prod_i m_i!, m_i
-    the part multiplicities.  Requires g(0) = 0 and g truncated at order >=
-    bound.  A depth-first walk appends parts in decreasing order, drawn from
-    the k with g_k != 0, so every term is a partition within the bound with a
-    nonzero coefficient, as `FockElement` requires.  Over QQ it multiplies
-    integer numerators N_k over one common denominator D and builds one
-    Fraction per term, prod N_{lambda_i} / (D^len(lambda) prod m_i!).
+def exp_linear(g, bound: int, only: int | None = None,
+               degree: int | None = None) -> FockElement:
+    """exp(sum_k g_k q_k) applied to the vacuum, or its terms of weight `only`
+    and/or algebraic degree `degree`: q_lambda gets prod_i g_{lambda_i} /
+    prod_i m_i!, m_i the part multiplicities.  Requires g(0) = 0 and g
+    truncated at order >= bound.  A depth-first walk appends parts in
+    decreasing order, larger parts first, drawn from the k with g_k != 0; a
+    part k adds k - 1 to the degree, so a branch is cut once its degree
+    passes `degree`.  Each weight's terms come out reverse-lexicographically
+    and one bucket per weight orders the weights, as `FockElement` keeps
+    them.  Over QQ, with each g_k = a_k / b_k reduced, a term is one
+    Fraction(prod a_{lambda_i}, prod b_{lambda_i} prod m_i!).
     """
     ring = g.ring
     if g.coeffs[0] != ring.zero:
@@ -118,30 +110,35 @@ def exp_linear(g, bound: int, only: int | None = None) -> FockElement:
         raise ValueError("series truncated below the requested weight bound")
     if only is not None and not 0 <= only <= bound:
         raise ValueError("the single weight must lie in 0..bound")
+    if degree is not None and degree < 0:
+        raise ValueError("the degree must be nonnegative")
     top = bound if only is None else only
-    rational = ring == QQ
-    if rational:
-        den, coeffs = _integer_numerators(g.coeffs[: top + 1])
-        zero, one = 0, 1
+    cap = top if degree is None else degree
+    coeffs = g.coeffs[: top + 1]
+    if ring == QQ:
+        nums = [c.numerator for c in coeffs]
+        dens = [c.denominator for c in coeffs]
+        zero, one, make = 0, 1, Fraction
     else:
-        den, coeffs = 1, g.coeffs[: top + 1]
-        zero, one = ring.zero, ring.one
-    support = [k for k in range(top, 0, -1) if coeffs[k] != zero]
-    terms = {}
-    # parts, first support index allowed, weight left, product, divisor, last multiplicity
-    stack = [((), 0, top, one, 1, 0)]
+        nums, dens = coeffs, [1] * (top + 1)
+        zero, one, make = ring.zero, ring.one, lambda c, d: c * Fraction(1, d)
+    support = [k for k in range(1, top + 1) if nums[k] != zero]  # increasing
+    buckets = [{} for _ in range(top + 1)]
+    # parts, last support index allowed, weight left, degree, product, divisor, last run
+    stack = [((), len(support) - 1, top, 0, one, 1, 0)]
     while stack:
-        parts, first, left, c, d, run = stack.pop()
-        if only is None or left == 0:
-            terms[parts] = Fraction(c, d) if rational else c * Fraction(1, d)
-        for i, k in enumerate(support[first:], first):
-            if k > left:
-                continue
-            m = run + 1 if i == first and parts else 1
-            ck = c * coeffs[k]
+        parts, last, left, deg, c, d, run = stack.pop()
+        if (only is None or left == 0) and (degree is None or deg == degree):
+            buckets[top - left][parts] = make(c, d)
+        for i in range(last + 1):  # pushed in increasing order: the largest pops first
+            k = support[i]
+            if k > left or deg + k - 1 > cap:
+                break
+            m = run + 1 if i == last else 1
+            ck = c * nums[k]
             if ck != zero:  # a product of nilpotent parameters can vanish
-                stack.append((parts + (k,), i, left - k, ck, d * den * m, m))
-    return FockElement(ring, bound, terms)
+                stack.append((parts + (k,), i, left - k, deg + k - 1, ck, d * dens[k] * m, m))
+    return FockElement(ring, bound, {p: c for bucket in buckets for p, c in bucket.items()})
 
 
 def hilb_unit(n: int) -> FockElement:

@@ -156,13 +156,15 @@ def taut_g(f: TruncatedSeries, order: int) -> TruncatedSeries:
     return lagrange_g(f.negate_arg(), order)
 
 
-def hilbert_class(spec: ClassSpec, bound: int, only: int | None = None) -> FockElement:
-    """The total class, all weights up to `bound` at once, or with `only`
-    just its weight-`only` piece: exp(sum_k g_k q_k) applied to the vacuum."""
+def hilbert_class(spec: ClassSpec, bound: int, only: int | None = None,
+                  degree: int | None = None) -> FockElement:
+    """The total class, all weights up to `bound` at once, or just its terms
+    of weight `only` and/or algebraic degree `degree`: exp(sum_k g_k q_k)
+    applied to the vacuum."""
     if spec.f.order < max(bound - 1, 0):
         raise ValueError("defining series truncated below the weight bound")
     g = tangent_g(spec.f, bound) if spec.target == TANGENT else taut_g(spec.f, bound)
-    return exp_linear(g, bound, only)
+    return exp_linear(g, bound, only, degree)
 
 
 # -- brute-force fixed-point oracles -------------------------------------

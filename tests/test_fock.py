@@ -2,7 +2,9 @@
 
 The Fock (symmetric-algebra) product is a test-local reference here: it
 checks that `exp_linear` is exponential.  No command multiplies Fock
-elements that way; the cup product lives in `hilbclass.hilbert`.
+elements that way; the cup product lives in `hilbclass.hilbert`.  So are
+the restriction to one weight or degree, which checks the pruned walks,
+and the canonical term order, which every producer must keep.
 """
 
 import json
@@ -16,6 +18,10 @@ from hypothesis import strategies as st
 from hilbclass.cli import _records_json
 from hilbclass.exact import QQ, ParamContext, ParamRing
 from hilbclass.fock import FockElement, exp_linear, hilb_unit
+from hilbclass.hilbert import (
+    TANGENT, ClassSpec, _pair_exponent, builtin_f, cup, cup_basis, cup_nilpotent,
+    hilbert_class, tangent_g, taut_g,
+)
 from hilbclass.partitions import check_partition, enumerate_partitions, multiplicities, weight
 from hilbclass.series import TruncatedSeries
 from test_series import add
@@ -42,8 +48,24 @@ def exp_linear_reference(g, bound: int) -> FockElement:
     return FockElement(ring, bound, terms)
 
 
-def weight_piece(e: FockElement, n: int) -> FockElement:
-    return FockElement(e.ring, e.bound, {p: c for p, c in e.terms.items() if weight(p) == n})
+def restrict(e: FockElement, only=None, degree=None) -> FockElement:
+    """The terms of e of weight `only` and of algebraic degree `degree`
+    (weight - length), each condition skipped when None."""
+    return FockElement(e.ring, e.bound, {
+        p: c for p, c in e.terms.items()
+        if (only is None or weight(p) == only) and (degree is None or weight(p) - len(p) == degree)
+    })
+
+
+def canonical(partitions) -> list:
+    """Partitions in output order: by weight, then reverse-lexicographically."""
+    out = sorted(partitions, reverse=True)
+    out.sort(key=weight)  # stable: keeps revlex order
+    return out
+
+
+def assert_canonical(e: FockElement):
+    assert list(e.terms) == canonical(e.terms)
 
 
 def fock_product(a: FockElement, b: FockElement) -> FockElement:
@@ -128,7 +150,7 @@ def test_components_partition_element():
     assert rebuilt == e
     by_degree = FockElement(e.ring, e.bound, {})
     for d in range(4):
-        by_degree = by_degree + e.degree_component(d)
+        by_degree = by_degree + restrict(e, degree=d)
     assert by_degree == e
     for only in (-1, 4):
         with pytest.raises(ValueError):
@@ -164,9 +186,16 @@ g_tail = st.one_of(  # dense, or mostly zero
 )
 
 
-@given(g_tail, st.integers(min_value=0, max_value=12))
-@settings(max_examples=60, deadline=None)
-def test_exp_linear_matches_reference(tail, bound):
+small_denominators = st.lists(  # a denominator of its own per part, zeros among them
+    st.one_of(st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=7)),
+    max_size=12,
+)
+
+
+@given(st.one_of(g_tail, small_denominators), st.integers(min_value=0, max_value=12),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_exp_linear_matches_reference(tail, bound, data):
     tail = (tail + [0] * bound)[:bound]
     g = TruncatedSeries.from_coeffs([0] + tail, bound)
     expected = exp_linear_reference(g, bound)
@@ -175,21 +204,69 @@ def test_exp_linear_matches_reference(tail, bound):
     assert_valid_terms(got)
     for only in range(bound + 1):
         piece = exp_linear(g, bound, only)
-        assert piece == weight_piece(expected, only)
+        assert piece == restrict(expected, only)
         assert_valid_terms(piece, {only})
+    cut = st.one_of(st.none(), st.integers(min_value=0, max_value=bound))
+    only, degree = data.draw(cut), data.draw(cut)
+    pruned = exp_linear(g, bound, only, degree)
+    assert pruned == restrict(expected, only, degree)
+    assert_valid_terms(pruned)
+    assert_canonical(pruned)
 
 
-def test_exp_linear_matches_reference_over_parameters():
+def parametric_g() -> TruncatedSeries:
     # a^3 = b^2 = 0, so many monomials of g = t + a t^2 + (b - a) t^3 vanish
     ring = ParamRing(ParamContext(("a", "b"), (2, 1)))
     a, b = ring.parameter("a"), ring.parameter("b")
-    bound = 6
     coeffs = [ring.zero, ring.one, a, b - a, ring.zero, a * b, ring.from_rational(2)]
-    g = TruncatedSeries(ring, bound, coeffs)
+    return TruncatedSeries(ring, 6, coeffs)
+
+
+def test_exp_linear_matches_reference_over_parameters():
+    g = parametric_g()
+    bound = g.order
     expected = exp_linear_reference(g, bound)
     assert exp_linear(g, bound) == expected
     for only in range(bound + 1):
-        assert exp_linear(g, bound, only) == weight_piece(expected, only)
+        assert exp_linear(g, bound, only) == restrict(expected, only)
+
+
+def degree_cases():
+    """(g, bound) for both targets over QQ, and for two series over a
+    parameter ring, where products of parameters can vanish."""
+    f = builtin_f("cprime-pow", 9, Fraction(-5, 2))
+    dense = TruncatedSeries.from_coeffs([1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3),
+                                         -1, Fraction(1, 5), Fraction(3, 4), Fraction(-2, 7)], 9)
+    return [
+        pytest.param(tangent_g(f, 10), 10, id="tangent"),
+        pytest.param(taut_g(f, 10), 10, id="tautological"),
+        pytest.param(tangent_g(dense, 10), 10, id="dense-tangent"),
+        pytest.param(taut_g(dense, 10), 10, id="dense-tautological"),
+        pytest.param(parametric_g(), 6, id="parameters"),
+        pytest.param(_pair_exponent((2, 1, 1), (3, 1)), 4, id="pair-exponent"),
+    ]
+
+
+@pytest.mark.parametrize("g,bound", degree_cases())
+def test_degree_pruned_walk_equals_filtered_walk(g, bound):
+    for only in (None, *range(bound + 1)):
+        full = exp_linear(g, bound, only)
+        rebuilt = FockElement(g.ring, bound, {})
+        for degree in range(bound + 1):
+            pruned = exp_linear(g, bound, only, degree)
+            assert pruned == restrict(full, degree=degree), (only, degree)
+            assert_valid_terms(pruned)
+            assert_canonical(pruned)
+            rebuilt = rebuilt + pruned
+        assert rebuilt == full
+
+
+def test_degree_guard():
+    g = TruncatedSeries.from_coeffs([0, 1, Fraction(-1, 2)], 2)
+    for only in (None, 2):
+        with pytest.raises(ValueError):
+            exp_linear(g, 2, only, -1)
+    assert exp_linear(g, 2, None, 2).is_zero  # degree 2 needs weight 3
 
 
 @given(
@@ -203,18 +280,55 @@ def test_exp_linear_is_exponential(c1, c2):
     assert exp_linear(add(g1, g2), 5) == fock_product(exp_linear(g1, 5), exp_linear(g2, 5))
 
 
-def test_sorted_terms_and_records():
+def test_every_producer_keeps_canonical_order():
+    dense = "1,1/2,-1/3,2/3,-1,1/5,3/4,-2/7"
+    f = TruncatedSeries.from_coeffs([Fraction(c) for c in dense.split(",")], 11)
+    for g in (tangent_g(f, 12), taut_g(f, 12)):
+        for only in (None, 0, 7, 12):
+            for degree in (None, 0, 4, 11):
+                assert_canonical(exp_linear(g, 12, only, degree))
+    p = parametric_g()
+    for only in (None, 4):
+        for degree in (None, 2):
+            assert_canonical(exp_linear(p, 6, only, degree))
+    for n in range(1, 7):
+        for nu in enumerate_partitions(n):
+            for nu2 in enumerate_partitions(n):
+                assert_canonical(cup_basis(nu, nu2))
+    for nu, nu2 in (((2, 1, 1), (3, 1)), ((2, 2, 1), (2, 1, 1, 1)), ((1, 1, 1), (2, 1))):
+        assert_canonical(cup_nilpotent(nu, nu2))
+    a = hilbert_class(ClassSpec(builtin_f("sqrt-todd", 5), TANGENT), 6, 6)
+    b = hilbert_class(ClassSpec(f, TANGENT), 6, 6)
+    assert len(a.terms) > 1 and len(b.terms) > 1
+    assert_canonical(cup(a, b, 6))
+    for n in range(5):
+        assert_canonical(hilb_unit(n))
+    assert_canonical(exp_linear(tangent_g(f, 12), 12).scale(Fraction(-3, 7)))
+
+
+def test_sum_restores_canonical_order():
+    odd = FockElement(QQ, 5, {(1,): Fraction(1), (3,): Fraction(2), (5,): Fraction(3)})
+    even = FockElement(QQ, 5, {(): Fraction(1), (2,): Fraction(-1), (2, 2): Fraction(1, 2),
+                               (3, 1): Fraction(1, 4)})
+    for total in (odd + even, even + odd):
+        assert list(total.terms) == [(), (1,), (2,), (3,), (3, 1), (2, 2), (5,)]
+        assert_canonical(total)
+    cancelled = odd + FockElement(QQ, 5, {(3,): Fraction(-2), (1, 1): Fraction(1)})
+    assert list(cancelled.terms) == [(1,), (1, 1), (5,)]
+
+
+def test_records_of_a_canonical_element():
     e = FockElement(
         QQ,
         3,
         {
-            (1, 1, 1): Fraction(1, 6),
-            (3,): Fraction(2),
             (1,): Fraction(-1),
+            (3,): Fraction(2),
             (2, 1): Fraction(1, 2),
+            (1, 1, 1): Fraction(1, 6),
         },
     )
-    assert [p for p, _ in e.sorted_terms()] == [(1,), (3,), (2, 1), (1, 1, 1)]
+    assert_canonical(e)
     assert json.loads(_records_json(e)) == [
         {"partition": [1], "coeff": "-1"},
         {"partition": [3], "coeff": "2"},

@@ -8,7 +8,11 @@ character and moved to integer numerators; `verify crossoracle` was
 recorded before the nilpotent cross-oracle built each factor's power
 table once; the four gseries requests at orders 51-121, the orders the
 benchmark pool reaches, were recorded before the Lagrange power loop kept
-`F^m` on reduced integer numerators from one step to the next.  Any
+`F^m` on reduced integer numerators from one step to the next; the three
+class requests with a 35-digit common denominator or with `--degree`, and
+the two cups at ranks 6 and 8, were recorded before the class walk moved
+to per-part reduced fractions, emitted its terms in output order and cut
+branches by `--degree`, and before the cup writer stopped sorting.  Any
 change to a byte of these outputs fails here, so determinism and
 exactness are enforced rather than assumed.
 
@@ -69,10 +73,25 @@ GOLDEN = [
     # the vacuum alone, whose partition is empty
     (("class", "chern", "tangent", "--weight", "4", "--weight-only", "0"), 0,
      "4775381355a2dfed78446c83cea9d5bbe0e874a272a1cbe1cc1782d48f9d60e8"),
+    # g's common denominator D has 35 digits, and D^len(lambda) up to 711 digits
+    (("class", "sqrt-todd", "tautological", "--weight", "20"), 0,
+     "08c06b4ee6e71efedf44ae421e7eb764fd6e9fc2ec2af964fec88439d404a739"),
+    (("class", "cprime-pow", "tautological", "--r=-5/2", "--weight", "18",
+      "--degree", "7"), 0,
+     "11807e01d3f467acae917f4e3b51b2b0ce22d61c32d6c58e56eb3df4c35eeed8"),
+    (("class", "custom", "tangent", "--f", DENSE_F, "--weight", "18",
+      "--weight-only", "14", "--degree", "6"), 0,
+     "893f6360d72d014d0f9bb6d289fdeddd3919ae8954652e020559fcea63e20454"),
     (("cup", "[2,1]", "[2,1]"), 0,
      "8a9a425364240cd2dbc2c0a91d6b2d3d83c8bf85119d420cde045600e20c6c85"),
     (("cup", "[3,2,1]", "[2,2,1,1]"), 0,
      "e2b70848bfc05af2d78b20eede89e3cba8a96f4c53469b2fb8c61e40d068b854"),
+    # an empty payload
+    (("cup", "[3,2,1]", "[2,2,2]"), 0,
+     "08079552378c77f5a43e3edf8167e1cde68af21df723e9f7404b804ee9d4ebaa"),
+    # five terms, so the writer's order shows
+    (("cup", "[2,2,1,1,1,1]", "[2,2,1,1,1,1]"), 0,
+     "856944c4df2753727320e396a05de6c1463be78189a530620f646c806f1e7c07"),
     (("verify", "appendix"), 0,
      "2800653bb160d64405abad2c455bce2673e47fcf28133b9eb601ca9163340d2c"),
     # the payload acceptance criteria 8 and 9 read
