@@ -3,13 +3,16 @@
 Scalars are arbitrary-precision rationals (`fractions.Fraction`).  On top of
 those sits :class:`ParamPoly`, a multivariate polynomial in finitely many
 formal parameters, each nilpotent of a fixed order.  Truncation by the
-nilpotency bounds happens at construction time, so elements of the shape
-``nonzero rational + (parameter terms)`` are always invertible.
+nilpotency bounds happens at construction time.  `ParamPoly` carries what
+the nilpotent cup-product oracle of :mod:`hilbclass.hilbert` uses: packed
+construction, embedding into a wider context, the product and coefficient
+extraction.  It has no sum, negation or inverse; the oracle sums integer
+numerators itself.
 
-Both kinds of scalar are exposed to the series layer through small ring
-objects (:data:`QQ` and :class:`ParamRing`) that provide the few operations
-one cannot spell with operators alone (unit test, inverse, coercion from a
-rational).  All values are immutable; all operations are pure.
+Both kinds of scalar are exposed to the series and Fock layers through
+small ring objects (:data:`QQ` and :class:`ParamRing`) that carry the zero
+and the one (and, over QQ, coercion from a rational).  All values are
+immutable; all operations are pure.
 """
 
 from __future__ import annotations
@@ -98,10 +101,6 @@ class ParamPoly:
         value = Fraction(value)
         return cls._make(context, {0: value.numerator} if value else {}, value.denominator)
 
-    @classmethod
-    def parameter(cls, context: ParamContext, name: str) -> "ParamPoly":
-        return cls._make(context, {1 << context.shifts[context.names.index(name)]: 1}, 1)
-
     def embed(self, context: ParamContext, shift: int) -> "ParamPoly":
         """This value over a larger `context`, every packed monomial shifted
         left by `shift` bits.  The target must repeat this context's fields,
@@ -113,45 +112,8 @@ class ParamPoly:
         return ParamPoly._make(context, {k << shift: c for k, c in self.terms.items()},
                                self.den)
 
-    @property
-    def constant_term(self) -> Fraction:
-        return Fraction(self.terms.get(0, 0), self.den)
-
     def coefficient(self, exps) -> Fraction:
         return Fraction(self.terms.get(self.context.pack(exps), 0), self.den)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _coerce(self, other):
-        if isinstance(other, ParamPoly):
-            if other.context != self.context:
-                raise ValueError("mismatched parameter contexts")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly.constant(self.context, other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        den = lcm(self.den, other.den)
-        s1, s2 = den // self.den, den // other.den
-        out = {k: c * s1 for k, c in self.terms.items()}
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c * s2
-        return ParamPoly._make(self.context, {k: c for k, c in out.items() if c}, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamPoly._make(self.context, {k: -c for k, c in self.terms.items()}, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, ParamPoly):
@@ -181,23 +143,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def invert(self) -> "ParamPoly":
-        """Two-sided inverse within the truncation.  Needs a nonzero rational part;
-        the parameter part is nilpotent, so the geometric series terminates."""
-        c = self.constant_term
-        if c == 0:
-            raise ValueError("not a unit: zero rational part")
-        inv_c = Fraction(1) / c
-        result = ParamPoly.constant(self.context, inv_c)
-        power = ParamPoly.constant(self.context, 1)
-        step = (self - c) * (-inv_c)
-        while True:
-            power = power * step
-            if power.is_zero:
-                break
-            result = result + power * inv_c
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):
             if not isinstance(other, (int, Fraction)):
@@ -208,7 +153,7 @@ class ParamPoly:
     __hash__ = None
 
     def __repr__(self):
-        if self.is_zero:
+        if not self.terms:
             return "ParamPoly(0)"
         names, shifts, bounds = self.context.names, self.context.shifts, self.context.bounds
         bits = []
@@ -231,9 +176,6 @@ class RationalField:
     def from_rational(self, a) -> Fraction:
         return Fraction(a)
 
-    def is_unit(self, a) -> bool:
-        return a != 0
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -254,18 +196,6 @@ class ParamRing:
         self.context = context
         self.zero = ParamPoly(context, {})
         self.one = ParamPoly.constant(context, 1)
-
-    def from_rational(self, a) -> ParamPoly:
-        return ParamPoly.constant(self.context, a)
-
-    def is_unit(self, a: ParamPoly) -> bool:
-        return a.constant_term != 0
-
-    def inv(self, a: ParamPoly) -> ParamPoly:
-        return a.invert()
-
-    def parameter(self, name: str) -> ParamPoly:
-        return ParamPoly.parameter(self.context, name)
 
     def __eq__(self, other):
         return isinstance(other, ParamRing) and self.context == other.context

@@ -24,7 +24,7 @@ class FockElement:
     each key a valid partition (`check_partition`) of weight at most `bound`,
     each coefficient nonzero, and the keys in canonical order, by weight and
     then reverse-lexicographically.  `monomial` is where hand-built terms
-    are checked; `scale` keeps the order and `__add__` restores it."""
+    are checked."""
 
     __slots__ = ("ring", "bound", "terms")
 
@@ -48,14 +48,6 @@ class FockElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check_compatible(self, other: "FockElement"):
-        if not isinstance(other, FockElement):
-            raise TypeError("expected a FockElement")
-        if self.ring != other.ring:
-            raise ValueError("mismatched coefficient rings")
-        if self.bound != other.bound:
-            raise ValueError("mismatched weight bounds")
-
     def __eq__(self, other):
         if not isinstance(other, FockElement):
             return NotImplemented
@@ -66,22 +58,6 @@ class FockElement:
         )
 
     __hash__ = None
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        zero = self.ring.zero
-        out = dict(self.terms)
-        for parts, c in other.terms.items():
-            c = out.pop(parts, zero) + c
-            if c != zero:
-                out[parts] = c
-        order = sorted(out, key=lambda p: (-weight(p), p), reverse=True)  # weight up, then revlex
-        return FockElement(self.ring, self.bound, {p: out[p] for p in order})
-
-    def scale(self, c) -> "FockElement":
-        zero = self.ring.zero
-        return FockElement(self.ring, self.bound,
-                           {p: w for p, v in self.terms.items() if (w := v * c) != zero})
 
     def __repr__(self):
         if self.is_zero:

@@ -31,11 +31,14 @@ H(chi) the hook product of the shape of chi, for every rho with
 n - len(rho) = (n - len(lam)) + (n - len(mu)); all other coefficients vanish.
 The paper's own route, which multiplies two universal classes with
 nilpotent parameter coefficients and extracts multilinear coefficients, is
-kept as the independent oracle `cup_nilpotent`.  Each factor's F = f(-x)
-depends only on its part multiplicities and n, so the coefficients
-0..m-1 of F^m are computed once per factor over its own parameters; a pair
-embeds both tables in its parameter ring and reads the exponent series
-h_m = [x^(m-1)] (F1 F2)^m / m^2 off their Cauchy sum.
+kept as the independent oracle `cup_nilpotent`; it reads no character
+table.  Each factor's F = f(-x) depends only on its part multiplicities
+and n, and the coefficients 0..m-1 of F^m have a closed form by
+Lagrange-Buermann inversion (Stanley, EC2 5.4; Gessel, "Lagrange
+inversion", JCTA 144, 2016), tabulated once per factor over its own
+parameters with no series reversion.  A pair embeds both tables in its
+parameter ring and reads the exponent series h_m = [x^(m-1)] (F1 F2)^m / m^2
+off their Cauchy sum, one sum of integer numerators per h_m.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, lcm, prod
 
-from .exact import QQ, ParamContext, ParamRing
+from .exact import QQ, ParamContext, ParamPoly, ParamRing
 from .fock import FockElement, exp_linear
 from .partitions import (
     _mn,
@@ -309,53 +313,59 @@ def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
             raise ValueError("cup needs rational coefficients")
         if any(weight(p) != n for p in elem.terms):
             raise ValueError(f"element has support outside weight {n}")
-    out = FockElement(QQ, n, {})
+    out = {}
     for p1, c1 in a.terms.items():
         for p2, c2 in b.terms.items():
-            out = out + cup_basis(p1, p2).scale(c1 * c2)
-    return out
+            c = c1 * c2
+            for p, v in cup_basis(p1, p2).terms.items():
+                out[p] = out.get(p, 0) + c * v
+    # one weight, so the canonical order is reverse-lexicographic
+    return FockElement(QQ, n, {p: out[p] for p in sorted(out, reverse=True) if out[p]})
 
 
 # -- oracle: cup product via nilpotent parameters -------------------------
-
-
-def _f_minus_from_g(g: TruncatedSeries) -> TruncatedSeries:
-    """Given g, recover F = f(-x) from dg/dt (x/F) = F: the compositional
-    inverse of t dg/dt is x/F.  Result has order one less than g."""
-    phi = g.x_derivative().revert()
-    shifted = TruncatedSeries(g.ring, g.order - 1, phi.coeffs[1:])
-    return shifted.inverse()
-
-
-def _parametric_g(ring: ParamRing, prefix: str, mults: dict[int, int], order: int):
-    """g = t + sum over part sizes k of rho_k t^k, over the parameter ring."""
-    coeffs = [ring.zero] * (order + 1)
-    coeffs[1] = ring.one
-    for k in mults:
-        coeffs[k] = coeffs[k] + ring.parameter(f"{prefix}{k}")
-    return TruncatedSeries(ring, order, coeffs)
 
 
 @lru_cache(maxsize=None)
 def _factor_powers(mults: tuple[tuple[int, int], ...], n: int):
     """Coefficients 0..m-1 of F^m, m = 1..n, for the F = f(-x) of the
     universal class with part multiplicities `mults` (sorted (part, count)
-    pairs), over a ring holding only this factor's parameters."""
-    ring = ParamRing(ParamContext(tuple(f"r{k}" for k, _ in mults),
-                                  tuple(c for _, c in mults)))
-    F = _f_minus_from_g(_parametric_g(ring, "r", dict(mults), n))
-    rows, power = [], TruncatedSeries.one(n - 1, ring)
-    for m in range(1, n + 1):
-        power = power * F
-        rows.append(power.coeffs[:m])
-    return tuple(rows)
+    pairs), over a ring holding only this factor's parameters rho_k.
+
+    x/F is the compositional inverse of t + sum_k k rho_k t^k, so by
+    Lagrange-Buermann inversion, for 0 <= i < m,
+
+        [x^i] F^m = m/(m-i) [t^i] (1 + sum_k k rho_k t^(k-1))^(m-i).
+
+    As rho_k^(c_k + 1) = 0, the power is a finite multinomial sum over
+    exponent vectors e <= c: e adds (m-i)! / ((m-i-|e|)! prod e_k!) prod k^(e_k)
+    at rho^e t^(sum e_k (k-1)).  Numerators are kept over prod c_k!, which
+    every prod e_k! divides."""
+    context = ParamContext(tuple(f"r{k}" for k, _ in mults), tuple(c for _, c in mults))
+    den = prod(factorial(c) for _, c in mults)
+    by_degree = [[] for _ in range(n)]  # t-degree -> (packed monomial, |e|, numerator)
+    for e in product(*(range(c + 1) for _, c in mults)):
+        deg = sum(x * (k - 1) for x, (k, _) in zip(e, mults))
+        if deg < n:
+            num = den
+            for x, (k, _) in zip(e, mults):
+                num = num * k**x // factorial(x)
+            by_degree[deg].append((context.pack(e), sum(e), num))
+    return tuple(
+        tuple(ParamPoly._make(context, {key: m * factorial(m - i - 1) // factorial(m - i - size) * num
+                                        for key, size, num in by_degree[i] if size <= m - i}, den)
+              for i in range(m))
+        for m in range(1, n + 1))
 
 
 def _pair_exponent(nu, nu2) -> TruncatedSeries:
     """h = lagrange_g(F1 F2, n) for the universal classes of q_nu and q_nu2,
     over the ring of both factors' parameters: [x^(m-1)] (F1 F2)^m is the
     Cauchy sum of [x^i] F1^m [x^(m-1-i)] F2^m, read from the factors'
-    power tables embedded in that ring."""
+    power tables embedded in that ring, skipping products with a zero
+    factor.  The two factors' fields are disjoint, so no product exceeds a
+    bound; each h_m is one sum of integer numerators over the lcm of the
+    products' denominators."""
     n = weight(nu)
     m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
     context = ParamContext(tuple(f"a{k}" for k, _ in m1) + tuple(f"b{k}" for k, _ in m2),
@@ -364,10 +374,18 @@ def _pair_exponent(nu, nu2) -> TruncatedSeries:
     shift = context.shifts[len(m1)]  # the a fields come first, at shift 0
     h = [ring.zero]
     for m, (row1, row2) in enumerate(zip(_factor_powers(m1, n), _factor_powers(m2, n)), 1):
-        total = ring.zero
-        for c1, c2 in zip(row1, reversed(row2)):
-            total = total + c1.embed(context, 0) * c2.embed(context, shift)
-        h.append(total * Fraction(1, m * m))
+        pairs = [(c1.embed(context, 0), c2.embed(context, shift))
+                 for c1, c2 in zip(row1, reversed(row2)) if c1.terms and c2.terms]
+        den = lcm(*(c1.den * c2.den for c1, c2 in pairs))
+        total = {}
+        get = total.get
+        for c1, c2 in pairs:
+            scale = den // (c1.den * c2.den)
+            b_terms = [(k2, b * scale) for k2, b in c2.terms.items()]
+            for k1, a in c1.terms.items():
+                for k2, b in b_terms:
+                    total[k1 + k2] = get(k1 + k2, 0) + a * b
+        h.append(ParamPoly._make(context, {k: c for k, c in total.items() if c}, den * m * m))
     return TruncatedSeries(ring, n, h)
 
 
@@ -389,9 +407,9 @@ def _multilinear_part(expansion: FockElement) -> dict:
 
 
 def cup_nilpotent(nu, nu2) -> FockElement:
-    """cup_basis by the paper's route: build the universal class
-    exp(sum (t-shifted parameter series) q_k) for each factor, multiply the
-    two through the tautological Lagrange machinery, and extract the
+    """cup_basis by the paper's route: take the universal class
+    exp(sum (t-shifted parameter series) q_k) of each factor, multiply the
+    two through the tautological Lagrange formula, and extract the
     coefficient multilinear in the parameters of both factors from the
     weight-n piece.  Each factor's power table is cached (keyed by its part
     multiplicities and n); a pair is never cached."""

@@ -5,21 +5,22 @@ tuple of length N + 1; every operation is exact to order N.  Operations on
 series of different orders are rejected rather than silently truncated
 (use :meth:`TruncatedSeries.truncate` to change order explicitly).
 
-The coefficient ring is either :data:`hilbclass.exact.QQ` or a
-:class:`hilbclass.exact.ParamRing`; the latter is what allows reversion of a
-series whose linear coefficient is 1 + nilpotent.  The operations are the
-ones some command reaches: the product, `x -> -x`, `x d/dx`, `exp` (the
-square-root-of-Todd defining series), the inverse and reversion (reached
-over a parameter ring only), and the Lagrange solver.  The built-in
-defining series come from closed forms in :mod:`hilbclass.hilbert`, with no
-`log`, inverse or square root.
+The coefficient ring is :data:`hilbclass.exact.QQ`, except for the one
+series over a :class:`hilbclass.exact.ParamRing` that the nilpotent
+cup-product oracle hands to `exp_linear` as a container; the product and
+the Lagrange solver reject it.  The operations are the ones some command
+reaches: the product, `x -> -x`, `exp` (the square-root-of-Todd defining
+series) and the Lagrange solver.  The built-in defining series come from
+closed forms in :mod:`hilbclass.hilbert`, with no `log`, inverse or square
+root, and the oracle's factor tables from a closed form there too, with no
+reversion.
 
 Every truncated product in the library goes through one convolution,
 `_convolve`: the series product, the Lagrange solver's power loop and the
-fixed-point and appendix sums of :mod:`hilbclass.hilbert`.  Over QQ they
-hand it integer numerators over a common denominator, so it multiplies
-and adds plain ints; the Lagrange solver keeps F^m on reduced integer
-numerators from one step to the next and builds one `Fraction` per output
+fixed-point and appendix sums of :mod:`hilbclass.hilbert`.  They hand it
+integer numerators over a common denominator, so it multiplies and adds
+plain ints; the Lagrange solver keeps F^m on reduced integer numerators
+from one step to the next and builds one `Fraction` per output
 coefficient.
 """
 
@@ -70,8 +71,8 @@ class TruncatedSeries:
     def _check_compatible(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
-        if self.ring != other.ring:
-            raise ValueError("mismatched coefficient rings")
+        if self.ring != QQ or other.ring != QQ:
+            raise ValueError("only rational series multiply")
         if self.order != other.order:
             raise ValueError(
                 f"mismatched truncation orders {self.order} != {other.order}"
@@ -98,52 +99,22 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, order, self.coeffs[: order + 1])
 
     def __mul__(self, other):
-        """Truncated product, through `_convolve`.
-
-        Over QQ both operands enter as integer numerators over their common
-        denominators, so the convolution multiplies and adds plain ints and
-        each output coefficient becomes a `Fraction` once; over a parameter
-        ring the coefficients enter as they are.
-        """
+        """Truncated product, through `_convolve`: both operands enter as
+        integer numerators over their common denominators, so the
+        convolution multiplies and adds plain ints and each output
+        coefficient becomes a `Fraction` once."""
         self._check_compatible(other)
         n = self.order
-        if self.ring == QQ:
-            den_a, a = _integer_numerators(self.coeffs)
-            den_b, b = _integer_numerators(other.coeffs)
-            den = den_a * den_b
-            out = [Fraction(c, den) for c in _convolve(a, b, n)]
-        else:
-            out = _convolve(self.coeffs, other.coeffs, n, self.ring.zero)
-        return TruncatedSeries(self.ring, n, out)
+        den_a, a = _integer_numerators(self.coeffs)
+        den_b, b = _integer_numerators(other.coeffs)
+        den = den_a * den_b
+        return TruncatedSeries(QQ, n, [Fraction(c, den) for c in _convolve(a, b, n)])
 
     def negate_arg(self) -> "TruncatedSeries":
         """Substitute x -> -x."""
         return TruncatedSeries(
             self.ring, self.order,
             [a if k % 2 == 0 else -a for k, a in enumerate(self.coeffs)],
-        )
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; needs a unit constant term.  Commands reach it
-        only over a `ParamRing` (through `revert` and the nilpotent oracle),
-        and `QQ` has no `inv`."""
-        ring = self.ring
-        if not ring.is_unit(self.coeffs[0]):
-            raise ValueError("inverse needs a unit constant term")
-        inv0 = ring.inv(self.coeffs[0])
-        out = [inv0] + [ring.zero] * self.order
-        for k in range(1, self.order + 1):
-            acc = ring.zero
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -(acc * inv0)
-        return TruncatedSeries(ring, self.order, out)
-
-    def x_derivative(self) -> "TruncatedSeries":
-        """x * d/dx, keeping the order."""
-        return TruncatedSeries(
-            self.ring, self.order,
-            [a * Fraction(k) for k, a in enumerate(self.coeffs)],
         )
 
     def exp(self) -> "TruncatedSeries":
@@ -163,23 +134,6 @@ class TruncatedSeries:
             out[n] = acc * Fraction(1, n)
         return TruncatedSeries(ring, self.order, out)
 
-    # -- reversion --------------------------------------------------------
-
-    def revert(self) -> "TruncatedSeries":
-        """Compositional inverse, by Lagrange inversion: writing self as
-        x/F, the inverse is t dg/dt for g = lagrange_g(F).
-
-        Needs constant term 0 and a unit linear coefficient (which may be of
-        the shape rational-unit + nilpotent over a parameter ring).
-        """
-        ring = self.ring
-        if self.coeffs[0] != ring.zero:
-            raise ValueError("revert needs constant term 0")
-        if self.order < 1 or not ring.is_unit(self.coeffs[1]):
-            raise ValueError("revert needs a unit linear coefficient")
-        F = TruncatedSeries(ring, self.order - 1, self.coeffs[1:]).inverse()
-        return lagrange_g(F, self.order).x_derivative()
-
     # -- serialization ----------------------------------------------------
 
     def to_strings(self) -> list[str]:
@@ -196,13 +150,13 @@ def _integer_numerators(coeffs):
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def _convolve(a, b, n: int, zero=0) -> list:
+def _convolve(a, b, n: int) -> list:
     """Coefficients 0..n of the product of the coefficient lists `a` and `b`
     (of any lengths), summed over their nonzero terms only: the inner loop
     stops at j > n - i, so the zero tests are linear in the lengths."""
-    a_terms = [(i, c) for i, c in enumerate(a[: n + 1]) if c != zero]
-    b_terms = [(j, c) for j, c in enumerate(b[: n + 1]) if c != zero]
-    out = [zero] * (n + 1)
+    a_terms = [(i, c) for i, c in enumerate(a[: n + 1]) if c]
+    b_terms = [(j, c) for j, c in enumerate(b[: n + 1]) if c]
+    out = [0] * (n + 1)
     for i, ai in a_terms:
         last = n - i
         for j, bj in b_terms:
@@ -219,40 +173,31 @@ def lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
     t * dg/dt is the compositional inverse of x / F.  F needs a unit
     constant term and order at least `order` - 1.
 
-    The power F^m is kept from one step to the next as numerators over one
-    denominator `den`, and each step is one `_convolve` with F's
-    numerators.  Over QQ these are ints over F's common denominator d, so
-    `den` gains a factor d per step, and each step divides `den` and every
-    numerator by their gcd.  Without that, numerators and `den` keep every
-    factor d^m that the reduced coefficients cancel, and the big-int
-    products swamp the loop (sqrt-Todd, tautological, order 61: 0.04 s
-    with the gcd, 0.59 s without).  Over a parameter ring the coefficients
-    enter as they are and `den` stays 1.
+    The power F^m is kept from one step to the next as integer numerators
+    over one denominator `den`, and each step is one `_convolve` with the
+    numerators of F over its common denominator d.  So `den` gains a
+    factor d per step, and each step divides `den` and every numerator by
+    their gcd.  Without that, numerators and `den` keep every factor d^m
+    that the reduced coefficients cancel, and the big-int products swamp
+    the loop (sqrt-Todd, tautological, order 61: 0.04 s with the gcd,
+    0.59 s without).  F must have rational coefficients.
     """
-    ring = F.ring
     if order < 0:
         raise ValueError("order must be nonnegative")
     work = max(order - 1, 0)
     if F.order < work:
         raise ValueError("F is truncated too low for the requested order")
-    if not ring.is_unit(F.coeffs[0]):
-        raise ValueError("lagrange_g needs a unit constant term")
-    Ft = F.truncate(work)
-    rational = ring == QQ
-    if rational:
-        den_f, f = _integer_numerators(Ft.coeffs)
-        zero, one = 0, 1
-    else:
-        den_f, f, zero, one = 1, Ft.coeffs, ring.zero, ring.one
-    out = [ring.zero] * (order + 1)
-    power, den = [one], 1
+    if F.ring != QQ or F.coeffs[0] == 0:
+        raise ValueError("lagrange_g needs rational coefficients and a unit constant term")
+    den_f, f = _integer_numerators(F.truncate(work).coeffs)
+    out = [Fraction(0)] * (order + 1)
+    power, den = [1], 1
     for m in range(1, order + 1):
-        power = _convolve(power, f, work, zero)
+        power = _convolve(power, f, work)
         den *= den_f
-        if rational:
-            common = gcd(den, *power)
-            if common > 1:
-                den //= common
-                power = [c // common for c in power]
+        common = gcd(den, *power)
+        if common > 1:
+            den //= common
+            power = [c // common for c in power]
         out[m] = power[m - 1] * Fraction(1, den * m * m)
-    return TruncatedSeries(ring, order, out)
+    return TruncatedSeries(QQ, order, out)

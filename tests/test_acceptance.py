@@ -8,8 +8,8 @@ adds the fixed-point oracle to order 9 and pins the one check of `verify
 examples` that fails, the sqrt-Todd closed form quoted in the source,
 1/(4^n (2n+1) (2n+1)!), which does not solve the defining equation; the
 test records why.  Criterion 7 has no suite of its own; it uses the
-test-local `compose` and `inverse` of `test_series`, and its `revert`,
-which runs the library reversion over a parameter ring.
+test-local `compose`, `inverse`, `x_derivative` and `revert` of
+`test_series`; `revert` runs the library Lagrange solver over QQ.
 """
 
 import random
@@ -20,7 +20,7 @@ from hilbclass.exact import QQ
 from hilbclass.hilbert import oracle_top_tangent, sqrt_todd_f, tangent_g
 from hilbclass.series import TruncatedSeries, lagrange_g
 from hilbclass.verify import SUITES, Check, random_unit_series
-from test_series import compose, inverse, revert
+from test_series import compose, inverse, revert, x_derivative
 
 QUOTED_SQRT_TODD = ("sqrt-Todd exponent series to order 21, "
                     "hyperbolic-sine-integral closed form")
@@ -123,7 +123,7 @@ def test_criterion_07_lagrange_inversion():
         )
         ok = ok and compose(dg, x_over_F) == F.truncate(13)
         # revert round trips on t dg/dt, whose linear coefficient is a unit
-        tdg = g.x_derivative()
+        tdg = x_derivative(g)
         r = revert(tdg)
         ok = ok and compose(tdg, r) == x and compose(r, tdg) == x
     report(7, "Lagrange functional equation at order 13 and reversion "

@@ -11,17 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbclass.exact import QQ, ParamContext, ParamRing
+from hilbclass import hilbert, partitions
+from hilbclass.exact import QQ, ParamContext, ParamPoly, ParamRing
 from hilbclass.fock import FockElement, exp_linear, hilb_unit
 from hilbclass.hilbert import (
     TANGENT,
     TAUTOLOGICAL,
     ClassSpec,
-    _f_minus_from_g,
     _factor_powers,
     _multilinear_part,
     _pair_exponent,
-    _parametric_g,
     builtin_f,
     chern_f,
     cprime_pow_f,
@@ -47,9 +46,10 @@ from hilbclass.partitions import (
     multiplicities,
     weight,
 )
-from hilbclass.series import TruncatedSeries, lagrange_g
+from hilbclass.series import TruncatedSeries
 from hilbclass.verify import random_unit_series
-from test_fock import assert_valid_terms
+from test_exact import add, invert, neg, parameter
+from test_fock import assert_valid_terms, fock_add
 from test_series import derivative, inverse, log, scale, scale_arg, sqrt_unit
 
 
@@ -239,9 +239,10 @@ def test_cup_unit_and_bilinearity():
     unit = hilb_unit(n)
     a = FockElement.monomial((3, 1), n, Fraction(2, 3))
     b = FockElement.monomial((2, 2), n, 5)
-    assert cup(unit, a + b, n) == a + b
-    left = cup(a + b, b, n)
-    assert left == cup(a, b, n) + cup(b, b, n)
+    a_plus_b = fock_add(a, b)
+    assert cup(unit, a_plus_b, n) == a_plus_b
+    left = cup(a_plus_b, b, n)
+    assert left == fock_add(cup(a, b, n), cup(b, b, n))
 
 
 def test_cup_guards():
@@ -290,19 +291,90 @@ def test_cup_matches_class_sum_oracle_samples():
         assert cup_basis(lam, mu) == cup_nilpotent(lam, mu)
 
 
-def reference_cup_nilpotent(nu, nu2):
-    """The nilpotent route built directly in the pair ring, as before the
-    factors' power tables: both F = f(-x) from their parametric g, one
-    lagrange_g of the product, every weight expanded, and each term's
-    multilinear coefficient read off; a nonzero one below weight n raises."""
+# The nilpotent route as it was before the closed-form factor tables: F =
+# f(-x) from its defining equation, on lists of ParamPoly with a test-local
+# convolution and nilpotent inverse, and the Lagrange power loop on the
+# product F1 F2 in the pair ring.  It uses neither `_factor_powers` nor the
+# library Lagrange solver.
+
+
+def convolve_params(a, b, n):
+    """Test-local coefficients 0..n of the product of two ParamPoly lists."""
+    out = []
+    for k in range(n + 1):
+        acc = a[0] * 0
+        for i in range(k + 1):
+            acc = add(acc, a[i] * b[k - i])
+        out.append(acc)
+    return out
+
+
+def inverse_params(s):
+    """Test-local inverse of a ParamPoly list whose constant term is a
+    rational unit plus a nilpotent part."""
+    inv0 = invert(s[0])
+    out = [inv0]
+    for k in range(1, len(s)):
+        acc = inv0 * 0
+        for j in range(1, k + 1):
+            acc = add(acc, s[j] * out[k - j])
+        out.append(neg(acc * inv0))
+    return out
+
+
+def reference_f_minus(context, prefix, mults, n):
+    """Coefficients 0..n-1 of F = f(-x) for g = t + sum_k rho_k t^k, rho_k
+    the parameter prefix + k of `context`, from dg/dt (x/F) = F, that is
+    F = 1 + sum_k k rho_k (x/F)^(k-1).  Each round of the fixed-point
+    iteration fixes one more coefficient."""
+    one = ParamPoly.constant(context, 1)
+    F = [one] + [one * 0] * (n - 1)
+    for _ in range(n):
+        w = [one * 0] + inverse_params(F)[: n - 1]  # x/F
+        new = [one] + [one * 0] * (n - 1)
+        for k in mults:
+            term = [one] + [one * 0] * (n - 1)
+            for _ in range(k - 1):
+                term = convolve_params(term, w, n - 1)
+            rho = parameter(context, f"{prefix}{k}") * k
+            new = [add(x, rho * y) for x, y in zip(new, term)]
+        F = new
+    return F
+
+
+def reference_powers(F, n):
+    """Rows 0..m-1 of F^m, m = 1..n."""
+    one = ParamPoly.constant(F[0].context, 1)
+    rows, power = [], [one] + [one * 0] * (n - 1)
+    for m in range(1, n + 1):
+        power = convolve_params(power, F, n - 1)
+        rows.append(power[:m])
+    return rows
+
+
+def reference_pair_exponent(nu, nu2):
+    """h_m = [x^(m-1)] (F1 F2)^m / m^2 in the pair ring, with both F from
+    their defining equations; also returns F1 and F2."""
     n = weight(nu)
     m1, m2 = multiplicities(nu), multiplicities(nu2)
     names = tuple(f"a{k}" for k in sorted(m1)) + tuple(f"b{k}" for k in sorted(m2))
     bounds = tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2))
     ring = ParamRing(ParamContext(names, bounds))
-    F1 = _f_minus_from_g(_parametric_g(ring, "a", m1, n))
-    F2 = _f_minus_from_g(_parametric_g(ring, "b", m2, n))
-    expansion = exp_linear(lagrange_g(F1 * F2, n), n)
+    F1 = reference_f_minus(ring.context, "a", m1, n)
+    F2 = reference_f_minus(ring.context, "b", m2, n)
+    rows = reference_powers(convolve_params(F1, F2, n - 1), n)
+    h = [ring.zero] + [row[-1] * Fraction(1, m * m) for m, row in enumerate(rows, 1)]
+    return TruncatedSeries(ring, n, h), F1, F2
+
+
+def reference_cup_nilpotent(nu, nu2):
+    """The nilpotent route built directly in the pair ring, as before the
+    factors' power tables: every weight expanded, and each term's
+    multilinear coefficient read off; a nonzero one below weight n raises."""
+    n = weight(nu)
+    h = reference_pair_exponent(nu, nu2)[0]
+    bounds = h.ring.context.bounds
+    expansion = exp_linear(h, n)
     scale = 1
     for m in bounds:
         scale *= factorial(m)
@@ -317,6 +389,21 @@ def reference_cup_nilpotent(nu, nu2):
     return FockElement(QQ, n, out)
 
 
+def test_factor_powers_match_defining_equation_route():
+    factors = 0
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n):
+            mults = tuple(sorted(multiplicities(lam).items()))
+            table = _factor_powers(mults, n)
+            context = table[0][0].context
+            assert context == ParamContext(tuple(f"r{k}" for k, _ in mults),
+                                           tuple(c for _, c in mults))
+            F = reference_f_minus(context, "r", dict(mults), n)
+            assert [list(row) for row in table] == reference_powers(F, n), lam
+            factors += 1
+    assert factors == 29
+
+
 def _pairs(max_n):
     for n in range(1, max_n + 1):
         yield from combinations_with_replacement(enumerate_partitions(n), 2)
@@ -324,8 +411,59 @@ def _pairs(max_n):
 
 def test_cup_nilpotent_matches_pair_ring_route():
     for nu, nu2 in _pairs(6):
-        assert cup_nilpotent(nu, nu2) == reference_cup_nilpotent(nu, nu2), (nu, nu2)
-        assert cup_nilpotent(nu2, nu) == reference_cup_nilpotent(nu, nu2), (nu2, nu)
+        expected = reference_cup_nilpotent(nu, nu2)
+        assert cup_nilpotent(nu, nu2) == expected, (nu, nu2)
+        assert cup_nilpotent(nu2, nu) == expected, (nu2, nu)
+
+
+def test_nilpotent_oracle_reads_no_character_table(monkeypatch):
+    """cup_nilpotent stays an independent oracle: with the Murnaghan-Nakayama
+    recursion, chi_mn and cup_basis all raising, in the modules that define
+    them and in `hilbert`, which imports them, it still gives every product
+    of rank <= 5, its factor tables built afresh."""
+    pairs = list(_pairs(5))
+    expected = [cup_basis(nu, nu2) for nu, nu2 in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("the nilpotent oracle read the character table")
+
+    for module, name in ((partitions, "_mn"), (partitions, "chi_mn"), (hilbert, "_mn"),
+                         (hilbert, "chi_mn"), (hilbert, "cup_basis"),
+                         (hilbert, "_cup_basis_cached")):
+        monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError):
+        partitions.chi_mn((2, 1), (3,))
+    _factor_powers.cache_clear()
+    for (nu, nu2), product in zip(pairs, expected):
+        assert cup_nilpotent(nu, nu2) == product, (nu, nu2)
+        assert cup_nilpotent(nu2, nu) == product, (nu2, nu)
+
+
+def test_pair_exponent_sums_over_the_lcm_of_denominators(monkeypatch):
+    """F has integer coefficients in the parameters, so every real table
+    entry has denominator 1; tables scaled by 1/(i + 2) at entry i give
+    the Cauchy products unequal denominators."""
+    real = _factor_powers
+
+    def scaled(mults, n):
+        return tuple(tuple(c * Fraction(1, i + 2) for i, c in enumerate(row))
+                     for row in real(mults, n))
+
+    monkeypatch.setattr(hilbert, "_factor_powers", scaled)
+    for nu, nu2 in (((2, 1, 1), (3, 1)), ((2, 2, 1), (3, 1, 1)), ((3, 1, 1), (2, 1, 1, 1))):
+        n = weight(nu)
+        h = _pair_exponent(nu, nu2)
+        context = h.ring.context
+        m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
+        shift = context.shifts[len(m1)]
+        dens = set()
+        for m, (row1, row2) in enumerate(zip(scaled(m1, n), scaled(m2, n)), 1):
+            expected = h.ring.zero
+            for c1, c2 in zip(row1, reversed(row2)):
+                expected = add(expected, c1.embed(context, 0) * c2.embed(context, shift))
+                dens.add(c1.den * c2.den)
+            assert h.coeffs[m] == expected * Fraction(1, m * m), (nu, nu2, m)
+        assert len(dens) > 2
 
 
 def test_nilpotent_route_vanishes_below_weight_n():
@@ -346,18 +484,15 @@ def test_factor_powers_embed_into_the_pair_ring():
     for nu, nu2 in pairs:
         n = weight(nu)
         h = _pair_exponent(nu, nu2)
-        ring, context = h.ring, h.ring.context
+        context = h.ring.context
+        expected, F1, F2 = reference_pair_exponent(nu, nu2)
+        assert h == expected
         m1, m2 = multiplicities(nu), multiplicities(nu2)
-        F1 = _f_minus_from_g(_parametric_g(ring, "a", m1, n))
-        F2 = _f_minus_from_g(_parametric_g(ring, "b", m2, n))
-        assert h == lagrange_g(F1 * F2, n)
         shift = context.shifts[len(m1)]
         for F, mults, at in ((F1, m1, 0), (F2, m2, shift)):
             table = _factor_powers(tuple(sorted(mults.items())), n)
-            power = TruncatedSeries.one(n - 1, ring)
-            for m, row in enumerate(table, 1):
-                power = power * F
-                assert [c.embed(context, at) for c in row] == list(power.coeffs[:m])
+            for row, power in zip(table, reference_powers(F, n)):
+                assert [c.embed(context, at) for c in row] == power
         b_top = _factor_powers(tuple(sorted(m2.items())), n)[-1][-1]
         late = context.shifts[len(m1) + 1]
         for bad in (shift + 1, shift - 1, late):

@@ -1,17 +1,17 @@
-"""Tests for truncated power series: ring operations, `exp`, reversion and
-the Lagrange solver.
+"""Tests for truncated power series: the product, `exp`, the Lagrange
+solver, and reversion through it.
 
-Sums, scalar multiples, argument scaling, composition, differentiation, the
-rational inverse, `log` and the unit square root are test-local references
-here; no command needs them.  Commands reach `revert` and `inverse` only
-over a parameter ring, so the rational tests run them over a ring with no
-parameters (`via_params`).  Reversion is checked by round trips through
-`compose` and against a test-local copy of the classical coefficient
-formula, and the Lagrange solver against its defining functional equation
-(through `compose`), a test-local iterated-derivative route, and the
-`Fraction` power loop it replaced (`reference_lagrange_g`).
-The acceptance gate and the other test modules import these helpers from
-this module.
+Sums, scalar multiples, argument scaling, composition, differentiation,
+`x d/dx`, the inverse, reversion, `log` and the unit square root are
+test-local references here; no command needs them.  `revert` is the
+library `lagrange_g` followed by `t d/dt`, over QQ, with the test-local
+`inverse`.  Reversion is checked by round trips through `compose` and
+against a test-local copy of the classical coefficient formula, and the
+Lagrange solver against its defining functional equation (through
+`compose`), a test-local iterated-derivative route, and the `Fraction`
+power loop it replaced (`reference_lagrange_g`).  The product and the
+Lagrange solver are rational only.  The acceptance gate and the other test
+modules import these helpers from this module.
 """
 
 from fractions import Fraction
@@ -26,8 +26,6 @@ from hilbclass.hilbert import builtin_f
 from hilbclass.series import TruncatedSeries, _convolve, lagrange_g
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-
-NO_PARAMS = ParamRing(ParamContext((), ()))
 
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -76,16 +74,21 @@ def sqrt_unit(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(QQ, s.order, out)
 
 
-def via_params(method, s: TruncatedSeries) -> TruncatedSeries:
-    """The library `method` applied to the rational series s over a
-    parameter ring with no parameters, read back as a rational series."""
-    r = method(TruncatedSeries.from_coeffs(s.coeffs, s.order, NO_PARAMS))
-    return TruncatedSeries(QQ, r.order, [c.constant_term for c in r.coeffs])
+def x_derivative(s: TruncatedSeries) -> TruncatedSeries:
+    """Test-local x d/dx, keeping the order."""
+    return TruncatedSeries(s.ring, s.order, [a * k for k, a in enumerate(s.coeffs)])
 
 
 def revert(s: TruncatedSeries) -> TruncatedSeries:
-    """`TruncatedSeries.revert` of a rational series, through `via_params`."""
-    return via_params(TruncatedSeries.revert, s)
+    """Test-local compositional inverse of a rational series, by Lagrange
+    inversion: writing s as x/F, the inverse is t dg/dt for g = lagrange_g(F).
+    Needs constant term 0 and a nonzero linear coefficient."""
+    if s.coeffs[0] != 0:
+        raise ValueError("revert needs constant term 0")
+    if s.order < 1 or s.coeffs[1] == 0:
+        raise ValueError("revert needs a unit linear coefficient")
+    F = inverse(TruncatedSeries(QQ, s.order - 1, s.coeffs[1:]))
+    return x_derivative(lagrange_g(F, s.order))
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -137,7 +140,6 @@ def test_mixed_orders_rejected():
 
 def test_geometric_series():
     s = TruncatedSeries.from_coeffs([1, -1], 6)
-    assert via_params(TruncatedSeries.inverse, s).coeffs == (1,) * 7
     assert inverse(s).coeffs == (1,) * 7
 
 
@@ -208,22 +210,21 @@ def test_mul_matches_double_loop(pair, lists):
 
 
 def test_mul_over_param_ring():
+    """No command multiplies series over a parameter ring, and `ParamPoly`
+    has no sum: the product and the Lagrange solver reject such a series."""
     ring = ParamRing(ParamContext(("a", "b"), (2, 1)))
-    a, b = ring.parameter("a"), ring.parameter("b")
-    s = TruncatedSeries.from_coeffs([1 + a, b, 0, a * b - Fraction(1, 3)], 4, ring)
-    t = TruncatedSeries.from_coeffs([-b + 2, 0, a * a, 0, Fraction(5, 7)], 4, ring)
-    product = s * t
-    assert product.coeffs == tuple(convolve(s.coeffs, t.coeffs, ring.zero))
-    # b^2 = 0 kills the b * b term of coefficient 3
-    assert product.coeffs[3] == a * a * b + 2 * a * b + b * Fraction(1, 3) - Fraction(2, 3)
-    assert product.coeffs[4] == (1 + a) * Fraction(5, 7)
+    s = TruncatedSeries.from_coeffs([ring.one], 4, ring)
+    rational = TruncatedSeries.one(4)
+    for a, b in ((s, s), (s, rational), (rational, s)):
+        with pytest.raises(ValueError, match="only rational series multiply"):
+            a * b
+    with pytest.raises(ValueError, match="rational coefficients"):
+        lagrange_g(s, 4)
 
 
 @given(series_strategy(6, constant=1))
 def test_inverse_round_trip(s):
-    inv = via_params(TruncatedSeries.inverse, s)
-    assert s * inv == TruncatedSeries.one(6)
-    assert inv == inverse(s)
+    assert s * inverse(s) == TruncatedSeries.one(6)
 
 
 @given(series_strategy(6, constant=0))
@@ -252,7 +253,7 @@ def test_exp_anchored():
 def test_derivatives():
     s = TruncatedSeries.from_coeffs([5, 1, 3], 4)
     assert derivative(s).coeffs == (1, 6, 0, 0)
-    assert s.x_derivative().coeffs == (0, 1, 6, 0, 0)
+    assert x_derivative(s).coeffs == (0, 1, 6, 0, 0)
     assert s.negate_arg().coeffs == (5, -1, 3, 0, 0)
     assert scale_arg(s, 2).coeffs == (5, 2, 12, 0, 0)
 
@@ -316,9 +317,9 @@ def test_revert_catalan():
 
 def test_revert_requires_unit_linear():
     with pytest.raises(ValueError):
-        TruncatedSeries.from_coeffs([0, 0, 1], 4).revert()
+        revert(TruncatedSeries.from_coeffs([0, 0, 1], 4))
     with pytest.raises(ValueError):
-        TruncatedSeries.from_coeffs([1, 1], 4).revert()
+        revert(TruncatedSeries.from_coeffs([1, 1], 4))
 
 
 def reference_lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -398,7 +399,7 @@ def test_lagrange_two_routes_agree(F):
 def test_lagrange_inverse_characterization(F):
     """t dg/dt is the compositional inverse of x/F."""
     g = lagrange_g(F, 10)
-    tdg = g.x_derivative().truncate(9)
+    tdg = x_derivative(g).truncate(9)
     x_over_F = TruncatedSeries.from_coeffs([0, 1], 9) * inverse(F)
     assert revert(tdg) == x_over_F
 
