@@ -2,7 +2,7 @@
 schemes of points on the affine plane, in the creation-operator basis, plus
 the cup product of the associated cohomology rings."""
 
-from .exact import QQ, ParamContext, ParamPoly, ParamRing
+from .exact import ParamContext, ParamPoly
 from .fock import FockElement, exp_linear, hilb_unit
 from .hilbert import (
     TANGENT,

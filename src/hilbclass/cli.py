@@ -64,6 +64,9 @@ def _check_range(flag: str, value: int | None, top: int | None = None) -> None:
 
 
 def _defining_series(args, min_order: int) -> TruncatedSeries:
+    for flag, value, owner in (("--r", args.r, "cprime-pow"), ("--f", args.f, "custom")):
+        if value is not None and args.class_name != owner:
+            raise ValueError(f"{flag} applies only to class '{owner}', not '{args.class_name}'")
     if args.class_name == "custom":
         if args.f is None:
             raise ValueError("class 'custom' requires --f c0,c1,...")

@@ -1,18 +1,15 @@
 """Exact coefficient arithmetic.
 
-Scalars are arbitrary-precision rationals (`fractions.Fraction`).  On top of
-those sits :class:`ParamPoly`, a multivariate polynomial in finitely many
-formal parameters, each nilpotent of a fixed order.  Truncation by the
-nilpotency bounds happens at construction time.  `ParamPoly` carries what
-the nilpotent cup-product oracle of :mod:`hilbclass.hilbert` uses: packed
-construction, embedding into a wider context, the product and coefficient
-extraction.  It has no sum, negation or inverse; the oracle sums integer
-numerators itself.
-
-Both kinds of scalar are exposed to the series and Fock layers through
-small ring objects (:data:`QQ` and :class:`ParamRing`) that carry the zero
-and the one (and, over QQ, coercion from a rational).  All values are
-immutable; all operations are pure.
+Scalars are arbitrary-precision rationals (`fractions.Fraction`), and every
+series and Fock element has rational coefficients.  Beside them sits
+:class:`ParamPoly`, a multivariate polynomial in finitely many formal
+parameters, each nilpotent of a fixed order, for the nilpotent cup-product
+oracle of :mod:`hilbclass.hilbert` alone.  It carries what that oracle
+uses: packed construction from integer numerators, embedding into a wider
+context, the product and a truth value (a product of parameters can
+vanish).  It has no sum, negation or inverse; the oracle sums integer
+numerators itself and reads the coefficient it needs off the packed terms.
+All values are immutable; all operations are pure.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -66,20 +63,11 @@ class ParamPoly:
     """Polynomial in nilpotent parameters over the rationals: `terms` maps
     packed monomials (see `ParamContext`) to nonzero int numerators over one
     denominator `den` > 0 with gcd(den, *numerators) == 1, so equal values
-    store equal data.  Monomials over a bound are dropped; zero is {} over 1.
+    store equal data.  `_make` builds one from monomials within the bounds;
+    the product drops those over a bound.  Zero is {} over 1, and false.
     """
 
     __slots__ = ("context", "terms", "den")
-
-    def __new__(cls, context: ParamContext, terms):
-        clean = {}
-        for exps, c in terms.items():
-            key = context.pack(exps)
-            if key is not None:
-                clean[key] = Fraction(c)
-        den = lcm(*(c.denominator for c in clean.values()))
-        return cls._make(context, {k: c.numerator * (den // c.denominator)
-                                   for k, c in clean.items() if c}, den)
 
     @classmethod
     def _make(cls, context, terms, den) -> "ParamPoly":
@@ -96,11 +84,6 @@ class ParamPoly:
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
 
-    @classmethod
-    def constant(cls, context: ParamContext, value) -> "ParamPoly":
-        value = Fraction(value)
-        return cls._make(context, {0: value.numerator} if value else {}, value.denominator)
-
     def embed(self, context: ParamContext, shift: int) -> "ParamPoly":
         """This value over a larger `context`, every packed monomial shifted
         left by `shift` bits.  The target must repeat this context's fields,
@@ -112,8 +95,8 @@ class ParamPoly:
         return ParamPoly._make(context, {k << shift: c for k, c in self.terms.items()},
                                self.den)
 
-    def coefficient(self, exps) -> Fraction:
-        return Fraction(self.terms.get(self.context.pack(exps), 0), self.den)
+    def __bool__(self):
+        return bool(self.terms)
 
     def __mul__(self, other):
         if not isinstance(other, ParamPoly):
@@ -147,7 +130,8 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = ParamPoly.constant(self.context, other)
+            other = ParamPoly._make(self.context, {0: other.numerator} if other else {},
+                                    other.denominator)
         return (self.context, self.den, self.terms) == (other.context, other.den, other.terms)
 
     __hash__ = None
@@ -168,40 +152,10 @@ class ParamPoly:
 
 
 class RationalField:
-    """Ring object for plain rational coefficients."""
+    """The rational field, kept as the `ring` class attribute of `TruncatedSeries`."""
 
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_rational(self, a) -> Fraction:
-        return Fraction(a)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash(RationalField)
-
-    def __repr__(self):
-        return "QQ"
-
 
 QQ = RationalField()
-
-
-class ParamRing:
-    """Ring object for `ParamPoly` coefficients over a fixed context."""
-
-    def __init__(self, context: ParamContext):
-        self.context = context
-        self.zero = ParamPoly(context, {})
-        self.one = ParamPoly.constant(context, 1)
-
-    def __eq__(self, other):
-        return isinstance(other, ParamRing) and self.context == other.context
-
-    def __hash__(self):
-        return hash((ParamRing, self.context))
-
-    def __repr__(self):
-        return f"ParamRing({self.context.names})"

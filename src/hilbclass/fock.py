@@ -6,8 +6,13 @@ partitions of weight at most a fixed bound N.  The weight-n piece models the
 cohomology of the Hilbert scheme of n points on the affine plane; the
 algebraic degree of q_lambda is weight(lambda) - length(lambda).  Terms are
 kept in output order, by weight and then reverse-lexicographically, so a
-writer iterates them as stored.  The cup product of such elements lives in
-:mod:`hilbclass.hilbert`.
+writer iterates them as stored, and coefficients are rational.  The cup
+product of such elements lives in :mod:`hilbclass.hilbert`.
+
+`exp_linear` expands exp(sum_k g_k q_k) by one depth-first walk,
+`_exp_walk`, which the nilpotent cup-product oracle of
+:mod:`hilbclass.hilbert` also runs over its parameter polynomials; the
+caller says how each term's product and divisor become its coefficient.
 """
 
 from __future__ import annotations
@@ -15,23 +20,21 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exact import QQ
 from .partitions import check_partition, weight
 
 
 class FockElement:
     """sum_lambda terms[lambda] q_lambda, stored as given: every producer keeps
     each key a valid partition (`check_partition`) of weight at most `bound`,
-    each coefficient nonzero, and the keys in canonical order, by weight and
-    then reverse-lexicographically.  `monomial` is where hand-built terms
-    are checked."""
+    each coefficient a nonzero rational, and the keys in canonical order, by
+    weight and then reverse-lexicographically.  `monomial` is where
+    hand-built terms are checked."""
 
-    __slots__ = ("ring", "bound", "terms")
+    __slots__ = ("bound", "terms")
 
-    def __init__(self, ring, bound: int, terms):
+    def __init__(self, bound: int, terms):
         if bound < 0:
             raise ValueError("weight bound must be nonnegative")
-        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "terms", terms)
 
@@ -40,9 +43,9 @@ class FockElement:
 
     @classmethod
     def monomial(cls, parts, bound: int, coeff=1):
-        """coeff * q_parts over QQ; zero if coeff is 0 or parts is over the bound."""
+        """coeff * q_parts; zero if coeff is 0 or parts is over the bound."""
         parts, coeff = check_partition(parts), Fraction(coeff)
-        return cls(QQ, bound, {parts: coeff} if coeff and weight(parts) <= bound else {})
+        return cls(bound, {parts: coeff} if coeff and weight(parts) <= bound else {})
 
     @property
     def is_zero(self) -> bool:
@@ -51,11 +54,7 @@ class FockElement:
     def __eq__(self, other):
         if not isinstance(other, FockElement):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.bound == other.bound
-            and self.terms == other.terms
-        )
+        return self.bound == other.bound and self.terms == other.terms
 
     __hash__ = None
 
@@ -71,16 +70,10 @@ def exp_linear(g, bound: int, only: int | None = None,
     """exp(sum_k g_k q_k) applied to the vacuum, or its terms of weight `only`
     and/or algebraic degree `degree`: q_lambda gets prod_i g_{lambda_i} /
     prod_i m_i!, m_i the part multiplicities.  Requires g(0) = 0 and g
-    truncated at order >= bound.  A depth-first walk appends parts in
-    decreasing order, larger parts first, drawn from the k with g_k != 0; a
-    part k adds k - 1 to the degree, so a branch is cut once its degree
-    passes `degree`.  Each weight's terms come out reverse-lexicographically
-    and one bucket per weight orders the weights, as `FockElement` keeps
-    them.  Over QQ, with each g_k = a_k / b_k reduced, a term is one
-    Fraction(prod a_{lambda_i}, prod b_{lambda_i} prod m_i!).
+    truncated at order >= bound.  With each g_k = a_k / b_k reduced, a term
+    is one Fraction(prod a_{lambda_i}, prod b_{lambda_i} prod m_i!).
     """
-    ring = g.ring
-    if g.coeffs[0] != ring.zero:
+    if g.coeffs[0]:
         raise ValueError("exp_linear needs a series with zero constant term")
     if g.order < bound:
         raise ValueError("series truncated below the requested weight bound")
@@ -88,20 +81,31 @@ def exp_linear(g, bound: int, only: int | None = None,
         raise ValueError("the single weight must lie in 0..bound")
     if degree is not None and degree < 0:
         raise ValueError("the degree must be nonnegative")
+    nums = [c.numerator for c in g.coeffs]
+    dens = [c.denominator for c in g.coeffs]
+    return FockElement(bound, _exp_walk(nums, dens, bound, only, degree, Fraction))
+
+
+def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make) -> dict:
+    """The terms of exp(sum_k (nums[k] / dens[k]) q_k) of weight at most
+    `bound`, or exactly `only`, and of algebraic degree `degree` if given,
+    as {partition: make(product, divisor)} in canonical order: `product`
+    is prod nums[lambda_i], starting from the int 1, and `divisor` the int
+    prod dens[lambda_i] prod m_i!.  The nums may be ints or `ParamPoly`.
+
+    A depth-first walk appends parts in decreasing order, larger parts
+    first, drawn from the k with nums[k] nonzero; a part k adds k - 1 to
+    the degree, so a branch is cut once its degree passes `degree`, and
+    once its product vanishes, as a product of nilpotent parameters can.
+    Each weight's terms come out reverse-lexicographically and one bucket
+    per weight orders the weights.
+    """
     top = bound if only is None else only
     cap = top if degree is None else degree
-    coeffs = g.coeffs[: top + 1]
-    if ring == QQ:
-        nums = [c.numerator for c in coeffs]
-        dens = [c.denominator for c in coeffs]
-        zero, one, make = 0, 1, Fraction
-    else:
-        nums, dens = coeffs, [1] * (top + 1)
-        zero, one, make = ring.zero, ring.one, lambda c, d: c * Fraction(1, d)
-    support = [k for k in range(1, top + 1) if nums[k] != zero]  # increasing
+    support = [k for k in range(1, top + 1) if nums[k]]  # increasing
     buckets = [{} for _ in range(top + 1)]
     # parts, last support index allowed, weight left, degree, product, divisor, last run
-    stack = [((), len(support) - 1, top, 0, one, 1, 0)]
+    stack = [((), len(support) - 1, top, 0, 1, 1, 0)]
     while stack:
         parts, last, left, deg, c, d, run = stack.pop()
         if (only is None or left == 0) and (degree is None or deg == degree):
@@ -112,9 +116,9 @@ def exp_linear(g, bound: int, only: int | None = None,
                 break
             m = run + 1 if i == last else 1
             ck = c * nums[k]
-            if ck != zero:  # a product of nilpotent parameters can vanish
+            if ck:
                 stack.append((parts + (k,), i, left - k, deg + k - 1, ck, d * dens[k] * m, m))
-    return FockElement(ring, bound, {p: c for bucket in buckets for p, c in bucket.items()})
+    return {p: c for bucket in buckets for p, c in bucket.items()}
 
 
 def hilb_unit(n: int) -> FockElement:

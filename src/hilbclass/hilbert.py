@@ -36,9 +36,13 @@ table.  Each factor's F = f(-x) depends only on its part multiplicities
 and n, and the coefficients 0..m-1 of F^m have a closed form by
 Lagrange-Buermann inversion (Stanley, EC2 5.4; Gessel, "Lagrange
 inversion", JCTA 144, 2016), tabulated once per factor over its own
-parameters with no series reversion.  A pair embeds both tables in its
-parameter ring and reads the exponent series h_m = [x^(m-1)] (F1 F2)^m / m^2
-off their Cauchy sum, one sum of integer numerators per h_m.
+parameters with no series reversion.  A pair embeds both tables in the
+context of both factors' parameters and reads the exponent series
+h_m = [x^(m-1)] (F1 F2)^m / m^2 off their Cauchy sum, one sum of integer
+numerators per h_m, as a plain list of `ParamPoly`.  The class expansion's
+own walk, `fock._exp_walk`, then runs over that list and keeps each term's
+multilinear coefficient alone, so no series or Fock element ever holds a
+parameter polynomial.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm, prod
 
-from .exact import QQ, ParamContext, ParamPoly, ParamRing
-from .fock import FockElement, exp_linear
+from .exact import ParamContext, ParamPoly
+from .fock import FockElement, _exp_walk, exp_linear
 from .partitions import (
     _mn,
     check_partition,
@@ -84,7 +88,7 @@ class ClassSpec:
 
 
 def _require_unit_one(f: TruncatedSeries):
-    if f.coeffs[0] != f.ring.one:
+    if f.coeffs[0] != 1:
         raise ValueError("the defining series must have constant term 1")
 
 
@@ -119,7 +123,7 @@ def sqrt_todd_f(order: int) -> TruncatedSeries:
         coeffs[1] = Fraction(1, 4)
     for k in range(1, order // 2 + 1):
         coeffs[2 * k] = -b[2 * k] / (4 * k * factorial(2 * k))
-    return TruncatedSeries(QQ, order, coeffs).exp()
+    return TruncatedSeries(order, coeffs).exp()
 
 
 def cprime_pow_f(r, order: int) -> TruncatedSeries:
@@ -128,7 +132,7 @@ def cprime_pow_f(r, order: int) -> TruncatedSeries:
     coeffs = [Fraction(1)]
     for k in range(1, order + 1):
         coeffs.append(coeffs[-1] * (r - k + 1) / k)
-    return TruncatedSeries(QQ, order, coeffs)
+    return TruncatedSeries(order, coeffs)
 
 
 def builtin_f(name: str, order: int, r=None) -> TruncatedSeries:
@@ -252,7 +256,7 @@ def p_n_series(f: TruncatedSeries, n: int, order: int) -> TruncatedSeries:
         weight_s = (-1) ** s * comb(n, s)
         total = [t + weight_s * p for t, p in zip(total, prod)]
     scale = factorial(n) * den ** (n + 1)
-    return TruncatedSeries(QQ, order, [Fraction(t, scale) for t in total])
+    return TruncatedSeries(order, [Fraction(t, scale) for t in total])
 
 
 # -- cup product in the class algebra of the symmetric group -------------
@@ -262,9 +266,8 @@ def p_n_series(f: TruncatedSeries, n: int, order: int) -> TruncatedSeries:
 def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
     n = weight(nu)
     length = len(nu) + len(nu2) - n  # degree additivity fixes the length
-    shapes = [(chi, _mn(chi, nu) * _mn(chi, nu2) * hook_product(chi))
-              for chi in enumerate_partitions(n)]
-    shapes = [(chi, w) for chi, w in shapes if w]
+    shapes = [(chi, w * hook_product(chi)) for chi in enumerate_partitions(n)
+              if (w := _mn(chi, nu) * _mn(chi, nu2))]
     out = {}
     for rho in enumerate_partitions(n):
         if len(rho) != length:
@@ -272,7 +275,7 @@ def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
         total = sum(w * _mn(chi, rho) for chi, w in shapes)
         if total:
             out[rho] = Fraction(total, z_of(rho))
-    return FockElement(QQ, n, out)
+    return FockElement(n, out)
 
 
 def _same_rank_pair(nu, nu2) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -309,8 +312,6 @@ def cup_basis(nu, nu2) -> FockElement:
 def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
     """Bilinear extension of cup_basis to elements supported in weight n."""
     for elem in (a, b):
-        if elem.ring != QQ:
-            raise ValueError("cup needs rational coefficients")
         if any(weight(p) != n for p in elem.terms):
             raise ValueError(f"element has support outside weight {n}")
     out = {}
@@ -320,7 +321,7 @@ def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
             for p, v in cup_basis(p1, p2).terms.items():
                 out[p] = out.get(p, 0) + c * v
     # one weight, so the canonical order is reverse-lexicographic
-    return FockElement(QQ, n, {p: out[p] for p in sorted(out, reverse=True) if out[p]})
+    return FockElement(n, {p: out[p] for p in sorted(out, reverse=True) if out[p]})
 
 
 # -- oracle: cup product via nilpotent parameters -------------------------
@@ -330,7 +331,7 @@ def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
 def _factor_powers(mults: tuple[tuple[int, int], ...], n: int):
     """Coefficients 0..m-1 of F^m, m = 1..n, for the F = f(-x) of the
     universal class with part multiplicities `mults` (sorted (part, count)
-    pairs), over a ring holding only this factor's parameters rho_k.
+    pairs), over a context holding only this factor's parameters rho_k.
 
     x/F is the compositional inverse of t + sum_k k rho_k t^k, so by
     Lagrange-Buermann inversion, for 0 <= i < m,
@@ -358,21 +359,20 @@ def _factor_powers(mults: tuple[tuple[int, int], ...], n: int):
         for m in range(1, n + 1))
 
 
-def _pair_exponent(nu, nu2) -> TruncatedSeries:
-    """h = lagrange_g(F1 F2, n) for the universal classes of q_nu and q_nu2,
-    over the ring of both factors' parameters: [x^(m-1)] (F1 F2)^m is the
-    Cauchy sum of [x^i] F1^m [x^(m-1-i)] F2^m, read from the factors'
-    power tables embedded in that ring, skipping products with a zero
-    factor.  The two factors' fields are disjoint, so no product exceeds a
-    bound; each h_m is one sum of integer numerators over the lcm of the
-    products' denominators."""
+def _pair_exponent(nu, nu2) -> tuple[ParamContext, list[ParamPoly]]:
+    """The context of both factors' parameters and h_1..h_n, h =
+    lagrange_g(F1 F2, n) for the universal classes of q_nu and q_nu2:
+    [x^(m-1)] (F1 F2)^m is the Cauchy sum of [x^i] F1^m [x^(m-1-i)] F2^m,
+    read from the factors' power tables embedded in that context, skipping
+    products with a zero factor.  The two factors' fields are disjoint, so
+    no product exceeds a bound; each h_m is one sum of integer numerators
+    over the lcm of the products' denominators."""
     n = weight(nu)
     m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
     context = ParamContext(tuple(f"a{k}" for k, _ in m1) + tuple(f"b{k}" for k, _ in m2),
                            tuple(c for _, c in m1 + m2))
-    ring = ParamRing(context)
     shift = context.shifts[len(m1)]  # the a fields come first, at shift 0
-    h = [ring.zero]
+    h = []
     for m, (row1, row2) in enumerate(zip(_factor_powers(m1, n), _factor_powers(m2, n)), 1):
         pairs = [(c1.embed(context, 0), c2.embed(context, shift))
                  for c1, c2 in zip(row1, reversed(row2)) if c1.terms and c2.terms]
@@ -386,24 +386,7 @@ def _pair_exponent(nu, nu2) -> TruncatedSeries:
                 for k2, b in b_terms:
                     total[k1 + k2] = get(k1 + k2, 0) + a * b
         h.append(ParamPoly._make(context, {k: c for k, c in total.items() if c}, den * m * m))
-    return TruncatedSeries(ring, n, h)
-
-
-def _multilinear_part(expansion: FockElement) -> dict:
-    """Each term's coefficient at the top parameter monomial (every exponent
-    at its bound b), times prod b!: a parameter of bound b stands for b
-    parts of one size, so this is the coefficient multilinear in the parts
-    of both factors.  Terms where it vanishes are dropped."""
-    bounds = expansion.ring.context.bounds
-    scale = 1
-    for b in bounds:
-        scale *= factorial(b)
-    out = {}
-    for parts, coeff in expansion.terms.items():
-        c = coeff.coefficient(bounds) * scale
-        if c:
-            out[parts] = c
-    return out
+    return context, h
 
 
 def cup_nilpotent(nu, nu2) -> FockElement:
@@ -411,8 +394,20 @@ def cup_nilpotent(nu, nu2) -> FockElement:
     exp(sum (t-shifted parameter series) q_k) of each factor, multiply the
     two through the tautological Lagrange formula, and extract the
     coefficient multilinear in the parameters of both factors from the
-    weight-n piece.  Each factor's power table is cached (keyed by its part
-    multiplicities and n); a pair is never cached."""
+    weight-n piece.  A parameter of bound b stands for b parts of one size,
+    so that coefficient is the one at the top monomial (every exponent at
+    its bound) times prod b!; `_exp_walk` reads it off each term of its
+    walk over h, and terms where it vanishes are dropped.  Each factor's
+    power table is cached (keyed by its part multiplicities and n); a pair
+    is never cached."""
     nu, nu2 = _same_rank_pair(nu, nu2)
     n = weight(nu)
-    return FockElement(QQ, n, _multilinear_part(exp_linear(_pair_exponent(nu, nu2), n, n)))
+    context, h = _pair_exponent(nu, nu2)
+    top = context.pack(context.bounds)
+    scale = prod(factorial(b) for b in context.bounds)
+
+    def multilinear(c, d):
+        return Fraction(c.terms.get(top, 0) * scale, c.den * d)
+
+    terms = _exp_walk([0, *h], [1] * (n + 1), n, n, None, multilinear)
+    return FockElement(n, {p: c for p, c in terms.items() if c})

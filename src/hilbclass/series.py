@@ -1,19 +1,16 @@
-"""Truncated univariate formal power series over an exact coefficient ring.
+"""Truncated univariate formal power series over the rationals.
 
-A series carries an explicit truncation order N and a dense coefficient
-tuple of length N + 1; every operation is exact to order N.  Operations on
+A series carries an explicit truncation order N and a dense tuple of N + 1
+rational coefficients; every operation is exact to order N.  Operations on
 series of different orders are rejected rather than silently truncated
 (use :meth:`TruncatedSeries.truncate` to change order explicitly).
 
-The coefficient ring is :data:`hilbclass.exact.QQ`, except for the one
-series over a :class:`hilbclass.exact.ParamRing` that the nilpotent
-cup-product oracle hands to `exp_linear` as a container; the product and
-the Lagrange solver reject it.  The operations are the ones some command
-reaches: the product, `x -> -x`, `exp` (the square-root-of-Todd defining
-series) and the Lagrange solver.  The built-in defining series come from
-closed forms in :mod:`hilbclass.hilbert`, with no `log`, inverse or square
-root, and the oracle's factor tables from a closed form there too, with no
-reversion.
+The operations are the ones some command reaches: the product, `x -> -x`,
+`exp` (the square-root-of-Todd defining series) and the Lagrange solver.
+The built-in defining series come from closed forms in
+:mod:`hilbclass.hilbert`, with no `log`, inverse or square root, and the
+nilpotent oracle's factor tables from a closed form there too, with no
+reversion and no series over its parameters.
 
 Every truncated product in the library goes through one convolution,
 `_convolve`: the series product, the Lagrange solver's power loop and the
@@ -33,9 +30,10 @@ from .exact import QQ
 
 
 class TruncatedSeries:
-    __slots__ = ("ring", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
+    ring = QQ  # read only by the series.mul counter of bench/tracer.py
 
-    def __init__(self, ring, order: int, coeffs):
+    def __init__(self, order: int, coeffs):
         coeffs = tuple(coeffs)
         if order < 0:
             raise ValueError("order must be nonnegative")
@@ -43,7 +41,6 @@ class TruncatedSeries:
             raise ValueError(
                 f"need {order + 1} coefficients for order {order}, got {len(coeffs)}"
             )
-        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -53,26 +50,22 @@ class TruncatedSeries:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs, order: int, ring=QQ):
-        """Build from leading coefficients, zero-padded up to `order`."""
-        coeffs = [ring.from_rational(c) if isinstance(c, (int, Fraction)) else c
-                  for c in coeffs]
+    def from_coeffs(cls, coeffs, order: int):
+        """Build from leading rational coefficients, zero-padded up to `order`."""
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the requested order admits")
-        coeffs = coeffs + [ring.zero] * (order + 1 - len(coeffs))
-        return cls(ring, order, coeffs)
+        return cls(order, coeffs + [Fraction(0)] * (order + 1 - len(coeffs)))
 
     @classmethod
-    def one(cls, order: int, ring=QQ):
-        return cls.from_coeffs([1], order, ring)
+    def one(cls, order: int):
+        return cls.from_coeffs([1], order)
 
     # -- basics -----------------------------------------------------------
 
     def _check_compatible(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
-        if self.ring != QQ or other.ring != QQ:
-            raise ValueError("only rational series multiply")
         if self.order != other.order:
             raise ValueError(
                 f"mismatched truncation orders {self.order} != {other.order}"
@@ -81,11 +74,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.order == other.order
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self.order == other.order and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -96,7 +85,7 @@ class TruncatedSeries:
         """Explicitly lower the truncation order."""
         if order > self.order:
             raise ValueError("cannot raise the truncation order")
-        return TruncatedSeries(self.ring, order, self.coeffs[: order + 1])
+        return TruncatedSeries(order, self.coeffs[: order + 1])
 
     def __mul__(self, other):
         """Truncated product, through `_convolve`: both operands enter as
@@ -108,38 +97,34 @@ class TruncatedSeries:
         den_a, a = _integer_numerators(self.coeffs)
         den_b, b = _integer_numerators(other.coeffs)
         den = den_a * den_b
-        return TruncatedSeries(QQ, n, [Fraction(c, den) for c in _convolve(a, b, n)])
+        return TruncatedSeries(n, [Fraction(c, den) for c in _convolve(a, b, n)])
 
     def negate_arg(self) -> "TruncatedSeries":
         """Substitute x -> -x."""
         return TruncatedSeries(
-            self.ring, self.order,
-            [a if k % 2 == 0 else -a for k, a in enumerate(self.coeffs)],
+            self.order, [a if k % 2 == 0 else -a for k, a in enumerate(self.coeffs)]
         )
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with constant term 0, by n e_n = sum_j j a_j e_(n-j)
         over the nonzero a_j."""
-        ring = self.ring
-        if self.coeffs[0] != ring.zero:
+        if self.coeffs[0]:
             raise ValueError("exp needs constant term 0")
-        terms = [(j, a * j) for j, a in enumerate(self.coeffs) if a != ring.zero]
-        out = [ring.one] + [ring.zero] * self.order
+        terms = [(j, a * j) for j, a in enumerate(self.coeffs) if a]
+        out = [Fraction(1)] + [Fraction(0)] * self.order
         for n in range(1, self.order + 1):
-            acc = ring.zero
+            acc = Fraction(0)
             for j, ja in terms:
                 if j > n:
                     break
                 acc = acc + ja * out[n - j]
             out[n] = acc * Fraction(1, n)
-        return TruncatedSeries(ring, self.order, out)
+        return TruncatedSeries(self.order, out)
 
     # -- serialization ----------------------------------------------------
 
     def to_strings(self) -> list[str]:
-        """JSON form: coefficient strings indexed by exponent (QQ only)."""
-        if self.ring != QQ:
-            raise ValueError("only rational-coefficient series serialize")
+        """JSON form: coefficient strings indexed by exponent."""
         return [str(c) for c in self.coeffs]
 
 
@@ -180,15 +165,15 @@ def lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
     their gcd.  Without that, numerators and `den` keep every factor d^m
     that the reduced coefficients cancel, and the big-int products swamp
     the loop (sqrt-Todd, tautological, order 61: 0.04 s with the gcd,
-    0.59 s without).  F must have rational coefficients.
+    0.59 s without).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     work = max(order - 1, 0)
     if F.order < work:
         raise ValueError("F is truncated too low for the requested order")
-    if F.ring != QQ or F.coeffs[0] == 0:
-        raise ValueError("lagrange_g needs rational coefficients and a unit constant term")
+    if F.coeffs[0] == 0:
+        raise ValueError("lagrange_g needs a unit constant term")
     den_f, f = _integer_numerators(F.truncate(work).coeffs)
     out = [Fraction(0)] * (order + 1)
     power, den = [1], 1
@@ -200,4 +185,4 @@ def lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
             den //= common
             power = [c // common for c in power]
         out[m] = power[m - 1] * Fraction(1, den * m * m)
-    return TruncatedSeries(QQ, order, out)
+    return TruncatedSeries(order, out)

@@ -9,14 +9,13 @@ examples` that fails, the sqrt-Todd closed form quoted in the source,
 1/(4^n (2n+1) (2n+1)!), which does not solve the defining equation; the
 test records why.  Criterion 7 has no suite of its own; it uses the
 test-local `compose`, `inverse`, `x_derivative` and `revert` of
-`test_series`; `revert` runs the library Lagrange solver over QQ.
+`test_series`; `revert` runs the library Lagrange solver.
 """
 
 import random
 import sys
 from functools import cache
 
-from hilbclass.exact import QQ
 from hilbclass.hilbert import oracle_top_tangent, sqrt_todd_f, tangent_g
 from hilbclass.series import TruncatedSeries, lagrange_g
 from hilbclass.verify import SUITES, Check, random_unit_series
@@ -118,9 +117,7 @@ def test_criterion_07_lagrange_inversion():
         F = random_unit_series(rng, 14)
         g = lagrange_g(F, 14)
         x_over_F = (x * inverse(F)).truncate(13)
-        dg = TruncatedSeries(
-            QQ, 13, [g.coeffs[k + 1] * (k + 1) for k in range(14)]
-        )
+        dg = TruncatedSeries(13, [g.coeffs[k + 1] * (k + 1) for k in range(14)])
         ok = ok and compose(dg, x_over_F) == F.truncate(13)
         # revert round trips on t dg/dt, whose linear coefficient is a unit
         tdg = x_derivative(g)

@@ -242,3 +242,22 @@ def test_range_errors_name_the_flag(capsys, argv, named):
     assert captured.out == ""
     assert named in captured.err
     assert argv[-1] in captured.err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["gseries", "custom", "tangent", "--f", "1", "--r", "2"],
+     "--r applies only to class 'cprime-pow', not 'custom'"),
+    (["gseries", "chern", "tautological", "--r=-1/2"],
+     "--r applies only to class 'cprime-pow', not 'chern'"),
+    (["class", "sqrt-todd", "tangent", "--weight", "3", "--r", "1"],
+     "--r applies only to class 'cprime-pow', not 'sqrt-todd'"),
+    (["gseries", "cprime-pow", "tangent", "--r", "2", "--f", "1,1"],
+     "--f applies only to class 'custom', not 'cprime-pow'"),
+    (["class", "segre", "tautological", "--f", "1,1"],
+     "--f applies only to class 'custom', not 'segre'"),
+], ids=["r-custom", "r-chern", "r-class", "f-cprime-pow", "f-class"])
+def test_flag_of_another_class_is_rejected(capsys, argv, named):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err

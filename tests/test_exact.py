@@ -1,11 +1,13 @@
-"""Tests for the exact coefficient layer: rationals and nilpotent-parameter
-polynomials.
+"""Tests for the exact coefficient layer: nilpotent-parameter polynomials.
 
-No command adds, negates or inverts a `ParamPoly`, or builds one parameter
-alone, so `parameter`, `add`, `neg`, `sub`, `constant_term` and `invert`
-are test-local here, on the packed representation, and the packed-kernel
-test checks them against the tuple-keyed references.  The other test
-modules import them from this module.
+The library builds a `ParamPoly` only from packed integer numerators
+(`ParamPoly._make`), and no command adds, negates or inverts one, builds
+one from exponent tuples, a rational or one parameter alone, or reads one
+coefficient by its exponents.  So `poly`, `constant`, `parameter`,
+`coefficient`, `add`, `neg`, `sub`, `constant_term` and `invert` are
+test-local here, on the packed representation, and the packed-kernel test
+checks them against the tuple-keyed references.  The other test modules
+import them from this module.
 """
 
 from fractions import Fraction
@@ -15,28 +17,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbclass.exact import (
-    QQ,
-    ParamContext,
-    ParamPoly,
-    ParamRing,
-)
+from hilbclass.exact import QQ, ParamContext, ParamPoly
+from hilbclass.series import TruncatedSeries
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
 
 
+def poly(context: ParamContext, terms) -> ParamPoly:
+    """Test-local: the value with rational coefficients `terms`, keyed by
+    exponent vectors; monomials over a bound are dropped."""
+    clean = {}
+    for exps, c in terms.items():
+        key = context.pack(exps)
+        if key is not None:
+            clean[key] = Fraction(c)
+    den = lcm(*(c.denominator for c in clean.values()))
+    return ParamPoly._make(context, {k: c.numerator * (den // c.denominator)
+                                     for k, c in clean.items() if c}, den)
+
+
+def constant(context: ParamContext, value) -> ParamPoly:
+    """Test-local: the rational `value` as a value of `context`."""
+    value = Fraction(value)
+    return ParamPoly._make(context, {0: value.numerator} if value else {}, value.denominator)
+
+
+def coefficient(p: ParamPoly, exps) -> Fraction:
+    """Test-local: the coefficient of p at the exponent vector `exps`."""
+    return Fraction(p.terms.get(p.context.pack(exps), 0), p.den)
+
+
 def parameter(context: ParamContext, name: str) -> ParamPoly:
     """Test-local: the parameter `name` of `context`."""
-    return ParamPoly(context, {tuple(int(n == name) for n in context.names): 1})
+    return poly(context, {tuple(int(n == name) for n in context.names): 1})
 
 
 def add(a, b) -> ParamPoly:
     """Test-local sum of two values of one context, either of which may be a
     rational, stored in lowest terms."""
     context = (a if isinstance(a, ParamPoly) else b).context
-    a, b = (x if isinstance(x, ParamPoly) else ParamPoly.constant(context, x) for x in (a, b))
+    a, b = (x if isinstance(x, ParamPoly) else constant(context, x) for x in (a, b))
     if a.context != b.context:
         raise ValueError("mismatched parameter contexts")
     den = lcm(a.den, b.den)
@@ -66,8 +88,8 @@ def invert(p: ParamPoly) -> ParamPoly:
     if c == 0:
         raise ValueError("not a unit: zero rational part")
     inv_c = 1 / c
-    result = ParamPoly.constant(p.context, inv_c)
-    power = ParamPoly.constant(p.context, 1)
+    result = constant(p.context, inv_c)
+    power = constant(p.context, 1)
     step = sub(p, c) * -inv_c
     while (power := power * step).terms:
         result = add(result, power * inv_c)
@@ -84,16 +106,19 @@ def test_param_context_validation():
 
 
 CTX = ParamContext(("a", "b"), (2, 1))
-RING = ParamRing(CTX)
+ZERO, ONE = poly(CTX, {}), constant(CTX, 1)
 
 
 def test_parameter_nilpotency():
     a = parameter(CTX, "a")
     b = parameter(CTX, "b")
-    assert a * a * a == RING.zero  # bound 2: a^3 = 0
-    assert (a * a).coefficient((2, 0)) == 1
-    assert b * b == RING.zero  # bound 1: b^2 = 0
+    assert a * a * a == ZERO  # bound 2: a^3 = 0
+    assert coefficient(a * a, (2, 0)) == 1
+    assert b * b == ZERO  # bound 1: b^2 = 0
     assert (a * b).terms
+    # the truth value the class walk cuts its branches by
+    assert not a * a * a and not b * b and a * b and ONE
+    assert not ZERO and not a * 0
 
 
 def test_parampoly_arithmetic():
@@ -101,16 +126,16 @@ def test_parampoly_arithmetic():
     b = parameter(CTX, "b")
     p = sub(add(1, 2 * a), b)
     assert constant_term(p) == 1
-    assert p.coefficient((1, 0)) == 2
-    assert p.coefficient((0, 1)) == -1
-    assert p.coefficient((3, 0)) == 0  # over the bound
-    assert sub(p, p) == RING.zero
-    assert p * RING.one == p
+    assert coefficient(p, (1, 0)) == 2
+    assert coefficient(p, (0, 1)) == -1
+    assert coefficient(p, (3, 0)) == 0  # over the bound
+    assert sub(p, p) == ZERO
+    assert p * ONE == p
     q = add(1, a) * add(neg(a), 1)
     assert q == add(neg(a * a), 1)
     assert repr(p) == "ParamPoly(1 + -1*b + 2*a)"
     assert repr(add(a * a * b * Fraction(-3, 7), Fraction(1, 2))) == "ParamPoly(1/2 + -3/7*a^2*b)"
-    assert repr(RING.zero) == "ParamPoly(0)"
+    assert repr(ZERO) == "ParamPoly(0)"
 
 
 def test_parampoly_context_mismatch():
@@ -143,8 +168,8 @@ def test_invert_simple():
     p = add(1, a)
     inv = invert(p)
     # geometric series truncated by nilpotency: 1 - a + a^2
-    assert inv == add(sub(RING.one, a), a * a)
-    assert p * inv == RING.one
+    assert inv == add(sub(ONE, a), a * a)
+    assert p * inv == ONE
 
 
 def test_invert_requires_unit():
@@ -167,18 +192,16 @@ def test_invert_requires_unit():
 def test_invert_random(terms, const):
     # Only the nonzero const feeds the constant term, so p is always a unit;
     # test_invert_requires_unit covers the non-unit case.
-    p = add(ParamPoly(CTX, terms), const)
-    assert p * invert(p) == RING.one
-    assert invert(p) * p == RING.one
+    p = add(poly(CTX, terms), const)
+    assert p * invert(p) == ONE
+    assert invert(p) * p == ONE
 
 
 def test_ring_objects():
-    assert QQ.from_rational(3) == Fraction(3)
+    # the one ring object left is the rational field every series carries
     assert (QQ.zero, QQ.one) == (0, 1)
-    assert RING == ParamRing(CTX)
-    assert RING != QQ
-    assert (RING.zero, RING.one) == (ParamPoly(CTX, {}), ParamPoly.constant(CTX, 1))
-    assert RING.zero == 0 and RING.one == 1
+    assert TruncatedSeries.one(2).ring is QQ
+    assert ZERO == 0 and ONE == 1 and ONE * Fraction(2, 3) == Fraction(2, 3)
 
 
 def test_immutability():
@@ -189,10 +212,12 @@ def test_immutability():
 
 def test_constructor_validation():
     with pytest.raises(ValueError, match="wrong length"):
-        ParamPoly(CTX, {(1,): 1})
+        poly(CTX, {(1,): 1})
     with pytest.raises(ValueError, match="negative exponent"):
-        ParamPoly(CTX, {(1, -1): 1})
-    assert ParamPoly(CTX, {(3, 0): 1, (0, 2): 5}).terms == {}  # over-bound terms drop
+        poly(CTX, {(1, -1): 1})
+    assert poly(CTX, {(3, 0): 1, (0, 2): 5}).terms == {}  # over-bound terms drop
+    with pytest.raises(TypeError):
+        ParamPoly(CTX, {})  # `_make` is the only constructor
 
 
 # Reference kernel on tuple exponent vectors and Fraction coefficients, with
@@ -247,10 +272,10 @@ def assert_matches(context, got, expected):
     # stored in lowest terms, with no zero numerator
     assert got.den > 0 and gcd(got.den, *got.terms.values()) == 1
     assert all(got.terms.values())
-    assert got == ParamPoly(context, expected)
+    assert got == poly(context, expected)
     assert len(got.terms) == len(expected)
     for exps, c in expected.items():
-        assert got.coefficient(exps) == c
+        assert coefficient(got, exps) == c
 
 
 # bounds at 2**k - 1 fill their k value bits, bounds at 2**k start a longer field
@@ -272,19 +297,19 @@ def context_and_polys(draw, count):
 def test_packed_kernel_matches_reference(case, const):
     context, (ta, tb, tc) = case
     ra, rb, rc = (reference_poly(context, t) for t in (ta, tb, tc))
-    a, b, c = (ParamPoly(context, t) for t in (ta, tb, tc))
+    a, b, c = (poly(context, t) for t in (ta, tb, tc))
     assert_matches(context, a, ra)
     assert_matches(context, a * b, reference_mul(context, ra, rb))
     assert_matches(context, a * b * c, reference_mul(context, reference_mul(context, ra, rb), rc))
     assert_matches(context, add(a, b), reference_add(context, ra, rb))
     assert_matches(context, a * const, {e: v * const for e, v in ra.items()})
     over = tuple(bound + 1 for bound in context.bounds)
-    assert a.coefficient(over) == 0
+    assert coefficient(a, over) == 0
     assert constant_term(a) == ra.get((0,) * len(over), 0)
 
     zero = (0,) * len(over)
     unit = {**{e: v for e, v in rb.items() if e != zero}, zero: const}
-    assert_matches(context, invert(ParamPoly(context, unit)), reference_invert(context, unit))
+    assert_matches(context, invert(poly(context, unit)), reference_invert(context, unit))
 
     # equal values built different ways store equal data
     assert (a * Fraction(1, 3)) * 3 == a
@@ -292,4 +317,5 @@ def test_packed_kernel_matches_reference(case, const):
     assert a * b == b * a
     assert add(a, b) * c == add(a * c, b * c)
     assert add(a, b) * sub(a, b) == sub(a * a, b * b)  # the cross terms cancel
-    assert a * 0 == ParamPoly(context, {})
+    assert a * 0 == poly(context, {})
+    assert bool(a) == bool(ra)

@@ -16,12 +16,18 @@ branches by `--degree`, and before the cup writer stopped sorting.  Any
 change to a byte of these outputs fails here, so determinism and
 exactness are enforced rather than assumed.
 
+Beyond that list, every request of the benchmark pools is replayed from
+`bench/golden.json`, read only, one test per workload, against its
+recorded exit status and digest.
+
 To re-record after a deliberate change of output, print
 ``(argv, code, _digest(out))`` for each request and review the diff of the
 outputs themselves, not only of the digests.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +125,19 @@ def _digest(text: str) -> str:
 def test_golden_output(capsys, argv, code, digest):
     assert main(list(argv)) == code
     assert _digest(capsys.readouterr().out) == digest
+
+
+BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+
+
+@pytest.mark.parametrize("workload", ["gseries", "class", "cup", "verify"])
+def test_bench_golden_replay(capsys, workload):
+    golden = json.loads(BENCH_GOLDEN.read_text())
+    requests = {key: entry for key, entry in golden.items() if key.split()[0] == workload}
+    assert requests
+    wrong = []
+    for key, entry in requests.items():
+        code = main(key.split())
+        if (code, _digest(capsys.readouterr().out)) != (entry["exit"], entry["sha256"]):
+            wrong.append(key)
+    assert wrong == []

@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbclass import hilbert, partitions
-from hilbclass.exact import QQ, ParamContext, ParamPoly, ParamRing
-from hilbclass.fock import FockElement, exp_linear, hilb_unit
+from hilbclass.exact import ParamContext
+from hilbclass.fock import FockElement, hilb_unit
 from hilbclass.hilbert import (
     TANGENT,
     TAUTOLOGICAL,
     ClassSpec,
     _factor_powers,
-    _multilinear_part,
     _pair_exponent,
     builtin_f,
     chern_f,
@@ -48,8 +47,8 @@ from hilbclass.partitions import (
 )
 from hilbclass.series import TruncatedSeries
 from hilbclass.verify import random_unit_series
-from test_exact import add, invert, neg, parameter
-from test_fock import assert_valid_terms, fock_add
+from test_exact import add, coefficient, constant, invert, neg, parameter, poly
+from test_fock import assert_valid_terms, exp_linear_reference, fock_add
 from test_series import derivative, inverse, log, scale, scale_arg, sqrt_unit
 
 
@@ -95,7 +94,7 @@ def test_segre_and_sqrt_todd_match_inverse_routes():
     for order in REFERENCE_ORDERS:
         assert segre_f(order) == inverse(chern_f(order)), order
         minus_x = TruncatedSeries.from_coeffs([0, -1], order + 1)
-        body = TruncatedSeries(QQ, order, minus_x.exp().coeffs[1:])  # (e^-x - 1)/x
+        body = TruncatedSeries(order, minus_x.exp().coeffs[1:])  # (e^-x - 1)/x
         reference = sqrt_unit(inverse(scale(body, -1)))
         assert sqrt_todd_f(order) == reference, order
 
@@ -327,7 +326,7 @@ def reference_f_minus(context, prefix, mults, n):
     the parameter prefix + k of `context`, from dg/dt (x/F) = F, that is
     F = 1 + sum_k k rho_k (x/F)^(k-1).  Each round of the fixed-point
     iteration fixes one more coefficient."""
-    one = ParamPoly.constant(context, 1)
+    one = constant(context, 1)
     F = [one] + [one * 0] * (n - 1)
     for _ in range(n):
         w = [one * 0] + inverse_params(F)[: n - 1]  # x/F
@@ -344,7 +343,7 @@ def reference_f_minus(context, prefix, mults, n):
 
 def reference_powers(F, n):
     """Rows 0..m-1 of F^m, m = 1..n."""
-    one = ParamPoly.constant(F[0].context, 1)
+    one = constant(F[0].context, 1)
     rows, power = [], [one] + [one * 0] * (n - 1)
     for m in range(1, n + 1):
         power = convolve_params(power, F, n - 1)
@@ -353,40 +352,53 @@ def reference_powers(F, n):
 
 
 def reference_pair_exponent(nu, nu2):
-    """h_m = [x^(m-1)] (F1 F2)^m / m^2 in the pair ring, with both F from
-    their defining equations; also returns F1 and F2."""
+    """The pair's context and h_1..h_n, h_m = [x^(m-1)] (F1 F2)^m / m^2, with
+    both F from their defining equations; also returns F1 and F2."""
     n = weight(nu)
     m1, m2 = multiplicities(nu), multiplicities(nu2)
     names = tuple(f"a{k}" for k in sorted(m1)) + tuple(f"b{k}" for k in sorted(m2))
     bounds = tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2))
-    ring = ParamRing(ParamContext(names, bounds))
-    F1 = reference_f_minus(ring.context, "a", m1, n)
-    F2 = reference_f_minus(ring.context, "b", m2, n)
+    context = ParamContext(names, bounds)
+    F1 = reference_f_minus(context, "a", m1, n)
+    F2 = reference_f_minus(context, "b", m2, n)
     rows = reference_powers(convolve_params(F1, F2, n - 1), n)
-    h = [ring.zero] + [row[-1] * Fraction(1, m * m) for m, row in enumerate(rows, 1)]
-    return TruncatedSeries(ring, n, h), F1, F2
+    h = [row[-1] * Fraction(1, m * m) for m, row in enumerate(rows, 1)]
+    return (context, h), F1, F2
+
+
+def multilinear_part(context, expansion: FockElement) -> dict:
+    """Test-local: each term's coefficient at the top parameter monomial
+    (every exponent at its bound b), times prod b!; terms where it
+    vanishes are dropped."""
+    bounds = context.bounds
+    scale = 1
+    for b in bounds:
+        scale *= factorial(b)
+    out = {}
+    for parts, coeff in expansion.terms.items():
+        c = coefficient(coeff, bounds) * scale
+        if c:
+            out[parts] = c
+    return out
+
+
+def expand_pair(context, h) -> FockElement:
+    """Test-local: every weight up to n of exp(sum_m h_m q_m), n = len(h),
+    by the test-local `exp_linear_reference`."""
+    return exp_linear_reference([0, *h], len(h), constant(context, 1))
 
 
 def reference_cup_nilpotent(nu, nu2):
-    """The nilpotent route built directly in the pair ring, as before the
-    factors' power tables: every weight expanded, and each term's
+    """The nilpotent route built directly in the pair's context, as before
+    the factors' power tables: every weight expanded, and each term's
     multilinear coefficient read off; a nonzero one below weight n raises."""
     n = weight(nu)
-    h = reference_pair_exponent(nu, nu2)[0]
-    bounds = h.ring.context.bounds
-    expansion = exp_linear(h, n)
-    scale = 1
-    for m in bounds:
-        scale *= factorial(m)
-    out = {}
-    for parts, coeff in expansion.terms.items():
-        c = coeff.coefficient(bounds) * scale
-        if c == 0:
-            continue
+    context, h = reference_pair_exponent(nu, nu2)[0]
+    out = multilinear_part(context, expand_pair(context, h))
+    for parts, c in out.items():
         if weight(parts) < n:
             raise AssertionError(f"weight-{weight(parts)} term {parts} at rank {n}: {c}")
-        out[parts] = c
-    return FockElement(QQ, n, out)
+    return FockElement(n, out)
 
 
 def test_factor_powers_match_defining_equation_route():
@@ -452,17 +464,17 @@ def test_pair_exponent_sums_over_the_lcm_of_denominators(monkeypatch):
     monkeypatch.setattr(hilbert, "_factor_powers", scaled)
     for nu, nu2 in (((2, 1, 1), (3, 1)), ((2, 2, 1), (3, 1, 1)), ((3, 1, 1), (2, 1, 1, 1))):
         n = weight(nu)
-        h = _pair_exponent(nu, nu2)
-        context = h.ring.context
+        context, h = _pair_exponent(nu, nu2)
+        assert len(h) == n
         m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
         shift = context.shifts[len(m1)]
         dens = set()
         for m, (row1, row2) in enumerate(zip(scaled(m1, n), scaled(m2, n)), 1):
-            expected = h.ring.zero
+            expected = poly(context, {})
             for c1, c2 in zip(row1, reversed(row2)):
                 expected = add(expected, c1.embed(context, 0) * c2.embed(context, shift))
                 dens.add(c1.den * c2.den)
-            assert h.coeffs[m] == expected * Fraction(1, m * m), (nu, nu2, m)
+            assert h[m - 1] == expected * Fraction(1, m * m), (nu, nu2, m)
         assert len(dens) > 2
 
 
@@ -471,7 +483,8 @@ def test_nilpotent_route_vanishes_below_weight_n():
     # must carry no multilinear coefficient at a lower weight
     for nu, nu2 in _pairs(5):
         n = weight(nu)
-        full = _multilinear_part(exp_linear(_pair_exponent(nu, nu2), n))
+        context, h = _pair_exponent(nu, nu2)
+        full = multilinear_part(context, expand_pair(context, h))
         assert all(weight(parts) == n for parts in full), (nu, nu2, full)
         assert full == cup_nilpotent(nu, nu2).terms
 
@@ -483,10 +496,9 @@ def test_factor_powers_embed_into_the_pair_ring():
     assert len(pairs) > 50
     for nu, nu2 in pairs:
         n = weight(nu)
-        h = _pair_exponent(nu, nu2)
-        context = h.ring.context
+        context, h = _pair_exponent(nu, nu2)
         expected, F1, F2 = reference_pair_exponent(nu, nu2)
-        assert h == expected
+        assert (context, h) == expected
         m1, m2 = multiplicities(nu), multiplicities(nu2)
         shift = context.shifts[len(m1)]
         for F, mults, at in ((F1, m1, 0), (F2, m2, shift)):

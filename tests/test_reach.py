@@ -1,9 +1,9 @@
 """Every method of the value types is reached by some command.
 
 No library code exists only for tests: the methods of `TruncatedSeries`,
-`FockElement`, `ParamPoly`, `RationalField` and `ParamRing` must each be
-entered by a fixed list of small `hilbclass` requests that between them use
-every subcommand and flag.  Each method is wrapped by a recorder that puts
+`FockElement`, `ParamPoly` and `RationalField` must each be entered by a
+fixed list of small `hilbclass` requests that between them use every
+subcommand and flag.  Each method is wrapped by a recorder that puts
 the original back on its first entry, so the requests run at full speed
 after that.  `__repr__`, `__eq__`, `__hash__` and `__setattr__` are kept
 for assertion messages, tests and immutability, and are not required.
@@ -15,11 +15,11 @@ from inspect import isfunction
 import pytest
 
 from hilbclass.cli import main
-from hilbclass.exact import ParamPoly, ParamRing, RationalField
+from hilbclass.exact import ParamPoly, RationalField
 from hilbclass.fock import FockElement
 from hilbclass.series import TruncatedSeries
 
-CLASSES = (TruncatedSeries, FockElement, ParamPoly, RationalField, ParamRing)
+CLASSES = (TruncatedSeries, FockElement, ParamPoly, RationalField)
 KEEP = {"__repr__", "__eq__", "__hash__", "__setattr__"}
 
 REQUESTS = [

@@ -4,14 +4,14 @@ solver, and reversion through it.
 Sums, scalar multiples, argument scaling, composition, differentiation,
 `x d/dx`, the inverse, reversion, `log` and the unit square root are
 test-local references here; no command needs them.  `revert` is the
-library `lagrange_g` followed by `t d/dt`, over QQ, with the test-local
+library `lagrange_g` followed by `t d/dt`, with the test-local
 `inverse`.  Reversion is checked by round trips through `compose` and
 against a test-local copy of the classical coefficient formula, and the
 Lagrange solver against its defining functional equation (through
 `compose`), a test-local iterated-derivative route, and the `Fraction`
-power loop it replaced (`reference_lagrange_g`).  The product and the
-Lagrange solver are rational only.  The acceptance gate and the other test
-modules import these helpers from this module.
+power loop it replaced (`reference_lagrange_g`).  Every series is rational.
+The acceptance gate and the other test modules import these helpers from
+this module.
 """
 
 from fractions import Fraction
@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbclass.exact import QQ, ParamContext, ParamRing
 from hilbclass.hilbert import builtin_f
 from hilbclass.series import TruncatedSeries, _convolve, lagrange_g
 
@@ -30,18 +29,18 @@ small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Test-local coefficientwise sum of two series of one order."""
-    assert (a.ring, a.order) == (b.ring, b.order)
-    return TruncatedSeries(a.ring, a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+    assert a.order == b.order
+    return TruncatedSeries(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
 
 def scale(s: TruncatedSeries, c) -> TruncatedSeries:
     """Test-local multiple of every coefficient by the scalar c."""
-    return TruncatedSeries(s.ring, s.order, [a * c for a in s.coeffs])
+    return TruncatedSeries(s.order, [a * c for a in s.coeffs])
 
 
 def scale_arg(s: TruncatedSeries, c) -> TruncatedSeries:
     """Test-local substitution x -> c*x for a rational constant c."""
-    return TruncatedSeries(s.ring, s.order, [a * Fraction(c) ** k for k, a in enumerate(s.coeffs)])
+    return TruncatedSeries(s.order, [a * Fraction(c) ** k for k, a in enumerate(s.coeffs)])
 
 
 def inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -51,7 +50,7 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
     out = [inv0] + [Fraction(0)] * s.order
     for k in range(1, s.order + 1):
         out[k] = -sum(s.coeffs[j] * out[k - j] for j in range(1, k + 1)) * inv0
-    return TruncatedSeries(QQ, s.order, out)
+    return TruncatedSeries(s.order, out)
 
 
 def log(s: TruncatedSeries) -> TruncatedSeries:
@@ -61,7 +60,7 @@ def log(s: TruncatedSeries) -> TruncatedSeries:
     for n in range(1, s.order + 1):
         acc = s.coeffs[n] * n - sum(out[j] * s.coeffs[n - j] * j for j in range(1, n))
         out[n] = acc / n
-    return TruncatedSeries(QQ, s.order, out)
+    return TruncatedSeries(s.order, out)
 
 
 def sqrt_unit(s: TruncatedSeries) -> TruncatedSeries:
@@ -71,12 +70,12 @@ def sqrt_unit(s: TruncatedSeries) -> TruncatedSeries:
     out = [Fraction(1)] + [Fraction(0)] * s.order
     for n in range(1, s.order + 1):
         out[n] = (s.coeffs[n] - sum(out[j] * out[n - j] for j in range(1, n))) / 2
-    return TruncatedSeries(QQ, s.order, out)
+    return TruncatedSeries(s.order, out)
 
 
 def x_derivative(s: TruncatedSeries) -> TruncatedSeries:
     """Test-local x d/dx, keeping the order."""
-    return TruncatedSeries(s.ring, s.order, [a * k for k, a in enumerate(s.coeffs)])
+    return TruncatedSeries(s.order, [a * k for k, a in enumerate(s.coeffs)])
 
 
 def revert(s: TruncatedSeries) -> TruncatedSeries:
@@ -87,26 +86,24 @@ def revert(s: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("revert needs constant term 0")
     if s.order < 1 or s.coeffs[1] == 0:
         raise ValueError("revert needs a unit linear coefficient")
-    F = inverse(TruncatedSeries(QQ, s.order - 1, s.coeffs[1:]))
+    F = inverse(TruncatedSeries(s.order - 1, s.coeffs[1:]))
     return x_derivative(lagrange_g(F, s.order))
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """Test-local outer(inner), by Horner evaluation; inner must kill the constant."""
-    if inner.coeffs[0] != inner.ring.zero:
+    if inner.coeffs[0] != 0:
         raise ValueError("compose needs inner constant term 0")
-    result = TruncatedSeries.from_coeffs([], outer.order, outer.ring)
+    result = TruncatedSeries.from_coeffs([], outer.order)
     for c in reversed(outer.coeffs):
         result = result * inner
-        result = TruncatedSeries(
-            outer.ring, outer.order, (result.coeffs[0] + c,) + result.coeffs[1:]
-        )
+        result = TruncatedSeries(outer.order, (result.coeffs[0] + c,) + result.coeffs[1:])
     return result
 
 
 def derivative(s: TruncatedSeries) -> TruncatedSeries:
     """Test-local d/dx; the result has order one less."""
-    return TruncatedSeries(s.ring, s.order - 1, [s.coeffs[k] * k for k in range(1, s.order + 1)])
+    return TruncatedSeries(s.order - 1, [s.coeffs[k] * k for k in range(1, s.order + 1)])
 
 
 def series_strategy(order, constant=None, linear=None):
@@ -176,7 +173,7 @@ def sparse_series(draw, order):
     terms = draw(st.dictionaries(st.integers(0, order), values, max_size=4))
     coeffs = [terms.get(k, 0) for k in range(order + 1)]
     if ints:
-        return TruncatedSeries(QQ, order, coeffs)
+        return TruncatedSeries(order, coeffs)
     return TruncatedSeries.from_coeffs(coeffs, order)
 
 
@@ -207,19 +204,6 @@ def test_mul_matches_double_loop(pair, lists):
     assert all(isinstance(c, Fraction) for c in product.coeffs)
     xs, ys, n = lists
     assert _convolve(xs, ys, n) == convolve(xs[: n + 1], ys[: n + 1], 0)
-
-
-def test_mul_over_param_ring():
-    """No command multiplies series over a parameter ring, and `ParamPoly`
-    has no sum: the product and the Lagrange solver reject such a series."""
-    ring = ParamRing(ParamContext(("a", "b"), (2, 1)))
-    s = TruncatedSeries.from_coeffs([ring.one], 4, ring)
-    rational = TruncatedSeries.one(4)
-    for a, b in ((s, s), (s, rational), (rational, s)):
-        with pytest.raises(ValueError, match="only rational series multiply"):
-            a * b
-    with pytest.raises(ValueError, match="rational coefficients"):
-        lagrange_g(s, 4)
 
 
 @given(series_strategy(6, constant=1))
@@ -268,13 +252,13 @@ def classical_inversion_revert(s: TruncatedSeries) -> TruncatedSeries:
     """Test-local compositional inverse via the classical coefficient
     formula: the t^n coefficient of the inverse is [x^(n-1)] (x/s)^n / n."""
     n = s.order
-    ratio = inverse(TruncatedSeries(QQ, n - 1, s.coeffs[1:]))  # x/s shifted down by one
+    ratio = inverse(TruncatedSeries(n - 1, s.coeffs[1:]))  # x/s shifted down by one
     out = [Fraction(0)] * (n + 1)
     power = TruncatedSeries.one(n - 1)
     for m in range(1, n + 1):
         power = power * ratio
         out[m] = power.coeffs[m - 1] / m
-    return TruncatedSeries(QQ, n, out)
+    return TruncatedSeries(n, out)
 
 
 def lagrange_g_derivative_form(F: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -290,7 +274,7 @@ def lagrange_g_derivative_form(F: TruncatedSeries, order: int) -> TruncatedSerie
         for _ in range(m - 1):
             deriv = derivative(deriv)
         out[m] = deriv.coeffs[0] / (m * factorial(m))
-    return TruncatedSeries(QQ, order, out)
+    return TruncatedSeries(order, out)
 
 
 @given(series_strategy(7, constant=0, linear=1))
@@ -333,7 +317,7 @@ def reference_lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
     for m in range(1, order + 1):
         power = power * Ft
         out[m] = power.coeffs[m - 1] * Fraction(1, m * m)
-    return TruncatedSeries(QQ, order, out)
+    return TruncatedSeries(order, out)
 
 
 CLASSES = [("chern", None), ("segre", None), ("sqrt-todd", None),
@@ -382,9 +366,7 @@ def test_lagrange_functional_equation(F):
     """dg/dt evaluated at x/F equals F, to the working order."""
     g = lagrange_g(F, 10)
     x_over_F = (TruncatedSeries.from_coeffs([0, 1], 9) * inverse(F)).truncate(8)
-    dg = TruncatedSeries(
-        QQ, 8, [g.coeffs[k + 1] * (k + 1) for k in range(9)]
-    )
+    dg = TruncatedSeries(8, [g.coeffs[k + 1] * (k + 1) for k in range(9)])
     assert compose(dg, x_over_F) == F.truncate(8)
 
 
