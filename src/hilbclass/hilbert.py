@@ -14,10 +14,14 @@ The built-in f come from closed forms: (1 + x)^r (Segre at r = -1) from
 the binomial recurrence, and the square root of Todd as the exp of
 x/4 minus a Bernoulli series.
 
-Both series are cross-checked against literal products over the cells of
-the torus fixed points, where the tangent Chern roots specialize to the
-+-hook lengths of a cell and the tautological Chern roots to the cell
-contents; only the hook shapes, whose n-cycle character is nonzero, enter.
+Both series are cross-checked by localisation at the torus fixed points:
+the tangent Chern roots are the +-hook lengths of the cells, the
+tautological ones the cell contents, and only the hooks (n-a, 1^a) have a
+nonzero n-cycle character.  On a hook that character is (-1)^a, the hook
+product n a! (n-a-1)!, the hook lengths {n} u {1..n-a-1} u {1..a} and the
+contents {-(n-a-1)..a} (Macdonald, Symmetric Functions and Hall
+Polynomials, I.1 and I.7), so each hook's product of root factors is a
+product of two entries of prefix-product tables built once per n.
 
 The cup product on the weight-n piece comes from the class algebra of the
 symmetric group S_n (Lehn-Sorger): under q_lam <-> z(lam) * C_lam, with C_lam
@@ -58,11 +62,8 @@ from .fock import FockElement, _exp_walk, exp_linear
 from .partitions import (
     _mn,
     check_partition,
-    chi_mn,
-    contents,
     enumerate_partitions,
     hook_product,
-    hooks,
     multiplicities,
     weight,
     z_of,
@@ -175,32 +176,44 @@ def hilbert_class(spec: ClassSpec, bound: int, only: int | None = None,
     return exp_linear(g, bound, only, degree)
 
 
-# -- brute-force fixed-point oracles -------------------------------------
+# -- fixed-point oracles --------------------------------------------------
 
 
-def _fixed_point_sum(f: TruncatedSeries, n: int, roots) -> Fraction:
-    """sum over lam |- n of chi^lam((n)) / (n H(lam)) times [x^(n-1)] of the
-    product over the Chern roots r in roots(lam) of f(r x).  chi^lam on an
-    n-cycle vanishes unless lam is a hook, so only hooks build the product,
-    on integer numerators over f's common denominator."""
+def _products(nums, ks, order: int) -> list[list[int]]:
+    """Integer numerators of the prefix products prod_{k in ks[:j]} f(k x),
+    j = 0..len(ks), truncated at `order`, for the f with numerators `nums`
+    over a denominator d: entry j is over d^j."""
+    out = [[1] + [0] * order]
+    for k in ks:
+        out.append(_convolve(out[-1], [a * k**i for i, a in enumerate(nums)], order))
+    return out
+
+
+def _fixed_point_sum(f: TruncatedSeries, n: int, tangent: bool) -> Fraction:
+    """sum over the hooks (n-a, 1^a) of (-1)^a / (n H) [x^(n-1)] prod_r f(r x),
+    r over the Chern roots, H = n a! (n-a-1)!: weight (-1)^a C(n-1, a) over
+    n n!.  The contents give left[n-1-a] right[a+1], k = -1..-(n-1) and 0..n-1;
+    the hook lengths the same over F = f(x) f(-x), k = 1..n-1 and n, 1..n-1.
+    On integer numerators, divided once by n n! den^n."""
     if n < 1:
         raise ValueError("the oracle needs n >= 1")
     _require_unit_one(f)
     if f.order < n - 1:
         raise ValueError("series truncated too low for this n")
     den, nums = _integer_numerators(f.coeffs[:n])
-    total = Fraction(0)
-    for lam in enumerate_partitions(n):
-        chi = chi_mn(lam, (n,))
-        if chi == 0:
-            continue
-        rs = roots(lam)
-        prod = [1] + [0] * (n - 1)
-        for r in rs:
-            factor = [a * r**k for k, a in enumerate(nums)]
-            prod = _convolve(prod, factor, n - 1)
-        total += Fraction(chi * prod[n - 1], hook_product(lam) * n * den ** len(rs))
-    return total
+    if tangent:
+        nums = _convolve(nums, [(-1) ** i * a for i, a in enumerate(nums)], n - 1)
+        den *= den
+        left = _products(nums, range(1, n), n - 1)
+        right = _products(nums, [n, *range(1, n)], n - 1)
+    else:
+        left = _products(nums, range(-1, -n, -1), n - 1)
+        right = _products(nums, range(n), n - 1)
+    total = 0
+    for a in range(n):
+        lo, hi = left[n - 1 - a], right[a + 1]
+        total += (-1) ** a * comb(n - 1, a) * sum(lo[i] * hi[n - 1 - i] for i in range(n))
+    return Fraction(total, n * factorial(n) * den**n)
 
 
 def oracle_top_tangent(f: TruncatedSeries, n: int) -> Fraction:
@@ -208,38 +221,35 @@ def oracle_top_tangent(f: TruncatedSeries, n: int) -> Fraction:
     by summation over the torus fixed points whose n-cycle character is
     nonzero, the hooks (tangent Chern roots: +-hook length per cell).  Must
     equal coefficient n of tangent_g(f)."""
-    return _fixed_point_sum(f, n, lambda lam: [r for h in hooks(lam) for r in (h, -h)])
+    return _fixed_point_sum(f, n, True)
 
 
 def oracle_top_taut(f: TruncatedSeries, n: int) -> Fraction:
     """Same fixed-point sum for the tautological sheaf, whose Chern roots
     specialize to the cell contents row - column.  Must equal coefficient n
     of taut_g(f)."""
-    return _fixed_point_sum(f, n, contents)
+    return _fixed_point_sum(f, n, False)
 
 
 # -- the two appendix identities -----------------------------------------
 
 
 def lemma_b1(m: int, p: int) -> Fraction:
-    """sum_{s=0}^m (-1)^s s^p / (s! (m-s)!); vanishes for p < m and equals
-    (-1)^m at p = m."""
+    """sum_{s=0}^m (-1)^s s^p / (s! (m-s)!) = sum_s (-1)^s C(m, s) s^p / m!;
+    vanishes for p < m and equals (-1)^m at p = m."""
     if not 0 <= p <= m:
         raise ValueError("need 0 <= p <= m")
-    total = Fraction(0)
-    for s in range(m + 1):
-        total += Fraction((-1) ** s * s**p, factorial(s) * factorial(m - s))
-    return total
+    return Fraction(sum((-1) ** s * comb(m, s) * s**p for s in range(m + 1)), factorial(m))
 
 
 def p_n_series(f: TruncatedSeries, n: int, order: int) -> TruncatedSeries:
     """P_n = sum_{s=0}^n (-1)^s/(s!(n-s)!) prod_{k=-(n-s)}^{s} f(k x).
 
     Its coefficients below x^n vanish and the x^n coefficient equals
-    (-1)^n [x^n] f^(n+1).  Each summand's n + 1 factors f(k x) are built
-    on integer numerators over f's common denominator d, and the summands
-    are added as integers with weights (-1)^s C(n, s), so the sum is
-    divided by n! d^(n+1) once per coefficient.
+    (-1)^n [x^n] f^(n+1).  Summand s's product is left[n-s] right[s+1], from
+    prefix products of f(k x), k = -1..-n and 0..n, on integer numerators
+    over f's common denominator d, added with weights (-1)^s C(n, s); the
+    sum is divided by n! d^(n+1) once per coefficient.
     """
     if order < n:
         raise ValueError("order must be at least n")
@@ -247,14 +257,13 @@ def p_n_series(f: TruncatedSeries, n: int, order: int) -> TruncatedSeries:
     if f.order < order:
         raise ValueError("series truncated below the requested order")
     den, nums = _integer_numerators(f.coeffs[: order + 1])
+    left = _products(nums, range(-1, -n - 1, -1), order)
+    right = _products(nums, range(n + 1), order)
     total = [0] * (order + 1)
     for s in range(n + 1):
-        prod = [1] + [0] * order
-        for k in range(-(n - s), s + 1):
-            factor = [a * k**j for j, a in enumerate(nums)]
-            prod = _convolve(prod, factor, order)
         weight_s = (-1) ** s * comb(n, s)
-        total = [t + weight_s * p for t, p in zip(total, prod)]
+        product_s = _convolve(left[n - s], right[s + 1], order)
+        total = [t + weight_s * p for t, p in zip(total, product_s)]
     scale = factorial(n) * den ** (n + 1)
     return TruncatedSeries(order, [Fraction(t, scale) for t in total])
 

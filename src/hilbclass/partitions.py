@@ -88,27 +88,11 @@ def z_of(parts) -> int:
     return z
 
 
-def contents(parts) -> tuple[int, ...]:
-    """Cell contents row - column, in row-major order."""
-    parts = check_partition(parts)
-    return tuple(i - j for i, row in enumerate(parts) for j in range(row))
-
-
-def chi_mn(lam, mu) -> int:
-    """Irreducible character value by the Murnaghan-Nakayama recursion.
-
-    Border strips are located through beta-numbers (first-column hook
-    lengths), which makes the height sign a simple count of skipped rows.
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if weight(lam) != weight(mu):
-        raise ValueError("shape and cycle type must have equal weight")
-    return _mn(lam, mu)
-
-
 @cache
 def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """chi^lam(mu) by the Murnaghan-Nakayama recursion: border strips are
+    found through beta-numbers (first-column hook lengths), so the height
+    sign is a count of skipped rows."""
     if not mu:
         return 1
     r, rest = mu[0], mu[1:]

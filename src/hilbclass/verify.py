@@ -82,13 +82,12 @@ def suite_appendix() -> list[Check]:
     bad = []
     for i in range(5):
         f = random_unit_series(rng, 9)
+        fpow = TruncatedSeries.one(9)
         for n in range(9):
             p = p_n_series(f, n, 9)
             low = [k for k in range(n) if p.coeffs[k] != 0]
             lead = p.coeffs[n]
-            fpow = TruncatedSeries.one(9)
-            for _ in range(n + 1):
-                fpow = fpow * f
+            fpow = fpow * f  # f^(n+1)
             expected = Fraction((-1) ** n) * fpow.coeffs[n]
             if low or lead != expected:
                 bad.append((i, n, low, lead, expected))

@@ -37,8 +37,6 @@ from hilbclass.hilbert import (
     taut_g,
 )
 from hilbclass.partitions import (
-    chi_mn,
-    contents,
     enumerate_partitions,
     hook_product,
     hooks,
@@ -47,6 +45,8 @@ from hilbclass.partitions import (
 )
 from hilbclass.series import TruncatedSeries
 from hilbclass.verify import random_unit_series
+from reference import chi_mn, contents, fixed_point_sum
+from reference import p_n_series as loop_p_n_series
 from test_exact import add, coefficient, constant, invert, neg, parameter, poly
 from test_fock import assert_valid_terms, exp_linear_reference, fock_add
 from test_series import derivative, inverse, log, scale, scale_arg, sqrt_unit
@@ -184,6 +184,18 @@ def test_oracles_match_literal_fixed_point_sum(target):
 
 
 @pytest.mark.parametrize("target", (TANGENT, TAUTOLOGICAL))
+def test_oracles_match_every_partition_route(target):
+    """The hook prefix tables against the route over every partition, with
+    the character from the recursion and each hook's product rebuilt from
+    its roots, up to n = 12."""
+    rng = random.Random(1601)
+    for _ in range(10):
+        f = random_unit_series(rng, 11)
+        for n in range(1, 13):
+            assert ORACLES[target](f, n) == fixed_point_sum(f, n, target), n
+
+
+@pytest.mark.parametrize("target", (TANGENT, TAUTOLOGICAL))
 def test_oracle_input_errors(target):
     oracle = ORACLES[target]
     with pytest.raises(ValueError, match="n >= 1"):
@@ -217,6 +229,44 @@ def test_p_n_series_for_chern():
         assert all(p.coeffs[k] == 0 for k in range(n))
         # leading term (-1)^n [x^n] (1+x)^(n+1) = (-1)^n (n+1)
         assert p.coeffs[n] == Fraction((-1) ** n * (n + 1))
+
+
+def test_p_n_series_matches_per_summand_loop():
+    """Over the range of `verify appendix` (its five draws, n <= 8, order 9)
+    and the built-in classes, against each summand multiplied from scratch."""
+    rng = random.Random(1002)
+    drawn = [random_unit_series(rng, 9) for _ in range(5)]
+    for f in drawn + [chern_f(9), segre_f(9), sqrt_todd_f(9)]:
+        for n in range(9):
+            assert p_n_series(f, n, 9) == loop_p_n_series(f, n, 9), n
+
+
+def test_fixed_point_sums_read_no_partition_table(monkeypatch):
+    """The fixed-point oracles and P_n read the hooks' closed forms alone:
+    with the Murnaghan-Nakayama recursion, the partition enumeration, the
+    hook lengths and the hook product all raising, in `partitions` and in
+    `hilbert`, which imports them, they give the values computed before, up
+    to n = 8."""
+    rng = random.Random(1602)
+    fs = [random_unit_series(rng, 8) for _ in range(3)] + [chern_f(8), sqrt_todd_f(8)]
+
+    def values():
+        return [(oracle_top_tangent(f, n), oracle_top_taut(f, n), p_n_series(f, n, 8))
+                for f in fs for n in range(1, 9)] + [p_n_series(f, 0, 8) for f in fs]
+
+    expected = values()
+
+    def forbidden(*args):
+        raise AssertionError("the fixed-point sum read a partition table")
+
+    assert not hasattr(hilbert, "hooks")
+    for module, names in ((partitions, ("_mn", "enumerate_partitions", "hooks", "hook_product")),
+                          (hilbert, ("_mn", "enumerate_partitions", "hook_product"))):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError):
+        partitions.hook_product((2, 1))
+    assert values() == expected
 
 
 def test_cup_basis_anchored():
@@ -430,21 +480,20 @@ def test_cup_nilpotent_matches_pair_ring_route():
 
 def test_nilpotent_oracle_reads_no_character_table(monkeypatch):
     """cup_nilpotent stays an independent oracle: with the Murnaghan-Nakayama
-    recursion, chi_mn and cup_basis all raising, in the modules that define
-    them and in `hilbert`, which imports them, it still gives every product
-    of rank <= 5, its factor tables built afresh."""
+    recursion and cup_basis all raising, in the modules that define them
+    and in `hilbert`, which imports them, it still gives every product of
+    rank <= 5, its factor tables built afresh."""
     pairs = list(_pairs(5))
     expected = [cup_basis(nu, nu2) for nu, nu2 in pairs]
 
     def forbidden(*args):
         raise AssertionError("the nilpotent oracle read the character table")
 
-    for module, name in ((partitions, "_mn"), (partitions, "chi_mn"), (hilbert, "_mn"),
-                         (hilbert, "chi_mn"), (hilbert, "cup_basis"),
+    for module, name in ((partitions, "_mn"), (hilbert, "_mn"), (hilbert, "cup_basis"),
                          (hilbert, "_cup_basis_cached")):
         monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(AssertionError):
-        partitions.chi_mn((2, 1), (3,))
+        partitions._mn((2, 1), (3,))
     _factor_powers.cache_clear()
     for (nu, nu2), product in zip(pairs, expected):
         assert cup_nilpotent(nu, nu2) == product, (nu, nu2)

@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 from hilbclass.partitions import (
     check_partition,
-    chi_mn,
-    contents,
     enumerate_partitions,
     hook_product,
     hooks,
@@ -24,6 +22,7 @@ from hilbclass.partitions import (
     weight,
     z_of,
 )
+from reference import chi_mn, contents
 
 
 def partition_count(n: int) -> int:
