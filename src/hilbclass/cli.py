@@ -36,7 +36,7 @@ def _parse_partition(field: str, text: str) -> tuple[int, ...]:
     message = f"{field} must be a JSON array of integers: {text!r}"
     try:
         parts = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # too deep, malformed, or a part too long to print
         raise ValueError(message) from exc
     if not isinstance(parts, list) or not all(
         isinstance(p, int) and not isinstance(p, bool) for p in parts
@@ -49,11 +49,21 @@ def _parse_partition(field: str, text: str) -> tuple[int, ...]:
 
 
 def _parse_rational(field: str, text: str, index: int | None = None) -> Fraction:
+    where = f"--{field}" if index is None else f"--{field} entry {index}"
+    limit = sys.get_int_max_str_digits()  # digits str() prints of one int; 0 for no limit
+    # Fraction builds 10**|e| first; past 3 * limit, no nonzero digits it reads (at most
+    # limit each side of the point) leave both parts printable
+    e = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.I)
+    if limit and e and (len(e[1]) > limit or abs(int(e[1])) > 3 * limit):
+        raise ValueError(f"{where} has an exponent beyond +-{3 * limit}: {text!r}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        where = f"--{field}" if index is None else f"--{field} entry {index}"
         raise ValueError(f"{where} is not a rational p/q with q != 0: {text!r}") from None
+    top = max(abs(value.numerator), value.denominator)
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:  # 8**limit < 10**limit
+        raise ValueError(f"{where} has a numerator or denominator over {limit} digits: {text!r}")
+    return value
 
 
 def _check_range(flag: str, value: int | None, top: int | None = None) -> None:

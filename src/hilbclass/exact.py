@@ -5,10 +5,11 @@ series and Fock element has rational coefficients.  Beside them sits
 :class:`ParamPoly`, a multivariate polynomial in finitely many formal
 parameters, each nilpotent of a fixed order, for the nilpotent cup-product
 oracle of :mod:`hilbclass.hilbert` alone.  It carries what that oracle
-uses: packed construction from integer numerators, embedding into a wider
-context, the product and a truth value (a product of parameters can
-vanish).  It has no sum, negation or inverse; the oracle sums integer
-numerators itself and reads the coefficient it needs off the packed terms.
+uses: packed construction from integer numerators, the product and a
+truth value (a product of parameters can vanish).  It has no sum,
+negation, inverse or change of context; the oracle sums integer numerators
+itself, shifts a factor's packed monomials into the pair's context, and
+reads the coefficient it needs off the packed terms.
 All values are immutable; all operations are pure.
 """
 
@@ -83,17 +84,6 @@ class ParamPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
-
-    def embed(self, context: ParamContext, shift: int) -> "ParamPoly":
-        """This value over a larger `context`, every packed monomial shifted
-        left by `shift` bits.  The target must repeat this context's fields,
-        bound for bound, starting at `shift`; otherwise ValueError."""
-        fields = dict(zip(context.shifts, context.bounds))
-        src = self.context
-        if any(fields.get(s + shift) != b for s, b in zip(src.shifts, src.bounds)):
-            raise ValueError("target context does not repeat the source fields at this shift")
-        return ParamPoly._make(context, {k << shift: c for k, c in self.terms.items()},
-                               self.den)
 
     def __bool__(self):
         return bool(self.terms)

@@ -372,10 +372,11 @@ def _pair_exponent(nu, nu2) -> tuple[ParamContext, list[ParamPoly]]:
     """The context of both factors' parameters and h_1..h_n, h =
     lagrange_g(F1 F2, n) for the universal classes of q_nu and q_nu2:
     [x^(m-1)] (F1 F2)^m is the Cauchy sum of [x^i] F1^m [x^(m-1-i)] F2^m,
-    read from the factors' power tables embedded in that context, skipping
-    products with a zero factor.  The two factors' fields are disjoint, so
-    no product exceeds a bound; each h_m is one sum of integer numerators
-    over the lcm of the products' denominators."""
+    read from the factors' power tables, skipping products with a zero
+    factor.  Each factor's fields sit in that context as in its own, the
+    first's at shift 0, so only the second's packed monomials move.  The
+    fields are disjoint, so no product exceeds a bound; each h_m is one sum
+    of integer numerators over the lcm of the products' denominators."""
     n = weight(nu)
     m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
     context = ParamContext(tuple(f"a{k}" for k, _ in m1) + tuple(f"b{k}" for k, _ in m2),
@@ -383,14 +384,13 @@ def _pair_exponent(nu, nu2) -> tuple[ParamContext, list[ParamPoly]]:
     shift = context.shifts[len(m1)]  # the a fields come first, at shift 0
     h = []
     for m, (row1, row2) in enumerate(zip(_factor_powers(m1, n), _factor_powers(m2, n)), 1):
-        pairs = [(c1.embed(context, 0), c2.embed(context, shift))
-                 for c1, c2 in zip(row1, reversed(row2)) if c1.terms and c2.terms]
+        pairs = [(c1, c2) for c1, c2 in zip(row1, reversed(row2)) if c1.terms and c2.terms]
         den = lcm(*(c1.den * c2.den for c1, c2 in pairs))
         total = {}
         get = total.get
         for c1, c2 in pairs:
             scale = den // (c1.den * c2.den)
-            b_terms = [(k2, b * scale) for k2, b in c2.terms.items()]
+            b_terms = [(k2 << shift, b * scale) for k2, b in c2.terms.items()]
             for k1, a in c1.terms.items():
                 for k2, b in b_terms:
                     total[k1 + k2] = get(k1 + k2, 0) + a * b

@@ -1,15 +1,19 @@
-"""Reference routes kept for the tests alone: the checked character
-recursion, the cell contents, and the fixed-point and telescoped-product
-sums as they were before the hook prefix-product tables.
+"""Reference routes for the tests, each defined once, here.
 
-The library reads the character on the n-cycle, the hook lengths and the
-contents of a hook from their closed forms; these walk every partition and
-build every product from scratch, so the tests can compare the two.
+Each one either recomputes a quantity the library computes by a different
+route, so a test can compare the two, or supplies an operation the library
+does not need (the series inverse, log, square root, composition and
+reversion; the `ParamPoly` sum and inverse; the Fock sum and product).
+The test modules import from this module and never from one another.  It
+has no `test_` prefix, so pytest does not collect it.
 """
 
+import operator
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
+from hilbclass.exact import ParamContext, ParamPoly
+from hilbclass.fock import FockElement
 from hilbclass.hilbert import TANGENT
 from hilbclass.partitions import (
     _mn,
@@ -17,9 +21,327 @@ from hilbclass.partitions import (
     enumerate_partitions,
     hook_product,
     hooks,
+    multiplicities,
     weight,
 )
-from hilbclass.series import TruncatedSeries, _convolve, _integer_numerators
+from hilbclass.series import TruncatedSeries, _convolve, _integer_numerators, lagrange_g
+
+# Truncated power series.  The library has the product, `exp` and the
+# Lagrange solver; the rest are references.
+
+
+def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Coefficientwise sum of two series of one order."""
+    assert a.order == b.order
+    return TruncatedSeries(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def scale(s: TruncatedSeries, c) -> TruncatedSeries:
+    """Multiple of every coefficient by the scalar c."""
+    return TruncatedSeries(s.order, [a * c for a in s.coeffs])
+
+
+def convolve(a, b, zero, plus=operator.add):
+    """Truncated product of two coefficient lists, the plain double loop
+    over every pair, to the length of `a`; `plus` adds two coefficients."""
+    n = len(a) - 1
+    out = [zero] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = plus(out[i + j], a[i] * b[j])
+    return out
+
+
+def inverse(s: TruncatedSeries) -> TruncatedSeries:
+    """Multiplicative inverse of a rational series with nonzero constant term."""
+    inv0 = 1 / s.coeffs[0]
+    out = [inv0] + [Fraction(0)] * s.order
+    for k in range(1, s.order + 1):
+        out[k] = -sum(s.coeffs[j] * out[k - j] for j in range(1, k + 1)) * inv0
+    return TruncatedSeries(s.order, out)
+
+
+def log(s: TruncatedSeries) -> TruncatedSeries:
+    """Log of a rational series with constant term 1."""
+    assert s.coeffs[0] == 1
+    out = [Fraction(0)] * (s.order + 1)
+    for n in range(1, s.order + 1):
+        acc = s.coeffs[n] * n - sum(out[j] * s.coeffs[n - j] * j for j in range(1, n))
+        out[n] = acc / n
+    return TruncatedSeries(s.order, out)
+
+
+def sqrt_unit(s: TruncatedSeries) -> TruncatedSeries:
+    """Square root, with constant term 1, of a rational series with
+    constant term 1."""
+    assert s.coeffs[0] == 1
+    out = [Fraction(1)] + [Fraction(0)] * s.order
+    for n in range(1, s.order + 1):
+        out[n] = (s.coeffs[n] - sum(out[j] * out[n - j] for j in range(1, n))) / 2
+    return TruncatedSeries(s.order, out)
+
+
+def x_derivative(s: TruncatedSeries) -> TruncatedSeries:
+    """x d/dx, keeping the order."""
+    return TruncatedSeries(s.order, [a * k for k, a in enumerate(s.coeffs)])
+
+
+def derivative(s: TruncatedSeries) -> TruncatedSeries:
+    """d/dx; the result has order one less."""
+    return TruncatedSeries(s.order - 1, [s.coeffs[k] * k for k in range(1, s.order + 1)])
+
+
+def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
+    """outer(inner), by Horner evaluation; inner must kill the constant."""
+    if inner.coeffs[0] != 0:
+        raise ValueError("compose needs inner constant term 0")
+    result = TruncatedSeries.from_coeffs([], outer.order)
+    for c in reversed(outer.coeffs):
+        result = result * inner
+        result = TruncatedSeries(outer.order, (result.coeffs[0] + c,) + result.coeffs[1:])
+    return result
+
+
+def reference_lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
+    """The Lagrange power loop on `Fraction` series: g_m = [x^(m-1)] F^m / m^2,
+    F^m one truncated series product per step, with no common denominator
+    kept from one step to the next."""
+    work = max(order - 1, 0)
+    Ft = F.truncate(work)
+    out = [Fraction(0)] * (order + 1)
+    power = TruncatedSeries.one(work)
+    for m in range(1, order + 1):
+        power = power * Ft
+        out[m] = power.coeffs[m - 1] * Fraction(1, m * m)
+    return TruncatedSeries(order, out)
+
+
+def revert(s: TruncatedSeries) -> TruncatedSeries:
+    """Compositional inverse of a rational series, by Lagrange inversion:
+    writing s as x/F, the inverse is t dg/dt for g = lagrange_g(F), here
+    from the library solver.  Needs constant term 0 and a nonzero linear
+    coefficient."""
+    if s.coeffs[0] != 0:
+        raise ValueError("revert needs constant term 0")
+    if s.order < 1 or s.coeffs[1] == 0:
+        raise ValueError("revert needs a unit linear coefficient")
+    F = inverse(TruncatedSeries(s.order - 1, s.coeffs[1:]))
+    return x_derivative(lagrange_g(F, s.order))
+
+
+def one_minus_exp_minus_x_over_x(order: int) -> TruncatedSeries:
+    """(1 - e^-x)/x = sum_k (-1)^k x^k / (k+1)!, written out."""
+    return TruncatedSeries.from_coeffs(
+        [Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)], order)
+
+
+# Nilpotent-parameter polynomials.  The library builds a `ParamPoly` only
+# from packed integer numerators and multiplies it; construction from
+# exponent vectors, the sum and the inverse are references.
+
+
+def poly(context: ParamContext, terms) -> ParamPoly:
+    """The value with rational coefficients `terms`, keyed by exponent
+    vectors; monomials over a bound are dropped."""
+    clean = {}
+    for exps, c in terms.items():
+        key = context.pack(exps)
+        if key is not None:
+            clean[key] = Fraction(c)
+    den = lcm(*(c.denominator for c in clean.values()))
+    return ParamPoly._make(context, {k: c.numerator * (den // c.denominator)
+                                     for k, c in clean.items() if c}, den)
+
+
+def constant(context: ParamContext, value) -> ParamPoly:
+    """The rational `value` as a value of `context`."""
+    value = Fraction(value)
+    return ParamPoly._make(context, {0: value.numerator} if value else {}, value.denominator)
+
+
+def parameter(context: ParamContext, name: str) -> ParamPoly:
+    """The parameter `name` of `context`."""
+    return poly(context, {tuple(int(n == name) for n in context.names): 1})
+
+
+def coefficient(p: ParamPoly, exps) -> Fraction:
+    """The coefficient of p at the exponent vector `exps`."""
+    return Fraction(p.terms.get(p.context.pack(exps), 0), p.den)
+
+
+def constant_term(p: ParamPoly) -> Fraction:
+    return Fraction(p.terms.get(0, 0), p.den)
+
+
+def widen(p: ParamPoly, context: ParamContext, first: int) -> ParamPoly:
+    """p over a wider `context` whose fields first, first + 1, ... repeat
+    p's: each packed monomial unpacked to its exponents, field by field,
+    and packed again in `context`."""
+    fields = list(zip(p.context.shifts, p.context.bounds))
+    pad = (0,) * (len(context.bounds) - first - len(fields))
+    terms = {}
+    for k, c in p.terms.items():
+        exps = tuple(k >> s & ((1 << b.bit_length()) - 1) for s, b in fields)
+        terms[(0,) * first + exps + pad] = Fraction(c, p.den)
+    return poly(context, terms)
+
+
+def param_add(a, b) -> ParamPoly:
+    """Sum of two values of one context, either of which may be a rational,
+    stored in lowest terms."""
+    context = (a if isinstance(a, ParamPoly) else b).context
+    a, b = (x if isinstance(x, ParamPoly) else constant(context, x) for x in (a, b))
+    if a.context != b.context:
+        raise ValueError("mismatched parameter contexts")
+    den = lcm(a.den, b.den)
+    out = {k: c * (den // a.den) for k, c in a.terms.items()}
+    for k, c in b.terms.items():
+        out[k] = out.get(k, 0) + c * (den // b.den)
+    return ParamPoly._make(context, {k: c for k, c in out.items() if c}, den)
+
+
+def param_sub(a, b) -> ParamPoly:
+    return param_add(a, b * -1)
+
+
+def param_invert(p: ParamPoly) -> ParamPoly:
+    """Two-sided inverse within the truncation.  Needs a nonzero rational
+    part; the parameter part is nilpotent, so the geometric series
+    terminates."""
+    c = constant_term(p)
+    if c == 0:
+        raise ValueError("not a unit: zero rational part")
+    inv_c = 1 / c
+    result = constant(p.context, inv_c)
+    power = constant(p.context, 1)
+    step = param_sub(p, c) * -inv_c
+    while (power := power * step).terms:
+        result = param_add(result, power * inv_c)
+    return result
+
+
+# The same polynomials as dicts from exponent tuples to Fractions, with the
+# bounds checked coordinate by coordinate; the packed product must agree.
+
+
+def reference_poly(context, terms):
+    clean = {}
+    for exps, c in terms.items():
+        exps = tuple(exps)
+        if any(e > b for e, b in zip(exps, context.bounds)):
+            continue
+        c = Fraction(c)
+        if c:
+            clean[exps] = c
+    return clean
+
+
+def reference_mul(context, a, b):
+    bounds = context.bounds
+    out = {}
+    if len(a) > len(b):
+        a, b = b, a
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if any(x > m for x, m in zip(e, bounds)):
+                continue
+            out[e] = out.get(e, 0) + c1 * c2
+    return reference_poly(context, out)
+
+
+# Weight-truncated creation-monomial combinations.  The library has
+# `exp_linear` and the cup product; the rest are references.
+
+
+def exp_linear_reference(coeffs, bound: int, one=Fraction(1)) -> FockElement:
+    """exp(sum_k coeffs[k] q_k) by visiting every partition of every weight
+    up to the bound, one coefficient multiply per part, starting from
+    `one`.  The coefficients may be rationals or `ParamPoly`."""
+    terms = {}
+    for n in range(bound + 1):
+        for parts in enumerate_partitions(n):
+            c = one
+            for part in parts:
+                c = c * coeffs[part]
+            c = c * Fraction(1, prod(factorial(m) for m in multiplicities(parts).values()))
+            if c:
+                terms[parts] = c
+    return FockElement(bound, terms)
+
+
+def restrict(e: FockElement, only=None, degree=None) -> FockElement:
+    """The terms of e of weight `only` and of algebraic degree `degree`
+    (weight - length), each condition skipped when None."""
+    return FockElement(e.bound, {
+        p: c for p, c in e.terms.items()
+        if (only is None or weight(p) == only) and (degree is None or weight(p) - len(p) == degree)
+    })
+
+
+def canonical(partitions) -> list:
+    """Partitions in output order: by weight, then reverse-lexicographically."""
+    out = sorted(partitions, reverse=True)
+    out.sort(key=weight)  # stable: keeps revlex order
+    return out
+
+
+def fock_add(a: FockElement, b: FockElement) -> FockElement:
+    """Sum of two elements of one bound, in canonical order; a coefficient
+    that cancels is dropped."""
+    if not isinstance(b, FockElement):
+        raise TypeError("expected a FockElement")
+    if a.bound != b.bound:
+        raise ValueError("mismatched weight bounds")
+    out = dict(a.terms)
+    for parts, c in b.terms.items():
+        if parts in out:
+            c = out.pop(parts) + c
+            if not c:
+                continue
+        out[parts] = c
+    return FockElement(a.bound, {p: out[p] for p in canonical(out)})
+
+
+def fock_scale(e: FockElement, c) -> FockElement:
+    """Multiple of every coefficient by the scalar c."""
+    return FockElement(e.bound, {p: w for p, v in e.terms.items() if (w := v * c)})
+
+
+def fock_product(a: FockElement, b: FockElement) -> FockElement:
+    """Fock (symmetric-algebra) product: multiset union of partitions, terms
+    of weight beyond the bound dropped."""
+    assert a.bound == b.bound
+    out = {}
+    for p1, c1 in a.terms.items():
+        for p2, c2 in b.terms.items():
+            if weight(p1) + weight(p2) <= a.bound:
+                merged = tuple(sorted(p1 + p2, reverse=True))
+                out[merged] = out.get(merged, 0) + c1 * c2
+    return FockElement(a.bound, {p: c for p, c in out.items() if c})
+
+
+def assert_valid_terms(e: FockElement, weights=None):
+    """The invariant FockElement trusts its producers to keep: each key a
+    partition within the bound (of a weight in `weights`, if given), each
+    coefficient nonzero."""
+    for p, c in e.terms.items():
+        assert check_partition(p) == p and weight(p) <= e.bound, p
+        assert weights is None or weight(p) in weights, p
+        assert c, p
+
+
+# Partitions and characters.  The library reads the character on the
+# n-cycle, the hook lengths and the contents of a hook from closed forms.
+
+
+def partition_count(n: int) -> int:
+    """p(n) via the coin-style dynamic program."""
+    table = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            table[total] += table[total - part]
+    return table[n]
 
 
 def contents(parts) -> tuple[int, ...]:
@@ -39,6 +361,23 @@ def chi_mn(lam, mu) -> int:
     if weight(lam) != weight(mu):
         raise ValueError("shape and cycle type must have equal weight")
     return _mn(lam, mu)
+
+
+def chi_on_n_cycle(parts) -> int:
+    """Irreducible character on the full cycle: (-1)**s on the hook shape
+    (n - s, 1, ..., 1), zero on every other shape.
+    """
+    parts = check_partition(parts)
+    n = weight(parts)
+    if n == 0:
+        raise ValueError("character on the n-cycle needs weight >= 1")
+    if all(p == 1 for p in parts[1:]):
+        return (-1) ** (len(parts) - 1)
+    return 0
+
+
+# The fixed-point and telescoped-product sums as they were before the hook
+# prefix-product tables.
 
 
 def fixed_point_sum(f: TruncatedSeries, n: int, target: str) -> Fraction:
@@ -81,3 +420,94 @@ def p_n_series(f: TruncatedSeries, n: int, order: int) -> TruncatedSeries:
         total = [t + weight_s * p for t, p in zip(total, product)]
     scale = factorial(n) * den ** (n + 1)
     return TruncatedSeries(order, [Fraction(t, scale) for t in total])
+
+
+# The nilpotent cup-product route as it was before the closed-form factor
+# tables: F = f(-x) from its defining equation, on lists of ParamPoly with
+# the double-loop product and a nilpotent inverse, and the Lagrange power
+# loop on the product F1 F2 in the pair ring.  It uses neither
+# `_factor_powers` nor the library Lagrange solver.
+
+
+def inverse_params(s):
+    """Inverse of a ParamPoly list whose constant term is a rational unit
+    plus a nilpotent part."""
+    inv0 = param_invert(s[0])
+    out = [inv0]
+    for k in range(1, len(s)):
+        acc = inv0 * 0
+        for j in range(1, k + 1):
+            acc = param_add(acc, s[j] * out[k - j])
+        out.append(acc * inv0 * -1)
+    return out
+
+
+def reference_f_minus(context, prefix, mults, n):
+    """Coefficients 0..n-1 of F = f(-x) for g = t + sum_k rho_k t^k, rho_k
+    the parameter prefix + k of `context`, from dg/dt (x/F) = F, that is
+    F = 1 + sum_k k rho_k (x/F)^(k-1).  Each round of the fixed-point
+    iteration fixes one more coefficient."""
+    one = constant(context, 1)
+    F = [one] + [one * 0] * (n - 1)
+    for _ in range(n):
+        w = [one * 0] + inverse_params(F)[: n - 1]  # x/F
+        new = [one] + [one * 0] * (n - 1)
+        for k in mults:
+            term = [one] + [one * 0] * (n - 1)
+            for _ in range(k - 1):
+                term = convolve(term, w, one * 0, param_add)
+            rho = parameter(context, f"{prefix}{k}") * k
+            new = [param_add(x, rho * y) for x, y in zip(new, term)]
+        F = new
+    return F
+
+
+def reference_powers(F, n):
+    """Rows 0..m-1 of F^m, m = 1..n."""
+    one = constant(F[0].context, 1)
+    rows, power = [], [one] + [one * 0] * (n - 1)
+    for m in range(1, n + 1):
+        power = convolve(power, F, one * 0, param_add)
+        rows.append(power[:m])
+    return rows
+
+
+def reference_pair_exponent(nu, nu2):
+    """The pair's context and h_1..h_n, h_m = [x^(m-1)] (F1 F2)^m / m^2, with
+    both F from their defining equations; also returns F1 and F2."""
+    n = weight(nu)
+    m1, m2 = multiplicities(nu), multiplicities(nu2)
+    names = tuple(f"a{k}" for k in sorted(m1)) + tuple(f"b{k}" for k in sorted(m2))
+    bounds = tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2))
+    context = ParamContext(names, bounds)
+    F1 = reference_f_minus(context, "a", m1, n)
+    F2 = reference_f_minus(context, "b", m2, n)
+    rows = reference_powers(convolve(F1, F2, F1[0] * 0, param_add), n)
+    h = [row[-1] * Fraction(1, m * m) for m, row in enumerate(rows, 1)]
+    return (context, h), F1, F2
+
+
+def multilinear_part(context, expansion: FockElement) -> dict:
+    """Each term's coefficient at the top parameter monomial (every exponent
+    at its bound b), times prod b!; terms where it vanishes are dropped."""
+    bounds = context.bounds
+    scale = prod(factorial(b) for b in bounds)
+    out = {}
+    for parts, coeff in expansion.terms.items():
+        c = coefficient(coeff, bounds) * scale
+        if c:
+            out[parts] = c
+    return out
+
+
+def reference_cup_nilpotent(nu, nu2):
+    """The nilpotent route built directly in the pair's context, as before
+    the factors' power tables: every weight expanded, and each term's
+    multilinear coefficient read off; a nonzero one below weight n raises."""
+    n = weight(nu)
+    context, h = reference_pair_exponent(nu, nu2)[0]
+    out = multilinear_part(context, exp_linear_reference([0, *h], n, constant(context, 1)))
+    for parts, c in out.items():
+        if weight(parts) < n:
+            raise AssertionError(f"weight-{weight(parts)} term {parts} at rank {n}: {c}")
+    return FockElement(n, out)

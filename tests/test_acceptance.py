@@ -8,8 +8,8 @@ adds the fixed-point oracle to order 9 and pins the one check of `verify
 examples` that fails, the sqrt-Todd closed form quoted in the source,
 1/(4^n (2n+1) (2n+1)!), which does not solve the defining equation; the
 test records why.  Criterion 7 has no suite of its own; it uses the
-test-local `compose`, `inverse`, `x_derivative` and `revert` of
-`test_series`; `revert` runs the library Lagrange solver.
+reference `compose`, `inverse`, `x_derivative` and `revert`
+(`tests/reference.py`); `revert` runs the library Lagrange solver.
 """
 
 import random
@@ -19,7 +19,7 @@ from functools import cache
 from hilbclass.hilbert import oracle_top_tangent, sqrt_todd_f, tangent_g
 from hilbclass.series import TruncatedSeries, lagrange_g
 from hilbclass.verify import SUITES, Check, random_unit_series
-from test_series import compose, inverse, revert, x_derivative
+from reference import compose, inverse, revert, x_derivative
 
 QUOTED_SQRT_TODD = ("sqrt-Todd exponent series to order 21, "
                     "hyperbolic-sine-integral closed form")

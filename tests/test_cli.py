@@ -2,11 +2,12 @@
 and exit codes."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hilbclass.cli import main
+from hilbclass.cli import _parse_rational, main
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +196,37 @@ def test_rational_errors_name_the_field(capsys):
     assert main(["gseries", "cprime-pow", "tangent", "--r=-1/0"]) == 2
     err = capsys.readouterr().err
     assert "--r" in err and "'-1/0'" in err
+
+
+LIMIT = sys.get_int_max_str_digits()  # digits str() prints of one int
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["cup", "[" * 100_000, "[1]"], "partition_a must be a JSON array of integers"),
+    (["cup", "[2]", "[1" + "0" * 5000 + "]"], "partition_b must be a JSON array of integers"),
+    (["gseries", "cprime-pow", "tangent", "--r", "1e-10000000"], "--r has an exponent beyond"),
+    (["gseries", "custom", "tangent", "--f", "1,1e-5000"],
+     f"--f entry 1 has a numerator or denominator over {LIMIT} digits"),
+    (["gseries", "cprime-pow", "tangent", "--r", f"1e-{LIMIT}"], "--r has a numerator or"),
+    (["gseries", "cprime-pow", "tangent", "--r", f"0e-{3 * LIMIT + 1}"], "--r has an exponent"),
+], ids=["deep-partition", "long-part", "r-exponent", "f-exponent", "r-limit", "r-zero"])
+def test_oversized_input_exits_2_naming_the_field(capsys, argv, named):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("text,value", [
+    (f"0e-{3 * LIMIT}", 0),
+    (f"1e-{LIMIT - 1}", Fraction(1, 10 ** (LIMIT - 1))),
+    (f"25e-{LIMIT + 1}", Fraction(1, 4 * 10 ** (LIMIT - 1))),
+    (f"123e{LIMIT - 3}", 123 * 10 ** (LIMIT - 3)),
+    ("1_0e-1_0", Fraction(1, 10**9)),
+    (" .5E+2 ", 50),
+])
+def test_exponent_forms_within_the_digit_limit_parse(text, value):
+    assert _parse_rational("r", text) == value
 
 
 @pytest.mark.parametrize("value", ["-1", "-3/2", "-.5", "-0.5", "-7/3"])

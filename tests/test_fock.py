@@ -1,20 +1,18 @@
 """Tests for weight-truncated creation-monomial combinations.
 
-The Fock (symmetric-algebra) product is a test-local reference here: it
-checks that `exp_linear` is exponential.  No command multiplies Fock
-elements that way; the cup product lives in `hilbclass.hilbert`.  So are
-the restriction to one weight or degree, which checks the pruned walks,
-the canonical term order, which every producer must keep, and the sum and
-scalar multiple (`fock_add`, `fock_scale`), which no command needs since
-the cup product accumulates its terms in one dict.  The walk behind
-`exp_linear`, `_exp_walk`, also runs here over lists of `ParamPoly`, as
-the nilpotent cup-product oracle runs it, where a product of parameters
-can vanish and cut its branch.
+`exp_linear` is checked against a visit of every partition
+(`exp_linear_reference`), as an exponential through the reference Fock
+(symmetric-algebra) product, and, cut to one weight or degree, against
+the full expansion filtered (`restrict`).  No command multiplies Fock
+elements that way; the cup product lives in `hilbclass.hilbert`.  Every
+producer must keep the canonical term order (`canonical`).  The walk
+behind `exp_linear`, `_exp_walk`, also runs here over lists of
+`ParamPoly`, as the nilpotent cup-product oracle runs it, where a product
+of parameters can vanish and cut its branch.
 """
 
 import json
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -27,31 +25,14 @@ from hilbclass.hilbert import (
     TANGENT, ClassSpec, _pair_exponent, builtin_f, cup, cup_basis, cup_nilpotent,
     hilbert_class, tangent_g, taut_g,
 )
-from hilbclass.partitions import check_partition, enumerate_partitions, multiplicities, weight
+from hilbclass.partitions import enumerate_partitions, weight
 from hilbclass.series import TruncatedSeries
-from test_exact import constant, parameter, poly, sub
-from test_series import add
+from reference import (
+    add, assert_valid_terms, canonical, constant, exp_linear_reference, fock_add, fock_product,
+    fock_scale, param_sub, parameter, poly, restrict,
+)
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-
-
-def exp_linear_reference(coeffs, bound: int, one=Fraction(1)) -> FockElement:
-    """exp(sum_k coeffs[k] q_k) by visiting every partition of every weight
-    up to the bound, one coefficient multiply per part, starting from
-    `one`.  The coefficients may be rationals or `ParamPoly`."""
-    terms = {}
-    for n in range(bound + 1):
-        for parts in enumerate_partitions(n):
-            c = one
-            for part in parts:
-                c = c * coeffs[part]
-            denom = 1
-            for m in multiplicities(parts).values():
-                denom *= factorial(m)
-            c = c * Fraction(1, denom)
-            if c:
-                terms[parts] = c
-    return FockElement(bound, terms)
 
 
 def walk(g, bound: int, only=None, degree=None) -> FockElement:
@@ -64,69 +45,8 @@ def walk(g, bound: int, only=None, degree=None) -> FockElement:
     return FockElement(bound, terms)
 
 
-def restrict(e: FockElement, only=None, degree=None) -> FockElement:
-    """The terms of e of weight `only` and of algebraic degree `degree`
-    (weight - length), each condition skipped when None."""
-    return FockElement(e.bound, {
-        p: c for p, c in e.terms.items()
-        if (only is None or weight(p) == only) and (degree is None or weight(p) - len(p) == degree)
-    })
-
-
-def canonical(partitions) -> list:
-    """Partitions in output order: by weight, then reverse-lexicographically."""
-    out = sorted(partitions, reverse=True)
-    out.sort(key=weight)  # stable: keeps revlex order
-    return out
-
-
 def assert_canonical(e: FockElement):
     assert list(e.terms) == canonical(e.terms)
-
-
-def fock_add(a: FockElement, b: FockElement) -> FockElement:
-    """Test-local sum of two elements of one bound, in canonical order; a
-    coefficient that cancels is dropped."""
-    if not isinstance(b, FockElement):
-        raise TypeError("expected a FockElement")
-    if a.bound != b.bound:
-        raise ValueError("mismatched weight bounds")
-    out = dict(a.terms)
-    for parts, c in b.terms.items():
-        if parts in out:
-            c = out.pop(parts) + c
-            if not c:
-                continue
-        out[parts] = c
-    return FockElement(a.bound, {p: out[p] for p in canonical(out)})
-
-
-def fock_scale(e: FockElement, c) -> FockElement:
-    """Test-local multiple of every coefficient by the scalar c."""
-    return FockElement(e.bound, {p: w for p, v in e.terms.items() if (w := v * c)})
-
-
-def fock_product(a: FockElement, b: FockElement) -> FockElement:
-    """Test-local Fock (symmetric-algebra) product: multiset union of
-    partitions, terms of weight beyond the bound dropped."""
-    assert a.bound == b.bound
-    out = {}
-    for p1, c1 in a.terms.items():
-        for p2, c2 in b.terms.items():
-            if weight(p1) + weight(p2) <= a.bound:
-                merged = tuple(sorted(p1 + p2, reverse=True))
-                out[merged] = out.get(merged, 0) + c1 * c2
-    return FockElement(a.bound, {p: c for p, c in out.items() if c})
-
-
-def assert_valid_terms(e: FockElement, weights=None):
-    """The invariant FockElement trusts its producers to keep: each key a
-    partition within the bound (of a weight in `weights`, if given), each
-    coefficient nonzero."""
-    for p, c in e.terms.items():
-        assert check_partition(p) == p and weight(p) <= e.bound, p
-        assert weights is None or weight(p) in weights, p
-        assert c, p
 
 
 def test_monomial():
@@ -258,7 +178,7 @@ def parametric_g() -> list:
     # a^3 = b^2 = 0, so many monomials of g = t + a t^2 + (b - a) t^3 vanish
     a, b = parameter(PARAMETERS, "a"), parameter(PARAMETERS, "b")
     zero, one = poly(PARAMETERS, {}), constant(PARAMETERS, 1)
-    return [zero, one, a, sub(b, a), zero, a * b, one * 2]
+    return [zero, one, a, param_sub(b, a), zero, a * b, one * 2]
 
 
 def test_exp_linear_matches_reference_over_parameters():

@@ -36,20 +36,16 @@ from hilbclass.hilbert import (
     tangent_g,
     taut_g,
 )
-from hilbclass.partitions import (
-    enumerate_partitions,
-    hook_product,
-    hooks,
-    multiplicities,
-    weight,
-)
+from hilbclass.partitions import enumerate_partitions, multiplicities, weight
 from hilbclass.series import TruncatedSeries
 from hilbclass.verify import random_unit_series
-from reference import chi_mn, contents, fixed_point_sum
+from reference import (
+    assert_valid_terms, constant, derivative, exp_linear_reference, fixed_point_sum, fock_add,
+    inverse, log, multilinear_part, one_minus_exp_minus_x_over_x, param_add, poly,
+    reference_cup_nilpotent, reference_f_minus, reference_pair_exponent, reference_powers, scale,
+    sqrt_unit, widen,
+)
 from reference import p_n_series as loop_p_n_series
-from test_exact import add, coefficient, constant, invert, neg, parameter, poly
-from test_fock import assert_valid_terms, exp_linear_reference, fock_add
-from test_series import derivative, inverse, log, scale, scale_arg, sqrt_unit
 
 
 def test_builtin_series():
@@ -75,12 +71,6 @@ def test_builtin_series():
 REFERENCE_ORDERS = list(range(31)) + [41, 61, 81, 121]
 REFERENCE_R = [Fraction(r) for r in
                ("-5/2", "-3/2", "-1/2", "2/3", "3/2", "5/2", "-1", "0", "2", "7/3")]
-
-
-def one_minus_exp_minus_x_over_x(order):
-    """(1 - e^-x)/x = sum_k (-1)^k x^k / (k+1)!, written out."""
-    return TruncatedSeries.from_coeffs(
-        [Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)], order)
 
 
 @pytest.mark.parametrize("r", REFERENCE_R, ids=str)
@@ -151,47 +141,26 @@ def test_oracles_match_series_for_fixed_f():
             assert oracle_top_taut(f, n) == gq.coeffs[n]
 
 
-def reference_fixed_point_sum(f, n, target):
-    """The fixed-point oracle as first written: a literal product of
-    TruncatedSeries over the Chern roots of every partition of n, each root
-    factor built by a test-local scale_arg, weighted by chi^lam((n)) / (n H(lam))."""
-    ft = f.truncate(n - 1)
-    total = Fraction(0)
-    for lam in enumerate_partitions(n):
-        if target == TANGENT:
-            roots = [r for h in hooks(lam) for r in (h, -h)]
-        else:
-            roots = contents(lam)
-        prod = TruncatedSeries.one(n - 1)
-        for r in roots:
-            prod = prod * scale_arg(ft, r)
-        total += Fraction(chi_mn(lam, (n,)), hook_product(lam) * n) * prod.coeffs[n - 1]
-    return total
-
-
 ORACLES = {TANGENT: oracle_top_tangent, TAUTOLOGICAL: oracle_top_taut}
-
-
-@pytest.mark.parametrize("target", (TANGENT, TAUTOLOGICAL))
-def test_oracles_match_literal_fixed_point_sum(target):
-    rng = random.Random(2024)
-    drawn = [random_unit_series(rng, 7, 4, 5) for _ in range(6)]
-    tails = [c for f in drawn for c in f.coeffs[1:]]
-    assert 0 in tails and min(tails) < 0  # zero and negative coefficients
-    for f in drawn + [chern_f(7), segre_f(7), sqrt_todd_f(7)]:
-        for n in range(1, 9):
-            assert ORACLES[target](f, n) == reference_fixed_point_sum(f, n, target)
 
 
 @pytest.mark.parametrize("target", (TANGENT, TAUTOLOGICAL))
 def test_oracles_match_every_partition_route(target):
     """The hook prefix tables against the route over every partition, with
     the character from the recursion and each hook's product rebuilt from
-    its roots, up to n = 12."""
+    its roots: ten random f up to n = 12, and up to n = 8 six draws with
+    zero and negative coefficients and the three built-in classes."""
     rng = random.Random(1601)
     for _ in range(10):
         f = random_unit_series(rng, 11)
         for n in range(1, 13):
+            assert ORACLES[target](f, n) == fixed_point_sum(f, n, target), n
+    rng = random.Random(2024)
+    drawn = [random_unit_series(rng, 7, 4, 5) for _ in range(6)]
+    tails = [c for f in drawn for c in f.coeffs[1:]]
+    assert 0 in tails and min(tails) < 0
+    for f in drawn + [chern_f(7), segre_f(7), sqrt_todd_f(7)]:
+        for n in range(1, 9):
             assert ORACLES[target](f, n) == fixed_point_sum(f, n, target), n
 
 
@@ -204,7 +173,7 @@ def test_oracle_input_errors(target):
         oracle(TruncatedSeries.from_coeffs([2, 1], 3), 2)
     with pytest.raises(ValueError, match="truncated too low"):
         oracle(chern_f(3), 5)
-    assert oracle(chern_f(3), 4) == reference_fixed_point_sum(chern_f(3), 4, target)
+    assert oracle(chern_f(3), 4) == fixed_point_sum(chern_f(3), 4, target)
 
 
 def test_oracle_anchored_values():
@@ -340,117 +309,6 @@ def test_cup_matches_class_sum_oracle_samples():
         assert cup_basis(lam, mu) == cup_nilpotent(lam, mu)
 
 
-# The nilpotent route as it was before the closed-form factor tables: F =
-# f(-x) from its defining equation, on lists of ParamPoly with a test-local
-# convolution and nilpotent inverse, and the Lagrange power loop on the
-# product F1 F2 in the pair ring.  It uses neither `_factor_powers` nor the
-# library Lagrange solver.
-
-
-def convolve_params(a, b, n):
-    """Test-local coefficients 0..n of the product of two ParamPoly lists."""
-    out = []
-    for k in range(n + 1):
-        acc = a[0] * 0
-        for i in range(k + 1):
-            acc = add(acc, a[i] * b[k - i])
-        out.append(acc)
-    return out
-
-
-def inverse_params(s):
-    """Test-local inverse of a ParamPoly list whose constant term is a
-    rational unit plus a nilpotent part."""
-    inv0 = invert(s[0])
-    out = [inv0]
-    for k in range(1, len(s)):
-        acc = inv0 * 0
-        for j in range(1, k + 1):
-            acc = add(acc, s[j] * out[k - j])
-        out.append(neg(acc * inv0))
-    return out
-
-
-def reference_f_minus(context, prefix, mults, n):
-    """Coefficients 0..n-1 of F = f(-x) for g = t + sum_k rho_k t^k, rho_k
-    the parameter prefix + k of `context`, from dg/dt (x/F) = F, that is
-    F = 1 + sum_k k rho_k (x/F)^(k-1).  Each round of the fixed-point
-    iteration fixes one more coefficient."""
-    one = constant(context, 1)
-    F = [one] + [one * 0] * (n - 1)
-    for _ in range(n):
-        w = [one * 0] + inverse_params(F)[: n - 1]  # x/F
-        new = [one] + [one * 0] * (n - 1)
-        for k in mults:
-            term = [one] + [one * 0] * (n - 1)
-            for _ in range(k - 1):
-                term = convolve_params(term, w, n - 1)
-            rho = parameter(context, f"{prefix}{k}") * k
-            new = [add(x, rho * y) for x, y in zip(new, term)]
-        F = new
-    return F
-
-
-def reference_powers(F, n):
-    """Rows 0..m-1 of F^m, m = 1..n."""
-    one = constant(F[0].context, 1)
-    rows, power = [], [one] + [one * 0] * (n - 1)
-    for m in range(1, n + 1):
-        power = convolve_params(power, F, n - 1)
-        rows.append(power[:m])
-    return rows
-
-
-def reference_pair_exponent(nu, nu2):
-    """The pair's context and h_1..h_n, h_m = [x^(m-1)] (F1 F2)^m / m^2, with
-    both F from their defining equations; also returns F1 and F2."""
-    n = weight(nu)
-    m1, m2 = multiplicities(nu), multiplicities(nu2)
-    names = tuple(f"a{k}" for k in sorted(m1)) + tuple(f"b{k}" for k in sorted(m2))
-    bounds = tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2))
-    context = ParamContext(names, bounds)
-    F1 = reference_f_minus(context, "a", m1, n)
-    F2 = reference_f_minus(context, "b", m2, n)
-    rows = reference_powers(convolve_params(F1, F2, n - 1), n)
-    h = [row[-1] * Fraction(1, m * m) for m, row in enumerate(rows, 1)]
-    return (context, h), F1, F2
-
-
-def multilinear_part(context, expansion: FockElement) -> dict:
-    """Test-local: each term's coefficient at the top parameter monomial
-    (every exponent at its bound b), times prod b!; terms where it
-    vanishes are dropped."""
-    bounds = context.bounds
-    scale = 1
-    for b in bounds:
-        scale *= factorial(b)
-    out = {}
-    for parts, coeff in expansion.terms.items():
-        c = coefficient(coeff, bounds) * scale
-        if c:
-            out[parts] = c
-    return out
-
-
-def expand_pair(context, h) -> FockElement:
-    """Test-local: every weight up to n of exp(sum_m h_m q_m), n = len(h),
-    by the test-local `exp_linear_reference`."""
-    return exp_linear_reference([0, *h], len(h), constant(context, 1))
-
-
-def reference_cup_nilpotent(nu, nu2):
-    """The nilpotent route built directly in the pair's context, as before
-    the factors' power tables: every weight expanded, and each term's
-    multilinear coefficient read off; a nonzero one below weight n raises."""
-    n = weight(nu)
-    context, h = reference_pair_exponent(nu, nu2)[0]
-    out = multilinear_part(context, expand_pair(context, h))
-    for parts, c in out.items():
-        if weight(parts) < n:
-            raise AssertionError(f"weight-{weight(parts)} term {parts} at rank {n}: {c}")
-    return FockElement(n, out)
-
-
 def test_factor_powers_match_defining_equation_route():
     factors = 0
     for n in range(1, 7):
@@ -516,12 +374,11 @@ def test_pair_exponent_sums_over_the_lcm_of_denominators(monkeypatch):
         context, h = _pair_exponent(nu, nu2)
         assert len(h) == n
         m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
-        shift = context.shifts[len(m1)]
         dens = set()
         for m, (row1, row2) in enumerate(zip(scaled(m1, n), scaled(m2, n)), 1):
             expected = poly(context, {})
             for c1, c2 in zip(row1, reversed(row2)):
-                expected = add(expected, c1.embed(context, 0) * c2.embed(context, shift))
+                expected = param_add(expected, widen(c1, context, 0) * widen(c2, context, len(m1)))
                 dens.add(c1.den * c2.den)
             assert h[m - 1] == expected * Fraction(1, m * m), (nu, nu2, m)
         assert len(dens) > 2
@@ -533,7 +390,7 @@ def test_nilpotent_route_vanishes_below_weight_n():
     for nu, nu2 in _pairs(5):
         n = weight(nu)
         context, h = _pair_exponent(nu, nu2)
-        full = multilinear_part(context, expand_pair(context, h))
+        full = multilinear_part(context, exp_linear_reference([0, *h], n, constant(context, 1)))
         assert all(weight(parts) == n for parts in full), (nu, nu2, full)
         assert full == cup_nilpotent(nu, nu2).terms
 
@@ -549,19 +406,10 @@ def test_factor_powers_embed_into_the_pair_ring():
         expected, F1, F2 = reference_pair_exponent(nu, nu2)
         assert (context, h) == expected
         m1, m2 = multiplicities(nu), multiplicities(nu2)
-        shift = context.shifts[len(m1)]
-        for F, mults, at in ((F1, m1, 0), (F2, m2, shift)):
+        for F, mults, first in ((F1, m1, 0), (F2, m2, len(m1))):
             table = _factor_powers(tuple(sorted(mults.items())), n)
             for row, power in zip(table, reference_powers(F, n)):
-                assert [c.embed(context, at) for c in row] == power
-        b_top = _factor_powers(tuple(sorted(m2.items())), n)[-1][-1]
-        late = context.shifts[len(m1) + 1]
-        for bad in (shift + 1, shift - 1, late):
-            with pytest.raises(ValueError):
-                b_top.embed(context, bad)
-        wider = ParamContext(context.names, context.bounds[:-1] + (context.bounds[-1] + 2,))
-        with pytest.raises(ValueError):
-            b_top.embed(wider, shift)
+                assert [widen(c, context, first) for c in row] == power
 
 
 _small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)

@@ -22,16 +22,7 @@ from hilbclass.partitions import (
     weight,
     z_of,
 )
-from reference import chi_mn, contents
-
-
-def partition_count(n: int) -> int:
-    """Independent p(n) via the coin-style dynamic program."""
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            table[total] += table[total - part]
-    return table[n]
+from reference import chi_mn, chi_on_n_cycle, contents, partition_count
 
 
 def test_check_partition():
@@ -191,21 +182,6 @@ def test_chi_mn_column_orthogonality():
                     chi_mn(lam, mu) * chi_mn(lam, nu) for lam in parts
                 )
                 assert total == (z_of(mu) if mu == nu else 0)
-
-
-def chi_on_n_cycle(parts) -> int:
-    """Irreducible character on the full cycle: (-1)**s on the hook shape
-    (n - s, 1, ..., 1), zero on every other shape.
-    """
-    parts = check_partition(parts)
-    n = weight(parts)
-    if n == 0:
-        raise ValueError("character on the n-cycle needs weight >= 1")
-    if len(parts) == 1 or parts[0] == 1:
-        return (-1) ** (len(parts) - 1)
-    if all(p == 1 for p in parts[1:]):
-        return (-1) ** (len(parts) - 1)
-    return 0
 
 
 def test_chi_on_n_cycle():

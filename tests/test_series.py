@@ -1,17 +1,14 @@
 """Tests for truncated power series: the product, `exp`, the Lagrange
 solver, and reversion through it.
 
-Sums, scalar multiples, argument scaling, composition, differentiation,
-`x d/dx`, the inverse, reversion, `log` and the unit square root are
-test-local references here; no command needs them.  `revert` is the
-library `lagrange_g` followed by `t d/dt`, with the test-local
-`inverse`.  Reversion is checked by round trips through `compose` and
-against a test-local copy of the classical coefficient formula, and the
-Lagrange solver against its defining functional equation (through
-`compose`), a test-local iterated-derivative route, and the `Fraction`
-power loop it replaced (`reference_lagrange_g`).  Every series is rational.
-The acceptance gate and the other test modules import these helpers from
-this module.
+The product is checked against the plain double loop, `exp` by round
+trips through the reference `log`, and the Lagrange solver against its
+defining functional equation (through the reference `compose`) and the
+`Fraction` power loop it replaced (`reference_lagrange_g`).  The
+reference `revert` is the library solver followed by `t d/dt`; it is
+checked by round trips through `compose` and, through the same power
+loop, against the classical coefficient formula.  Every series is
+rational.
 """
 
 from fractions import Fraction
@@ -23,87 +20,12 @@ from hypothesis import strategies as st
 
 from hilbclass.hilbert import builtin_f
 from hilbclass.series import TruncatedSeries, _convolve, lagrange_g
+from reference import (
+    add, compose, convolve, derivative, inverse, log, reference_lagrange_g, revert, sqrt_unit,
+    x_derivative,
+)
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-
-
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Test-local coefficientwise sum of two series of one order."""
-    assert a.order == b.order
-    return TruncatedSeries(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-
-def scale(s: TruncatedSeries, c) -> TruncatedSeries:
-    """Test-local multiple of every coefficient by the scalar c."""
-    return TruncatedSeries(s.order, [a * c for a in s.coeffs])
-
-
-def scale_arg(s: TruncatedSeries, c) -> TruncatedSeries:
-    """Test-local substitution x -> c*x for a rational constant c."""
-    return TruncatedSeries(s.order, [a * Fraction(c) ** k for k, a in enumerate(s.coeffs)])
-
-
-def inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Test-local multiplicative inverse of a rational series with nonzero
-    constant term."""
-    inv0 = 1 / s.coeffs[0]
-    out = [inv0] + [Fraction(0)] * s.order
-    for k in range(1, s.order + 1):
-        out[k] = -sum(s.coeffs[j] * out[k - j] for j in range(1, k + 1)) * inv0
-    return TruncatedSeries(s.order, out)
-
-
-def log(s: TruncatedSeries) -> TruncatedSeries:
-    """Test-local log of a rational series with constant term 1."""
-    assert s.coeffs[0] == 1
-    out = [Fraction(0)] * (s.order + 1)
-    for n in range(1, s.order + 1):
-        acc = s.coeffs[n] * n - sum(out[j] * s.coeffs[n - j] * j for j in range(1, n))
-        out[n] = acc / n
-    return TruncatedSeries(s.order, out)
-
-
-def sqrt_unit(s: TruncatedSeries) -> TruncatedSeries:
-    """Test-local square root, with constant term 1, of a rational series
-    with constant term 1."""
-    assert s.coeffs[0] == 1
-    out = [Fraction(1)] + [Fraction(0)] * s.order
-    for n in range(1, s.order + 1):
-        out[n] = (s.coeffs[n] - sum(out[j] * out[n - j] for j in range(1, n))) / 2
-    return TruncatedSeries(s.order, out)
-
-
-def x_derivative(s: TruncatedSeries) -> TruncatedSeries:
-    """Test-local x d/dx, keeping the order."""
-    return TruncatedSeries(s.order, [a * k for k, a in enumerate(s.coeffs)])
-
-
-def revert(s: TruncatedSeries) -> TruncatedSeries:
-    """Test-local compositional inverse of a rational series, by Lagrange
-    inversion: writing s as x/F, the inverse is t dg/dt for g = lagrange_g(F).
-    Needs constant term 0 and a nonzero linear coefficient."""
-    if s.coeffs[0] != 0:
-        raise ValueError("revert needs constant term 0")
-    if s.order < 1 or s.coeffs[1] == 0:
-        raise ValueError("revert needs a unit linear coefficient")
-    F = inverse(TruncatedSeries(s.order - 1, s.coeffs[1:]))
-    return x_derivative(lagrange_g(F, s.order))
-
-
-def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """Test-local outer(inner), by Horner evaluation; inner must kill the constant."""
-    if inner.coeffs[0] != 0:
-        raise ValueError("compose needs inner constant term 0")
-    result = TruncatedSeries.from_coeffs([], outer.order)
-    for c in reversed(outer.coeffs):
-        result = result * inner
-        result = TruncatedSeries(outer.order, (result.coeffs[0] + c,) + result.coeffs[1:])
-    return result
-
-
-def derivative(s: TruncatedSeries) -> TruncatedSeries:
-    """Test-local d/dx; the result has order one less."""
-    return TruncatedSeries(s.order - 1, [s.coeffs[k] * k for k in range(1, s.order + 1)])
 
 
 def series_strategy(order, constant=None, linear=None):
@@ -146,16 +68,6 @@ def test_ring_axioms(a, b, c):
     assert add(a, b) * c == add(a * c, b * c)
     assert (a * b) * c == a * (b * c)
     assert a * TruncatedSeries.one(6) == a
-
-
-def convolve(a, b, zero):
-    """Test-local truncated product: the plain double loop over every pair."""
-    n = len(a) - 1
-    out = [zero] * (n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            out[i + j] = out[i + j] + a[i] * b[j]
-    return out
 
 
 big_rationals = st.builds(
@@ -229,8 +141,6 @@ def test_sqrt_unit_squares_back(s):
 
 def test_exp_anchored():
     e = TruncatedSeries.from_coeffs([0, 1], 5).exp()
-    from math import factorial
-
     assert e.coeffs == tuple(Fraction(1, factorial(k)) for k in range(6))
 
 
@@ -239,42 +149,12 @@ def test_derivatives():
     assert derivative(s).coeffs == (1, 6, 0, 0)
     assert x_derivative(s).coeffs == (0, 1, 6, 0, 0)
     assert s.negate_arg().coeffs == (5, -1, 3, 0, 0)
-    assert scale_arg(s, 2).coeffs == (5, 2, 12, 0, 0)
 
 
 @given(series_strategy(6, constant=0), series_strategy(6, constant=0))
 def test_compose_is_morphism(f, g):
     h = TruncatedSeries.from_coeffs([2, 1, -1], 6)
     assert compose(h * f.exp(), g) == compose(h, g) * compose(f, g).exp()
-
-
-def classical_inversion_revert(s: TruncatedSeries) -> TruncatedSeries:
-    """Test-local compositional inverse via the classical coefficient
-    formula: the t^n coefficient of the inverse is [x^(n-1)] (x/s)^n / n."""
-    n = s.order
-    ratio = inverse(TruncatedSeries(n - 1, s.coeffs[1:]))  # x/s shifted down by one
-    out = [Fraction(0)] * (n + 1)
-    power = TruncatedSeries.one(n - 1)
-    for m in range(1, n + 1):
-        power = power * ratio
-        out[m] = power.coeffs[m - 1] / m
-    return TruncatedSeries(n, out)
-
-
-def lagrange_g_derivative_form(F: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Test-local route to lagrange_g by iterated differentiation of F^n:
-    the coefficient of t^n is (d/dx)^(n-1) F^n at 0, divided by n * n!."""
-    work = max(order - 1, 0)
-    out = [Fraction(0)] * (order + 1)
-    power = TruncatedSeries.one(work)
-    Ft = F.truncate(work)
-    for m in range(1, order + 1):
-        power = power * Ft
-        deriv = power
-        for _ in range(m - 1):
-            deriv = derivative(deriv)
-        out[m] = deriv.coeffs[0] / (m * factorial(m))
-    return TruncatedSeries(order, out)
 
 
 @given(series_strategy(7, constant=0, linear=1))
@@ -289,7 +169,10 @@ def test_revert_round_trips(s):
 @given(series_strategy(7, constant=0, linear=1))
 @settings(max_examples=25)
 def test_revert_matches_classical_formula(s):
-    assert revert(s) == classical_inversion_revert(s)
+    """The t^n coefficient of the inverse is [x^(n-1)] (x/s)^n / n, that is
+    n g_n for g the power loop on F = x/s."""
+    F = inverse(TruncatedSeries(s.order - 1, s.coeffs[1:]))
+    assert revert(s) == x_derivative(reference_lagrange_g(F, s.order))
 
 
 def test_revert_catalan():
@@ -304,20 +187,6 @@ def test_revert_requires_unit_linear():
         revert(TruncatedSeries.from_coeffs([0, 0, 1], 4))
     with pytest.raises(ValueError):
         revert(TruncatedSeries.from_coeffs([1, 1], 4))
-
-
-def reference_lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Test-local Lagrange power loop on `Fraction` series: F^m is one
-    truncated series product per step, with no common denominator kept
-    from one step to the next."""
-    work = max(order - 1, 0)
-    Ft = F.truncate(work)
-    out = [Fraction(0)] * (order + 1)
-    power = TruncatedSeries.one(work)
-    for m in range(1, order + 1):
-        power = power * Ft
-        out[m] = power.coeffs[m - 1] * Fraction(1, m * m)
-    return TruncatedSeries(order, out)
 
 
 CLASSES = [("chern", None), ("segre", None), ("sqrt-todd", None),
@@ -373,7 +242,7 @@ def test_lagrange_functional_equation(F):
 @given(series_strategy(9, constant=1))
 @settings(max_examples=30)
 def test_lagrange_two_routes_agree(F):
-    assert lagrange_g(F, 10) == lagrange_g_derivative_form(F, 10)
+    assert lagrange_g(F, 10) == reference_lagrange_g(F, 10)
 
 
 @given(series_strategy(9, constant=1))
