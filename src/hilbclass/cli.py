@@ -32,8 +32,13 @@ MAX_ORDER = 241  # the slowest gseries takes about 16 s at this order, 4.5x that
 CLASS_NAMES = ("chern", "segre", "sqrt-todd", "cprime-pow", "custom")
 
 
+def _echo(text: str, show=repr) -> str:
+    """show(text), or past 200 characters show(its first 100) and its length."""
+    return show(text) if len(text) <= 200 else f"{show(text[:100])}... ({len(text)} characters)"
+
+
 def _parse_partition(field: str, text: str) -> tuple[int, ...]:
-    message = f"{field} must be a JSON array of integers: {text!r}"
+    message = f"{field} must be a JSON array of integers: {_echo(text)}"
     try:
         parts = json.loads(text)
     except (RecursionError, ValueError) as exc:  # too deep, malformed, or a part too long to print
@@ -45,7 +50,7 @@ def _parse_partition(field: str, text: str) -> tuple[int, ...]:
     try:
         return check_partition(parts)
     except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from None
+        raise ValueError(f"{field}: {_echo(str(exc), str)}") from None
 
 
 def _parse_rational(field: str, text: str, index: int | None = None) -> Fraction:
@@ -55,14 +60,15 @@ def _parse_rational(field: str, text: str, index: int | None = None) -> Fraction
     # limit each side of the point) leave both parts printable
     e = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.I)
     if limit and e and (len(e[1]) > limit or abs(int(e[1])) > 3 * limit):
-        raise ValueError(f"{where} has an exponent beyond +-{3 * limit}: {text!r}")
+        raise ValueError(f"{where} has an exponent beyond +-{3 * limit}: {_echo(text)}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{where} is not a rational p/q with q != 0: {text!r}") from None
+        raise ValueError(f"{where} is not a rational p/q with q != 0: {_echo(text)}") from None
     top = max(abs(value.numerator), value.denominator)
     if limit and top.bit_length() > 3 * limit and top >= 10**limit:  # 8**limit < 10**limit
-        raise ValueError(f"{where} has a numerator or denominator over {limit} digits: {text!r}")
+        raise ValueError(f"{where} has a numerator or denominator over {limit} digits: "
+                         f"{_echo(text)}")
     return value
 
 
@@ -109,9 +115,15 @@ def _records_json(element: FockElement) -> str:
 def _emit(doc: dict, out_path: str | None) -> None:
     payload = doc["payload"]
     records = isinstance(payload, FockElement)
-    text = json.dumps({**doc, "payload": None} if records else doc, indent=2, sort_keys=True)
-    if records:  # sort_keys writes "payload" before "request", whose values may be null
-        text = text.replace('"payload": null', '"payload": ' + _records_json(payload), 1)
+    try:
+        text = json.dumps({**doc, "payload": None} if records else doc, indent=2,
+                          sort_keys=True, default=str)
+        if records:  # sort_keys writes "payload" before "request", whose values may be null
+            text = text.replace('"payload": null', '"payload": ' + _records_json(payload), 1)
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        flags = [f"--{k}" for k in ("order", "weight", "r", "f") if doc["request"].get(k)]
+        raise ValueError(f"a result coefficient has more than {sys.get_int_max_str_digits()} "
+                         f"digits, too many to print; check {' and '.join(flags)}") from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -124,7 +136,7 @@ def cmd_gseries(args) -> int:
     _check_range("--order", order, MAX_ORDER)
     f = _defining_series(args, max(order - 1, 0))
     g = tangent_g(f, order) if args.target == TANGENT else taut_g(f, order)
-    payload = [str(c) for c in g.coeffs[1:]]
+    payload = list(g.coeffs[1:])  # _emit prints each as its str()
     request = {
         "subcommand": "gseries", "class": args.class_name, "target": args.target,
         "order": order, "r": args.r, "f": args.f,
@@ -155,7 +167,7 @@ def cmd_cup(args) -> int:
     nu = _parse_partition("partition_a", args.partition_a)
     if weight(nu) > MAX_RANK:
         raise ValueError(f"partition_a must have rank at most {MAX_RANK}, "
-                         f"got rank {weight(nu)}: {args.partition_a}")
+                         f"got rank {weight(nu)}: {_echo(args.partition_a, str)}")
     nu2 = _parse_partition("partition_b", args.partition_b)
     result = cup_basis(nu, nu2)
     request = {"subcommand": "cup", "a": list(nu), "b": list(nu2)}

@@ -2,12 +2,14 @@
 
 Scalars are arbitrary-precision rationals (`fractions.Fraction`), and every
 series and Fock element has rational coefficients.  Beside them sits
-:class:`ParamPoly`, a multivariate polynomial in finitely many formal
-parameters, each nilpotent of a fixed order, for the nilpotent cup-product
-oracle of :mod:`hilbclass.hilbert` alone.  It carries what that oracle
-uses: packed construction from integer numerators, the product and a
-truth value (a product of parameters can vanish).  It has no sum,
-negation, inverse or change of context; the oracle sums integer numerators
+:class:`ParamPoly`, a multivariate polynomial with integer coefficients in
+finitely many formal parameters, each nilpotent of a fixed order, for the
+nilpotent cup-product oracle of :mod:`hilbclass.hilbert` alone.  It
+carries what that oracle uses: packed construction from integer
+coefficients, the product (with another value or an int) and a truth
+value (a product of parameters can vanish).  It has no denominator, sum,
+negation, inverse or change of context; the oracle keeps every
+denominator in the class walk's divisor, sums integer coefficients
 itself, shifts a factor's packed monomials into the pair's context, and
 reads the coefficient it needs off the packed terms.
 All values are immutable; all operations are pure.
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -61,25 +62,20 @@ class ParamContext:
 
 
 class ParamPoly:
-    """Polynomial in nilpotent parameters over the rationals: `terms` maps
-    packed monomials (see `ParamContext`) to nonzero int numerators over one
-    denominator `den` > 0 with gcd(den, *numerators) == 1, so equal values
-    store equal data.  `_make` builds one from monomials within the bounds;
-    the product drops those over a bound.  Zero is {} over 1, and false.
+    """Polynomial in nilpotent parameters with integer coefficients: `terms`
+    maps packed monomials (see `ParamContext`) to nonzero ints, so equal
+    values store equal data.  `_make` builds one from monomials within the
+    bounds; the product drops those over a bound.  Zero is {}, and false.
     """
 
-    __slots__ = ("context", "terms", "den")
+    __slots__ = ("context", "terms")
 
     @classmethod
-    def _make(cls, context, terms, den) -> "ParamPoly":
-        """The value of nonzero int numerators `terms` over `den`, stored in lowest terms."""
-        g = gcd(den, *terms.values())
-        if g != 1:
-            terms = {k: c // g for k, c in terms.items()}
-            den //= g
+    def _make(cls, context, terms) -> "ParamPoly":
+        """The value with nonzero int coefficients `terms`, stored as given."""
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (context, terms, den)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "terms", terms)
         return self
 
     def __setattr__(self, name, value):
@@ -90,11 +86,9 @@ class ParamPoly:
 
     def __mul__(self, other):
         if not isinstance(other, ParamPoly):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
-            num = other.numerator
-            return ParamPoly._make(self.context, {k: c * num for k, c in self.terms.items()
-                                                  if num}, self.den * other.denominator)
+            return self._make(self.context, {k: c * other for k, c in self.terms.items() if other})
         context = self.context
         if other.context is not context and other.context != context:
             raise ValueError("mismatched parameter contexts")
@@ -111,18 +105,16 @@ class ParamPoly:
                 k = k1 + k2
                 if not k & guard:
                     out[k] = get(k, 0) + c1 * c2
-        return ParamPoly._make(
-            context, {k - bias: c for k, c in out.items() if c}, self.den * other.den)
+        return ParamPoly._make(context, {k - bias: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
-            other = ParamPoly._make(self.context, {0: other.numerator} if other else {},
-                                    other.denominator)
-        return (self.context, self.den, self.terms) == (other.context, other.den, other.terms)
+            other = ParamPoly._make(self.context, {0: other} if other else {})
+        return (self.context, self.terms) == (other.context, other.terms)
 
     __hash__ = None
 
@@ -136,7 +128,6 @@ class ParamPoly:
             for k, c in self.terms.items()
         ):
             mono = "*".join(f"{n}^{e}" if e > 1 else n for n, e in zip(names, exps) if e)
-            c = Fraction(c, self.den)
             bits.append(f"{c}*{mono}" if mono else str(c))
         return "ParamPoly(" + " + ".join(bits) + ")"
 

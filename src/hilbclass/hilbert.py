@@ -43,10 +43,10 @@ inversion", JCTA 144, 2016), tabulated once per factor over its own
 parameters with no series reversion.  A pair embeds both tables in the
 context of both factors' parameters and reads the exponent series
 h_m = [x^(m-1)] (F1 F2)^m / m^2 off their Cauchy sum, one sum of integer
-numerators per h_m, as a plain list of `ParamPoly`.  The class expansion's
-own walk, `fock._exp_walk`, then runs over that list and keeps each term's
-multilinear coefficient alone, so no series or Fock element ever holds a
-parameter polynomial.
+numerators per h_m, its m^2 left to the divisor.  The class expansion's
+own walk, `fock._exp_walk`, then runs over those numerators and keeps each
+term's multilinear coefficient alone, so no series or Fock element ever
+holds a parameter polynomial.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
 from .exact import ParamContext, ParamPoly
 from .fock import FockElement, _exp_walk, exp_linear
@@ -349,53 +349,48 @@ def _factor_powers(mults: tuple[tuple[int, int], ...], n: int):
 
     As rho_k^(c_k + 1) = 0, the power is a finite multinomial sum over
     exponent vectors e <= c: e adds (m-i)! / ((m-i-|e|)! prod e_k!) prod k^(e_k)
-    at rho^e t^(sum e_k (k-1)).  Numerators are kept over prod c_k!, which
-    every prod e_k! divides."""
+    at rho^e t^(sum e_k (k-1)).  Both divisions are exact on ints:
+    m (m-i-1)! / (m-i-|e|)! is m!/(m-|e|)! at i = 0 and has |e| >= 1
+    otherwise, and F, so each term, is integral in the parameters."""
     context = ParamContext(tuple(f"r{k}" for k, _ in mults), tuple(c for _, c in mults))
-    den = prod(factorial(c) for _, c in mults)
-    by_degree = [[] for _ in range(n)]  # t-degree -> (packed monomial, |e|, numerator)
+    by_degree = [[] for _ in range(n)]  # t-degree -> (packed monomial, |e|, prod k^e_k, prod e_k!)
     for e in product(*(range(c + 1) for _, c in mults)):
         deg = sum(x * (k - 1) for x, (k, _) in zip(e, mults))
         if deg < n:
-            num = den
-            for x, (k, _) in zip(e, mults):
-                num = num * k**x // factorial(x)
-            by_degree[deg].append((context.pack(e), sum(e), num))
+            powers = prod(k**x for x, (k, _) in zip(e, mults))
+            by_degree[deg].append((context.pack(e), sum(e), powers, prod(map(factorial, e))))
     return tuple(
-        tuple(ParamPoly._make(context, {key: m * factorial(m - i - 1) // factorial(m - i - size) * num
-                                        for key, size, num in by_degree[i] if size <= m - i}, den)
+        tuple(ParamPoly._make(context, {key: m * factorial(m - i - 1) // factorial(m - i - size)
+                                        * num // div for key, size, num, div in by_degree[i]
+                                        if size <= m - i})
               for i in range(m))
         for m in range(1, n + 1))
 
 
 def _pair_exponent(nu, nu2) -> tuple[ParamContext, list[ParamPoly]]:
-    """The context of both factors' parameters and h_1..h_n, h =
-    lagrange_g(F1 F2, n) for the universal classes of q_nu and q_nu2:
-    [x^(m-1)] (F1 F2)^m is the Cauchy sum of [x^i] F1^m [x^(m-1-i)] F2^m,
-    read from the factors' power tables, skipping products with a zero
-    factor.  Each factor's fields sit in that context as in its own, the
-    first's at shift 0, so only the second's packed monomials move.  The
-    fields are disjoint, so no product exceeds a bound; each h_m is one sum
-    of integer numerators over the lcm of the products' denominators."""
+    """The context of both factors' parameters and H_m = m^2 h_m, m = 1..n,
+    h = lagrange_g(F1 F2, n), for the universal classes of q_nu and q_nu2:
+    H_m = [x^(m-1)] (F1 F2)^m is the Cauchy sum of [x^i] F1^m [x^(m-1-i)]
+    F2^m, read from the factors' power tables, one sum of integer
+    coefficients.  Each factor's fields sit in that context as in its own,
+    the first's at shift 0, so only the second's packed monomials move.
+    The fields are disjoint, so no product exceeds a bound."""
     n = weight(nu)
     m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
     context = ParamContext(tuple(f"a{k}" for k, _ in m1) + tuple(f"b{k}" for k, _ in m2),
                            tuple(c for _, c in m1 + m2))
     shift = context.shifts[len(m1)]  # the a fields come first, at shift 0
-    h = []
-    for m, (row1, row2) in enumerate(zip(_factor_powers(m1, n), _factor_powers(m2, n)), 1):
-        pairs = [(c1, c2) for c1, c2 in zip(row1, reversed(row2)) if c1.terms and c2.terms]
-        den = lcm(*(c1.den * c2.den for c1, c2 in pairs))
+    H = []
+    for row1, row2 in zip(_factor_powers(m1, n), _factor_powers(m2, n)):
         total = {}
         get = total.get
-        for c1, c2 in pairs:
-            scale = den // (c1.den * c2.den)
-            b_terms = [(k2 << shift, b * scale) for k2, b in c2.terms.items()]
+        for c1, c2 in zip(row1, reversed(row2)):
+            b_terms = [(k2 << shift, b) for k2, b in c2.terms.items()]
             for k1, a in c1.terms.items():
                 for k2, b in b_terms:
                     total[k1 + k2] = get(k1 + k2, 0) + a * b
-        h.append(ParamPoly._make(context, {k: c for k, c in total.items() if c}, den * m * m))
-    return context, h
+        H.append(ParamPoly._make(context, {k: c for k, c in total.items() if c}))
+    return context, H
 
 
 def cup_nilpotent(nu, nu2) -> FockElement:
@@ -406,17 +401,17 @@ def cup_nilpotent(nu, nu2) -> FockElement:
     weight-n piece.  A parameter of bound b stands for b parts of one size,
     so that coefficient is the one at the top monomial (every exponent at
     its bound) times prod b!; `_exp_walk` reads it off each term of its
-    walk over h, and terms where it vanishes are dropped.  Each factor's
-    power table is cached (keyed by its part multiplicities and n); a pair
-    is never cached."""
+    walk over the H_m with divisors m^2, and drops terms where it vanishes.
+    Each factor's power table is cached (keyed by its part multiplicities
+    and n); a pair is never cached."""
     nu, nu2 = _same_rank_pair(nu, nu2)
     n = weight(nu)
-    context, h = _pair_exponent(nu, nu2)
+    context, H = _pair_exponent(nu, nu2)
     top = context.pack(context.bounds)
     scale = prod(factorial(b) for b in context.bounds)
 
     def multilinear(c, d):
-        return Fraction(c.terms.get(top, 0) * scale, c.den * d)
+        return Fraction(c.terms.get(top, 0) * scale, d)
 
-    terms = _exp_walk([0, *h], [1] * (n + 1), n, n, None, multilinear)
+    terms = _exp_walk([0, *H], [m * m for m in range(n + 1)], n, n, None, multilinear)
     return FockElement(n, {p: c for p, c in terms.items() if c})

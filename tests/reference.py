@@ -10,7 +10,7 @@ has no `test_` prefix, so pytest does not collect it.
 
 import operator
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
 from hilbclass.exact import ParamContext, ParamPoly
 from hilbclass.fock import FockElement
@@ -135,28 +135,26 @@ def one_minus_exp_minus_x_over_x(order: int) -> TruncatedSeries:
         [Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)], order)
 
 
-# Nilpotent-parameter polynomials.  The library builds a `ParamPoly` only
-# from packed integer numerators and multiplies it; construction from
-# exponent vectors, the sum and the inverse are references.
+# Nilpotent-parameter polynomials, with integer coefficients.  The library
+# builds a `ParamPoly` only from packed integer coefficients and multiplies
+# it; construction from exponent vectors, the sum and the inverse are
+# references.
 
 
 def poly(context: ParamContext, terms) -> ParamPoly:
-    """The value with rational coefficients `terms`, keyed by exponent
-    vectors; monomials over a bound are dropped."""
+    """The value with int coefficients `terms`, keyed by exponent vectors;
+    monomials over a bound are dropped."""
     clean = {}
     for exps, c in terms.items():
         key = context.pack(exps)
-        if key is not None:
-            clean[key] = Fraction(c)
-    den = lcm(*(c.denominator for c in clean.values()))
-    return ParamPoly._make(context, {k: c.numerator * (den // c.denominator)
-                                     for k, c in clean.items() if c}, den)
+        if key is not None and c:
+            clean[key] = operator.index(c)
+    return ParamPoly._make(context, clean)
 
 
-def constant(context: ParamContext, value) -> ParamPoly:
-    """The rational `value` as a value of `context`."""
-    value = Fraction(value)
-    return ParamPoly._make(context, {0: value.numerator} if value else {}, value.denominator)
+def constant(context: ParamContext, value: int) -> ParamPoly:
+    """The int `value` as a value of `context`."""
+    return ParamPoly._make(context, {0: operator.index(value)} if value else {})
 
 
 def parameter(context: ParamContext, name: str) -> ParamPoly:
@@ -164,13 +162,13 @@ def parameter(context: ParamContext, name: str) -> ParamPoly:
     return poly(context, {tuple(int(n == name) for n in context.names): 1})
 
 
-def coefficient(p: ParamPoly, exps) -> Fraction:
+def coefficient(p: ParamPoly, exps) -> int:
     """The coefficient of p at the exponent vector `exps`."""
-    return Fraction(p.terms.get(p.context.pack(exps), 0), p.den)
+    return p.terms.get(p.context.pack(exps), 0)
 
 
-def constant_term(p: ParamPoly) -> Fraction:
-    return Fraction(p.terms.get(0, 0), p.den)
+def constant_term(p: ParamPoly) -> int:
+    return p.terms.get(0, 0)
 
 
 def widen(p: ParamPoly, context: ParamContext, first: int) -> ParamPoly:
@@ -182,22 +180,20 @@ def widen(p: ParamPoly, context: ParamContext, first: int) -> ParamPoly:
     terms = {}
     for k, c in p.terms.items():
         exps = tuple(k >> s & ((1 << b.bit_length()) - 1) for s, b in fields)
-        terms[(0,) * first + exps + pad] = Fraction(c, p.den)
+        terms[(0,) * first + exps + pad] = c
     return poly(context, terms)
 
 
 def param_add(a, b) -> ParamPoly:
-    """Sum of two values of one context, either of which may be a rational,
-    stored in lowest terms."""
+    """Sum of two values of one context, either of which may be an int."""
     context = (a if isinstance(a, ParamPoly) else b).context
     a, b = (x if isinstance(x, ParamPoly) else constant(context, x) for x in (a, b))
     if a.context != b.context:
         raise ValueError("mismatched parameter contexts")
-    den = lcm(a.den, b.den)
-    out = {k: c * (den // a.den) for k, c in a.terms.items()}
+    out = dict(a.terms)
     for k, c in b.terms.items():
-        out[k] = out.get(k, 0) + c * (den // b.den)
-    return ParamPoly._make(context, {k: c for k, c in out.items() if c}, den)
+        out[k] = out.get(k, 0) + c
+    return ParamPoly._make(context, {k: c for k, c in out.items() if c})
 
 
 def param_sub(a, b) -> ParamPoly:
@@ -205,22 +201,21 @@ def param_sub(a, b) -> ParamPoly:
 
 
 def param_invert(p: ParamPoly) -> ParamPoly:
-    """Two-sided inverse within the truncation.  Needs a nonzero rational
-    part; the parameter part is nilpotent, so the geometric series
-    terminates."""
+    """Two-sided inverse within the truncation.  Needs a constant term of
+    +-1, its own inverse, so the inverse stays integral; the parameter part
+    is nilpotent, so the geometric series terminates."""
     c = constant_term(p)
-    if c == 0:
-        raise ValueError("not a unit: zero rational part")
-    inv_c = 1 / c
-    result = constant(p.context, inv_c)
+    if c not in (1, -1):
+        raise ValueError("not a unit: constant term is not +-1")
+    result = constant(p.context, c)
     power = constant(p.context, 1)
-    step = param_sub(p, c) * -inv_c
+    step = param_sub(p, c) * -c
     while (power := power * step).terms:
-        result = param_add(result, power * inv_c)
+        result = param_add(result, power * c)
     return result
 
 
-# The same polynomials as dicts from exponent tuples to Fractions, with the
+# The same polynomials as dicts from exponent tuples to ints, with the
 # bounds checked coordinate by coordinate; the packed product must agree.
 
 
@@ -230,7 +225,6 @@ def reference_poly(context, terms):
         exps = tuple(exps)
         if any(e > b for e, b in zip(exps, context.bounds)):
             continue
-        c = Fraction(c)
         if c:
             clean[exps] = c
     return clean
@@ -254,18 +248,23 @@ def reference_mul(context, a, b):
 # `exp_linear` and the cup product; the rest are references.
 
 
-def exp_linear_reference(coeffs, bound: int, one=Fraction(1)) -> FockElement:
+def exp_linear_reference(coeffs, bound: int, one=Fraction(1), dens=None) -> FockElement:
     """exp(sum_k coeffs[k] q_k) by visiting every partition of every weight
     up to the bound, one coefficient multiply per part, starting from
-    `one`.  The coefficients may be rationals or `ParamPoly`."""
+    `one`.  The coefficients may be rationals, each term then its product
+    over prod m_i!, or `ParamPoly` with divisors `dens`, each term then
+    the pair (product, prod dens[part] prod m_i!), kept apart."""
     terms = {}
     for n in range(bound + 1):
         for parts in enumerate_partitions(n):
             c = one
             for part in parts:
                 c = c * coeffs[part]
-            c = c * Fraction(1, prod(factorial(m) for m in multiplicities(parts).values()))
-            if c:
+            d = prod(factorial(m) for m in multiplicities(parts).values())
+            if dens is not None:
+                if c:
+                    terms[parts] = (c, d * prod(dens[part] for part in parts))
+            elif c := c * Fraction(1, d):
                 terms[parts] = c
     return FockElement(bound, terms)
 
@@ -473,8 +472,8 @@ def reference_powers(F, n):
 
 
 def reference_pair_exponent(nu, nu2):
-    """The pair's context and h_1..h_n, h_m = [x^(m-1)] (F1 F2)^m / m^2, with
-    both F from their defining equations; also returns F1 and F2."""
+    """The pair's context and H_1..H_n, H_m = [x^(m-1)] (F1 F2)^m = m^2 h_m,
+    with both F from their defining equations; also returns F1 and F2."""
     n = weight(nu)
     m1, m2 = multiplicities(nu), multiplicities(nu2)
     names = tuple(f"a{k}" for k in sorted(m1)) + tuple(f"b{k}" for k in sorted(m2))
@@ -483,18 +482,18 @@ def reference_pair_exponent(nu, nu2):
     F1 = reference_f_minus(context, "a", m1, n)
     F2 = reference_f_minus(context, "b", m2, n)
     rows = reference_powers(convolve(F1, F2, F1[0] * 0, param_add), n)
-    h = [row[-1] * Fraction(1, m * m) for m, row in enumerate(rows, 1)]
-    return (context, h), F1, F2
+    return (context, [row[-1] for row in rows]), F1, F2
 
 
 def multilinear_part(context, expansion: FockElement) -> dict:
     """Each term's coefficient at the top parameter monomial (every exponent
-    at its bound b), times prod b!; terms where it vanishes are dropped."""
+    at its bound b), times prod b!, over the term's divisor; terms where it
+    vanishes are dropped."""
     bounds = context.bounds
     scale = prod(factorial(b) for b in bounds)
     out = {}
-    for parts, coeff in expansion.terms.items():
-        c = coefficient(coeff, bounds) * scale
+    for parts, (coeff, divisor) in expansion.terms.items():
+        c = Fraction(coefficient(coeff, bounds) * scale, divisor)
         if c:
             out[parts] = c
     return out
@@ -502,11 +501,14 @@ def multilinear_part(context, expansion: FockElement) -> dict:
 
 def reference_cup_nilpotent(nu, nu2):
     """The nilpotent route built directly in the pair's context, as before
-    the factors' power tables: every weight expanded, and each term's
+    the factors' power tables: every partition of every weight visited,
+    each term's product of H over prod part^2 prod m_i!, and its
     multilinear coefficient read off; a nonzero one below weight n raises."""
     n = weight(nu)
-    context, h = reference_pair_exponent(nu, nu2)[0]
-    out = multilinear_part(context, exp_linear_reference([0, *h], n, constant(context, 1)))
+    context, H = reference_pair_exponent(nu, nu2)[0]
+    dens = [m * m for m in range(n + 1)]  # h_m = H_m / m^2
+    expansion = exp_linear_reference([0, *H], n, constant(context, 1), dens)
+    out = multilinear_part(context, expansion)
     for parts, c in out.items():
         if weight(parts) < n:
             raise AssertionError(f"weight-{weight(parts)} term {parts} at rank {n}: {c}")

@@ -209,12 +209,35 @@ LIMIT = sys.get_int_max_str_digits()  # digits str() prints of one int
      f"--f entry 1 has a numerator or denominator over {LIMIT} digits"),
     (["gseries", "cprime-pow", "tangent", "--r", f"1e-{LIMIT}"], "--r has a numerator or"),
     (["gseries", "cprime-pow", "tangent", "--r", f"0e-{3 * LIMIT + 1}"], "--r has an exponent"),
-], ids=["deep-partition", "long-part", "r-exponent", "f-exponent", "r-limit", "r-zero"])
+    (["gseries", "cprime-pow", "tangent", "--r", "1" * 100_000], "--r is not a rational"),
+    (["cup", "[" + ",".join(["1"] * 3000) + "]", "[1]"],
+     "partition_a must have rank at most 28, got rank 3000"),
+    (["cup", "[2]", "[" + ",".join(map(str, range(1, 3001))) + "]"],
+     "partition_b: partition parts must be weakly decreasing"),
+], ids=["deep-partition", "long-part", "r-exponent", "f-exponent", "r-limit", "r-zero", "long-r",
+        "many-parts", "increasing-parts"])
 def test_oversized_input_exits_2_naming_the_field(capsys, argv, named):
+    """Each names its field, and a long input is echoed as a prefix and its length."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert named in captured.err
+    assert len(captured.err.encode()) < 1024
+    assert ("characters)" in captured.err) == (max(map(len, argv)) > 200)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["gseries", "cprime-pow", "tangent", "--order", "12", "--r", "1e-1000"],
+     "check --order and --r"),
+    (["class", "custom", "tangent", "--weight", "12", "--f", "1,1e-1000"],
+     "check --weight and --f"),
+], ids=["gseries", "class"])
+def test_unprintable_result_exits_2_naming_the_fields(capsys, tmp_path, argv, named):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"more than {LIMIT} digits" in captured.err and named in captured.err
 
 
 @pytest.mark.parametrize("text,value", [
@@ -236,7 +259,8 @@ def test_negative_r_parses_as_joined(capsys, value):
     assert spaced[0] == 0 and spaced == joined
 
 
-@pytest.mark.parametrize("value", ["-1/0", "-3/x", "-1/2/3", "-."])
+@pytest.mark.parametrize("value", ["-1/0", "-3/x", "-1/2/3", "-.", "-1/" + "x" * 197],
+                         ids=["-1/0", "-3/x", "-1/2/3", "-.", "200-characters"])
 def test_bad_negative_r_names_the_flag(capsys, value):
     assert main(["gseries", "cprime-pow", "tangent", "--r", value]) == 2
     captured = capsys.readouterr()

@@ -7,8 +7,9 @@ the full expansion filtered (`restrict`).  No command multiplies Fock
 elements that way; the cup product lives in `hilbclass.hilbert`.  Every
 producer must keep the canonical term order (`canonical`).  The walk
 behind `exp_linear`, `_exp_walk`, also runs here over lists of
-`ParamPoly`, as the nilpotent cup-product oracle runs it, where a product
-of parameters can vanish and cut its branch.
+`ParamPoly` numerators with int divisors, as the nilpotent cup-product
+oracle runs it, where a product of parameters can vanish and cut its
+branch; each term then stays a pair (product, divisor).
 """
 
 import json
@@ -36,13 +37,12 @@ small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
 def walk(g, bound: int, only=None, degree=None) -> FockElement:
-    """`exp_linear` of a series, or the shared walk `_exp_walk` over a list
-    g_0..g_bound of `ParamPoly`, each term's coefficient its product over
-    its divisor."""
+    """`exp_linear` of a series, or the shared walk `_exp_walk` over a pair
+    of lists, numerators g_0..g_bound of `ParamPoly` and int divisors, each
+    term the pair (product, divisor), kept apart."""
     if isinstance(g, TruncatedSeries):
         return exp_linear(g, bound, only, degree)
-    terms = _exp_walk(g, [1] * len(g), bound, only, degree, lambda c, d: c * Fraction(1, d))
-    return FockElement(bound, terms)
+    return FockElement(bound, _exp_walk(*g, bound, only, degree, lambda c, d: (c, d)))
 
 
 def assert_canonical(e: FockElement):
@@ -174,17 +174,18 @@ def test_exp_linear_matches_reference(tail, bound, data):
 PARAMETERS = ParamContext(("a", "b"), (2, 1))
 
 
-def parametric_g() -> list:
-    # a^3 = b^2 = 0, so many monomials of g = t + a t^2 + (b - a) t^3 vanish
+def parametric_g() -> tuple[list, list]:
+    # numerators and divisors of g = t + a t^2 + (b - a)/3 t^3 + a b/2 t^5 + 2/5 t^6;
+    # a^3 = b^2 = 0, so many of its monomials vanish
     a, b = parameter(PARAMETERS, "a"), parameter(PARAMETERS, "b")
     zero, one = poly(PARAMETERS, {}), constant(PARAMETERS, 1)
-    return [zero, one, a, param_sub(b, a), zero, a * b, one * 2]
+    return [zero, one, a, param_sub(b, a), zero, a * b, one * 2], [1, 1, 1, 3, 1, 2, 5]
 
 
 def test_exp_linear_matches_reference_over_parameters():
-    g = parametric_g()
-    bound = len(g) - 1
-    expected = exp_linear_reference(g, bound, constant(PARAMETERS, 1))
+    nums, dens = g = parametric_g()
+    bound = len(nums) - 1
+    expected = exp_linear_reference(nums, bound, constant(PARAMETERS, 1), dens)
     assert walk(g, bound) == expected
     for only in range(bound + 1):
         assert walk(g, bound, only) == restrict(expected, only)
@@ -202,7 +203,8 @@ def degree_cases():
         pytest.param(tangent_g(dense, 10), 10, id="dense-tangent"),
         pytest.param(taut_g(dense, 10), 10, id="dense-tautological"),
         pytest.param(parametric_g(), 6, id="parameters"),
-        pytest.param([0, *_pair_exponent((2, 1, 1), (3, 1))[1]], 4, id="pair-exponent"),
+        pytest.param(([0, *_pair_exponent((2, 1, 1), (3, 1))[1]], [m * m for m in range(5)]), 4,
+                     id="pair-exponent"),
     ]
 
 

@@ -41,9 +41,8 @@ from hilbclass.series import TruncatedSeries
 from hilbclass.verify import random_unit_series
 from reference import (
     assert_valid_terms, constant, derivative, exp_linear_reference, fixed_point_sum, fock_add,
-    inverse, log, multilinear_part, one_minus_exp_minus_x_over_x, param_add, poly,
-    reference_cup_nilpotent, reference_f_minus, reference_pair_exponent, reference_powers, scale,
-    sqrt_unit, widen,
+    inverse, log, multilinear_part, one_minus_exp_minus_x_over_x, reference_cup_nilpotent,
+    reference_f_minus, reference_pair_exponent, reference_powers, scale, sqrt_unit, widen,
 )
 from reference import p_n_series as loop_p_n_series
 
@@ -363,30 +362,23 @@ def test_nilpotent_oracle_reads_no_character_table(monkeypatch):
         assert cup_nilpotent(nu2, nu) == product, (nu2, nu)
 
 
-def test_pair_exponent_sums_over_the_lcm_of_denominators(monkeypatch):
-    """F has integer coefficients in the parameters, so every real table
-    entry has denominator 1; tables scaled by 1/(i + 2) at entry i give
-    the Cauchy products unequal denominators."""
-    real = _factor_powers
-
-    def scaled(mults, n):
-        return tuple(tuple(c * Fraction(1, i + 2) for i, c in enumerate(row))
-                     for row in real(mults, n))
-
-    monkeypatch.setattr(hilbert, "_factor_powers", scaled)
-    for nu, nu2 in (((2, 1, 1), (3, 1)), ((2, 2, 1), (3, 1, 1)), ((3, 1, 1), (2, 1, 1, 1))):
-        n = weight(nu)
-        context, h = _pair_exponent(nu, nu2)
-        assert len(h) == n
-        m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
-        dens = set()
-        for m, (row1, row2) in enumerate(zip(scaled(m1, n), scaled(m2, n)), 1):
-            expected = poly(context, {})
-            for c1, c2 in zip(row1, reversed(row2)):
-                expected = param_add(expected, widen(c1, context, 0) * widen(c2, context, len(m1)))
-                dens.add(c1.den * c2.den)
-            assert h[m - 1] == expected * Fraction(1, m * m), (nu, nu2, m)
-        assert len(dens) > 2
+def test_factor_tables_and_pair_exponent_are_integral():
+    """F is integral in the parameters, so every power-table entry of every
+    factor up to n = 10 has int coefficients, and each pair's H_m =
+    [x^(m-1)] (F1 F2)^m = m^2 h_m, the walk's numerator, is the integer sum
+    the defining-equation route gives, with the m^2 left to the divisor."""
+    factors = 0
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n):
+            table = _factor_powers(tuple(sorted(multiplicities(lam).items())), n)
+            assert [len(row) for row in table] == list(range(1, n + 1))
+            assert all(type(c) is int for row in table for p in row for c in p.terms.values())
+            factors += 1
+    assert factors == 138
+    for nu, nu2 in _pairs(5):
+        context, H = _pair_exponent(nu, nu2)
+        assert (context, H) == reference_pair_exponent(nu, nu2)[0], (nu, nu2)
+        assert all(type(c) is int for p in H for c in p.terms.values())
 
 
 def test_nilpotent_route_vanishes_below_weight_n():
@@ -394,8 +386,10 @@ def test_nilpotent_route_vanishes_below_weight_n():
     # must carry no multilinear coefficient at a lower weight
     for nu, nu2 in _pairs(5):
         n = weight(nu)
-        context, h = _pair_exponent(nu, nu2)
-        full = multilinear_part(context, exp_linear_reference([0, *h], n, constant(context, 1)))
+        context, H = _pair_exponent(nu, nu2)
+        dens = [m * m for m in range(n + 1)]
+        full = multilinear_part(context, exp_linear_reference([0, *H], n, constant(context, 1),
+                                                              dens))
         assert all(weight(parts) == n for parts in full), (nu, nu2, full)
         assert full == cup_nilpotent(nu, nu2).terms
 
@@ -407,9 +401,9 @@ def test_factor_powers_embed_into_the_pair_ring():
     assert len(pairs) > 50
     for nu, nu2 in pairs:
         n = weight(nu)
-        context, h = _pair_exponent(nu, nu2)
+        context, H = _pair_exponent(nu, nu2)
         expected, F1, F2 = reference_pair_exponent(nu, nu2)
-        assert (context, h) == expected
+        assert (context, H) == expected
         m1, m2 = multiplicities(nu), multiplicities(nu2)
         for F, mults, first in ((F1, m1, 0), (F2, m2, len(m1))):
             table = _factor_powers(tuple(sorted(mults.items())), n)
