@@ -7,7 +7,6 @@ from .fock import FockElement, exp_linear, hilb_unit
 from .hilbert import (
     TANGENT,
     TAUTOLOGICAL,
-    ClassSpec,
     builtin_f,
     chern_f,
     cprime_pow_f,

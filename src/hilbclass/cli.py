@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .fock import FockElement
 from .hilbert import (
-    TANGENT, TAUTOLOGICAL, ClassSpec, builtin_f, cup_basis, hilbert_class, tangent_g, taut_g,
+    TANGENT, TAUTOLOGICAL, builtin_f, cup_basis, hilbert_class, tangent_g, taut_g,
 )
 from .partitions import check_partition, weight
 from .series import TruncatedSeries
@@ -61,14 +61,18 @@ def _parse_rational(field: str, text: str, index: int | None = None) -> Fraction
     e = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.I)
     if limit and e and (len(e[1]) > limit or abs(int(e[1])) > 3 * limit):
         raise ValueError(f"{where} has an exponent beyond +-{3 * limit}: {_echo(text)}")
+    too_long = f"{where} has a numerator or denominator over {limit} digits: {_echo(text)}"
+    # Fraction reads each digit run with int(), which refuses a run past the limit
+    if limit and any(len(run) - run.count("_") > limit
+                     for run in re.findall(r"\d+(?:_\d+)*", text)):
+        raise ValueError(too_long)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{where} is not a rational p/q with q != 0: {_echo(text)}") from None
     top = max(abs(value.numerator), value.denominator)
     if limit and top.bit_length() > 3 * limit and top >= 10**limit:  # 8**limit < 10**limit
-        raise ValueError(f"{where} has a numerator or denominator over {limit} digits: "
-                         f"{_echo(text)}")
+        raise ValueError(too_long)
     return value
 
 
@@ -154,7 +158,7 @@ def cmd_class(args) -> int:
             f"--weight-only must lie in 0..{bound} (0..--weight), got {args.weight_only}"
         )
     f = _defining_series(args, max(bound - 1, 0))
-    element = hilbert_class(ClassSpec(f, args.target), bound, args.weight_only, args.degree)
+    element = hilbert_class(f, args.target, bound, args.weight_only, args.degree)
     request = {
         "subcommand": "class", "class": args.class_name, "target": args.target,
         "weight": bound, "degree": args.degree, "r": args.r, "f": args.f,

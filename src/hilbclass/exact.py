@@ -24,7 +24,7 @@ from itertools import accumulate
 
 @dataclass(frozen=True)
 class ParamContext:
-    """Ordered parameter names with per-parameter nilpotency bounds.
+    """Per-parameter nilpotency bounds; parameter i is the one with bounds[i].
 
     A parameter with bound b satisfies rho**(b+1) = 0.  A monomial packs into
     one int: parameter i's exponent sits at bit shifts[i], in a field of
@@ -33,14 +33,9 @@ class ParamContext:
     bound iff (sum + bias) & guard, each field of `bias` holding 2**k - 1 - b.
     """
 
-    names: tuple[str, ...]
     bounds: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.names) != len(self.bounds):
-            raise ValueError("names and bounds must have equal length")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate parameter names")
         if any(b < 1 for b in self.bounds):
             raise ValueError("nilpotency bounds must be positive")
         ks = [b.bit_length() for b in self.bounds]
@@ -111,9 +106,7 @@ class ParamPoly:
 
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = ParamPoly._make(self.context, {0: other} if other else {})
+            return NotImplemented
         return (self.context, self.terms) == (other.context, other.terms)
 
     __hash__ = None
@@ -121,13 +114,13 @@ class ParamPoly:
     def __repr__(self):
         if not self.terms:
             return "ParamPoly(0)"
-        names, shifts, bounds = self.context.names, self.context.shifts, self.context.bounds
+        shifts, bounds = self.context.shifts, self.context.bounds
         bits = []
         for exps, c in sorted(
             (tuple(k >> s & ((1 << b.bit_length()) - 1) for s, b in zip(shifts, bounds)), c)
             for k, c in self.terms.items()
         ):
-            mono = "*".join(f"{n}^{e}" if e > 1 else n for n, e in zip(names, exps) if e)
+            mono = "*".join(f"p{i}^{e}" if e > 1 else f"p{i}" for i, e in enumerate(exps) if e)
             bits.append(f"{c}*{mono}" if mono else str(c))
         return "ParamPoly(" + " + ".join(bits) + ")"
 

@@ -1,13 +1,15 @@
-"""Weight-truncated linear combinations of creation monomials.
+"""Finite linear combinations of creation monomials.
 
-An element is a linear combination of monomials q_lambda (one creation
-operator per part of the partition lambda, applied to the vacuum), with all
-partitions of weight at most a fixed bound N.  The weight-n piece models the
-cohomology of the Hilbert scheme of n points on the affine plane; the
-algebraic degree of q_lambda is weight(lambda) - length(lambda).  Terms are
-kept in output order, by weight and then reverse-lexicographically, so a
-writer iterates them as stored, and coefficients are rational.  The cup
-product of such elements lives in :mod:`hilbclass.hilbert`.
+An element is a finite linear combination of monomials q_lambda (one
+creation operator per part of the partition lambda, applied to the
+vacuum); it carries no weight bound of its own: the class expansion takes
+its bound N as an argument, and the cup product keeps one weight n.  The
+weight-n piece models the cohomology of the Hilbert scheme of n points on
+the affine plane; the algebraic degree of q_lambda is weight(lambda) -
+length(lambda).  Terms are kept in output order, by weight and then
+reverse-lexicographically, so a writer iterates them as stored, and
+coefficients are rational.  The cup product of such elements lives in
+:mod:`hilbclass.hilbert`.
 
 `exp_linear` expands exp(sum_k g_k q_k) by one depth-first walk,
 `_exp_walk`, which the nilpotent cup-product oracle of
@@ -20,32 +22,29 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .partitions import check_partition, weight
+from .partitions import check_partition
 
 
 class FockElement:
     """sum_lambda terms[lambda] q_lambda, stored as given: every producer keeps
-    each key a valid partition (`check_partition`) of weight at most `bound`,
-    each coefficient a nonzero rational, and the keys in canonical order, by
-    weight and then reverse-lexicographically.  `monomial` is where
-    hand-built terms are checked."""
+    each key a valid partition (`check_partition`), each coefficient a
+    nonzero rational, and the keys in canonical order, by weight and then
+    reverse-lexicographically.  `monomial` is where hand-built terms are
+    checked."""
 
-    __slots__ = ("bound", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, bound: int, terms):
-        if bound < 0:
-            raise ValueError("weight bound must be nonnegative")
-        object.__setattr__(self, "bound", bound)
+    def __init__(self, terms):
         object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("FockElement is immutable")
 
     @classmethod
-    def monomial(cls, parts, bound: int, coeff=1):
-        """coeff * q_parts; zero if coeff is 0 or parts is over the bound."""
+    def monomial(cls, parts, coeff=1):
+        """coeff * q_parts; zero if coeff is 0."""
         parts, coeff = check_partition(parts), Fraction(coeff)
-        return cls(bound, {parts: coeff} if coeff and weight(parts) <= bound else {})
+        return cls({parts: coeff} if coeff else {})
 
     @property
     def is_zero(self) -> bool:
@@ -54,7 +53,7 @@ class FockElement:
     def __eq__(self, other):
         if not isinstance(other, FockElement):
             return NotImplemented
-        return self.bound == other.bound and self.terms == other.terms
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -83,7 +82,7 @@ def exp_linear(g, bound: int, only: int | None = None,
         raise ValueError("the degree must be nonnegative")
     nums = [c.numerator for c in g.coeffs]
     dens = [c.denominator for c in g.coeffs]
-    return FockElement(bound, _exp_walk(nums, dens, bound, only, degree, Fraction))
+    return FockElement(_exp_walk(nums, dens, bound, only, degree, Fraction))
 
 
 def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make) -> dict:
@@ -123,4 +122,4 @@ def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make
 
 def hilb_unit(n: int) -> FockElement:
     """The cohomological unit of the weight-n piece: q_{1^n} / n!."""
-    return FockElement.monomial((1,) * n, n, Fraction(1, factorial(n)))
+    return FockElement.monomial((1,) * n, Fraction(1, factorial(n)))

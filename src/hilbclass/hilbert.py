@@ -51,7 +51,6 @@ holds a parameter polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -72,20 +71,6 @@ from .series import TruncatedSeries, _convolve, _integer_numerators, lagrange_g
 
 TANGENT = "tangent"
 TAUTOLOGICAL = "tautological"
-
-
-@dataclass(frozen=True)
-class ClassSpec:
-    """A multiplicative class: defining series f (constant term 1) plus the
-    sheaf it is evaluated on."""
-
-    f: TruncatedSeries
-    target: str
-
-    def __post_init__(self):
-        if self.target not in (TANGENT, TAUTOLOGICAL):
-            raise ValueError(f"unknown target {self.target!r}")
-        _require_unit_one(self.f)
 
 
 def _require_unit_one(f: TruncatedSeries):
@@ -165,15 +150,17 @@ def taut_g(f: TruncatedSeries, order: int) -> TruncatedSeries:
     return lagrange_g(f.negate_arg(), order)
 
 
-def hilbert_class(spec: ClassSpec, bound: int, only: int | None = None,
+def hilbert_class(f: TruncatedSeries, target: str, bound: int, only: int | None = None,
                   degree: int | None = None) -> FockElement:
-    """The total class, all weights up to `bound` at once, or just its terms
-    of weight `only` and/or algebraic degree `degree`: exp(sum_k g_k q_k)
+    """The class of f (constant term 1, order at least `bound` - 1) on the
+    sheaf `target`, all weights up to `bound` at once, or just its terms of
+    weight `only` and/or algebraic degree `degree`: exp(sum_k g_k q_k)
     applied to the vacuum."""
-    if spec.f.order < max(bound - 1, 0):
-        raise ValueError("defining series truncated below the weight bound")
-    g = tangent_g(spec.f, bound) if spec.target == TANGENT else taut_g(spec.f, bound)
-    return exp_linear(g, bound, only, degree)
+    if target == TANGENT:
+        return exp_linear(tangent_g(f, bound), bound, only, degree)
+    if target == TAUTOLOGICAL:
+        return exp_linear(taut_g(f, bound), bound, only, degree)
+    raise ValueError(f"unknown target {target!r}")
 
 
 # -- fixed-point oracles --------------------------------------------------
@@ -284,7 +271,7 @@ def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
         total = sum(w * _mn(chi, rho) for chi, w in shapes)
         if total:
             out[rho] = Fraction(total, z_of(rho))
-    return FockElement(n, out)
+    return FockElement(out)
 
 
 def _same_rank_pair(nu, nu2) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -330,7 +317,7 @@ def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
             for p, v in cup_basis(p1, p2).terms.items():
                 out[p] = out.get(p, 0) + c * v
     # one weight, so the canonical order is reverse-lexicographic
-    return FockElement(n, {p: out[p] for p in sorted(out, reverse=True) if out[p]})
+    return FockElement({p: out[p] for p in sorted(out, reverse=True) if out[p]})
 
 
 # -- oracle: cup product via nilpotent parameters -------------------------
@@ -352,7 +339,7 @@ def _factor_powers(mults: tuple[tuple[int, int], ...], n: int):
     at rho^e t^(sum e_k (k-1)).  Both divisions are exact on ints:
     m (m-i-1)! / (m-i-|e|)! is m!/(m-|e|)! at i = 0 and has |e| >= 1
     otherwise, and F, so each term, is integral in the parameters."""
-    context = ParamContext(tuple(f"r{k}" for k, _ in mults), tuple(c for _, c in mults))
+    context = ParamContext(tuple(c for _, c in mults))
     by_degree = [[] for _ in range(n)]  # t-degree -> (packed monomial, |e|, prod k^e_k, prod e_k!)
     for e in product(*(range(c + 1) for _, c in mults)):
         deg = sum(x * (k - 1) for x, (k, _) in zip(e, mults))
@@ -377,9 +364,8 @@ def _pair_exponent(nu, nu2) -> tuple[ParamContext, list[ParamPoly]]:
     The fields are disjoint, so no product exceeds a bound."""
     n = weight(nu)
     m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
-    context = ParamContext(tuple(f"a{k}" for k, _ in m1) + tuple(f"b{k}" for k, _ in m2),
-                           tuple(c for _, c in m1 + m2))
-    shift = context.shifts[len(m1)]  # the a fields come first, at shift 0
+    context = ParamContext(tuple(c for _, c in m1 + m2))
+    shift = context.shifts[len(m1)]  # the first factor's fields come first, at shift 0
     H = []
     for row1, row2 in zip(_factor_powers(m1, n), _factor_powers(m2, n)):
         total = {}
@@ -414,4 +400,4 @@ def cup_nilpotent(nu, nu2) -> FockElement:
         return Fraction(c.terms.get(top, 0) * scale, d)
 
     terms = _exp_walk([0, *H], [m * m for m in range(n + 1)], n, n, None, multilinear)
-    return FockElement(n, {p: c for p, c in terms.items() if c})
+    return FockElement({p: c for p, c in terms.items() if c})

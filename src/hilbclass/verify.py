@@ -16,7 +16,6 @@ from math import comb, factorial
 from .fock import FockElement, hilb_unit
 from .hilbert import (
     TAUTOLOGICAL,
-    ClassSpec,
     _cup_basis_cached,
     chern_f,
     cprime_pow_f,
@@ -50,14 +49,11 @@ class Check:
         return d
 
 
-def random_unit_series(rng: random.Random, order: int,
-                       numerator_bound: int = 3,
-                       denominator_bound: int = 3) -> TruncatedSeries:
-    """Random series with constant term 1 and small rational coefficients."""
+def random_unit_series(rng: random.Random, order: int) -> TruncatedSeries:
+    """Random series with constant term 1 and coefficients p/q, |p| <= 3, 1 <= q <= 3."""
     coeffs = [Fraction(1)]
     for _ in range(order):
-        coeffs.append(Fraction(rng.randint(-numerator_bound, numerator_bound),
-                               rng.randint(1, denominator_bound)))
+        coeffs.append(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
     return TruncatedSeries.from_coeffs(coeffs, order)
 
 
@@ -166,12 +162,12 @@ def suite_examples() -> list[Check]:
 # -- suite: oracle --------------------------------------------------------
 
 
-def suite_oracle(instances: int = 10, max_n: int = 10) -> list[Check]:
+def suite_oracle(max_n: int = 10) -> list[Check]:
     rng = random.Random(1001)
     checks = []
     bad_tan, bad_taut = [], []
     order = max(12, max_n)  # draws for max_n <= 12 do not depend on max_n
-    for i in range(instances):
+    for i in range(10):
         f = random_unit_series(rng, order)
         gt = tangent_g(f, order)
         gq = taut_g(f, order)
@@ -183,11 +179,11 @@ def suite_oracle(instances: int = 10, max_n: int = 10) -> list[Check]:
             if o != gq.coeffs[n]:
                 bad_taut.append((i, n, o, gq.coeffs[n]))
     checks.append(Check(
-        f"tangent fixed-point sum equals Lagrange route, {instances} random f, n <= {max_n}",
+        f"tangent fixed-point sum equals Lagrange route, 10 random f, n <= {max_n}",
         not bad_tan, f"mismatches {bad_tan[:2]}" if bad_tan else "",
     ))
     checks.append(Check(
-        f"tautological fixed-point sum equals Lagrange route, {instances} random f, n <= {max_n}",
+        f"tautological fixed-point sum equals Lagrange route, 10 random f, n <= {max_n}",
         not bad_taut, f"mismatches {bad_taut[:2]}" if bad_taut else "",
     ))
     return checks
@@ -197,11 +193,10 @@ def suite_oracle(instances: int = 10, max_n: int = 10) -> list[Check]:
 
 
 def _lehn_component(n: int) -> FockElement:
-    spec = ClassSpec(chern_f(max(n - 1, 0)), TAUTOLOGICAL)
-    return hilbert_class(spec, n, n)
+    return hilbert_class(chern_f(max(n - 1, 0)), TAUTOLOGICAL, n, n)
 
 
-def suite_ring(max_n: int = 5) -> list[Check]:
+def suite_ring() -> list[Check]:
     checks = []
 
     anchored = [
@@ -218,11 +213,11 @@ def suite_ring(max_n: int = 5) -> list[Check]:
                         f"mismatches {bad}" if bad else ""))
 
     bad = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 6):
         parts = enumerate_partitions(n)
         unit = hilb_unit(n)
         for nu in parts:
-            q = FockElement.monomial(nu, n)
+            q = FockElement.monomial(nu)
             if cup(unit, q, n) != q:
                 bad.append(("unit", n, nu))
             for nu2 in parts:
@@ -236,14 +231,14 @@ def suite_ring(max_n: int = 5) -> list[Check]:
                 if any(weight(p) - len(p) != deg for p in ab.terms):
                     bad.append(("degree additivity", nu, nu2))
     checks.append(Check(
-        f"cup unit, commutativity, degree additivity, over-degree vanishing, n <= {max_n}",
+        "cup unit, commutativity, degree additivity, over-degree vanishing, n <= 5",
         not bad, f"violations {bad[:3]}" if bad else "",
     ))
 
     bad = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 6):
         parts = enumerate_partitions(n)
-        basis = {p: FockElement.monomial(p, n) for p in parts}
+        basis = {p: FockElement.monomial(p) for p in parts}
         for a in parts:
             for b in parts:
                 ab = cup_basis(a, b)
@@ -252,15 +247,13 @@ def suite_ring(max_n: int = 5) -> list[Check]:
                     right = cup(basis[a], cup_basis(b, c), n)
                     if left != right:
                         bad.append((a, b, c))
-    checks.append(Check(f"cup associativity on all basis triples, n <= {max_n}",
+    checks.append(Check("cup associativity on all basis triples, n <= 5",
                         not bad, f"violations {bad[:3]}" if bad else ""))
 
     bad = []
     for r in (2, 3):
         for n in range(1, 7):
-            direct = hilbert_class(
-                ClassSpec(cprime_pow_f(r, max(n - 1, 0)), TAUTOLOGICAL), n, n
-            )
+            direct = hilbert_class(cprime_pow_f(r, max(n - 1, 0)), TAUTOLOGICAL, n, n)
             power = _lehn_component(n)
             for _ in range(r - 1):
                 power = cup(power, _lehn_component(n), n)

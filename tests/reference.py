@@ -157,9 +157,9 @@ def constant(context: ParamContext, value: int) -> ParamPoly:
     return ParamPoly._make(context, {0: operator.index(value)} if value else {})
 
 
-def parameter(context: ParamContext, name: str) -> ParamPoly:
-    """The parameter `name` of `context`."""
-    return poly(context, {tuple(int(n == name) for n in context.names): 1})
+def parameter(context: ParamContext, index: int) -> ParamPoly:
+    """Parameter `index` of `context`."""
+    return poly(context, {tuple(int(i == index) for i in range(len(context.bounds))): 1})
 
 
 def coefficient(p: ParamPoly, exps) -> int:
@@ -266,13 +266,13 @@ def exp_linear_reference(coeffs, bound: int, one=Fraction(1), dens=None) -> Fock
                     terms[parts] = (c, d * prod(dens[part] for part in parts))
             elif c := c * Fraction(1, d):
                 terms[parts] = c
-    return FockElement(bound, terms)
+    return FockElement(terms)
 
 
 def restrict(e: FockElement, only=None, degree=None) -> FockElement:
     """The terms of e of weight `only` and of algebraic degree `degree`
     (weight - length), each condition skipped when None."""
-    return FockElement(e.bound, {
+    return FockElement({
         p: c for p, c in e.terms.items()
         if (only is None or weight(p) == only) and (degree is None or weight(p) - len(p) == degree)
     })
@@ -285,13 +285,13 @@ def canonical(partitions) -> list:
     return out
 
 
-def fock_add(a: FockElement, b: FockElement) -> FockElement:
-    """Sum of two elements of one bound, in canonical order; a coefficient
-    that cancels is dropped."""
+def fock_add(a: FockElement, b: FockElement, bound: int) -> FockElement:
+    """Sum of two elements of weight at most `bound`, in canonical order; a
+    coefficient that cancels is dropped, and a term over the bound raises."""
     if not isinstance(b, FockElement):
         raise TypeError("expected a FockElement")
-    if a.bound != b.bound:
-        raise ValueError("mismatched weight bounds")
+    if any(weight(p) > bound for e in (a, b) for p in e.terms):
+        raise ValueError(f"a term of weight over {bound}")
     out = dict(a.terms)
     for parts, c in b.terms.items():
         if parts in out:
@@ -299,34 +299,33 @@ def fock_add(a: FockElement, b: FockElement) -> FockElement:
             if not c:
                 continue
         out[parts] = c
-    return FockElement(a.bound, {p: out[p] for p in canonical(out)})
+    return FockElement({p: out[p] for p in canonical(out)})
 
 
 def fock_scale(e: FockElement, c) -> FockElement:
     """Multiple of every coefficient by the scalar c."""
-    return FockElement(e.bound, {p: w for p, v in e.terms.items() if (w := v * c)})
+    return FockElement({p: w for p, v in e.terms.items() if (w := v * c)})
 
 
-def fock_product(a: FockElement, b: FockElement) -> FockElement:
+def fock_product(a: FockElement, b: FockElement, bound: int) -> FockElement:
     """Fock (symmetric-algebra) product: multiset union of partitions, terms
-    of weight beyond the bound dropped."""
-    assert a.bound == b.bound
+    of weight beyond `bound` dropped."""
     out = {}
     for p1, c1 in a.terms.items():
         for p2, c2 in b.terms.items():
-            if weight(p1) + weight(p2) <= a.bound:
+            if weight(p1) + weight(p2) <= bound:
                 merged = tuple(sorted(p1 + p2, reverse=True))
                 out[merged] = out.get(merged, 0) + c1 * c2
-    return FockElement(a.bound, {p: c for p, c in out.items() if c})
+    return FockElement({p: c for p, c in out.items() if c})
 
 
-def assert_valid_terms(e: FockElement, weights=None):
+def assert_valid_terms(e: FockElement, bound: int, only=None):
     """The invariant FockElement trusts its producers to keep: each key a
-    partition within the bound (of a weight in `weights`, if given), each
+    partition of weight at most `bound` (exactly `only`, if given), each
     coefficient nonzero."""
     for p, c in e.terms.items():
-        assert check_partition(p) == p and weight(p) <= e.bound, p
-        assert weights is None or weight(p) in weights, p
+        assert check_partition(p) == p and weight(p) <= bound, p
+        assert only is None or weight(p) == only, p
         assert c, p
 
 
@@ -441,9 +440,10 @@ def inverse_params(s):
     return out
 
 
-def reference_f_minus(context, prefix, mults, n):
+def reference_f_minus(context, first, mults, n):
     """Coefficients 0..n-1 of F = f(-x) for g = t + sum_k rho_k t^k, rho_k
-    the parameter prefix + k of `context`, from dg/dt (x/F) = F, that is
+    the parameters first, first + 1, ... of `context`, one per part size k
+    in increasing order, from dg/dt (x/F) = F, that is
     F = 1 + sum_k k rho_k (x/F)^(k-1).  Each round of the fixed-point
     iteration fixes one more coefficient."""
     one = constant(context, 1)
@@ -451,11 +451,11 @@ def reference_f_minus(context, prefix, mults, n):
     for _ in range(n):
         w = [one * 0] + inverse_params(F)[: n - 1]  # x/F
         new = [one] + [one * 0] * (n - 1)
-        for k in mults:
+        for i, k in enumerate(sorted(mults), first):
             term = [one] + [one * 0] * (n - 1)
             for _ in range(k - 1):
                 term = convolve(term, w, one * 0, param_add)
-            rho = parameter(context, f"{prefix}{k}") * k
+            rho = parameter(context, i) * k
             new = [param_add(x, rho * y) for x, y in zip(new, term)]
         F = new
     return F
@@ -476,11 +476,9 @@ def reference_pair_exponent(nu, nu2):
     with both F from their defining equations; also returns F1 and F2."""
     n = weight(nu)
     m1, m2 = multiplicities(nu), multiplicities(nu2)
-    names = tuple(f"a{k}" for k in sorted(m1)) + tuple(f"b{k}" for k in sorted(m2))
-    bounds = tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2))
-    context = ParamContext(names, bounds)
-    F1 = reference_f_minus(context, "a", m1, n)
-    F2 = reference_f_minus(context, "b", m2, n)
+    context = ParamContext(tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2)))
+    F1 = reference_f_minus(context, 0, m1, n)
+    F2 = reference_f_minus(context, len(m1), m2, n)
     rows = reference_powers(convolve(F1, F2, F1[0] * 0, param_add), n)
     return (context, [row[-1] for row in rows]), F1, F2
 
@@ -512,4 +510,4 @@ def reference_cup_nilpotent(nu, nu2):
     for parts, c in out.items():
         if weight(parts) < n:
             raise AssertionError(f"weight-{weight(parts)} term {parts} at rank {n}: {c}")
-    return FockElement(n, out)
+    return FockElement(out)

@@ -209,13 +209,16 @@ LIMIT = sys.get_int_max_str_digits()  # digits str() prints of one int
      f"--f entry 1 has a numerator or denominator over {LIMIT} digits"),
     (["gseries", "cprime-pow", "tangent", "--r", f"1e-{LIMIT}"], "--r has a numerator or"),
     (["gseries", "cprime-pow", "tangent", "--r", f"0e-{3 * LIMIT + 1}"], "--r has an exponent"),
-    (["gseries", "cprime-pow", "tangent", "--r", "1" * 100_000], "--r is not a rational"),
+    (["gseries", "cprime-pow", "tangent", "--r", "1" * 100_000],
+     f"--r has a numerator or denominator over {LIMIT} digits"),
+    (["gseries", "cprime-pow", "tangent", "--r", "1/" + "3" * 5000],
+     f"--r has a numerator or denominator over {LIMIT} digits"),
     (["cup", "[" + ",".join(["1"] * 3000) + "]", "[1]"],
      "partition_a must have rank at most 28, got rank 3000"),
     (["cup", "[2]", "[" + ",".join(map(str, range(1, 3001))) + "]"],
      "partition_b: partition parts must be weakly decreasing"),
 ], ids=["deep-partition", "long-part", "r-exponent", "f-exponent", "r-limit", "r-zero", "long-r",
-        "many-parts", "increasing-parts"])
+        "long-r-denominator", "many-parts", "increasing-parts"])
 def test_oversized_input_exits_2_naming_the_field(capsys, argv, named):
     """Each names its field, and a long input is echoed as a prefix and its length."""
     assert main(argv) == 2

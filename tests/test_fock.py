@@ -1,9 +1,11 @@
-"""Tests for weight-truncated creation-monomial combinations.
+"""Tests for finite creation-monomial combinations.
 
-`exp_linear` is checked against a visit of every partition
-(`exp_linear_reference`), as an exponential through the reference Fock
-(symmetric-algebra) product, and, cut to one weight or degree, against
-the full expansion filtered (`restrict`).  No command multiplies Fock
+An element carries only its terms; the weight bound of a class expansion
+is an argument of the expansion and of every reference that truncates or
+guards by weight.  `exp_linear` is checked against a visit of every
+partition (`exp_linear_reference`), as an exponential through the
+reference Fock (symmetric-algebra) product, and, cut to one weight or
+degree, against the full expansion filtered (`restrict`).  No command multiplies Fock
 elements that way; the cup product lives in `hilbclass.hilbert`.  Every
 producer must keep the canonical term order (`canonical`).  The walk
 behind `exp_linear`, `_exp_walk`, also runs here over lists of
@@ -23,7 +25,7 @@ from hilbclass.cli import _records_json
 from hilbclass.exact import ParamContext
 from hilbclass.fock import FockElement, _exp_walk, exp_linear, hilb_unit
 from hilbclass.hilbert import (
-    TANGENT, ClassSpec, _pair_exponent, builtin_f, cup, cup_basis, cup_nilpotent,
+    TANGENT, _pair_exponent, builtin_f, cup, cup_basis, cup_nilpotent,
     hilbert_class, tangent_g, taut_g,
 )
 from hilbclass.partitions import enumerate_partitions, weight
@@ -42,7 +44,7 @@ def walk(g, bound: int, only=None, degree=None) -> FockElement:
     term the pair (product, divisor), kept apart."""
     if isinstance(g, TruncatedSeries):
         return exp_linear(g, bound, only, degree)
-    return FockElement(bound, _exp_walk(*g, bound, only, degree, lambda c, d: (c, d)))
+    return FockElement(_exp_walk(*g, bound, only, degree, lambda c, d: (c, d)))
 
 
 def assert_canonical(e: FockElement):
@@ -50,64 +52,61 @@ def assert_canonical(e: FockElement):
 
 
 def test_monomial():
-    q = FockElement.monomial((2, 1), 4, Fraction(1, 2))
+    q = FockElement.monomial((2, 1), Fraction(1, 2))
     assert q.terms == {(2, 1): Fraction(1, 2)}
-    assert FockElement.monomial((2, 1), 4, 0).is_zero
+    assert FockElement.monomial((2, 1), 0).is_zero
     with pytest.raises(ValueError):
-        FockElement.monomial((1, 2), 4)
+        FockElement.monomial((1, 2))
     with pytest.raises(ValueError):
-        FockElement.monomial((1,), -1)
+        FockElement.monomial((1, 0))
 
 
 def test_truncation_drops_overflow():
-    q = FockElement.monomial((3,), 2)
-    assert q.is_zero
-    a = FockElement.monomial((2,), 3)
-    b = FockElement.monomial((2,), 3)
-    assert fock_product(a, b).is_zero  # weight 4 > bound 3
-    c = FockElement.monomial((1,), 3)
-    assert fock_product(a, c).terms.get((2, 1), 0) == 1
+    a = FockElement.monomial((2,))
+    b = FockElement.monomial((2,))
+    assert fock_product(a, b, 3).is_zero  # weight 4 > bound 3
+    c = FockElement.monomial((1,))
+    assert fock_product(a, c, 3).terms.get((2, 1), 0) == 1
 
 
 def test_product_merges_partitions():
-    a = FockElement.monomial((2, 1), 8, 2)
-    b = FockElement.monomial((3, 2), 8, Fraction(1, 2))
-    assert fock_product(a, b).terms == {(3, 2, 2, 1): Fraction(1)}
+    a = FockElement.monomial((2, 1), 2)
+    b = FockElement.monomial((3, 2), Fraction(1, 2))
+    assert fock_product(a, b, 8).terms == {(3, 2, 2, 1): Fraction(1)}
 
 
 def test_linear_structure():
-    a = FockElement.monomial((2,), 3)
-    b = FockElement.monomial((1, 1), 3)
-    s = fock_add(a, fock_scale(b, 3))
+    a = FockElement.monomial((2,))
+    b = FockElement.monomial((1, 1))
+    s = fock_add(a, fock_scale(b, 3), 3)
     assert s.terms.get((1, 1), 0) == 3
-    assert fock_add(s, fock_scale(s, -1)).terms == {}
+    assert fock_add(s, fock_scale(s, -1), 3).terms == {}
     assert fock_scale(s, 0).terms == {}
-    assert fock_add(s, fock_scale(b, -3)).terms == {(2,): 1}
+    assert fock_add(s, fock_scale(b, -3), 3).terms == {(2,): 1}
     assert s == s
 
 
 def test_compatibility_guards():
-    a = FockElement.monomial((1,), 2)
-    b = FockElement.monomial((1,), 3)
+    a = FockElement.monomial((1,))
+    b = FockElement.monomial((3,))
     with pytest.raises(ValueError):
-        fock_add(a, b)
+        fock_add(a, b, 2)  # b's term is over the bound
     with pytest.raises(TypeError):
-        fock_add(a, 1)
+        fock_add(a, 1, 2)
 
 
 def test_components_partition_element():
     g = TruncatedSeries.from_coeffs([0, 1, Fraction(-1, 2), Fraction(1, 3)], 3)
     e = exp_linear(g, 3)
-    rebuilt = FockElement(e.bound, {})
+    rebuilt = FockElement({})
     for n in range(4):
         piece = exp_linear(g, 3, n)
-        assert piece.bound == 3
         assert piece.terms and all(weight(p) == n for p in piece.terms)
-        rebuilt = fock_add(rebuilt, piece)
+        rebuilt = fock_add(rebuilt, piece, 3)
     assert rebuilt == e
-    by_degree = FockElement(e.bound, {})
+    by_degree = FockElement({})
     for d in range(4):
-        by_degree = fock_add(by_degree, restrict(e, degree=d))
+        by_degree = fock_add(by_degree, restrict(e, degree=d), 3)
     assert by_degree == e
     for only in (-1, 4):
         with pytest.raises(ValueError):
@@ -158,26 +157,26 @@ def test_exp_linear_matches_reference(tail, bound, data):
     expected = exp_linear_reference(g.coeffs, bound)
     got = exp_linear(g, bound)
     assert got.terms == expected.terms
-    assert_valid_terms(got)
+    assert_valid_terms(got, bound)
     for only in range(bound + 1):
         piece = exp_linear(g, bound, only)
         assert piece == restrict(expected, only)
-        assert_valid_terms(piece, {only})
+        assert_valid_terms(piece, bound, only)
     cut = st.one_of(st.none(), st.integers(min_value=0, max_value=bound))
     only, degree = data.draw(cut), data.draw(cut)
     pruned = exp_linear(g, bound, only, degree)
     assert pruned == restrict(expected, only, degree)
-    assert_valid_terms(pruned)
+    assert_valid_terms(pruned, bound)
     assert_canonical(pruned)
 
 
-PARAMETERS = ParamContext(("a", "b"), (2, 1))
+PARAMETERS = ParamContext((2, 1))
 
 
 def parametric_g() -> tuple[list, list]:
     # numerators and divisors of g = t + a t^2 + (b - a)/3 t^3 + a b/2 t^5 + 2/5 t^6;
     # a^3 = b^2 = 0, so many of its monomials vanish
-    a, b = parameter(PARAMETERS, "a"), parameter(PARAMETERS, "b")
+    a, b = parameter(PARAMETERS, 0), parameter(PARAMETERS, 1)
     zero, one = poly(PARAMETERS, {}), constant(PARAMETERS, 1)
     return [zero, one, a, param_sub(b, a), zero, a * b, one * 2], [1, 1, 1, 3, 1, 2, 5]
 
@@ -185,7 +184,7 @@ def parametric_g() -> tuple[list, list]:
 def test_exp_linear_matches_reference_over_parameters():
     nums, dens = g = parametric_g()
     bound = len(nums) - 1
-    expected = exp_linear_reference(nums, bound, constant(PARAMETERS, 1), dens)
+    expected = exp_linear_reference(nums, bound, 1, dens)  # products start from the int 1
     assert walk(g, bound) == expected
     for only in range(bound + 1):
         assert walk(g, bound, only) == restrict(expected, only)
@@ -212,13 +211,13 @@ def degree_cases():
 def test_degree_pruned_walk_equals_filtered_walk(g, bound):
     for only in (None, *range(bound + 1)):
         full = walk(g, bound, only)
-        rebuilt = FockElement(bound, {})
+        rebuilt = FockElement({})
         for degree in range(bound + 1):
             pruned = walk(g, bound, only, degree)
             assert pruned == restrict(full, degree=degree), (only, degree)
-            assert_valid_terms(pruned)
+            assert_valid_terms(pruned, bound)
             assert_canonical(pruned)
-            rebuilt = fock_add(rebuilt, pruned)
+            rebuilt = fock_add(rebuilt, pruned, bound)
         assert rebuilt == full
 
 
@@ -238,7 +237,7 @@ def test_degree_guard():
 def test_exp_linear_is_exponential(c1, c2):
     g1 = TruncatedSeries.from_coeffs([0] + c1, 5)
     g2 = TruncatedSeries.from_coeffs([0] + c2, 5)
-    assert exp_linear(add(g1, g2), 5) == fock_product(exp_linear(g1, 5), exp_linear(g2, 5))
+    assert exp_linear(add(g1, g2), 5) == fock_product(exp_linear(g1, 5), exp_linear(g2, 5), 5)
 
 
 def test_every_producer_keeps_canonical_order():
@@ -258,8 +257,8 @@ def test_every_producer_keeps_canonical_order():
                 assert_canonical(cup_basis(nu, nu2))
     for nu, nu2 in (((2, 1, 1), (3, 1)), ((2, 2, 1), (2, 1, 1, 1)), ((1, 1, 1), (2, 1))):
         assert_canonical(cup_nilpotent(nu, nu2))
-    a = hilbert_class(ClassSpec(builtin_f("sqrt-todd", 5), TANGENT), 6, 6)
-    b = hilbert_class(ClassSpec(f, TANGENT), 6, 6)
+    a = hilbert_class(builtin_f("sqrt-todd", 5), TANGENT, 6, 6)
+    b = hilbert_class(f, TANGENT, 6, 6)
     assert len(a.terms) > 1 and len(b.terms) > 1
     assert_canonical(cup(a, b, 6))
     for n in range(5):
@@ -267,26 +266,23 @@ def test_every_producer_keeps_canonical_order():
 
 
 def test_sum_restores_canonical_order():
-    odd = FockElement(5, {(1,): Fraction(1), (3,): Fraction(2), (5,): Fraction(3)})
-    even = FockElement(5, {(): Fraction(1), (2,): Fraction(-1), (2, 2): Fraction(1, 2),
-                               (3, 1): Fraction(1, 4)})
-    for total in (fock_add(odd, even), fock_add(even, odd)):
+    odd = FockElement({(1,): Fraction(1), (3,): Fraction(2), (5,): Fraction(3)})
+    even = FockElement({(): Fraction(1), (2,): Fraction(-1), (2, 2): Fraction(1, 2),
+                        (3, 1): Fraction(1, 4)})
+    for total in (fock_add(odd, even, 5), fock_add(even, odd, 5)):
         assert list(total.terms) == [(), (1,), (2,), (3,), (3, 1), (2, 2), (5,)]
         assert_canonical(total)
-    cancelled = fock_add(odd, FockElement(5, {(3,): Fraction(-2), (1, 1): Fraction(1)}))
+    cancelled = fock_add(odd, FockElement({(3,): Fraction(-2), (1, 1): Fraction(1)}), 5)
     assert list(cancelled.terms) == [(1,), (1, 1), (5,)]
 
 
 def test_records_of_a_canonical_element():
-    e = FockElement(
-        3,
-        {
-            (1,): Fraction(-1),
-            (3,): Fraction(2),
-            (2, 1): Fraction(1, 2),
-            (1, 1, 1): Fraction(1, 6),
-        },
-    )
+    e = FockElement({
+        (1,): Fraction(-1),
+        (3,): Fraction(2),
+        (2, 1): Fraction(1, 2),
+        (1, 1, 1): Fraction(1, 6),
+    })
     assert_canonical(e)
     assert json.loads(_records_json(e)) == [
         {"partition": [1], "coeff": "-1"},
@@ -294,7 +290,7 @@ def test_records_of_a_canonical_element():
         {"partition": [2, 1], "coeff": "1/2"},
         {"partition": [1, 1, 1], "coeff": "1/6"},
     ]
-    assert _records_json(FockElement(3, {})) == "[]"
+    assert _records_json(FockElement({})) == "[]"
 
 
 def test_hilb_unit():
