@@ -13,11 +13,12 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import __version__
 from .fock import FockElement
 from .hilbert import (
-    TANGENT, TAUTOLOGICAL, builtin_f, cup_basis, hilbert_class, tangent_g, taut_g,
+    TANGENT, TAUTOLOGICAL, builtin_f, cup_basis, exponent_g, hilbert_class,
 )
 from .partitions import check_partition, weight
 from .series import TruncatedSeries
@@ -105,41 +106,66 @@ def _document(request: dict, payload) -> dict:
     return {"request": request, "payload": payload, "engine": f"hilbclass {__version__}"}
 
 
-def _records_json(element: FockElement) -> str:
+class _UnprintableCoefficient(ValueError):
+    """A coefficient's numerator or denominator is past the interpreter's digit limit."""
+
+
+def _coeff_text(c: int, d: int) -> str:
+    """str(Fraction(c, d)) for ints c and d > 0, without building the Fraction:
+    the `make` of the `class` command's walk, whose terms are only printed."""
+    g = gcd(c, d)
+    try:
+        return str(c // g) if d == g else f"{c // g}/{d // g}"
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise _UnprintableCoefficient from None
+
+
+def _unprintable(request: dict) -> ValueError:
+    """The error for a result coefficient too long to print, naming the flags that size it."""
+    flags = [f"--{k}" for k in ("order", "weight", "r", "f") if request.get(k)]
+    return ValueError(f"a result coefficient has more than {sys.get_int_max_str_digits()} "
+                      f"digits, too many to print; check {' and '.join(flags)}")
+
+
+def _records(element: FockElement) -> list[str]:
     """[{"coeff": "p/q", "partition": [...]}, ...] in term order, as json.dumps(indent=2,
-    sort_keys=True) writes it one level deep, without its Python encoder."""
-    records = []
+    sort_keys=True) writes it one level deep, without its Python encoder, in pieces."""
+    pieces, sep = [], "[\n    "
     for parts, c in element.terms.items():
         partition = ("[\n        " + ",\n        ".join(map(str, parts)) + "\n      ]"
                      if parts else "[]")
-        records.append(f'{{\n      "coeff": "{c}",\n      "partition": {partition}\n    }}')
-    return "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+        pieces.append(f'{sep}{{\n      "coeff": "{c}",\n      "partition": {partition}\n    }}')
+        sep = ",\n    "
+    pieces.append("\n  ]" if pieces else "[]")
+    return pieces
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
+    """The document as json.dumps(indent=2, sort_keys=True) writes it, and a newline,
+    written in pieces; a FockElement payload goes through `_records`."""
     payload = doc["payload"]
-    records = isinstance(payload, FockElement)
     try:
-        text = json.dumps({**doc, "payload": None} if records else doc, indent=2,
-                          sort_keys=True, default=str)
-        if records:  # sort_keys writes "payload" before "request", whose values may be null
-            text = text.replace('"payload": null', '"payload": ' + _records_json(payload), 1)
+        if isinstance(payload, FockElement):
+            # sort_keys writes "payload" before "request", whose values may be null
+            head, tail = json.dumps({**doc, "payload": None}, indent=2, sort_keys=True,
+                                    default=str).split('"payload": null', 1)
+            pieces = [head, '"payload": ', *_records(payload), tail, "\n"]
+        else:
+            pieces = [json.dumps(doc, indent=2, sort_keys=True, default=str), "\n"]
     except ValueError:  # str() of an int past the interpreter's digit limit
-        flags = [f"--{k}" for k in ("order", "weight", "r", "f") if doc["request"].get(k)]
-        raise ValueError(f"a result coefficient has more than {sys.get_int_max_str_digits()} "
-                         f"digits, too many to print; check {' and '.join(flags)}") from None
+        raise _unprintable(doc["request"]) from None
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
 
 
 def cmd_gseries(args) -> int:
     order = args.order
     _check_range("--order", order, MAX_ORDER)
     f = _defining_series(args, max(order - 1, 0))
-    g = tangent_g(f, order) if args.target == TANGENT else taut_g(f, order)
+    g = exponent_g(f, args.target, order)
     payload = list(g.coeffs[1:])  # _emit prints each as its str()
     request = {
         "subcommand": "gseries", "class": args.class_name, "target": args.target,
@@ -158,11 +184,15 @@ def cmd_class(args) -> int:
             f"--weight-only must lie in 0..{bound} (0..--weight), got {args.weight_only}"
         )
     f = _defining_series(args, max(bound - 1, 0))
-    element = hilbert_class(f, args.target, bound, args.weight_only, args.degree)
     request = {
         "subcommand": "class", "class": args.class_name, "target": args.target,
         "weight": bound, "degree": args.degree, "r": args.r, "f": args.f,
     }
+    try:
+        element = hilbert_class(f, args.target, bound, args.weight_only, args.degree,
+                                _coeff_text)
+    except _UnprintableCoefficient:
+        raise _unprintable(request) from None
     _emit(_document(request, element), args.out)
     return 0
 

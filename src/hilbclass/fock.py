@@ -8,8 +8,9 @@ weight-n piece models the cohomology of the Hilbert scheme of n points on
 the affine plane; the algebraic degree of q_lambda is weight(lambda) -
 length(lambda).  Terms are kept in output order, by weight and then
 reverse-lexicographically, so a writer iterates them as stored, and
-coefficients are rational.  The cup product of such elements lives in
-:mod:`hilbclass.hilbert`.
+coefficients are rational everywhere except in the terms the `class`
+command asks for as text, which it only prints.  The cup product of such
+elements lives in :mod:`hilbclass.hilbert`.
 
 `exp_linear` expands exp(sum_k g_k q_k) by one depth-first walk,
 `_exp_walk`, which the nilpotent cup-product oracle of
@@ -29,7 +30,9 @@ class FockElement:
     """sum_lambda terms[lambda] q_lambda, stored as given: every producer keeps
     each key a valid partition (`check_partition`), each coefficient a
     nonzero rational, and the keys in canonical order, by weight and then
-    reverse-lexicographically.  `monomial` is where hand-built terms are
+    reverse-lexicographically.  The one exception is the `class` command's
+    expansion, whose coefficients are their `str()` text, made by the walk
+    for printing alone.  `monomial` is where hand-built terms are
     checked."""
 
     __slots__ = ("terms",)
@@ -65,12 +68,13 @@ class FockElement:
 
 
 def exp_linear(g, bound: int, only: int | None = None,
-               degree: int | None = None) -> FockElement:
+               degree: int | None = None, make=Fraction) -> FockElement:
     """exp(sum_k g_k q_k) applied to the vacuum, or its terms of weight `only`
     and/or algebraic degree `degree`: q_lambda gets prod_i g_{lambda_i} /
     prod_i m_i!, m_i the part multiplicities.  Requires g(0) = 0 and g
     truncated at order >= bound.  With each g_k = a_k / b_k reduced, a term
-    is one Fraction(prod a_{lambda_i}, prod b_{lambda_i} prod m_i!).
+    is one make(prod a_{lambda_i}, prod b_{lambda_i} prod m_i!): a Fraction
+    by default, its text for a caller that only prints it.
     """
     if g.coeffs[0]:
         raise ValueError("exp_linear needs a series with zero constant term")
@@ -82,7 +86,7 @@ def exp_linear(g, bound: int, only: int | None = None,
         raise ValueError("the degree must be nonnegative")
     nums = [c.numerator for c in g.coeffs]
     dens = [c.denominator for c in g.coeffs]
-    return FockElement(_exp_walk(nums, dens, bound, only, degree, Fraction))
+    return FockElement(_exp_walk(nums, dens, bound, only, degree, make))
 
 
 def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make) -> dict:

@@ -150,17 +150,23 @@ def taut_g(f: TruncatedSeries, order: int) -> TruncatedSeries:
     return lagrange_g(f.negate_arg(), order)
 
 
+def exponent_g(f: TruncatedSeries, target: str, order: int) -> TruncatedSeries:
+    """`tangent_g` or `taut_g` of f, as `target` names the sheaf."""
+    if target == TANGENT:
+        return tangent_g(f, order)
+    if target == TAUTOLOGICAL:
+        return taut_g(f, order)
+    raise ValueError(f"unknown target {target!r}")
+
+
 def hilbert_class(f: TruncatedSeries, target: str, bound: int, only: int | None = None,
-                  degree: int | None = None) -> FockElement:
+                  degree: int | None = None, make=Fraction) -> FockElement:
     """The class of f (constant term 1, order at least `bound` - 1) on the
     sheaf `target`, all weights up to `bound` at once, or just its terms of
     weight `only` and/or algebraic degree `degree`: exp(sum_k g_k q_k)
-    applied to the vacuum."""
-    if target == TANGENT:
-        return exp_linear(tangent_g(f, bound), bound, only, degree)
-    if target == TAUTOLOGICAL:
-        return exp_linear(taut_g(f, bound), bound, only, degree)
-    raise ValueError(f"unknown target {target!r}")
+    applied to the vacuum, each coefficient built by `make` (see
+    `exp_linear`)."""
+    return exp_linear(exponent_g(f, target, bound), bound, only, degree, make)
 
 
 # -- fixed-point oracles --------------------------------------------------

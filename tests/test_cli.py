@@ -4,10 +4,17 @@ and exit codes."""
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hilbclass.cli import _parse_rational, main
+from hilbclass import cli
+from hilbclass.cli import _coeff_text, _parse_rational, _UnprintableCoefficient, main
+from hilbclass.fock import _exp_walk, exp_linear
+from hilbclass.hilbert import TAUTOLOGICAL, exponent_g, hilbert_class
+from hilbclass.series import TruncatedSeries
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +248,67 @@ def test_unprintable_result_exits_2_naming_the_fields(capsys, tmp_path, argv, na
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert f"more than {LIMIT} digits" in captured.err and named in captured.err
+
+
+def test_other_class_errors_keep_their_message(capsys, tmp_path, monkeypatch):
+    def failing(*args):
+        raise ValueError("F is truncated too low for the requested order")
+
+    monkeypatch.setattr(cli, "hilbert_class", failing)
+    out = tmp_path / "out.json"
+    assert main(["class", "chern", "tangent", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: F is truncated too low for the requested order\n"
+    assert not out.exists()
+
+
+@given(c=st.integers(-10**40, 10**40), d=st.integers(1, 10**40),
+       shared=st.integers(1, 10**60), shape=st.sampled_from(("any", "d == 1", "d divides c")))
+@example(c=-12, d=1, shared=1, shape="any")
+@example(c=-12, d=4, shared=1, shape="d divides c")
+@example(c=-7, d=3, shared=2**200 * 3**100, shape="any")
+@settings(max_examples=300, deadline=None)
+def test_coeff_text_is_the_text_of_the_fraction(c, d, shared, shape):
+    if shape == "d == 1":
+        d = 1
+    elif shape == "d divides c":
+        c *= d
+    assert _coeff_text(c * shared, d * shared) == str(Fraction(c, d))
+
+
+def test_coeff_text_at_the_digit_limit():
+    top = 10 ** LIMIT - 1  # the longest printable int
+    for c, d in ((top, 1), (-top, 7), (1, top), (top * 10**LIMIT, 3 * 10**LIMIT)):
+        assert _coeff_text(c, d) == str(Fraction(c, d))
+    for c, d in ((top + 1, 1), (-(top + 1), 7), (1, 3 * (top + 1)), (3 * 10**LIMIT, 1)):
+        with pytest.raises(_UnprintableCoefficient):
+            _coeff_text(c, d)
+    assert issubclass(_UnprintableCoefficient, ValueError)
+
+
+# A custom class whose tautological g_2 = A/B and g_3 = B/A: each term holding
+# both parts divides its product and divisor by A*B, as no g_k does alone
+A, B = 5**20, 7**20
+SHARED_F = [Fraction(1), Fraction(-2 * A, B), Fraction(3 * B, A) - Fraction(4 * A * A, B * B),
+            Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7)]
+
+
+@pytest.mark.parametrize("flag,value", [("--weight-only", 8), ("--degree", 4)])
+def test_library_keeps_rationals_the_cli_prints_their_text(capsys, flag, value):
+    bound = 10
+    f = TruncatedSeries.from_coeffs(SHARED_F, bound - 1)
+    g = exponent_g(f, TAUTOLOGICAL, bound)
+    assert (g.coeffs[2], g.coeffs[3]) == (Fraction(A, B), Fraction(B, A))
+    nums, dens = [c.numerator for c in g.coeffs], [c.denominator for c in g.coeffs]
+    assert max(_exp_walk(nums, dens, bound, None, None, gcd).values()) >= A * B
+    for element in (hilbert_class(f, TAUTOLOGICAL, bound), exp_linear(g, bound)):
+        assert element.terms and all(type(c) is Fraction for c in element.terms.values())
+    only, degree = (value, None) if flag == "--weight-only" else (None, value)
+    element = hilbert_class(f, TAUTOLOGICAL, bound, only, degree)
+    code, doc = run_json(capsys, "class", "custom", TAUTOLOGICAL, "--weight", str(bound),
+                         "--f", ",".join(map(str, SHARED_F)), flag, str(value))
+    assert code == 0 and len(element.terms) > 1
+    assert doc["payload"] == [{"coeff": str(c), "partition": list(p)}
+                              for p, c in element.terms.items()]
 
 
 @pytest.mark.parametrize("text,value", [

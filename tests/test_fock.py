@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbclass.cli import _records_json
+from hilbclass.cli import _records
 from hilbclass.exact import ParamContext
 from hilbclass.fock import FockElement, _exp_walk, exp_linear, hilb_unit
 from hilbclass.hilbert import (
@@ -284,13 +284,13 @@ def test_records_of_a_canonical_element():
         (1, 1, 1): Fraction(1, 6),
     })
     assert_canonical(e)
-    assert json.loads(_records_json(e)) == [
+    assert json.loads("".join(_records(e))) == [
         {"partition": [1], "coeff": "-1"},
         {"partition": [3], "coeff": "2"},
         {"partition": [2, 1], "coeff": "1/2"},
         {"partition": [1, 1, 1], "coeff": "1/6"},
     ]
-    assert _records_json(FockElement({})) == "[]"
+    assert _records(FockElement({})) == ["[]"]
 
 
 def test_hilb_unit():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbclass import hilbert, partitions
+from hilbclass.cli import main
 from hilbclass.exact import ParamContext
 from hilbclass.fock import FockElement, hilb_unit
 from hilbclass.hilbert import (
@@ -25,6 +26,7 @@ from hilbclass.hilbert import (
     cup,
     cup_basis,
     cup_nilpotent,
+    exponent_g,
     hilbert_class,
     lemma_b1,
     oracle_top_tangent,
@@ -106,11 +108,28 @@ def test_class_spec_validation():
     constant term 1 and an f truncated below the weight bound all raise."""
     with pytest.raises(ValueError, match="unknown target 'normal'"):
         hilbert_class(chern_f(3), "normal", 3)
+    with pytest.raises(ValueError, match="unknown target 'normal'"):
+        exponent_g(chern_f(3), "normal", 3)
     for target in (TANGENT, TAUTOLOGICAL):
         with pytest.raises(ValueError, match="constant term 1"):
             hilbert_class(TruncatedSeries.from_coeffs([2, 1], 3), target, 3)
         with pytest.raises(ValueError, match="truncated too low"):
             hilbert_class(chern_f(1), target, 5)
+
+
+def test_exponent_g_calls_the_engines_by_their_global_names(monkeypatch, capsys):
+    """`hilbert_class` and `gseries` pick `tangent_g` or `taut_g` in one place,
+    `exponent_g`, which looks each up in the module, where a tracer rebinds it."""
+    called = []
+    for name in ("tangent_g", "taut_g"):
+        engine = getattr(hilbert, name)
+        monkeypatch.setattr(hilbert, name, lambda f, order, name=name, engine=engine: (
+            called.append(name) or engine(f, order)))
+    hilbert_class(chern_f(3), TANGENT, 3)
+    hilbert_class(chern_f(3), TAUTOLOGICAL, 3)
+    assert main(["gseries", "chern", "tautological", "--order", "3"]) == 0
+    assert called == ["tangent_g", "taut_g", "taut_g"]
+    assert capsys.readouterr().out
 
 
 def test_hilbert_class_weight_two():
