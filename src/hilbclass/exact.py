@@ -45,15 +45,16 @@ class ParamContext:
         object.__setattr__(self, "bias", sum(((1 << k) - 1 - b) << s for k, b, s in fields))
         object.__setattr__(self, "guard", sum(1 << (s + k) for k, _, s in fields))
 
-    def pack(self, exps) -> int | None:
-        """The packed monomial of `exps`, or None if an exponent exceeds its bound."""
+    def pack(self, exps) -> int:
+        """The packed monomial of `exps`, each exponent between 0 and its bound."""
         exps = tuple(exps)
         if len(exps) != len(self.bounds):
             raise ValueError("exponent vector has wrong length")
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent")
-        fits = all(e <= b for e, b in zip(exps, self.bounds))
-        return sum(e << s for e, s in zip(exps, self.shifts)) if fits else None
+        if any(e > b for e, b in zip(exps, self.bounds)):
+            raise ValueError("exponent over its bound")
+        return sum(e << s for e, s in zip(exps, self.shifts))
 
 
 class ParamPoly:

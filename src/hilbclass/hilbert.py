@@ -10,9 +10,10 @@ Lagrange inversion:
 * tangent:       dg/dt ( x / (f(x) f(-x)) ) = f(x) f(-x)
 * tautological:  dg/dt ( x / f(-x) )        = f(-x)
 
-The built-in f come from closed forms: (1 + x)^r (Segre at r = -1) from
-the binomial recurrence, and the square root of Todd as the exp of
-x/4 minus a Bernoulli series.
+The built-in f come from closed forms: (1 + x)^r (Chern at r = 1, Segre at
+r = -1) from the binomial recurrence, which stops at its first zero
+coefficient, and the square root of Todd as the exp of x/4 minus a
+Bernoulli series.
 
 Both series are cross-checked by localisation at the torus fixed points:
 the tangent Chern roots are the +-hook lengths of the cells, the
@@ -20,8 +21,10 @@ tautological ones the cell contents, and only the hooks (n-a, 1^a) have a
 nonzero n-cycle character.  On a hook that character is (-1)^a, the hook
 product n a! (n-a-1)!, the hook lengths {n} u {1..n-a-1} u {1..a} and the
 contents {-(n-a-1)..a} (Macdonald, Symmetric Functions and Hall
-Polynomials, I.1 and I.7), so each hook's product of root factors is a
-product of two entries of prefix-product tables built once per n.
+Polynomials, I.1 and I.7).  So each hook's product of root factors is
+T_j(-x) T_i(x) for one prefix-product table T_j = prod_(k=1..j) f(k x),
+and the signed sum over the hooks is the appendix series P_(n-1) up to a
+factor: one table and one sum give both oracles and P_n.
 
 The cup product on the weight-n piece comes from the class algebra of the
 symmetric group S_n (Lehn-Sorger): under q_lam <-> z(lam) * C_lam, with C_lam
@@ -81,16 +84,6 @@ def _require_unit_one(f: TruncatedSeries):
 # -- built-in defining series --------------------------------------------
 
 
-def chern_f(order: int) -> TruncatedSeries:
-    """f = 1 + x (total Chern class)."""
-    return TruncatedSeries.from_coeffs([1, 1][: order + 1], order)
-
-
-def segre_f(order: int) -> TruncatedSeries:
-    """f = (1 + x)^-1 (total Segre class)."""
-    return cprime_pow_f(-1, order)
-
-
 def _bernoulli(m: int) -> list[Fraction]:
     """B_0..B_m (B_1 = -1/2), by sum_(j<=k) C(k+1, j) B_j = 0 for k >= 1."""
     b = [Fraction(1)]
@@ -113,19 +106,21 @@ def sqrt_todd_f(order: int) -> TruncatedSeries:
 
 
 def cprime_pow_f(r, order: int) -> TruncatedSeries:
-    """f = (1 + x)^r for rational r: the binomial series, c_k = c_(k-1) (r - k + 1) / k."""
+    """f = (1 + x)^r for rational r: the binomial series, c_k = c_(k-1) (r - k + 1) / k,
+    up to its first zero coefficient (c_(r+1) for an integer r >= 0), then zeros."""
     r = Fraction(r)
     coeffs = [Fraction(1)]
-    for k in range(1, order + 1):
+    while len(coeffs) <= order and coeffs[-1]:
+        k = len(coeffs)
         coeffs.append(coeffs[-1] * (r - k + 1) / k)
-    return TruncatedSeries(order, coeffs)
+    return TruncatedSeries(order, coeffs + [Fraction(0)] * (order + 1 - len(coeffs)))
 
 
 def builtin_f(name: str, order: int, r=None) -> TruncatedSeries:
     if name == "chern":
-        return chern_f(order)
+        return cprime_pow_f(1, order)
     if name == "segre":
-        return segre_f(order)
+        return cprime_pow_f(-1, order)
     if name == "sqrt-todd":
         return sqrt_todd_f(order)
     if name == "cprime-pow":
@@ -172,41 +167,41 @@ def hilbert_class(f: TruncatedSeries, target: str, bound: int, only: int | None 
 # -- fixed-point oracles --------------------------------------------------
 
 
-def _products(nums, ks, order: int) -> list[list[int]]:
-    """Integer numerators of the prefix products prod_{k in ks[:j]} f(k x),
-    j = 0..len(ks), truncated at `order`, for the f with numerators `nums`
-    over a denominator d: entry j is over d^j."""
-    out = [[1] + [0] * order]
-    for k in ks:
-        out.append(_convolve(out[-1], [a * k**i for i, a in enumerate(nums)], order))
-    return out
+def _hook_sum(nums, m: int) -> list[int]:
+    """Integer numerators of K_m = sum_(s=0..m) (-1)^s C(m, s) T_(m-s)(-x) T_s(x),
+    truncated at x^m, from the one prefix table T_j = prod_(k=1..j) f(k x),
+    j = 0..m, for the f with numerators `nums` over a denominator d: K_m is
+    over d^m.  T_j(-x) is T_j with its odd coefficients negated."""
+    table = [[1] + [0] * m]
+    for k in range(1, m + 1):
+        table.append(_convolve(table[-1], [a * k**i for i, a in enumerate(nums)], m))
+    total = [0] * (m + 1)
+    for s in range(m + 1):
+        mirror = [(-1) ** i * a for i, a in enumerate(table[m - s])]
+        weight_s = (-1) ** s * comb(m, s)
+        total = [t + weight_s * p for t, p in zip(total, _convolve(mirror, table[s], m))]
+    return total
 
 
 def _fixed_point_sum(f: TruncatedSeries, n: int, tangent: bool) -> Fraction:
     """sum over the hooks (n-a, 1^a) of (-1)^a / (n H) [x^(n-1)] prod_r f(r x),
     r over the Chern roots, H = n a! (n-a-1)!: weight (-1)^a C(n-1, a) over
-    n n!.  The contents give left[n-1-a] right[a+1], k = -1..-(n-1) and 0..n-1;
-    the hook lengths the same over F = f(x) f(-x), k = 1..n-1 and n, 1..n-1.
-    On integer numerators, divided once by n n! den^n."""
+    n n!.  The contents -(n-a-1)..a give T_(n-1-a)(-x) f(0) T_a(x), so the
+    sum is [x^(n-1)] K_(n-1)(f) / (n n!); the hook lengths {n} u
+    {1..n-a-1} u {1..a} give [x^(n-1)] F(n x) K_(n-1)(F) / (n n!), F =
+    f(x) f(-x), which is even.  On integer numerators, divided once."""
     if n < 1:
         raise ValueError("the oracle needs n >= 1")
     _require_unit_one(f)
     if f.order < n - 1:
         raise ValueError("series truncated too low for this n")
     den, nums = _integer_numerators(f.coeffs[:n])
-    if tangent:
-        nums = _convolve(nums, [(-1) ** i * a for i, a in enumerate(nums)], n - 1)
-        den *= den
-        left = _products(nums, range(1, n), n - 1)
-        right = _products(nums, [n, *range(1, n)], n - 1)
-    else:
-        left = _products(nums, range(-1, -n, -1), n - 1)
-        right = _products(nums, range(n), n - 1)
-    total = 0
-    for a in range(n):
-        lo, hi = left[n - 1 - a], right[a + 1]
-        total += (-1) ** a * comb(n - 1, a) * sum(lo[i] * hi[n - 1 - i] for i in range(n))
-    return Fraction(total, n * factorial(n) * den**n)
+    if not tangent:
+        return Fraction(_hook_sum(nums, n - 1)[n - 1], n * factorial(n) * den ** (n - 1))
+    nums = _convolve(nums, [(-1) ** i * a for i, a in enumerate(nums)], n - 1)
+    hook_sum = _hook_sum(nums, n - 1)
+    top = sum(a * n**i * hook_sum[n - 1 - i] for i, a in enumerate(nums))
+    return Fraction(top, n * factorial(n) * den ** (2 * n))
 
 
 def oracle_top_tangent(f: TruncatedSeries, n: int) -> Fraction:
@@ -235,30 +230,20 @@ def lemma_b1(m: int, p: int) -> Fraction:
     return Fraction(sum((-1) ** s * comb(m, s) * s**p for s in range(m + 1)), factorial(m))
 
 
-def p_n_series(f: TruncatedSeries, n: int, order: int) -> TruncatedSeries:
-    """P_n = sum_{s=0}^n (-1)^s/(s!(n-s)!) prod_{k=-(n-s)}^{s} f(k x).
+def p_n_series(f: TruncatedSeries, n: int) -> TruncatedSeries:
+    """P_n = sum_{s=0}^n (-1)^s/(s!(n-s)!) prod_{k=-(n-s)}^{s} f(k x), to x^n.
 
     Its coefficients below x^n vanish and the x^n coefficient equals
-    (-1)^n [x^n] f^(n+1).  Summand s's product is left[n-s] right[s+1], from
-    prefix products of f(k x), k = -1..-n and 0..n, on integer numerators
-    over f's common denominator d, added with weights (-1)^s C(n, s); the
-    sum is divided by n! d^(n+1) once per coefficient.
+    (-1)^n [x^n] f^(n+1).  Summand s's product is T_(n-s)(-x) f(0) T_s(x),
+    so P_n is the hook sum K_n / n!, on integer numerators over f's common
+    denominator d, divided by n! d^n once per coefficient.
     """
-    if order < n:
-        raise ValueError("order must be at least n")
     _require_unit_one(f)
-    if f.order < order:
+    if f.order < n:
         raise ValueError("series truncated below the requested order")
-    den, nums = _integer_numerators(f.coeffs[: order + 1])
-    left = _products(nums, range(-1, -n - 1, -1), order)
-    right = _products(nums, range(n + 1), order)
-    total = [0] * (order + 1)
-    for s in range(n + 1):
-        weight_s = (-1) ** s * comb(n, s)
-        product_s = _convolve(left[n - s], right[s + 1], order)
-        total = [t + weight_s * p for t, p in zip(total, product_s)]
-    scale = factorial(n) * den ** (n + 1)
-    return TruncatedSeries(order, [Fraction(t, scale) for t in total])
+    den, nums = _integer_numerators(f.coeffs[: n + 1])
+    scale = factorial(n) * den**n
+    return TruncatedSeries(n, [Fraction(t, scale) for t in _hook_sum(nums, n)])
 
 
 # -- cup product in the class algebra of the symmetric group -------------

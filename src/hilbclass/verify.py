@@ -17,7 +17,7 @@ from .fock import FockElement, hilb_unit
 from .hilbert import (
     TAUTOLOGICAL,
     _cup_basis_cached,
-    chern_f,
+    builtin_f,
     cprime_pow_f,
     cup,
     cup_basis,
@@ -27,7 +27,6 @@ from .hilbert import (
     oracle_top_tangent,
     oracle_top_taut,
     p_n_series,
-    segre_f,
     sqrt_todd_f,
     tangent_g,
     taut_g,
@@ -80,7 +79,7 @@ def suite_appendix() -> list[Check]:
         f = random_unit_series(rng, 9)
         fpow = TruncatedSeries.one(9)
         for n in range(9):
-            p = p_n_series(f, n, 9)
+            p = p_n_series(f, n)
             low = [k for k in range(n) if p.coeffs[k] != 0]
             lead = p.coeffs[n]
             fpow = fpow * f  # f^(n+1)
@@ -100,7 +99,7 @@ def suite_appendix() -> list[Check]:
 def suite_examples() -> list[Check]:
     checks = []
 
-    g = tangent_g(chern_f(40), 41)
+    g = tangent_g(builtin_f("chern", 40), 41)
     ok = all(g.coeffs[2 * n + 1] == Fraction((-1) ** n * comb(2 * n, n),
                                              (n + 1) * (2 * n + 1))
              for n in range(21))
@@ -108,7 +107,7 @@ def suite_examples() -> list[Check]:
     checks.append(Check("Chern exponent series to order 41", ok,
                         "" if ok else f"got {g.to_strings()[:8]}"))
 
-    g = tangent_g(segre_f(40), 41)
+    g = tangent_g(builtin_f("segre", 40), 41)
     ok = all(g.coeffs[2 * n + 1] == Fraction(comb(3 * n, n), (2 * n + 1) ** 2)
              for n in range(21))
     checks.append(Check("Segre exponent series to order 41", ok,
@@ -142,7 +141,7 @@ def suite_examples() -> list[Check]:
         "closed form with fixed-point confirmation", ok,
         "" if ok else f"got {g.to_strings()[:8]}"))
 
-    g = taut_g(chern_f(19), 20)
+    g = taut_g(builtin_f("chern", 19), 20)
     ok = all(g.coeffs[n] == Fraction((-1) ** (n - 1), n) for n in range(1, 21))
     checks.append(Check("tautological Chern (Lehn) series to order 20", ok,
                         "" if ok else f"got {g.to_strings()[:8]}"))
@@ -193,7 +192,7 @@ def suite_oracle(max_n: int = 10) -> list[Check]:
 
 
 def _lehn_component(n: int) -> FockElement:
-    return hilbert_class(chern_f(max(n - 1, 0)), TAUTOLOGICAL, n, n)
+    return hilbert_class(builtin_f("chern", max(n - 1, 0)), TAUTOLOGICAL, n, n)
 
 
 def suite_ring() -> list[Check]:

@@ -146,9 +146,8 @@ def poly(context: ParamContext, terms) -> ParamPoly:
     monomials over a bound are dropped."""
     clean = {}
     for exps, c in terms.items():
-        key = context.pack(exps)
-        if key is not None and c:
-            clean[key] = operator.index(c)
+        if c and all(e <= b for e, b in zip(exps, context.bounds)):
+            clean[context.pack(exps)] = operator.index(c)
     return ParamPoly._make(context, clean)
 
 
@@ -163,7 +162,9 @@ def parameter(context: ParamContext, index: int) -> ParamPoly:
 
 
 def coefficient(p: ParamPoly, exps) -> int:
-    """The coefficient of p at the exponent vector `exps`."""
+    """The coefficient of p at the exponent vector `exps`, 0 past a bound."""
+    if any(e > b for e, b in zip(exps, p.context.bounds)):
+        return 0
     return p.terms.get(p.context.pack(exps), 0)
 
 

@@ -32,6 +32,8 @@ def test_param_context_validation():
         ParamContext((1, 0))
     with pytest.raises(ValueError):
         ParamContext((-1,))
+    with pytest.raises(ValueError, match="over its bound"):
+        ParamContext((2, 1)).pack((3, 0))
 
 
 CTX = ParamContext((2, 1))

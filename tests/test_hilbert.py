@@ -5,7 +5,7 @@ cross-oracle."""
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,6 @@ from hilbclass.hilbert import (
     _factor_powers,
     _pair_exponent,
     builtin_f,
-    chern_f,
     cprime_pow_f,
     cup,
     cup_basis,
@@ -32,7 +31,6 @@ from hilbclass.hilbert import (
     oracle_top_tangent,
     oracle_top_taut,
     p_n_series,
-    segre_f,
     sqrt_todd_f,
     tangent_g,
     taut_g,
@@ -49,16 +47,15 @@ from reference import p_n_series as loop_p_n_series
 
 
 def test_builtin_series():
-    assert chern_f(3).coeffs == (1, 1, 0, 0)
-    assert chern_f(0).coeffs == (1,)
-    assert segre_f(3).coeffs == (1, -1, 1, -1)
+    assert builtin_f("chern", 3).coeffs == (1, 1, 0, 0)
+    assert builtin_f("chern", 0).coeffs == (1,)
+    assert builtin_f("segre", 3).coeffs == (1, -1, 1, -1)
     assert sqrt_todd_f(3).coeffs == (
         1, Fraction(1, 4), Fraction(1, 96), Fraction(-1, 384)
     )
     half = cprime_pow_f(Fraction(1, 2), 6)
-    assert half * half == chern_f(6)
+    assert half * half == builtin_f("chern", 6)
     assert cprime_pow_f(2, 4).coeffs == (1, 2, 1, 0, 0)
-    assert builtin_f("chern", 2) == chern_f(2)
     with pytest.raises(ValueError):
         builtin_f("cprime-pow", 4)
     with pytest.raises(ValueError):
@@ -73,16 +70,30 @@ REFERENCE_R = [Fraction(r) for r in
                ("-5/2", "-3/2", "-1/2", "2/3", "3/2", "5/2", "-1", "0", "2", "7/3")]
 
 
+def one_plus_x(order: int) -> TruncatedSeries:
+    return TruncatedSeries.from_coeffs([1, 1][: order + 1], order)
+
+
 @pytest.mark.parametrize("r", REFERENCE_R, ids=str)
 def test_cprime_pow_matches_log_scale_exp(r):
     for order in REFERENCE_ORDERS:
-        reference = scale(log(chern_f(order)), r).exp()
+        reference = scale(log(one_plus_x(order)), r).exp()
         assert cprime_pow_f(r, order) == reference, order
+
+
+def test_cprime_pow_at_a_natural_r_is_the_binomial_polynomial():
+    """The recurrence stops at its first zero coefficient, c_(r+1), and pads
+    with zeros, at orders below r too."""
+    for r in range(4):
+        for order in range(122):
+            f = cprime_pow_f(r, order)
+            assert f.coeffs == tuple(comb(r, k) for k in range(order + 1)), (r, order)
+            assert all(type(c) is Fraction for c in f.coeffs), (r, order)
 
 
 def test_segre_and_sqrt_todd_match_inverse_routes():
     for order in REFERENCE_ORDERS:
-        assert segre_f(order) == inverse(chern_f(order)), order
+        assert builtin_f("segre", order) == inverse(one_plus_x(order)), order
         minus_x = TruncatedSeries.from_coeffs([0, -1], order + 1)
         body = TruncatedSeries(order, minus_x.exp().coeffs[1:])  # (e^-x - 1)/x
         reference = sqrt_unit(inverse(scale(body, -1)))
@@ -107,14 +118,14 @@ def test_class_spec_validation():
     """A class is specified by (f, target): an unknown target, an f without
     constant term 1 and an f truncated below the weight bound all raise."""
     with pytest.raises(ValueError, match="unknown target 'normal'"):
-        hilbert_class(chern_f(3), "normal", 3)
+        hilbert_class(builtin_f("chern", 3), "normal", 3)
     with pytest.raises(ValueError, match="unknown target 'normal'"):
-        exponent_g(chern_f(3), "normal", 3)
+        exponent_g(builtin_f("chern", 3), "normal", 3)
     for target in (TANGENT, TAUTOLOGICAL):
         with pytest.raises(ValueError, match="constant term 1"):
             hilbert_class(TruncatedSeries.from_coeffs([2, 1], 3), target, 3)
         with pytest.raises(ValueError, match="truncated too low"):
-            hilbert_class(chern_f(1), target, 5)
+            hilbert_class(builtin_f("chern", 1), target, 5)
 
 
 def test_exponent_g_calls_the_engines_by_their_global_names(monkeypatch, capsys):
@@ -125,15 +136,15 @@ def test_exponent_g_calls_the_engines_by_their_global_names(monkeypatch, capsys)
         engine = getattr(hilbert, name)
         monkeypatch.setattr(hilbert, name, lambda f, order, name=name, engine=engine: (
             called.append(name) or engine(f, order)))
-    hilbert_class(chern_f(3), TANGENT, 3)
-    hilbert_class(chern_f(3), TAUTOLOGICAL, 3)
+    hilbert_class(builtin_f("chern", 3), TANGENT, 3)
+    hilbert_class(builtin_f("chern", 3), TAUTOLOGICAL, 3)
     assert main(["gseries", "chern", "tautological", "--order", "3"]) == 0
     assert called == ["tangent_g", "taut_g", "taut_g"]
     assert capsys.readouterr().out
 
 
 def test_hilbert_class_weight_two():
-    e = hilbert_class(chern_f(1), TANGENT, 2)
+    e = hilbert_class(builtin_f("chern", 1), TANGENT, 2)
     assert e.terms == {
         (): Fraction(1),
         (1,): Fraction(1),
@@ -142,7 +153,7 @@ def test_hilbert_class_weight_two():
 
 
 def test_oracles_match_series_for_fixed_f():
-    for f in (chern_f(7), segre_f(7), sqrt_todd_f(7)):
+    for f in (builtin_f("chern", 7), builtin_f("segre", 7), sqrt_todd_f(7)):
         gt = tangent_g(f, 7)
         gq = taut_g(f, 7)
         for n in range(1, 7):
@@ -173,7 +184,7 @@ def test_oracles_match_literal_fixed_point_sum(target):
     drawn = [random_unit_series(rng, 7) for _ in range(6)]
     tails = [c for f in drawn for c in f.coeffs[1:]]
     assert 0 in tails and min(tails) < 0
-    for f in drawn + [chern_f(7), segre_f(7), sqrt_todd_f(7)]:
+    for f in drawn + [builtin_f(name, 7) for name in ("chern", "segre", "sqrt-todd")]:
         for n in range(1, 9):
             assert ORACLES[target](f, n) == fixed_point_sum(f, n, target), n
 
@@ -182,19 +193,19 @@ def test_oracles_match_literal_fixed_point_sum(target):
 def test_oracle_input_errors(target):
     oracle = ORACLES[target]
     with pytest.raises(ValueError, match="n >= 1"):
-        oracle(chern_f(3), 0)
+        oracle(builtin_f("chern", 3), 0)
     with pytest.raises(ValueError, match="constant term 1"):
         oracle(TruncatedSeries.from_coeffs([2, 1], 3), 2)
     with pytest.raises(ValueError, match="truncated too low"):
-        oracle(chern_f(3), 5)
-    assert oracle(chern_f(3), 4) == fixed_point_sum(chern_f(3), 4, target)
+        oracle(builtin_f("chern", 3), 5)
+    assert oracle(builtin_f("chern", 3), 4) == fixed_point_sum(builtin_f("chern", 3), 4, target)
 
 
 def test_oracle_anchored_values():
     # n = 2 tautological Chern: two fixed points with contents {0,-1} and
     # {0,1} combine to -1/2
-    assert oracle_top_taut(chern_f(3), 2) == Fraction(-1, 2)
-    assert oracle_top_tangent(chern_f(3), 3) == Fraction(-1, 3)
+    assert oracle_top_taut(builtin_f("chern", 3), 2) == Fraction(-1, 2)
+    assert oracle_top_tangent(builtin_f("chern", 3), 3) == Fraction(-1, 3)
 
 
 def test_lemma_b1():
@@ -206,22 +217,33 @@ def test_lemma_b1():
 
 
 def test_p_n_series_for_chern():
-    f = chern_f(8)
+    f = builtin_f("chern", 8)
     for n in range(7):
-        p = p_n_series(f, n, 8)
+        p = p_n_series(f, n)
         assert all(p.coeffs[k] == 0 for k in range(n))
         # leading term (-1)^n [x^n] (1+x)^(n+1) = (-1)^n (n+1)
         assert p.coeffs[n] == Fraction((-1) ** n * (n + 1))
 
 
 def test_p_n_series_matches_per_summand_loop():
-    """Over the range of `verify appendix` (its five draws, n <= 8, order 9)
-    and the built-in classes, against each summand multiplied from scratch."""
+    """Over the range of `verify appendix` (its five draws, n <= 8) and the
+    built-in classes, against each summand multiplied from scratch."""
     rng = random.Random(1002)
     drawn = [random_unit_series(rng, 9) for _ in range(5)]
-    for f in drawn + [chern_f(9), segre_f(9), sqrt_todd_f(9)]:
+    for f in drawn + [builtin_f(name, 9) for name in ("chern", "segre", "sqrt-todd")]:
         for n in range(9):
-            assert p_n_series(f, n, 9) == loop_p_n_series(f, n, 9), n
+            assert p_n_series(f, n) == loop_p_n_series(f, n, n), n
+
+
+def test_tautological_oracle_is_the_top_coefficient_of_p_n():
+    """n^2 times the tautological fixed-point sum is [x^(n-1)] P_(n-1), both
+    read off the one hook sum, on the draws of `verify oracle` and the
+    built-in classes, n <= 12."""
+    rng = random.Random(1001)
+    drawn = [random_unit_series(rng, 12) for _ in range(10)]
+    for f in drawn + [builtin_f(name, 12) for name in ("chern", "segre", "sqrt-todd")]:
+        for n in range(1, 13):
+            assert n**2 * oracle_top_taut(f, n) == p_n_series(f, n - 1).coeffs[n - 1], n
 
 
 def test_fixed_point_sums_read_no_partition_table(monkeypatch):
@@ -231,11 +253,11 @@ def test_fixed_point_sums_read_no_partition_table(monkeypatch):
     `hilbert`, which imports them, they give the values computed before, up
     to n = 8."""
     rng = random.Random(1602)
-    fs = [random_unit_series(rng, 8) for _ in range(3)] + [chern_f(8), sqrt_todd_f(8)]
+    fs = [random_unit_series(rng, 8) for _ in range(3)] + [builtin_f("chern", 8), sqrt_todd_f(8)]
 
     def values():
-        return [(oracle_top_tangent(f, n), oracle_top_taut(f, n), p_n_series(f, n, 8))
-                for f in fs for n in range(1, 9)] + [p_n_series(f, 0, 8) for f in fs]
+        return [(oracle_top_tangent(f, n), oracle_top_taut(f, n), p_n_series(f, n))
+                for f in fs for n in range(1, 9)] + [p_n_series(f, 0) for f in fs]
 
     expected = values()
 

@@ -1,25 +1,24 @@
-"""Every method of the value types is reached by some command.
+"""Every function of the library is entered by some command.
 
-No library code exists only for tests: the methods of `TruncatedSeries`,
-`FockElement`, `ParamPoly` and `RationalField` must each be entered by a
+No library code exists only for tests: every `def` in `src/hilbclass/`
+(module functions, methods and nested functions) must be entered by a
 fixed list of small `hilbclass` requests that between them use every
-subcommand and flag.  Each method is wrapped by a recorder that puts
-the original back on its first entry, so the requests run at full speed
-after that.  `__repr__`, `__eq__`, `__hash__` and `__setattr__` are kept
-for assertion messages, tests and immutability, and are not required.
+subcommand and flag, and the ways a result can fail to print.  A profile
+hook records each code object entered while they run.  Class bodies and
+comprehensions are not `def`s; `__repr__`, `__eq__`, `__hash__` and
+`__setattr__` are kept for assertion messages, tests and immutability,
+and are not required.
 """
 
 import sys
-from inspect import isfunction
+from inspect import CO_OPTIMIZED
+from pathlib import Path
+from types import CodeType
 
-import pytest
+import hilbclass
+from hilbclass import cli
 
-from hilbclass.cli import main
-from hilbclass.exact import ParamPoly, RationalField
-from hilbclass.fock import FockElement
-from hilbclass.series import TruncatedSeries
-
-CLASSES = (TruncatedSeries, FockElement, ParamPoly, RationalField)
+SRC = Path(hilbclass.__file__).parent
 KEEP = {"__repr__", "__eq__", "__hash__", "__setattr__"}
 
 REQUESTS = [
@@ -28,6 +27,7 @@ REQUESTS = [
     (("gseries", "sqrt-todd", "tangent", "--order", "5"), 0),
     (("gseries", "cprime-pow", "tautological", "--r", "1/2", "--order", "5"), 0),
     (("gseries", "custom", "tangent", "--f", "1,1/2,-1/3", "--order", "5"), 0),
+    (("gseries", "cprime-pow", "tangent", "--order", "12", "--r", "1e-1000"), 2),  # too many to print
     (("class", "segre", "tangent", "--weight", "4", "--weight-only", "3",
       "--degree", "1"), 0),
     (("class", "custom", "tautological", "--f", "1,2", "--weight", "4"), 0),
@@ -40,20 +40,14 @@ REQUESTS = [
 ]
 
 
-def _function(attr):
-    """The function behind a method, classmethod, staticmethod or property."""
-    if isinstance(attr, (classmethod, staticmethod)):
-        return attr.__func__
-    if isinstance(attr, property):
-        return attr.fget
-    return attr if isfunction(attr) else None
-
-
-def _rebuild(attr, fn):
-    """`attr` with its function replaced by `fn`."""
-    if isinstance(attr, (classmethod, staticmethod, property)):
-        return type(attr)(fn)
-    return fn
+def _defs(code: CodeType):
+    """(file, qualified name) of each def compiled into `code`, nested ones too."""
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            if (const.co_flags & CO_OPTIMIZED and not const.co_name.startswith("<")
+                    and const.co_name not in KEEP):
+                yield const.co_filename, const.co_qualname
+            yield from _defs(const)
 
 
 def _empty_hilbclass_caches():
@@ -64,43 +58,19 @@ def _empty_hilbclass_caches():
                     value.cache_clear()
 
 
-@pytest.fixture
-def entered():
-    """Wrap every method outside KEEP; yield the set of qualified names
-    entered, and restore the classes afterwards."""
-    names, originals = set(), []
-    by_function = {}
-    for cls in CLASSES:
-        for name, attr in list(vars(cls).items()):
-            fn = _function(attr)
-            if fn is not None and fn.__name__ not in KEEP:
-                by_function.setdefault(fn, []).append((cls, name, attr))
-
-    def recorder(fn, holders):
-        def first_entry(*args, **kwargs):
-            names.add(fn.__qualname__)
-            for cls, name, attr in holders:
-                setattr(cls, name, attr)
-            return fn(*args, **kwargs)
-        return first_entry
-
-    for fn, holders in by_function.items():
-        wrapped = recorder(fn, holders)
-        for cls, name, attr in holders:
-            originals.append((cls, name, attr))
-            setattr(cls, name, _rebuild(attr, wrapped))
-    try:
-        yield names, {fn.__qualname__ for fn in by_function}
-    finally:
-        for cls, name, attr in originals:
-            setattr(cls, name, attr)
-
-
-def test_every_method_is_reached_by_a_command(entered, capsys, tmp_path):
+def test_every_method_is_reached_by_a_command(capsys, tmp_path, monkeypatch):
+    defs = {d for path in SRC.glob("*.py")
+            for d in _defs(compile(path.read_text(), str(path), "exec"))}
+    assert defs
     _empty_hilbclass_caches()
-    names, methods = entered
-    for argv, code in REQUESTS:
-        assert main(list(argv)) == code, argv
-    assert main(["cup", "[3]", "[2,1]", "--out", str(tmp_path / "cup.json")]) == 0
+    monkeypatch.setattr(cli, "_PARSER", None)  # built by the first `main` call
+    entered = set()
+    sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code))
+    try:
+        codes = [cli.main(list(argv)) for argv, _ in REQUESTS]
+        codes.append(cli.main(["cup", "[3]", "[2,1]", "--out", str(tmp_path / "cup.json")]))
+    finally:
+        sys.setprofile(None)
     capsys.readouterr()
-    assert sorted(methods - names) == []
+    assert codes == [code for _, code in REQUESTS] + [0]
+    assert sorted(defs - {(c.co_filename, c.co_qualname) for c in entered}) == []
