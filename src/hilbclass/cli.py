@@ -32,6 +32,11 @@ MAX_ORDER = 241  # the slowest gseries takes about 16 s at this order, 4.5x that
 
 CLASS_NAMES = ("chern", "segre", "sqrt-todd", "cprime-pow", "custom")
 
+# Each part's JSON text after its separator, for every part a `class` weight or a
+# `cup` rank can hold: the `class` walk grows each key from it one part per step,
+# and `_records` joins it for a `cup` product's partitions
+PART_TEXT = ["", *(",\n        " + str(k) for k in range(1, max(MAX_WEIGHT, MAX_RANK) + 1))]
+
 
 def _echo(text: str, show=repr) -> str:
     """show(text), or past 200 characters show(its first 100) and its length."""
@@ -129,11 +134,14 @@ def _unprintable(request: dict) -> ValueError:
 
 def _records(element: FockElement) -> list[str]:
     """[{"coeff": "p/q", "partition": [...]}, ...] in term order, as json.dumps(indent=2,
-    sort_keys=True) writes it one level deep, without its Python encoder, in pieces."""
+    sort_keys=True) writes it one level deep, without its Python encoder, in pieces.
+    A key is a partition, or the `class` walk's text of one (`PART_TEXT`)."""
+    terms = element.terms.items()
+    if element.terms and type(next(iter(element.terms))) is tuple:  # partitions: a cup product
+        terms = [("".join([PART_TEXT[k] for k in parts]), c) for parts, c in terms]
     pieces, sep = [], "[\n    "
-    for parts, c in element.terms.items():
-        partition = ("[\n        " + ",\n        ".join(map(str, parts)) + "\n      ]"
-                     if parts else "[]")
+    for text, c in terms:
+        partition = f"[{text[1:]}\n      ]" if text else "[]"
         pieces.append(f'{sep}{{\n      "coeff": "{c}",\n      "partition": {partition}\n    }}')
         sep = ",\n    "
     pieces.append("\n  ]" if pieces else "[]")
@@ -190,7 +198,7 @@ def cmd_class(args) -> int:
     }
     try:
         element = hilbert_class(f, args.target, bound, args.weight_only, args.degree,
-                                _coeff_text)
+                                _coeff_text, PART_TEXT)
     except _UnprintableCoefficient:
         raise _unprintable(request) from None
     _emit(_document(request, element), args.out)

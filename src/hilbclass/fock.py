@@ -7,15 +7,17 @@ its bound N as an argument, and the cup product keeps one weight n.  The
 weight-n piece models the cohomology of the Hilbert scheme of n points on
 the affine plane; the algebraic degree of q_lambda is weight(lambda) -
 length(lambda).  Terms are kept in output order, by weight and then
-reverse-lexicographically, so a writer iterates them as stored, and
-coefficients are rational everywhere except in the terms the `class`
-command asks for as text, which it only prints.  The cup product of such
-elements lives in :mod:`hilbclass.hilbert`.
+reverse-lexicographically, so a writer iterates them as stored.  Keys
+are partitions and coefficients rational everywhere except in the
+expansion the `class` command asks for as text, keys and coefficients
+both, which it only prints.  The cup product of such elements lives in
+:mod:`hilbclass.hilbert`.
 
 `exp_linear` expands exp(sum_k g_k q_k) by one depth-first walk,
 `_exp_walk`, which the nilpotent cup-product oracle of
 :mod:`hilbclass.hilbert` also runs over its parameter polynomials; the
-caller says how each term's product and divisor become its coefficient.
+caller says how each term's product and divisor become its coefficient,
+and may say how its parts become its key.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ class FockElement:
     each key a valid partition (`check_partition`), each coefficient a
     nonzero rational, and the keys in canonical order, by weight and then
     reverse-lexicographically.  The one exception is the `class` command's
-    expansion, whose coefficients are their `str()` text, made by the walk
-    for printing alone.  `monomial` is where hand-built terms are
-    checked."""
+    expansion, whose keys are the JSON text of their partitions and whose
+    coefficients are their `str()` text, made by the walk for printing
+    alone.  `monomial` is where hand-built terms are checked."""
 
     __slots__ = ("terms",)
 
@@ -63,18 +65,21 @@ class FockElement:
     def __repr__(self):
         if self.is_zero:
             return "FockElement(0)"
-        bits = [f"{c!r}*q{list(p)}" for p, c in self.terms.items()]
+        bits = [f"{c!r}*q{p if isinstance(p, str) else list(p)!r}"
+                for p, c in self.terms.items()]
         return "FockElement(" + " + ".join(bits) + ")"
 
 
-def exp_linear(g, bound: int, only: int | None = None,
-               degree: int | None = None, make=Fraction) -> FockElement:
+def exp_linear(g, bound: int, only: int | None = None, degree: int | None = None,
+               make=Fraction, label=None) -> FockElement:
     """exp(sum_k g_k q_k) applied to the vacuum, or its terms of weight `only`
     and/or algebraic degree `degree`: q_lambda gets prod_i g_{lambda_i} /
     prod_i m_i!, m_i the part multiplicities.  Requires g(0) = 0 and g
     truncated at order >= bound.  With each g_k = a_k / b_k reduced, a term
     is one make(prod a_{lambda_i}, prod b_{lambda_i} prod m_i!): a Fraction
-    by default, its text for a caller that only prints it.
+    by default, its text for a caller that only prints it.  Its key is
+    label[0] + label[lambda_1] + label[lambda_2] + ...: the partition by
+    default, its text for such a caller (see `_exp_walk`).
     """
     if g.coeffs[0]:
         raise ValueError("exp_linear needs a series with zero constant term")
@@ -86,33 +91,40 @@ def exp_linear(g, bound: int, only: int | None = None,
         raise ValueError("the degree must be nonnegative")
     nums = [c.numerator for c in g.coeffs]
     dens = [c.denominator for c in g.coeffs]
-    return FockElement(_exp_walk(nums, dens, bound, only, degree, make))
+    return FockElement(_exp_walk(nums, dens, bound, only, degree, make, label))
 
 
-def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make) -> dict:
+def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make,
+              label=None) -> dict:
     """The terms of exp(sum_k (nums[k] / dens[k]) q_k) of weight at most
     `bound`, or exactly `only`, and of algebraic degree `degree` if given,
-    as {partition: make(product, divisor)} in canonical order: `product`
-    is prod nums[lambda_i], starting from the int 1, and `divisor` the int
+    as {key: make(product, divisor)} in canonical order: `product` is
+    prod nums[lambda_i], starting from the int 1, and `divisor` the int
     prod dens[lambda_i] prod m_i!.  The nums may be ints or `ParamPoly`.
+    The key is label[0] + label[lambda_1] + label[lambda_2] + ..., for a
+    table `label` indexed by part up to the top weight; by default label[0]
+    is () and label[k] is (k,), so the key is the partition.
 
     A depth-first walk appends parts in decreasing order, larger parts
-    first, drawn from the k with nums[k] nonzero; a part k adds k - 1 to
-    the degree, so a branch is cut once its degree passes `degree`, and
-    once its product vanishes, as a product of nilpotent parameters can.
-    Each weight's terms come out reverse-lexicographically and one bucket
-    per weight orders the weights.
+    first, drawn from the k with nums[k] nonzero, and each step extends
+    its parent's key by one table entry; a part k adds k - 1 to the
+    degree, so a branch is cut once its degree passes `degree`, and once
+    its product vanishes, as a product of nilpotent parameters can.  Each
+    weight's terms come out reverse-lexicographically and one bucket per
+    weight, merged into the first by `dict.update`, orders the weights.
     """
     top = bound if only is None else only
     cap = top if degree is None else degree
+    if label is None:
+        label = [()] + [(k,) for k in range(1, top + 1)]
     support = [k for k in range(1, top + 1) if nums[k]]  # increasing
     buckets = [{} for _ in range(top + 1)]
-    # parts, last support index allowed, weight left, degree, product, divisor, last run
-    stack = [((), len(support) - 1, top, 0, 1, 1, 0)]
+    # key, last support index allowed, weight left, degree, product, divisor, last run
+    stack = [(label[0], len(support) - 1, top, 0, 1, 1, 0)]
     while stack:
-        parts, last, left, deg, c, d, run = stack.pop()
+        key, last, left, deg, c, d, run = stack.pop()
         if (only is None or left == 0) and (degree is None or deg == degree):
-            buckets[top - left][parts] = make(c, d)
+            buckets[top - left][key] = make(c, d)
         for i in range(last + 1):  # pushed in increasing order: the largest pops first
             k = support[i]
             if k > left or deg + k - 1 > cap:
@@ -120,8 +132,11 @@ def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make
             m = run + 1 if i == last else 1
             ck = c * nums[k]
             if ck:
-                stack.append((parts + (k,), i, left - k, deg + k - 1, ck, d * dens[k] * m, m))
-    return {p: c for bucket in buckets for p, c in bucket.items()}
+                stack.append((key + label[k], i, left - k, deg + k - 1, ck, d * dens[k] * m, m))
+    terms = buckets[0]
+    for bucket in buckets[1:]:
+        terms.update(bucket)
+    return terms
 
 
 def hilb_unit(n: int) -> FockElement:

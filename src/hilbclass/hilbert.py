@@ -155,13 +155,13 @@ def exponent_g(f: TruncatedSeries, target: str, order: int) -> TruncatedSeries:
 
 
 def hilbert_class(f: TruncatedSeries, target: str, bound: int, only: int | None = None,
-                  degree: int | None = None, make=Fraction) -> FockElement:
+                  degree: int | None = None, make=Fraction, label=None) -> FockElement:
     """The class of f (constant term 1, order at least `bound` - 1) on the
     sheaf `target`, all weights up to `bound` at once, or just its terms of
     weight `only` and/or algebraic degree `degree`: exp(sum_k g_k q_k)
-    applied to the vacuum, each coefficient built by `make` (see
-    `exp_linear`)."""
-    return exp_linear(exponent_g(f, target, bound), bound, only, degree, make)
+    applied to the vacuum, each coefficient built by `make` and each key
+    from the part table `label` (see `exp_linear`)."""
+    return exp_linear(exponent_g(f, target, bound), bound, only, degree, make, label)
 
 
 # -- fixed-point oracles --------------------------------------------------

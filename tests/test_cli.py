@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbclass import cli
-from hilbclass.cli import _coeff_text, _parse_rational, _UnprintableCoefficient, main
+from hilbclass.cli import (
+    PART_TEXT, _coeff_text, _parse_rational, _UnprintableCoefficient, main,
+)
 from hilbclass.fock import _exp_walk, exp_linear
-from hilbclass.hilbert import TAUTOLOGICAL, exponent_g, hilbert_class
+from hilbclass.hilbert import TANGENT, TAUTOLOGICAL, cup_nilpotent, exponent_g, hilbert_class
 from hilbclass.series import TruncatedSeries
 
 
@@ -309,6 +311,29 @@ def test_library_keeps_rationals_the_cli_prints_their_text(capsys, flag, value):
     assert code == 0 and len(element.terms) > 1
     assert doc["payload"] == [{"coeff": str(c), "partition": list(p)}
                               for p, c in element.terms.items()]
+
+
+CUSTOM_F = "1,1/2,-1/3,2/3,-1,1/5,3/4,-2/7"  # a `custom --f` of the benchmark pool
+
+
+@pytest.mark.parametrize("target", [TANGENT, TAUTOLOGICAL])
+def test_text_keys_are_the_partitions_text(target):
+    """The `class` command's walk, keyed by `PART_TEXT` and valued by `_coeff_text`,
+    lists the library's terms in its order, each key the table's text of the
+    partition and each coefficient the str() of the Fraction; the library's
+    callers keep partitions and Fractions."""
+    bound = 10
+    f = TruncatedSeries.from_coeffs([Fraction(c) for c in CUSTOM_F.split(",")], bound - 1)
+    for only, degree in ((None, None), (8, None), (None, 4), (8, 4)):
+        plain = hilbert_class(f, target, bound, only, degree)
+        text = hilbert_class(f, target, bound, only, degree, _coeff_text, PART_TEXT)
+        assert len(plain.terms) > 1
+        assert all(type(p) is tuple and type(c) is Fraction for p, c in plain.terms.items())
+        assert list(text.terms.items()) == [("".join(PART_TEXT[k] for k in p), str(c))
+                                            for p, c in plain.terms.items()]
+    nilpotent = cup_nilpotent((2, 1, 1), (3, 1))
+    assert nilpotent.terms
+    assert all(type(p) is tuple and type(c) is Fraction for p, c in nilpotent.terms.items())
 
 
 @pytest.mark.parametrize("text,value", [

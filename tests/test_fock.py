@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbclass.cli import _records
+from hilbclass.cli import MAX_RANK, MAX_WEIGHT, PART_TEXT, _coeff_text, _records
 from hilbclass.exact import ParamContext
 from hilbclass.fock import FockElement, _exp_walk, exp_linear, hilb_unit
 from hilbclass.hilbert import (
@@ -277,20 +277,34 @@ def test_sum_restores_canonical_order():
 
 
 def test_records_of_a_canonical_element():
-    e = FockElement({
+    """`_records` writes the bytes json.dumps(indent=2, sort_keys=True) writes one
+    level deep: for the `class` walk's text keys, from the empty partition to the
+    table's top part; for partition keys, as a cup product has, with a part of the
+    largest rank; and for no terms."""
+    g = TruncatedSeries.from_coeffs([0, 1] + [0] * 38 + [Fraction(-3, 7)], MAX_WEIGHT)
+    text = exp_linear(g, MAX_WEIGHT, make=_coeff_text, label=PART_TEXT)
+    plain = exp_linear(g, MAX_WEIGHT)
+    assert len(PART_TEXT) == MAX_WEIGHT + 1 > MAX_RANK
+    assert "" in text.terms and PART_TEXT[MAX_WEIGHT] in text.terms
+    partitions = FockElement({
         (1,): Fraction(-1),
         (3,): Fraction(2),
         (2, 1): Fraction(1, 2),
-        (1, 1, 1): Fraction(1, 6),
+        (MAX_RANK,): Fraction(-1, MAX_RANK),
+        (MAX_RANK - 2, 1, 1): Fraction(1, 6),
     })
-    assert_canonical(e)
-    assert json.loads("".join(_records(e))) == [
-        {"partition": [1], "coeff": "-1"},
-        {"partition": [3], "coeff": "2"},
-        {"partition": [2, 1], "coeff": "1/2"},
-        {"partition": [1, 1, 1], "coeff": "1/6"},
-    ]
-    assert _records(FockElement({})) == ["[]"]
+    assert_canonical(partitions)
+    for element, terms in ((text, plain.terms), (partitions, partitions.terms),
+                           (FockElement({}), {})):
+        records = [{"coeff": str(c), "partition": list(p)} for p, c in terms.items()]
+        expected = json.dumps({"payload": records}, indent=2, sort_keys=True)
+        assert '{\n  "payload": ' + "".join(_records(element)) + "\n}" == expected
+
+
+def test_repr_shows_either_key():
+    assert repr(FockElement({(2, 1): Fraction(1, 2)})) == "FockElement(Fraction(1, 2)*q[2, 1])"
+    text = FockElement({PART_TEXT[2] + PART_TEXT[1]: "1/2"})
+    assert repr(text) == "FockElement('1/2'*q',\\n        2,\\n        1')"
 
 
 def test_hilb_unit():
