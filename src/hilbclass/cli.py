@@ -163,8 +163,11 @@ def _emit(doc: dict, out_path: str | None) -> None:
     except ValueError:  # str() of an int past the interpreter's digit limit
         raise _unprintable(doc["request"]) from None
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(out_path, "w") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:  # exit 2, as for bad input, not 1, a failed check
+            raise ValueError(f"--out {_echo(out_path)}: {exc.strerror or exc}") from None
     else:
         sys.stdout.writelines(pieces)
 
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = None  # built by the first main call and reused: building it took most of a cached cup
+_PARSER = build_parser()  # built once: a build took over half of a cold cup request
 
 
 def _join_negative_r(argv: list[str]) -> list[str]:
@@ -288,9 +291,6 @@ def _join_negative_r(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     args = _PARSER.parse_args(_join_negative_r(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)

@@ -3,13 +3,18 @@
 Every comparison is exact rational equality; there are no tolerances.
 Criteria 1, 2, 4, 5, 6, 8, 9 and 10 read their checks by name from the
 `hilbclass verify` suites, so each closed form, seed and range is written
-once, in `hilbclass.verify`; each suite runs once per session.  Criterion 3
-adds the fixed-point oracle to order 9 and pins the one check of `verify
-examples` that fails, the sqrt-Todd closed form quoted in the source,
-1/(4^n (2n+1) (2n+1)!), which does not solve the defining equation; the
-test records why.  Criterion 7 has no suite of its own; it uses the
-reference `compose`, `inverse`, `x_derivative` and `revert`
-(`tests/reference.py`); `revert` runs the library Lagrange solver.
+once, in `hilbclass.verify`, at the sizes `hilbclass verify` prints; each
+suite runs once per session.  Criteria 5 and 10 read `n <= 10` and ranks
+4..7.  In `tests/test_hilbert.py`, `test_oracles_match_every_partition_route`
+takes the fixed-point oracles to `n <= 12`, and
+`test_nilpotent_oracle_reads_no_character_table` the nilpotent-parameter
+oracle to rank 9.  Criterion 3 adds the fixed-point oracle to order 9
+and pins the one check of `verify examples` that fails, the sqrt-Todd
+closed form quoted in the source, 1/(4^n (2n+1) (2n+1)!), which does not
+solve the defining equation; the test records why.  Criterion 7 has no
+suite of its own; it uses the reference `compose`, `inverse`,
+`x_derivative` and `revert` (`tests/reference.py`); `revert` runs the
+library Lagrange solver.
 """
 
 import random
@@ -38,14 +43,14 @@ def report(number: int, title: str, ok: bool, detail: str = ""):
 
 
 @cache
-def suite_checks(suite: str, **options) -> dict[str, Check]:
-    return {c.name: c for c in SUITES[suite](**options)}
+def suite_checks(suite: str) -> dict[str, Check]:
+    return {c.name: c for c in SUITES[suite]()}
 
 
-def report_checks(number: int, title: str, suite: str, *names: str, **options):
-    """Report the named checks of one suite, run with `options`; a name the
-    suite did not run counts as failed."""
-    checks = [suite_checks(suite, **options).get(name, Check(name, False, "not run"))
+def report_checks(number: int, title: str, suite: str, *names: str):
+    """Report the named checks of one suite; a name the suite did not run
+    counts as failed."""
+    checks = [suite_checks(suite).get(name, Check(name, False, "not run"))
               for name in names]
     failed = [c for c in checks if not c.passed]
     report(number, title, not failed,
@@ -94,11 +99,11 @@ def test_criterion_04_lehn_specialization():
 
 def test_criterion_05_oracle_equivalence():
     report_checks(5, "fixed-point partition sums equal both exponent series, "
-                     "10 random f, n <= 12", "oracle",
+                     "10 random f, n <= 10", "oracle",
                   "tangent fixed-point sum equals Lagrange route, "
-                  "10 random f, n <= 12",
+                  "10 random f, n <= 10",
                   "tautological fixed-point sum equals Lagrange route, "
-                  "10 random f, n <= 12", max_n=12)
+                  "10 random f, n <= 10")
 
 
 def test_criterion_06_appendix_identities():
@@ -146,6 +151,6 @@ def test_criterion_09_cross_path():
 def test_criterion_10_class_algebra_cross_oracle():
     report_checks(10, "class-algebra cup against the nilpotent-parameter oracle: "
                       "calibrated on ranks 2-3, agreement "
-                      "for all pairs at ranks 4-9", "crossoracle",
+                      "for all pairs at ranks 4-7", "crossoracle",
                   "class-sum calibration on ranks 2 and 3",
-                  "class-sum oracle agreement for all pairs, ranks 4..9", max_n=9)
+                  "class-sum oracle agreement for all pairs, ranks 4..7")

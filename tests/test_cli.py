@@ -171,6 +171,23 @@ def test_out_file_bytes_equal_stdout(tmp_path, capsys, argv):
     assert path.read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize("argv", [
+    ("cup", "[2,1]", "[2,1]"),
+    ("verify", "examples"),
+], ids=["cup", "verify"])
+@pytest.mark.parametrize("where,reason", [
+    ("missing/x.json", "No such file or directory"),
+    ("", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_2_naming_the_flag(capsys, tmp_path, argv, where, reason):
+    """Not 1, which `verify` reserves for a failed check, and not a traceback."""
+    path = str(tmp_path / where)
+    assert main([*argv, "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {path!r}: {reason}\n"
+
+
 def test_error_exit_codes(capsys):
     assert main(["cup", "[2,1]", "not json"]) == 2
     assert main(["cup", "[1,2]", "[2,1]"]) == 2

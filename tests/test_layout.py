@@ -1,10 +1,14 @@
 """The tests keep every reference in one module, `tests/reference.py`: no
 file under `tests/` imports a test module, and no test module defines a
-top-level function under the name of a reference."""
+top-level function under the name of a reference.  Each `hilbclass verify`
+suite takes no parameters, so the tests read the checks the CLI prints."""
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
+
+from hilbclass.verify import SUITES
 
 TESTS = Path(__file__).parent
 
@@ -36,3 +40,9 @@ def test_references_live_in_one_module():
         if name.startswith("test_"):
             shadowed = sorted(set(functions(tree)) & set(references))
             assert shadowed == [], f"{name} redefines {shadowed}"
+
+
+def test_verify_suites_take_no_parameters():
+    assert SUITES
+    for name, suite in SUITES.items():
+        assert inspect.signature(suite).parameters == {}, name

@@ -58,15 +58,17 @@ def _empty_hilbclass_caches():
                     value.cache_clear()
 
 
-def test_every_method_is_reached_by_a_command(capsys, tmp_path, monkeypatch):
+def test_every_method_is_reached_by_a_command(capsys, tmp_path):
     defs = {d for path in SRC.glob("*.py")
             for d in _defs(compile(path.read_text(), str(path), "exec"))}
     assert defs
     _empty_hilbclass_caches()
-    monkeypatch.setattr(cli, "_PARSER", None)  # built by the first `main` call
     entered = set()
     sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code))
     try:
+        # the import that each command starts with builds the parser; run it afresh
+        exec(cli.__loader__.get_code(cli.__name__),
+             {"__name__": cli.__name__, "__package__": cli.__package__})
         codes = [cli.main(list(argv)) for argv, _ in REQUESTS]
         codes.append(cli.main(["cup", "[3]", "[2,1]", "--out", str(tmp_path / "cup.json")]))
     finally:
