@@ -36,6 +36,7 @@ character formula gives each structure constant,
 
 H(chi) the hook product of the shape of chi, for every rho with
 n - len(rho) = (n - len(lam)) + (n - len(mu)); all other coefficients vanish.
+Both chi and H(chi) are read from the shape's beads, one int per shape.
 The paper's own route, which multiplies two universal classes with
 nilpotent parameter coefficients and extracts multilinear coefficients, is
 kept as the independent oracle `cup_nilpotent`; it reads no character
@@ -63,6 +64,7 @@ from .exact import ParamContext, ParamPoly
 from .fock import FockElement, _exp_walk, exp_linear
 from .partitions import (
     _mn,
+    beads,
     check_partition,
     enumerate_partitions,
     hook_product,
@@ -253,13 +255,13 @@ def p_n_series(f: TruncatedSeries, n: int) -> TruncatedSeries:
 def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
     n = weight(nu)
     length = len(nu) + len(nu2) - n  # degree additivity fixes the length
-    shapes = [(chi, w * hook_product(chi)) for chi in enumerate_partitions(n)
-              if (w := _mn(chi, nu) * _mn(chi, nu2))]
+    shapes = [(mask, w * hook_product(mask)) for mask in map(beads, enumerate_partitions(n))
+              if (w := _mn(mask, nu) * _mn(mask, nu2))]
     out = {}
     for rho in enumerate_partitions(n):
         if len(rho) != length:
             continue
-        total = sum(w * _mn(chi, rho) for chi, w in shapes)
+        total = sum(w * _mn(mask, rho) for mask, w in shapes)
         if total:
             out[rho] = Fraction(total, z_of(rho))
     return FockElement(out)

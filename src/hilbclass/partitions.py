@@ -1,9 +1,9 @@
-"""Integer partitions: enumeration, hooks, centralizer orders and symmetric
-group characters.
+"""Integer partitions: enumeration, centralizer orders, and the hook
+products and symmetric group characters of shapes given by their beads.
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
-tuple is the unique partition of 0.  Young diagrams use the English
-convention, with the hook length of a cell equal to arm + leg + 1.
+tuple is the unique partition of 0.  A shape's characters and hook product
+are read from its beta-set, packed into one int by `beads`.
 """
 
 from __future__ import annotations
@@ -51,32 +51,6 @@ def enumerate_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(gen(n, n, ()))
 
 
-def hooks(parts) -> tuple[int, ...]:
-    """Multiset of hook lengths over all cells, sorted decreasingly."""
-    parts = check_partition(parts)
-    conj = _conjugate(parts)
-    out = []
-    for i, row in enumerate(parts):
-        for j in range(row):
-            arm = row - j - 1
-            leg = conj[j] - i - 1
-            out.append(arm + leg + 1)
-    return tuple(sorted(out, reverse=True))
-
-
-def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
-
-
-def hook_product(parts) -> int:
-    prod = 1
-    for h in hooks(parts):
-        prod *= h
-    return prod
-
-
 def z_of(parts) -> int:
     """Centralizer order of a permutation of this cycle type:
     product over part sizes j of j**m_j * m_j!.
@@ -88,26 +62,48 @@ def z_of(parts) -> int:
     return z
 
 
+def beads(parts) -> int:
+    """The beta-set of a shape as bead positions on one runner, packed into
+    an int: bit parts[i] + (len - 1 - i) for each part.  Every part is
+    positive, so there is no bead at 0, and distinct shapes have distinct
+    masks (James-Kerber, The Representation Theory of the Symmetric Group, 2.7)."""
+    mask = 0
+    for i, p in enumerate(reversed(parts)):
+        mask |= 1 << (p + i)
+    return mask
+
+
+def hook_product(mask: int) -> int:
+    """H(lam) from the beads of lam: a bead at b over a gap at g < b is one
+    hook, of length b - g."""
+    gaps, prod = [], 1
+    for b in range(mask.bit_length()):
+        if mask >> b & 1:
+            for g in gaps:
+                prod *= b - g
+        else:
+            gaps.append(b)
+    return prod
+
+
 @cache
-def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """chi^lam(mu) by the Murnaghan-Nakayama recursion: border strips are
-    found through beta-numbers (first-column hook lengths), so the height
-    sign is a count of skipped rows."""
+def _mn(mask: int, mu: tuple[int, ...]) -> int:
+    """chi^lam(mu) by the Murnaghan-Nakayama recursion on the beads of lam:
+    removing a border strip of length r moves a bead from b to a gap at
+    b - r, and its height is the number of beads strictly between."""
     if not mu:
         return 1
     r, rest = mu[0], mu[1:]
-    beta = [lam[i] + (len(lam) - 1 - i) for i in range(len(lam))]
-    beta_set = set(beta)
+    between = (1 << (r - 1)) - 1
+    gaps = mask >> r & ~mask  # bit g: a bead at g + r over a gap at g
     total = 0
-    for pos, b in enumerate(beta):
-        nb = b - r
-        if nb < 0 or nb in beta_set:
-            continue
-        new_beta = sorted(beta_set - {b} | {nb}, reverse=True)
-        height = sum(1 for x in beta if nb < x < b)
-        new_lam = tuple(
-            x - (len(new_beta) - 1 - i) for i, x in enumerate(new_beta)
-        )
-        new_lam = tuple(p for p in new_lam if p > 0)
-        total += (-1) ** height * _mn(new_lam, rest)
+    while gaps:
+        low = gaps & -gaps
+        gaps ^= low
+        moved = mask ^ low ^ low << r
+        if moved & 1:  # a bead at 0 is a zero part: shift out the run from 0
+            moved >>= (moved ^ moved + 1).bit_length() - 1
+        g = low.bit_length() - 1
+        sign = -1 if (mask >> (g + 1) & between).bit_count() & 1 else 1
+        total += sign * _mn(moved, rest)
     return total

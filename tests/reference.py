@@ -17,10 +17,9 @@ from hilbclass.fock import FockElement
 from hilbclass.hilbert import TANGENT
 from hilbclass.partitions import (
     _mn,
+    beads,
     check_partition,
     enumerate_partitions,
-    hook_product,
-    hooks,
     multiplicities,
     weight,
 )
@@ -343,6 +342,21 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
+def conjugate(parts) -> tuple[int, ...]:
+    """The transposed shape: part j counts the parts longer than j."""
+    parts = check_partition(parts)
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
+
+
+def hooks(parts) -> tuple[int, ...]:
+    """Multiset of hook lengths arm + leg + 1 over all cells of the Young
+    diagram (English convention), sorted decreasingly."""
+    parts = check_partition(parts)
+    conj = conjugate(parts)
+    return tuple(sorted((row - j - 1 + conj[j] - i for i, row in enumerate(parts)
+                         for j in range(row)), reverse=True))
+
+
 def contents(parts) -> tuple[int, ...]:
     """Cell contents row - column, in row-major order."""
     parts = check_partition(parts)
@@ -350,16 +364,13 @@ def contents(parts) -> tuple[int, ...]:
 
 
 def chi_mn(lam, mu) -> int:
-    """Irreducible character value by the Murnaghan-Nakayama recursion.
-
-    Border strips are located through beta-numbers (first-column hook
-    lengths), which makes the height sign a simple count of skipped rows.
-    """
+    """Irreducible character value by the Murnaghan-Nakayama recursion on
+    the shape's beads, with both arguments checked."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     if weight(lam) != weight(mu):
         raise ValueError("shape and cycle type must have equal weight")
-    return _mn(lam, mu)
+    return _mn(beads(lam), mu)
 
 
 def chi_on_n_cycle(parts) -> int:
@@ -399,7 +410,7 @@ def fixed_point_sum(f: TruncatedSeries, n: int, target: str) -> Fraction:
         for r in rs:
             factor = [a * r**k for k, a in enumerate(nums)]
             product = _convolve(product, factor, n - 1)
-        total += Fraction(chi * product[n - 1], hook_product(lam) * n * den ** len(rs))
+        total += Fraction(chi * product[n - 1], prod(hooks(lam)) * n * den ** len(rs))
     return total
 
 

@@ -1,28 +1,30 @@
-"""Tests for partitions, hooks and symmetric-group characters.
+"""Tests for partitions, beads, hook products and symmetric-group characters.
 
-The character recursion is checked against independently constructed data:
-the Euler partition-counting recurrence, explicit small character tables
-built from permutation fixed points, the hook-length dimension formula, and
-column orthogonality.
+The character recursion and the hook product run on bead masks; they are
+checked against data built without beads: the Euler partition-counting
+recurrence, explicit small character tables built from permutation fixed
+points, the hook lengths of the Young diagram, the hook-length dimension
+formula, and column and row orthogonality.
 """
 
+from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbclass.partitions import (
+    beads,
     check_partition,
     enumerate_partitions,
     hook_product,
-    hooks,
     multiplicities,
     weight,
     z_of,
 )
-from reference import chi_mn, chi_on_n_cycle, contents, partition_count
+from reference import chi_mn, chi_on_n_cycle, conjugate, contents, hooks, partition_count
 
 
 def test_check_partition():
@@ -75,18 +77,38 @@ def test_multiplicities():
     assert multiplicities(()) == {}
 
 
+def test_beads_are_distinct_and_leave_zero_empty():
+    assert [beads(lam) for lam in ((), (1,), (2, 1), (1, 1, 1), (3, 3))] == [
+        0, 0b10, 0b1010, 0b1110, 0b11000]
+    seen = set()
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            mask = beads(lam)
+            assert mask & 1 == 0, lam
+            assert mask.bit_count() == len(lam), lam
+            seen.add(mask)
+    assert len(seen) == sum(partition_count(n) for n in range(13))
+
+
 def test_hooks_anchored():
     assert hooks((1,)) == (1,)
     assert hooks((2, 1)) == (3, 1, 1)
     assert hooks((2, 2)) == (3, 2, 2, 1)
-    assert hook_product((3, 1)) == 4 * 2 * 1 * 1
+    assert hook_product(beads((3, 1))) == 4 * 2 * 1 * 1
+    assert hook_product(beads(())) == 1
+
+
+def test_bead_hook_product_is_product_of_hooks():
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            assert hook_product(beads(lam)) == prod(hooks(lam)), lam
 
 
 def test_hook_length_dimension_formula():
     # sum over shapes of (n!/hook product)^2 = n!
     for n in range(1, 9):
         total = sum(
-            (factorial(n) // hook_product(lam)) ** 2
+            (factorial(n) // hook_product(beads(lam))) ** 2
             for lam in enumerate_partitions(n)
         )
         assert total == factorial(n)
@@ -114,7 +136,7 @@ def test_contents():
 @given(st.integers(min_value=1, max_value=9), st.randoms())
 def test_contents_of_conjugate_negate(n, rnd):
     lam = rnd.choice(enumerate_partitions(n))
-    conj = tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+    conj = conjugate(lam)
     assert sorted(contents(conj)) == sorted(-c for c in contents(lam))
     assert hooks(conj) == hooks(lam)
 
@@ -170,18 +192,28 @@ def test_chi_mn_against_s4_table():
 def test_chi_mn_dimensions():
     for n in range(1, 9):
         for lam in enumerate_partitions(n):
-            assert chi_mn(lam, (1,) * n) == factorial(n) // hook_product(lam)
+            assert chi_mn(lam, (1,) * n) == factorial(n) // prod(hooks(lam))
 
 
 def test_chi_mn_column_orthogonality():
-    for n in range(1, 7):
+    for n in range(1, 9):
         parts = enumerate_partitions(n)
-        for mu in parts:
-            for nu in parts:
-                total = sum(
-                    chi_mn(lam, mu) * chi_mn(lam, nu) for lam in parts
-                )
+        table = {lam: [chi_mn(lam, mu) for mu in parts] for lam in parts}
+        for i, mu in enumerate(parts):
+            for j, nu in enumerate(parts):
+                total = sum(row[i] * row[j] for row in table.values())
                 assert total == (z_of(mu) if mu == nu else 0)
+
+
+def test_chi_mn_row_orthogonality():
+    for n in range(1, 9):
+        parts = enumerate_partitions(n)
+        table = {lam: [chi_mn(lam, mu) for mu in parts] for lam in parts}
+        zs = [z_of(mu) for mu in parts]
+        for lam in parts:
+            for kappa in parts:
+                total = sum(Fraction(a * b, z) for a, b, z in zip(table[lam], table[kappa], zs))
+                assert total == (lam == kappa), (lam, kappa)
 
 
 def test_chi_on_n_cycle():
