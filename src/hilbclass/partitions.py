@@ -40,15 +40,24 @@ def enumerate_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def gen(remaining: int, max_part: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            yield from gen(remaining - part, part, prefix + (part,))
-
-    return tuple(gen(n, n, ()))
+    out, parts = [], [n] if n else []
+    while True:
+        out.append(tuple(parts))
+        # the next partition: lower the last part k + 1 > 1 to k and refill
+        # what it and the trailing 1s held with parts k, then the remainder
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return tuple(out)
+        k = parts.pop() - 1
+        rest = ones + 1
+        parts.append(k)
+        while rest > k:
+            parts.append(k)
+            rest -= k
+        parts.append(rest)
 
 
 def z_of(parts) -> int:

@@ -5,7 +5,9 @@ empty and a vacuum-only payload were recorded before the class expansion
 became a depth-first walk with its own record writer; the three gseries
 requests at orders 51-121, the orders the benchmark pool reaches, were
 recorded before the Lagrange power loop kept `F^m` on reduced integer
-numerators from one step to the next; the two class requests with
+numerators from one step to the next; the two sqrt-Todd series at orders
+161 and 241, up to the `--order` ceiling, were recorded before the Lagrange
+solve moved to baby-step/giant-step powers; the two class requests with
 `--degree` at weight 18 were recorded before the class walk moved to
 per-part reduced fractions, emitted its terms in output order and cut
 branches by `--degree`.  Any change to a byte of these outputs fails here,
@@ -48,6 +50,11 @@ GOLDEN = [
      "c45dde5ff5603fe05a90c77f6232ac16c2049e2d5909299d4268a8b5a7407a0e"),
     (("gseries", "cprime-pow", "tautological", "--r=-5/2", "--order", "51"), 0,
      "dded53df5e959e34f4666b5a4f0cea962c8ce9d2706f08e4d961069f1e861dd7"),
+    # the --order ceiling, where the baby-step/giant-step solve moves run time most
+    (("gseries", "sqrt-todd", "tangent", "--order", "241"), 0,
+     "5768702a2a2c1b8d85ebff9d2f459ca852a31a5a1c543a183158919161326b65"),
+    (("gseries", "sqrt-todd", "tautological", "--order", "161"), 0,
+     "f6a8e665ad6211e3c4f72a94ad9168d504d8cf10271da9b7fd2941ac83e80057"),
     (("class", "sqrt-todd", "tangent", "--weight", "12"), 0,
      "0e8df0fdd001bc0526f2858dcce05a3ae379ca75bf6a5903b2ef65df54b44244"),
     (("class", "sqrt-todd", "tangent", "--weight", "12", "--weight-only", "10"), 0,

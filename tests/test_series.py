@@ -4,8 +4,9 @@ solver, and reversion through it.
 The product is checked against the plain double loop, `exp` by round
 trips through the reference `log`, and the Lagrange solver against its
 defining functional equation (through the reference `compose`) and the
-`Fraction` power loop it replaced (`reference_lagrange_g`), on constant
-terms 1 and other units.  The reference `revert` is the library solver
+one-power-per-step `Fraction` loop (`reference_lagrange_g`), on constant
+terms 1 and other units, at orders around the perfect squares where its
+baby-step count changes.  The reference `revert` is the library solver
 followed by `t d/dt`; it is checked by round trips through `compose`.
 Every series is rational.
 """
@@ -188,13 +189,15 @@ CUSTOM_F = [1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), -1,
 @pytest.mark.parametrize("target", ["tangent", "tautological"])
 @pytest.mark.parametrize("name,r", CLASSES, ids=[n for n, _ in CLASSES])
 def test_lagrange_matches_fraction_power_loop(name, r, target):
-    """The reduced integer power loop equals the Fraction loop on the
-    defining series of every class, up to the orders the benchmark runs."""
+    """The baby-step/giant-step solve equals the Fraction loop on the
+    defining series of every class, up to the orders the benchmark runs,
+    and at orders 48-50 and 63-65, where the baby-step count s changes at a
+    perfect square and a giant step falls on the last coefficient."""
     top = 121
     f = (TruncatedSeries.from_coeffs(CUSTOM_F, top) if name == "custom"
          else builtin_f(name, top, r))
     F = f * f.negate_arg() if target == "tangent" else f.negate_arg()
-    for order in [*range(31), 41, 61, 81, 121]:
+    for order in [*range(31), 41, 48, 49, 50, 61, 63, 64, 65, 81, 121]:
         assert lagrange_g(F, order) == reference_lagrange_g(F, order), order
 
 
