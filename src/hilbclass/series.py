@@ -16,9 +16,11 @@ Every truncated product in the library goes through one convolution,
 `_convolve`: the series product, the Lagrange solver's baby and giant
 powers and the fixed-point and appendix sums of :mod:`hilbclass.hilbert`.
 They hand it integer numerators over a common denominator, so it
-multiplies and adds plain ints; the Lagrange solver keeps about
-sqrt(order) powers of F on reduced integer numerators and builds one
-`Fraction` per output coefficient, from one dot product of two of them.
+multiplies and adds plain ints.  The Lagrange solver runs on the stride d
+of F (F = G(x^d); d = 2 for every tangent F, which is even), keeps about
+sqrt(order/d) powers of G to order/d on reduced integer numerators, and
+builds one `Fraction` per nonzero output coefficient, from one dot
+product of two of them.
 """
 
 from __future__ import annotations
@@ -159,17 +161,24 @@ def lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
     t * dg/dt is the compositional inverse of x / F.  F needs a unit
     constant term and order at least `order` - 1.
 
+    The solve runs on the stride of F: with d the gcd of the exponents of
+    F's nonzero coefficients (1 when F is constant; 2 for every tangent F,
+    which is even), F = G(y) with y = x^d, so g_m vanishes unless
+    m = dj + 1, and then g_m = [y^j] G^m / m^2, with every power kept to
+    y^J, J = (order - 1) // d.
+
     Baby step / giant step (Paterson-Stockmeyer, SIAM J. Comput. 1973;
-    Brent-Kung, JACM 1978): with s = max(isqrt(order), 1), the baby powers
-    F^0..F^s and the giant power F^(js), each kept to x^(order-1) on integer
-    numerators over one denominator, give g_m for m = js + a, 0 <= a < s, as
-    one dot product of [x^i] F^a with [x^(m-1-i)] F^(js).  Every s steps the
-    giant power takes one `_convolve` with F^s, so the solve is about
-    2 sqrt(order) products, not `order`.  Each power is divided by the gcd of
-    its denominator and numerators when formed; without that they keep every
-    factor the reduced coefficients cancel, and the big-int products swamp
-    the solve (one power per step, sqrt-Todd tautological order 61: 0.04 s
-    with the gcd, 0.59 s without).
+    Brent-Kung, JACM 1978): with H = G^d and t = isqrt(J + 1), the
+    baby powers B_a = G H^a = G^(da+1), a < t, and the giant power H^(kt),
+    each on integer numerators over one denominator, give g_m for
+    j = kt + a as one dot product of [y^i] B_a with [y^(j-i)] H^(kt).
+    Every t steps the giant power takes one `_convolve` with
+    H^t = B_(t-1) G^(d-1), so the solve is about 2 sqrt(order/d) products
+    of length order/d, not one product of length `order` per g_m.  Each
+    power is divided by the gcd of its denominator and numerators when
+    formed; without that they keep every factor the reduced coefficients
+    cancel, and the big-int products swamp the solve (one power per step,
+    sqrt-Todd tautological order 61: 0.04 s with the gcd, 0.59 s without).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -178,23 +187,35 @@ def lagrange_g(F: TruncatedSeries, order: int) -> TruncatedSeries:
         raise ValueError("F is truncated too low for the requested order")
     if F.coeffs[0] == 0:
         raise ValueError("lagrange_g needs a unit constant term")
-    den_f, f = _integer_numerators(F.truncate(work).coeffs)
+    out = [Fraction(0)] * (order + 1)
+    if not order:
+        return TruncatedSeries(0, out)
+    coeffs = F.truncate(work).coeffs
+    d = gcd(*(k for k, c in enumerate(coeffs) if c)) or 1
+    J = work // d
+    den_g, g = _integer_numerators(coeffs[::d])
 
     def times(power, den, other, den_other):
-        power, den = _convolve(power, other, work), den * den_other
+        power, den = _convolve(power, other, J), den * den_other
         common = gcd(den, *power)
         return [c // common for c in power], den // common
 
-    s = max(isqrt(order), 1)
-    baby = [([1] + [0] * work, 1)]  # padded: F^(js) is read backwards from x^(m-1)
-    for _ in range(s):
-        baby.append(times(*baby[-1], f, den_f))
-    giant = baby[0]
-    out = [Fraction(0)] * (order + 1)
-    for m in range(1, order + 1):
-        a = m % s
-        if not a:
-            giant = times(*giant, *baby[s])
+    t = isqrt(J + 1)
+    one = ([1] + [0] * J, 1)  # padded: H^(kt) is read backwards from y^j
+    lift = one  # G^(d-1)
+    for _ in range(d - 1):
+        lift = times(*lift, g, den_g)
+    h = times(*lift, g, den_g)
+    baby = [(g, den_g)]
+    for _ in range(t - 1):
+        baby.append(times(*baby[-1], *h))
+    step = times(*baby[-1], *lift)
+    giant = one
+    for j in range(J + 1):
+        a = j % t
+        if j and not a:
+            giant = times(*giant, *step)
+        m = d * j + 1
         (low, den_low), (high, den_high) = baby[a], giant
-        out[m] = Fraction(sum(map(mul, low[:m], high[m - 1::-1])), den_low * den_high * m * m)
+        out[m] = Fraction(sum(map(mul, low[: j + 1], high[j::-1])), den_low * den_high * m * m)
     return TruncatedSeries(order, out)

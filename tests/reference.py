@@ -128,6 +128,23 @@ def revert(s: TruncatedSeries) -> TruncatedSeries:
     return x_derivative(lagrange_g(F, s.order))
 
 
+def bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_m (B_1 = -1/2), by sum_(j<=k) C(k+1, j) B_j = 0 for k >= 1."""
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(comb(k + 1, j) * b[j] for j in range(k) if b[j]) / (k + 1))
+    return b
+
+
+def fraction_set(bound: int, max_denominator: int) -> list[Fraction]:
+    """Every rational in [-bound, bound] with denominator at most
+    `max_denominator`, sorted: the support of `st.fractions(min_value=-bound,
+    max_value=bound, max_denominator=max_denominator)`, for `st.sampled_from`,
+    which draws from it without building a strategy per draw."""
+    return sorted({Fraction(p, q) for q in range(1, max_denominator + 1)
+                   for p in range(-bound * q, bound * q + 1)})
+
+
 def one_minus_exp_minus_x_over_x(order: int) -> TruncatedSeries:
     """(1 - e^-x)/x = sum_k (-1)^k x^k / (k+1)!, written out."""
     return TruncatedSeries.from_coeffs(

@@ -32,10 +32,10 @@ from hilbclass.partitions import enumerate_partitions, weight
 from hilbclass.series import TruncatedSeries
 from reference import (
     add, assert_valid_terms, canonical, constant, exp_linear_reference, fock_add, fock_product,
-    fock_scale, param_sub, parameter, poly, restrict,
+    fock_scale, fraction_set, param_sub, parameter, poly, restrict,
 )
 
-small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+small_rationals = st.sampled_from(fraction_set(4, 5))
 
 
 def walk(g, bound: int, only=None, degree=None) -> FockElement:

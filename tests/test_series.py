@@ -5,9 +5,10 @@ The product is checked against the plain double loop, `exp` by round
 trips through the reference `log`, and the Lagrange solver against its
 defining functional equation (through the reference `compose`) and the
 one-power-per-step `Fraction` loop (`reference_lagrange_g`), on constant
-terms 1 and other units, at orders around the perfect squares where its
-baby-step count changes.  The reference `revert` is the library solver
-followed by `t d/dt`; it is checked by round trips through `compose`.
+terms 1 and other units, on F = G(x^d) for strides d up to 4, and at
+orders where its baby-step count changes.  The reference `revert` is the
+library solver followed by `t d/dt`; it is checked by round trips through
+`compose`.
 Every series is rational.
 """
 
@@ -21,11 +22,11 @@ from hypothesis import strategies as st
 from hilbclass.hilbert import builtin_f
 from hilbclass.series import TruncatedSeries, _convolve, lagrange_g
 from reference import (
-    add, compose, convolve, derivative, inverse, log, reference_lagrange_g, revert, sqrt_unit,
-    x_derivative,
+    add, compose, convolve, derivative, fraction_set, inverse, log, reference_lagrange_g, revert,
+    sqrt_unit, x_derivative,
 )
 
-small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+small_rationals = st.sampled_from(fraction_set(4, 5))
 
 
 def series_strategy(order, constant=None, linear=None):
@@ -191,14 +192,20 @@ CUSTOM_F = [1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), -1,
 def test_lagrange_matches_fraction_power_loop(name, r, target):
     """The baby-step/giant-step solve equals the Fraction loop on the
     defining series of every class, up to the orders the benchmark runs,
-    and at orders 48-50 and 63-65, where the baby-step count s changes at a
-    perfect square and a giant step falls on the last coefficient."""
+    and at orders 48-50, 63-65, 71-73 and 97-99, where the baby-step count
+    t changes (at stride 1 for a tautological F, stride 2 for a tangent
+    one) and a giant step falls on the last coefficient.  The Fraction loop
+    runs once, to the top order: its g_m does not depend on where it stops."""
     top = 121
     f = (TruncatedSeries.from_coeffs(CUSTOM_F, top) if name == "custom"
          else builtin_f(name, top, r))
     F = f * f.negate_arg() if target == "tangent" else f.negate_arg()
-    for order in [*range(31), 41, 48, 49, 50, 61, 63, 64, 65, 81, 121]:
-        assert lagrange_g(F, order) == reference_lagrange_g(F, order), order
+    expected = reference_lagrange_g(F, top)
+    for order in [*range(31), 41, 48, 49, 50, 61, 63, 64, 65, 71, 72, 73, 81, 97, 98, 99, 121]:
+        assert lagrange_g(F, order) == expected.truncate(order), order
+
+
+UNIT_VALUES = fraction_set(9, 7)
 
 
 @st.composite
@@ -208,11 +215,9 @@ def unit_series(draw):
     7, and an order up to 20."""
     order = draw(st.integers(0, 20))
     work = max(order - 1, 0)
-    values = st.one_of(st.just(Fraction(0)),
-                       st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    values = st.one_of(st.just(Fraction(0)), st.sampled_from(UNIT_VALUES))
     constant = draw(st.one_of(st.just(Fraction(1)),
-                              st.fractions(min_value=-9, max_value=9, max_denominator=7)
-                              .filter(lambda c: c not in (0, 1))))
+                              st.sampled_from(UNIT_VALUES).filter(lambda c: c not in (0, 1))))
     rest = draw(st.lists(values, min_size=work, max_size=work))
     return TruncatedSeries.from_coeffs([constant, *rest], work), order
 
@@ -222,6 +227,47 @@ def unit_series(draw):
 def test_lagrange_matches_fraction_power_loop_random(case):
     F, order = case
     assert lagrange_g(F, order) == reference_lagrange_g(F, order)
+
+
+@st.composite
+def strided_series(draw):
+    """F = G(x^d) for d in 2..4, G with a unit constant term (1 or another)
+    and some zero coefficients, or F constant, with an order up to 40."""
+    d = draw(st.integers(2, 4))
+    order = draw(st.integers(0, 40))
+    work = max(order - 1, 0)
+    constant = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 5)]))
+    rest = draw(st.lists(st.one_of(st.just(Fraction(0)), st.sampled_from(UNIT_VALUES)),
+                         min_size=work // d, max_size=work // d))
+    coeffs = [Fraction(0)] * (work + 1)
+    coeffs[::d] = [constant, *rest]
+    return TruncatedSeries(work, coeffs), order
+
+
+@given(strided_series())
+@settings(max_examples=60)
+def test_lagrange_on_a_stride_matches_fraction_power_loop(case):
+    """The solve in y = x^d equals the Fraction loop on every stride,
+    constant F included."""
+    F, order = case
+    assert lagrange_g(F, order) == reference_lagrange_g(F, order)
+
+
+def test_lagrange_on_a_stride_at_the_step_changes():
+    """F = G(x^d) with every coefficient of G nonzero, d = 2, 3, 4, at every
+    order up to 60 (so every baby-step count t up to 5 and giant steps on
+    the last coefficient), and constant F, whose stride is 1."""
+    G = [Fraction((-1) ** k * (k + 2), 2 * k + 1) for k in range(60)]
+    for d in (2, 3, 4):
+        coeffs = [Fraction(0)] * 60
+        coeffs[::d] = G[: len(coeffs[::d])]
+        F = TruncatedSeries(59, coeffs)
+        expected = reference_lagrange_g(F, 60)
+        for order in range(61):
+            assert lagrange_g(F, order) == expected.truncate(order), (d, order)
+    for c in (1, -3, Fraction(2, 7)):
+        F = TruncatedSeries.from_coeffs([c], 19)
+        assert lagrange_g(F, 20) == reference_lagrange_g(F, 20), c
 
 
 @given(series_strategy(9, constant=1))
