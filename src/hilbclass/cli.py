@@ -210,10 +210,17 @@ def cmd_class(args) -> int:
 
 def cmd_cup(args) -> int:
     nu = _parse_partition("partition_a", args.partition_a)
-    if weight(nu) > MAX_RANK:
+    n = weight(nu)
+    if not n:
+        raise ValueError(f"partition_a must have rank at least 1, got rank 0: "
+                         f"{_echo(args.partition_a, str)}")
+    if n > MAX_RANK:
         raise ValueError(f"partition_a must have rank at most {MAX_RANK}, "
-                         f"got rank {weight(nu)}: {_echo(args.partition_a, str)}")
+                         f"got rank {n}: {_echo(args.partition_a, str)}")
     nu2 = _parse_partition("partition_b", args.partition_b)
+    if weight(nu2) != n:
+        raise ValueError(f"partition_b must have the rank of partition_a, {n}, "
+                         f"got rank {weight(nu2)}: {_echo(args.partition_b, str)}")
     result = cup_basis(nu, nu2)
     request = {"subcommand": "cup", "a": list(nu), "b": list(nu2)}
     _emit(_document(request, result), args.out)

@@ -12,9 +12,8 @@ Lagrange inversion:
 
 The built-in f come from closed forms: (1 + x)^r (Chern at r = 1, Segre at
 r = -1) from the binomial recurrence, which stops at its first zero
-coefficient, and the square root of Todd as e^(x/4) times the exp of an
-even Bernoulli series, its Bernoulli numbers from the integer tangent
-numbers.
+coefficient, and the square root of Todd as the -1/2 power of
+(1 - e^-x)/x, by Miller's power recurrence on integer sums.
 
 Both series are cross-checked by localisation at the torus fixed points:
 the tangent Chern roots are the +-hook lengths of the cells, the
@@ -60,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .exact import ParamContext, ParamPoly
 from .fock import FockElement, _exp_walk, exp_linear
@@ -88,38 +87,24 @@ def _require_unit_one(f: TruncatedSeries):
 # -- built-in defining series --------------------------------------------
 
 
-def _even_bernoulli(n: int) -> list[Fraction]:
-    """B_2, B_4, .., B_2n, as B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from
-    the tangent numbers T_k (tan x = sum T_k x^(2k-1) / (2k-1)!), which
-    take integer additions only (Brent-Harvey, "Fast computation of
-    Bernoulli, tangent and secant numbers", 2013, Algorithm TangentNumbers)."""
-    T = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        T[k] = (k - 1) * T[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    return [Fraction((-1) ** (k - 1) * 2 * k * T[k], 4**k * (4**k - 1)) for k in range(1, n + 1)]
-
-
 def sqrt_todd_f(order: int) -> TruncatedSeries:
-    """f = sqrt(x / (1 - exp(-x))) (square root of the Todd class), as
-    e^(x/4) exp(-sum_(k>=1) B_2k x^(2k) / (4k (2k)!)): x/(1 - e^-x) is
-    e^(x/2) (x/2)/sinh(x/2), and log(sinh(y)/y) = sum B_2k (2y)^(2k) / (2k (2k)!).
-    The even factor is the `exp` of a series in y = x^2, to y^(order // 2),
-    spread back to the even exponents, then multiplied once by e^(x/4)."""
-    half = order // 2
-    even = [Fraction(0)] * (half + 1)
-    fact = 1  # (2k)!
-    for k, b in enumerate(_even_bernoulli(half), 1):
-        fact *= (2 * k - 1) * 2 * k
-        even[k] = -b / (4 * k * fact)
-    spread = [Fraction(0)] * (order + 1)
-    spread[::2] = TruncatedSeries(half, even).exp().coeffs
-    quarter = [Fraction(1)]
-    for k in range(1, order + 1):
-        quarter.append(quarter[-1] / (4 * k))
-    return TruncatedSeries(order, quarter) * TruncatedSeries(order, spread)
+    """f = sqrt(x / (1 - e^-x)) (square root of the Todd class), the -1/2
+    power of u = (1 - e^-x)/x, u_k = (-1)^k / (k+1)!.  From u f' = -(1/2) u' f,
+    2n f_n = sum_(k=1..n) (k - 2n) u_k f_(n-k) (J. C. P. Miller's power
+    recurrence; Knuth, TAOCP Vol. 2, 4.7).  Each f_n is one `Fraction` of
+    one integer sum over L = lcm_k(den(f_(n-k)) (k+1)!): summing the terms
+    as `Fraction`s instead was 2.4-4x slower at orders 20-240."""
+    fact = [1]  # fact[k] = (k+1)!
+    for k in range(2, order + 2):
+        fact.append(fact[-1] * k)
+    f = [Fraction(1)]
+    for n in range(1, order + 1):
+        dens = [f[n - k].denominator * fact[k] for k in range(1, n + 1)]
+        L = lcm(*dens)
+        total = sum((2 * n - k if k % 2 else k - 2 * n) * f[n - k].numerator * (L // den)
+                    for k, den in enumerate(dens, 1))
+        f.append(Fraction(total, 2 * n * L))
+    return TruncatedSeries(order, f)
 
 
 def cprime_pow_f(r, order: int) -> TruncatedSeries:

@@ -5,12 +5,12 @@ rational coefficients; every operation is exact to order N.  Operations on
 series of different orders are rejected rather than silently truncated
 (use :meth:`TruncatedSeries.truncate` to change order explicitly).
 
-The operations are the ones some command reaches: the product, `x -> -x`,
-`exp` (the square-root-of-Todd defining series) and the Lagrange solver.
-The built-in defining series come from closed forms in
-:mod:`hilbclass.hilbert`, with no `log`, inverse or square root, and the
-nilpotent oracle's factor tables from a closed form there too, with no
-reversion and no series over its parameters.
+The operations are the ones some command reaches: the product, `x -> -x`
+and the Lagrange solver.  The built-in defining series come from
+coefficient recurrences in :mod:`hilbclass.hilbert`, with no series
+`exp`, `log`, inverse or square root, and the nilpotent oracle's factor
+tables from a closed form there too, with no reversion and no series over
+its parameters.
 
 Every truncated product in the library goes through one convolution,
 `_convolve`: the series product, the Lagrange solver's baby and giant
@@ -107,22 +107,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             self.order, [a if k % 2 == 0 else -a for k, a in enumerate(self.coeffs)]
         )
-
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series with constant term 0, by n e_n = sum_j j a_j e_(n-j)
-        over the nonzero a_j."""
-        if self.coeffs[0]:
-            raise ValueError("exp needs constant term 0")
-        terms = [(j, a * j) for j, a in enumerate(self.coeffs) if a]
-        out = [Fraction(1)] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j, ja in terms:
-                if j > n:
-                    break
-                acc = acc + ja * out[n - j]
-            out[n] = acc * Fraction(1, n)
-        return TruncatedSeries(self.order, out)
 
     # -- serialization ----------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 Each one either recomputes a quantity the library computes by a different
 route, so a test can compare the two, or supplies an operation the library
-does not need (the series inverse, log, square root, composition and
-reversion; the `ParamPoly` sum and inverse; the Fock sum and product).
+does not need (the series exp, inverse, log, square root, composition
+and reversion; the `ParamPoly` sum and inverse; the Fock sum and product).
 The test modules import from this module and never from one another.  It
 has no `test_` prefix, so pytest does not collect it.
 """
@@ -25,7 +25,7 @@ from hilbclass.partitions import (
 )
 from hilbclass.series import TruncatedSeries, _convolve, _integer_numerators, lagrange_g
 
-# Truncated power series.  The library has the product, `exp` and the
+# Truncated power series.  The library has the product, `x -> -x` and the
 # Lagrange solver; the rest are references.
 
 
@@ -57,6 +57,17 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
     out = [inv0] + [Fraction(0)] * s.order
     for k in range(1, s.order + 1):
         out[k] = -sum(s.coeffs[j] * out[k - j] for j in range(1, k + 1)) * inv0
+    return TruncatedSeries(s.order, out)
+
+
+def exp(s: TruncatedSeries) -> TruncatedSeries:
+    """Exp of a rational series with constant term 0, by
+    n e_n = sum_j j a_j e_(n-j) over the nonzero a_j."""
+    assert s.coeffs[0] == 0
+    terms = [(j, a * j) for j, a in enumerate(s.coeffs) if a]
+    out = [Fraction(1)] + [Fraction(0)] * s.order
+    for n in range(1, s.order + 1):
+        out[n] = Fraction(sum(ja * out[n - j] for j, ja in terms if j <= n), n)
     return TruncatedSeries(s.order, out)
 
 
@@ -126,14 +137,6 @@ def revert(s: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("revert needs a unit linear coefficient")
     F = inverse(TruncatedSeries(s.order - 1, s.coeffs[1:]))
     return x_derivative(lagrange_g(F, s.order))
-
-
-def bernoulli(m: int) -> list[Fraction]:
-    """B_0..B_m (B_1 = -1/2), by sum_(j<=k) C(k+1, j) B_j = 0 for k >= 1."""
-    b = [Fraction(1)]
-    for k in range(1, m + 1):
-        b.append(-sum(comb(k + 1, j) * b[j] for j in range(k) if b[j]) / (k + 1))
-    return b
 
 
 def fraction_set(bound: int, max_denominator: int) -> list[Fraction]:

@@ -403,8 +403,10 @@ def test_missing_r_value_exits_2_naming_the_flag(capsys, argv):
     (["class", "chern", "tangent", "--degree", "-3"], "--degree must be nonnegative, got -3"),
     (["class", "chern", "tangent", "--weight", "41"], "--weight must be at most 40, got 41"),
     (["cup", "[29]", "[29]"], "partition_a must have rank at most 28, got rank 29"),
+    (["cup", "[]", "[]"], "partition_a must have rank at least 1, got rank 0"),
+    (["cup", "[2]", "[1,1,1]"], "partition_b must have the rank of partition_a, 2, got rank 3"),
 ], ids=["order", "order-ceiling", "weight", "weight-only-above", "weight-only-negative", "degree",
-        "weight-ceiling", "rank-ceiling"])
+        "weight-ceiling", "rank-ceiling", "rank-zero", "rank-mismatch"])
 def test_range_errors_name_the_flag(capsys, argv, named):
     assert main(argv) == 2
     captured = capsys.readouterr()

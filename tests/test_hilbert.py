@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbclass import hilbert, partitions
-from hilbclass.cli import main
+from hilbclass.cli import MAX_ORDER, main
 from hilbclass.exact import ParamContext
 from hilbclass.fock import FockElement, hilb_unit
 from hilbclass.hilbert import (
     TANGENT,
     TAUTOLOGICAL,
-    _even_bernoulli,
     _factor_powers,
     _pair_exponent,
     builtin_f,
@@ -40,7 +39,7 @@ from hilbclass.partitions import enumerate_partitions, multiplicities, weight
 from hilbclass.series import TruncatedSeries
 from hilbclass.verify import random_unit_series
 from reference import (
-    assert_valid_terms, bernoulli, constant, derivative, exp_linear_reference, fixed_point_sum,
+    assert_valid_terms, constant, derivative, exp, exp_linear_reference, fixed_point_sum,
     fock_add, fraction_set, inverse, log, multilinear_part, one_minus_exp_minus_x_over_x,
     reference_cup_nilpotent, reference_f_minus, reference_pair_exponent, reference_powers, scale,
     sqrt_unit, widen,
@@ -65,7 +64,7 @@ def test_builtin_series():
 
 
 # The earlier constructions of the closed-form defining series, through the
-# series log, inverse and square root, kept as references over the
+# series exp, log, inverse and square root, kept as references over the
 # benchmark's range of orders.
 REFERENCE_ORDERS = list(range(31)) + [41, 61, 81, 121]
 REFERENCE_R = [Fraction(r) for r in
@@ -79,7 +78,7 @@ def one_plus_x(order: int) -> TruncatedSeries:
 @pytest.mark.parametrize("r", REFERENCE_R, ids=str)
 def test_cprime_pow_matches_log_scale_exp(r):
     for order in REFERENCE_ORDERS:
-        reference = scale(log(one_plus_x(order)), r).exp()
+        reference = exp(scale(log(one_plus_x(order)), r))
         assert cprime_pow_f(r, order) == reference, order
 
 
@@ -97,18 +96,9 @@ def test_segre_and_sqrt_todd_match_inverse_routes():
     for order in REFERENCE_ORDERS:
         assert builtin_f("segre", order) == inverse(one_plus_x(order)), order
         minus_x = TruncatedSeries.from_coeffs([0, -1], order + 1)
-        body = TruncatedSeries(order, minus_x.exp().coeffs[1:])  # (e^-x - 1)/x
+        body = TruncatedSeries(order, exp(minus_x).coeffs[1:])  # (e^-x - 1)/x
         reference = sqrt_unit(inverse(scale(body, -1)))
         assert sqrt_todd_f(order) == reference, order
-
-
-def test_tangent_number_bernoulli_matches_the_recurrence():
-    """B_2k from the integer tangent numbers equals the naive recurrence's
-    for every 2k <= 120, whose odd B_m past B_1 vanish."""
-    b = bernoulli(120)
-    assert _even_bernoulli(60) == b[2::2]
-    assert not any(b[3::2])
-    assert _even_bernoulli(0) == []
 
 
 @pytest.mark.parametrize("r", REFERENCE_R, ids=str)
@@ -120,9 +110,9 @@ def test_cprime_pow_solves_its_differential_equation(r):
 
 
 def test_sqrt_todd_squared_inverts_its_body():
-    """f^2 (1 - e^-x)/x = 1 at order 121."""
-    f = sqrt_todd_f(121)
-    assert f * f * one_minus_exp_minus_x_over_x(121) == TruncatedSeries.one(121)
+    """f^2 (1 - e^-x)/x = 1 at the CLI's largest order."""
+    f = sqrt_todd_f(MAX_ORDER)
+    assert f * f * one_minus_exp_minus_x_over_x(MAX_ORDER) == TruncatedSeries.one(MAX_ORDER)
 
 
 def test_class_spec_validation():
