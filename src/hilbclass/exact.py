@@ -6,12 +6,12 @@ series and Fock element has rational coefficients.  Beside them sits
 finitely many formal parameters, each nilpotent of a fixed order, for the
 nilpotent cup-product oracle of :mod:`hilbclass.hilbert` alone.  It
 carries what that oracle uses: packed construction from integer
-coefficients, the product (with another value or an int) and a truth
-value (a product of parameters can vanish).  It has no denominator, sum,
-negation, inverse or change of context; the oracle keeps every
-denominator in the class walk's divisor, sums integer coefficients
-itself, shifts a factor's packed monomials into the pair's context, and
-reads the coefficient it needs off the packed terms.
+coefficients, the product of two values and a truth value (a product of
+parameters can vanish).  It has no denominator, sum, negation, inverse,
+scalar multiple or change of context; the oracle keeps every denominator
+in its walk's divisor, sums integer coefficients itself, shifts a
+factor's packed monomials into the pair's context, and reads the
+coefficients it needs off the packed terms.
 All values are immutable; all operations are pure.
 """
 
@@ -82,9 +82,7 @@ class ParamPoly:
 
     def __mul__(self, other):
         if not isinstance(other, ParamPoly):
-            if not isinstance(other, int):
-                return NotImplemented
-            return self._make(self.context, {k: c * other for k, c in self.terms.items() if other})
+            return NotImplemented
         context = self.context
         if other.context is not context and other.context != context:
             raise ValueError("mismatched parameter contexts")
@@ -102,8 +100,6 @@ class ParamPoly:
                 if not k & guard:
                     out[k] = get(k, 0) + c1 * c2
         return ParamPoly._make(context, {k - bias: c for k, c in out.items() if c})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):

@@ -14,8 +14,7 @@ both, which it only prints.  The cup product of such elements lives in
 :mod:`hilbclass.hilbert`.
 
 `exp_linear` expands exp(sum_k g_k q_k) by one depth-first walk,
-`_exp_walk`, which the nilpotent cup-product oracle of
-:mod:`hilbclass.hilbert` also runs over its parameter polynomials; the
+`_exp_walk`, over the integer numerators and divisors of the g_k; the
 caller says how each term's product and divisor become its coefficient,
 and may say how its parts become its key.
 """
@@ -98,18 +97,17 @@ def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make
               label=None) -> dict:
     """The terms of exp(sum_k (nums[k] / dens[k]) q_k) of weight at most
     `bound`, or exactly `only`, and of algebraic degree `degree` if given,
-    as {key: make(product, divisor)} in canonical order: `product` is
-    prod nums[lambda_i], starting from the int 1, and `divisor` the int
-    prod dens[lambda_i] prod m_i!.  The nums may be ints or `ParamPoly`.
-    The key is label[0] + label[lambda_1] + label[lambda_2] + ..., for a
-    table `label` indexed by part up to the top weight; by default label[0]
-    is () and label[k] is (k,), so the key is the partition.
+    as {key: make(product, divisor)} in canonical order: `product` is the
+    int prod nums[lambda_i], starting from 1, and `divisor` the int
+    prod dens[lambda_i] prod m_i!.  The key is label[0] + label[lambda_1] +
+    label[lambda_2] + ..., for a table `label` indexed by part up to the
+    top weight; by default label[0] is () and label[k] is (k,), so the key
+    is the partition.
 
     A depth-first walk appends parts in decreasing order, larger parts
     first, drawn from the k with nums[k] nonzero, and each step extends
     its parent's key by one table entry; a part k adds k - 1 to the
-    degree, so a branch is cut once its degree passes `degree`, and once
-    its product vanishes, as a product of nilpotent parameters can.  Each
+    degree, so a branch is cut once its degree passes `degree`.  Each
     weight's terms come out reverse-lexicographically and one bucket per
     weight, merged into the first by `dict.update`, orders the weights.
     """
@@ -130,9 +128,7 @@ def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make
             if k > left or deg + k - 1 > cap:
                 break
             m = run + 1 if i == last else 1
-            ck = c * nums[k]
-            if ck:
-                stack.append((key + label[k], i, left - k, deg + k - 1, ck, d * dens[k] * m, m))
+            stack.append((key + label[k], i, left - k, deg + k - 1, c * nums[k], d * dens[k] * m, m))
     terms = buckets[0]
     for bucket in buckets[1:]:
         terms.update(bucket)

@@ -48,10 +48,15 @@ inversion", JCTA 144, 2016), tabulated once per factor over its own
 parameters with no series reversion.  A pair embeds both tables in the
 context of both factors' parameters and reads the exponent series
 h_m = [x^(m-1)] (F1 F2)^m / m^2 off their Cauchy sum, one sum of integer
-numerators per h_m, its m^2 left to the divisor.  The class expansion's
-own walk, `fock._exp_walk`, then runs over those numerators and keeps each
-term's multilinear coefficient alone, so no series or Fock element ever
-holds a parameter polynomial.
+numerators per h_m, its m^2 left to the divisor.  The oracle's own
+depth-first walk over those numerators reads each weight-n term's
+multilinear coefficient, computing only what the top parameter monomial
+can still reach.  [x^i] F^m has weighted degree i, a parameter of part
+size p weighing p - 1, so H_m is homogeneous of weighted degree m - 1 and
+no factor appended after part k raises a parameter of part size above k:
+the walk keeps only the monomials already at their bounds there, and at
+each leaf reads the top coefficient without forming the product.  No
+series or Fock element ever holds a parameter polynomial.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from itertools import product
 from math import comb, factorial, lcm, prod
 
 from .exact import ParamContext, ParamPoly
-from .fock import FockElement, _exp_walk, exp_linear
+from .fock import FockElement, exp_linear
 from .partitions import (
     _mn,
     beads,
@@ -390,18 +395,47 @@ def cup_nilpotent(nu, nu2) -> FockElement:
     coefficient multilinear in the parameters of both factors from the
     weight-n piece.  A parameter of bound b stands for b parts of one size,
     so that coefficient is the one at the top monomial (every exponent at
-    its bound) times prod b!; `_exp_walk` reads it off each term of its
-    walk over the H_m with divisors m^2, and drops terms where it vanishes.
-    Each factor's power table is cached (keyed by its part multiplicities
-    and n); a pair is never cached."""
+    its bound) times prod b!: for q_lam, that of prod H_(lam_i), over
+    prod lam_i^2 prod m_i!.
+
+    The walk appends parts in decreasing order.  H_m is homogeneous of
+    weighted degree m - 1, a parameter of part size p weighing p - 1, so it
+    holds no parameter of part size p > m, and after part k no factor
+    raises one of part size above k.  So before multiplying by H_k the walk
+    keeps only the monomials at their bounds in those fields (`need[k]`),
+    and where k ends the weight it reads the top coefficient alone.  Each
+    factor's power table is cached (keyed by its part multiplicities and
+    n); a pair is never cached."""
     nu, nu2 = _same_rank_pair(nu, nu2)
     n = weight(nu)
     context, H = _pair_exponent(nu, nu2)
+    H = [None, *H]
     top = context.pack(context.bounds)
     scale = prod(factorial(b) for b in context.bounds)
-
-    def multilinear(c, d):
-        return Fraction(c.terms.get(top, 0) * scale, d)
-
-    terms = _exp_walk([0, *H], [m * m for m in range(n + 1)], n, n, None, multilinear)
-    return FockElement({p: c for p, c in terms.items() if c})
+    sizes = [*sorted(set(nu)), *sorted(set(nu2))]  # the part size of each field
+    fields = [((1 << b.bit_length()) - 1) << s for b, s in zip(context.bounds, context.shifts)]
+    need = [sum(f for f, p in zip(fields, sizes) if p > k) for k in range(n + 1)]
+    # H_k by top - x: the coefficient that completes x to the top monomial
+    rev = [None] + [{top - x: a for x, a in h.terms.items()} for h in H[1:]]
+    out = {}
+    # key, largest part allowed, weight left, the product's terms, divisor, last run;
+    # a leaf, its parent's largest child, is written as its parent pops, so
+    # the terms come out reverse-lexicographically
+    stack = [((), n, n, {0: 1}, 1, 0)]
+    while stack:
+        key, last, left, c, d, run = stack.pop()
+        for k in range(1, min(last, left) + 1):  # pushed in increasing order: the largest pops first
+            m = run + 1 if k == last else 1
+            if k == left:
+                total = sum(a * rev[k].get(x, 0) for x, a in c.items())
+                if total:
+                    out[key + (k,)] = Fraction(total * scale, d * k * k * m)
+                continue
+            mask = need[k]
+            want = top & mask
+            kept = {x: a for x, a in c.items() if x & mask == want}
+            if kept:  # at the first part, the product is H_k alone
+                ck = ParamPoly._make(context, kept) * H[k] if key else H[k]
+                if ck:
+                    stack.append((key + (k,), k, left - k, ck.terms, d * k * k * m, m))
+    return FockElement(out)

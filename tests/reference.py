@@ -3,7 +3,8 @@
 Each one either recomputes a quantity the library computes by a different
 route, so a test can compare the two, or supplies an operation the library
 does not need (the series exp, inverse, log, square root, composition
-and reversion; the `ParamPoly` sum and inverse; the Fock sum and product).
+and reversion; the `ParamPoly` int multiple, sum and inverse; the Fock
+sum and product).
 The test modules import from this module and never from one another.  It
 has no `test_` prefix, so pytest does not collect it.
 """
@@ -156,8 +157,8 @@ def one_minus_exp_minus_x_over_x(order: int) -> TruncatedSeries:
 
 # Nilpotent-parameter polynomials, with integer coefficients.  The library
 # builds a `ParamPoly` only from packed integer coefficients and multiplies
-# it; construction from exponent vectors, the sum and the inverse are
-# references.
+# two of them; construction from exponent vectors, the int multiple, the
+# sum and the inverse are references.
 
 
 def poly(context: ParamContext, terms) -> ParamPoly:
@@ -204,6 +205,11 @@ def widen(p: ParamPoly, context: ParamContext, first: int) -> ParamPoly:
     return poly(context, terms)
 
 
+def param_scale(p: ParamPoly, c: int) -> ParamPoly:
+    """The int multiple c p."""
+    return ParamPoly._make(p.context, {k: a * c for k, a in p.terms.items()} if c else {})
+
+
 def param_add(a, b) -> ParamPoly:
     """Sum of two values of one context, either of which may be an int."""
     context = (a if isinstance(a, ParamPoly) else b).context
@@ -217,7 +223,7 @@ def param_add(a, b) -> ParamPoly:
 
 
 def param_sub(a, b) -> ParamPoly:
-    return param_add(a, b * -1)
+    return param_add(a, param_scale(b, -1) if isinstance(b, ParamPoly) else -b)
 
 
 def param_invert(p: ParamPoly) -> ParamPoly:
@@ -229,9 +235,9 @@ def param_invert(p: ParamPoly) -> ParamPoly:
         raise ValueError("not a unit: constant term is not +-1")
     result = constant(p.context, c)
     power = constant(p.context, 1)
-    step = param_sub(p, c) * -c
+    step = param_scale(param_sub(p, c), -c)
     while (power := power * step).terms:
-        result = param_add(result, power * c)
+        result = param_add(result, param_scale(power, c))
     return result
 
 
@@ -272,8 +278,9 @@ def exp_linear_reference(coeffs, bound: int, one=Fraction(1), dens=None) -> Fock
     """exp(sum_k coeffs[k] q_k) by visiting every partition of every weight
     up to the bound, one coefficient multiply per part, starting from
     `one`.  The coefficients may be rationals, each term then its product
-    over prod m_i!, or `ParamPoly` with divisors `dens`, each term then
-    the pair (product, prod dens[part] prod m_i!), kept apart."""
+    over prod m_i!, or ints or `ParamPoly` with divisors `dens`, each term
+    then the pair (product, prod dens[part] prod m_i!), kept apart, and
+    dropped where the product vanishes."""
     terms = {}
     for n in range(bound + 1):
         for parts in enumerate_partitions(n):
@@ -465,10 +472,10 @@ def inverse_params(s):
     inv0 = param_invert(s[0])
     out = [inv0]
     for k in range(1, len(s)):
-        acc = inv0 * 0
+        acc = constant(inv0.context, 0)
         for j in range(1, k + 1):
             acc = param_add(acc, s[j] * out[k - j])
-        out.append(acc * inv0 * -1)
+        out.append(param_scale(acc * inv0, -1))
     return out
 
 
@@ -478,16 +485,16 @@ def reference_f_minus(context, first, mults, n):
     in increasing order, from dg/dt (x/F) = F, that is
     F = 1 + sum_k k rho_k (x/F)^(k-1).  Each round of the fixed-point
     iteration fixes one more coefficient."""
-    one = constant(context, 1)
-    F = [one] + [one * 0] * (n - 1)
+    one, zero = constant(context, 1), constant(context, 0)
+    F = [one] + [zero] * (n - 1)
     for _ in range(n):
-        w = [one * 0] + inverse_params(F)[: n - 1]  # x/F
-        new = [one] + [one * 0] * (n - 1)
+        w = [zero] + inverse_params(F)[: n - 1]  # x/F
+        new = [one] + [zero] * (n - 1)
         for i, k in enumerate(sorted(mults), first):
-            term = [one] + [one * 0] * (n - 1)
+            term = [one] + [zero] * (n - 1)
             for _ in range(k - 1):
-                term = convolve(term, w, one * 0, param_add)
-            rho = parameter(context, i) * k
+                term = convolve(term, w, zero, param_add)
+            rho = param_scale(parameter(context, i), k)
             new = [param_add(x, rho * y) for x, y in zip(new, term)]
         F = new
     return F
@@ -495,10 +502,10 @@ def reference_f_minus(context, first, mults, n):
 
 def reference_powers(F, n):
     """Rows 0..m-1 of F^m, m = 1..n."""
-    one = constant(F[0].context, 1)
-    rows, power = [], [one] + [one * 0] * (n - 1)
+    one, zero = constant(F[0].context, 1), constant(F[0].context, 0)
+    rows, power = [], [one] + [zero] * (n - 1)
     for m in range(1, n + 1):
-        power = convolve(power, F, one * 0, param_add)
+        power = convolve(power, F, zero, param_add)
         rows.append(power[:m])
     return rows
 
@@ -511,7 +518,7 @@ def reference_pair_exponent(nu, nu2):
     context = ParamContext(tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2)))
     F1 = reference_f_minus(context, 0, m1, n)
     F2 = reference_f_minus(context, len(m1), m2, n)
-    rows = reference_powers(convolve(F1, F2, F1[0] * 0, param_add), n)
+    rows = reference_powers(convolve(F1, F2, constant(context, 0), param_add), n)
     return (context, [row[-1] for row in rows]), F1, F2
 
 

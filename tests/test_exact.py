@@ -4,9 +4,10 @@ with integer coefficients.
 A context is its tuple of nilpotency bounds alone; a parameter is known
 by its index, and `repr` labels parameter i as `p{i}`.  The library builds
 a `ParamPoly` only from packed integer coefficients (`ParamPoly._make`)
-and multiplies it, by another value or an int; two values compare equal
-only to each other, never to an int.  Construction from exponent vectors,
-the sum and the inverse are references (`tests/reference.py`); the packed
+and multiplies two of them, never a value by a scalar; two values compare
+equal only to each other, never to an int.  Construction from exponent
+vectors, the int multiple, the sum and the inverse are references
+(`tests/reference.py`); the packed
 product is checked against a product on exponent tuples, and the inverse
 by multiplying back.
 """
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 from hilbclass.exact import QQ, ParamContext, ParamPoly
 from hilbclass.series import TruncatedSeries
 from reference import (
-    coefficient, constant, constant_term, param_add, param_invert, param_sub, parameter, poly,
-    reference_mul, reference_poly, widen,
+    coefficient, constant, constant_term, param_add, param_invert, param_scale, param_sub,
+    parameter, poly, reference_mul, reference_poly, widen,
 )
 
 integers = st.integers(min_value=-100, max_value=100)
@@ -47,25 +48,25 @@ def test_parameter_nilpotency():
     assert coefficient(a * a, (2, 0)) == 1
     assert b * b == ZERO  # bound 1: b^2 = 0
     assert (a * b).terms
-    # the truth value the class walk cuts its branches by
+    # the truth value the nilpotent oracle's walk cuts its branches by
     assert not a * a * a and not b * b and a * b and ONE
-    assert not ZERO and not a * 0
+    assert not ZERO and not a * ZERO
 
 
 def test_parampoly_arithmetic():
     a = parameter(CTX, 0)
     b = parameter(CTX, 1)
-    p = param_sub(param_add(1, 2 * a), b)
+    p = param_sub(param_add(1, param_scale(a, 2)), b)
     assert constant_term(p) == 1
     assert coefficient(p, (1, 0)) == 2
     assert coefficient(p, (0, 1)) == -1
     assert coefficient(p, (3, 0)) == 0  # over the bound
     assert param_sub(p, p) == ZERO
     assert p * ONE == p
-    q = param_add(1, a) * param_add(a * -1, 1)
-    assert q == param_add(a * a * -1, 1)
+    q = param_add(1, a) * param_add(param_scale(a, -1), 1)
+    assert q == param_add(param_scale(a * a, -1), 1)
     assert repr(p) == "ParamPoly(1 + -1*p1 + 2*p0)"
-    assert repr(param_add(a * a * b * -3, 7)) == "ParamPoly(7 + -3*p0^2*p1)"
+    assert repr(param_add(param_scale(a * a * b, -3), 7)) == "ParamPoly(7 + -3*p0^2*p1)"
     assert repr(ZERO) == "ParamPoly(0)"
 
 
@@ -85,10 +86,10 @@ def test_embed_repeats_the_fields_at_a_shift():
     shift = wide.shifts[1]
     assert wide.shifts[1:] == tuple(shift + s for s in CTX.shifts)
     a, b = parameter(CTX, 0), parameter(CTX, 1)
-    p = param_sub(param_add(3, 2 * a), b * a)
+    p = param_sub(param_add(3, param_scale(a, 2)), b * a)
     got = widen(p, wide, 1)
     a2, b2 = parameter(wide, 1), parameter(wide, 2)
-    assert got == param_sub(param_add(3, 2 * a2), b2 * a2)
+    assert got == param_sub(param_add(3, param_scale(a2, 2)), b2 * a2)
     assert widen(p * p, wide, 1) == got * got
     for value in (p, p * p):
         moved = ParamPoly._make(wide, {k << shift: c for k, c in value.terms.items()})
@@ -133,10 +134,13 @@ def test_ring_objects():
     # the one ring object left is the rational field every series carries
     assert (QQ.zero, QQ.one) == (0, 1)
     assert TruncatedSeries.one(2).ring is QQ
-    assert ONE * -2 == constant(CTX, -2) and ZERO != 0 and ONE != 1
-    # coefficients are ints: a rational factor has no product here
-    with pytest.raises(TypeError):
-        ONE * Fraction(2, 3)
+    assert ONE * constant(CTX, -2) == constant(CTX, -2) and ZERO != 0 and ONE != 1
+    # the product is of two values: a scalar factor, int or rational, has none
+    for scalar in (-2, Fraction(2, 3)):
+        with pytest.raises(TypeError):
+            ONE * scalar
+        with pytest.raises(TypeError):
+            scalar * ONE
 
 
 def test_immutability():
@@ -187,7 +191,7 @@ def test_packed_kernel_matches_reference(case, const):
     assert_matches(context, a, ra)
     assert_matches(context, a * b, reference_mul(context, ra, rb))
     assert_matches(context, a * b * c, reference_mul(context, reference_mul(context, ra, rb), rc))
-    assert_matches(context, a * const, {e: v * const for e, v in ra.items()})
+    assert_matches(context, a * constant(context, const), {e: v * const for e, v in ra.items()})
     over = tuple(bound + 1 for bound in context.bounds)
     assert coefficient(a, over) == 0
     assert constant_term(a) == ra.get((0,) * len(over), 0)
@@ -197,5 +201,5 @@ def test_packed_kernel_matches_reference(case, const):
     assert a * b == b * a
     assert param_add(a, b) * c == param_add(a * c, b * c)
     assert param_add(a, b) * param_sub(a, b) == param_sub(a * a, b * b)  # the cross terms cancel
-    assert a * 0 == poly(context, {})
+    assert a * constant(context, 0) == poly(context, {})
     assert bool(a) == bool(ra)

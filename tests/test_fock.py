@@ -8,10 +8,9 @@ reference Fock (symmetric-algebra) product, and, cut to one weight or
 degree, against the full expansion filtered (`restrict`).  No command multiplies Fock
 elements that way; the cup product lives in `hilbclass.hilbert`.  Every
 producer must keep the canonical term order (`canonical`).  The walk
-behind `exp_linear`, `_exp_walk`, also runs here over lists of
-`ParamPoly` numerators with int divisors, as the nilpotent cup-product
-oracle runs it, where a product of parameters can vanish and cut its
-branch; each term then stays a pair (product, divisor).
+behind `exp_linear`, `_exp_walk`, also runs here over lists of int
+numerators and divisors with gaps in their support, each term then the
+pair (product, divisor), kept apart.
 """
 
 import json
@@ -22,26 +21,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbclass.cli import MAX_RANK, MAX_WEIGHT, PART_TEXT, _coeff_text, _records
-from hilbclass.exact import ParamContext
 from hilbclass.fock import FockElement, _exp_walk, exp_linear, hilb_unit
 from hilbclass.hilbert import (
-    TANGENT, _pair_exponent, builtin_f, cup, cup_basis, cup_nilpotent,
+    TANGENT, builtin_f, cup, cup_basis, cup_nilpotent,
     hilbert_class, tangent_g, taut_g,
 )
 from hilbclass.partitions import enumerate_partitions, weight
 from hilbclass.series import TruncatedSeries
 from reference import (
-    add, assert_valid_terms, canonical, constant, exp_linear_reference, fock_add, fock_product,
-    fock_scale, fraction_set, param_sub, parameter, poly, restrict,
+    add, assert_valid_terms, canonical, exp_linear_reference, fock_add, fock_product,
+    fock_scale, fraction_set, restrict,
 )
 
 small_rationals = st.sampled_from(fraction_set(4, 5))
 
 
 def walk(g, bound: int, only=None, degree=None) -> FockElement:
-    """`exp_linear` of a series, or the shared walk `_exp_walk` over a pair
-    of lists, numerators g_0..g_bound of `ParamPoly` and int divisors, each
-    term the pair (product, divisor), kept apart."""
+    """`exp_linear` of a series, or its walk `_exp_walk` over a pair of
+    lists, int numerators g_0..g_bound and divisors, each term the pair
+    (product, divisor), kept apart."""
     if isinstance(g, TruncatedSeries):
         return exp_linear(g, bound, only, degree)
     return FockElement(_exp_walk(*g, bound, only, degree, lambda c, d: (c, d)))
@@ -170,29 +168,29 @@ def test_exp_linear_matches_reference(tail, bound, data):
     assert_canonical(pruned)
 
 
-PARAMETERS = ParamContext((2, 1))
+def integer_pairs_g() -> tuple[list, list]:
+    # numerators and divisors of g = t + 2 t^2 - 3/3 t^3 + 6/4 t^5 + 2/5 t^6,
+    # no t^4 term, each divisor kept as given
+    return [0, 1, 2, -3, 0, 6, 2], [1, 1, 1, 3, 1, 4, 5]
 
 
-def parametric_g() -> tuple[list, list]:
-    # numerators and divisors of g = t + a t^2 + (b - a)/3 t^3 + a b/2 t^5 + 2/5 t^6;
-    # a^3 = b^2 = 0, so many of its monomials vanish
-    a, b = parameter(PARAMETERS, 0), parameter(PARAMETERS, 1)
-    zero, one = poly(PARAMETERS, {}), constant(PARAMETERS, 1)
-    return [zero, one, a, param_sub(b, a), zero, a * b, one * 2], [1, 1, 1, 3, 1, 2, 5]
+def even_support_g() -> tuple[list, list]:
+    # g = 3/2 t^2 - 5/3 t^4 + 7/4 t^6: no part 1, so no term of odd weight
+    return [0, 0, 3, 0, -5, 0, 7], [1, 1, 2, 1, 3, 1, 4]
 
 
-def test_exp_linear_matches_reference_over_parameters():
-    nums, dens = g = parametric_g()
+def test_exp_walk_matches_reference_over_integer_pairs():
+    nums, dens = g = integer_pairs_g()
     bound = len(nums) - 1
-    expected = exp_linear_reference(nums, bound, 1, dens)  # products start from the int 1
+    expected = exp_linear_reference(nums, bound, 1, dens)
     assert walk(g, bound) == expected
     for only in range(bound + 1):
         assert walk(g, bound, only) == restrict(expected, only)
 
 
 def degree_cases():
-    """(g, bound) for both targets over the rationals, and for two lists of
-    `ParamPoly`, where products of parameters can vanish."""
+    """(g, bound) for both targets over the rationals, and for two pairs
+    of int lists whose support has gaps."""
     f = builtin_f("cprime-pow", 9, Fraction(-5, 2))
     dense = TruncatedSeries.from_coeffs([1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3),
                                          -1, Fraction(1, 5), Fraction(3, 4), Fraction(-2, 7)], 9)
@@ -201,9 +199,8 @@ def degree_cases():
         pytest.param(taut_g(f, 10), 10, id="tautological"),
         pytest.param(tangent_g(dense, 10), 10, id="dense-tangent"),
         pytest.param(taut_g(dense, 10), 10, id="dense-tautological"),
-        pytest.param(parametric_g(), 6, id="parameters"),
-        pytest.param(([0, *_pair_exponent((2, 1, 1), (3, 1))[1]], [m * m for m in range(5)]), 4,
-                     id="pair-exponent"),
+        pytest.param(integer_pairs_g(), 6, id="integer-pairs"),
+        pytest.param(even_support_g(), 6, id="even-support"),
     ]
 
 
@@ -247,7 +244,7 @@ def test_every_producer_keeps_canonical_order():
         for only in (None, 0, 7, 12):
             for degree in (None, 0, 4, 11):
                 assert_canonical(exp_linear(g, 12, only, degree))
-    p = parametric_g()
+    p = integer_pairs_g()
     for only in (None, 4):
         for degree in (None, 2):
             assert_canonical(walk(p, 6, only, degree))

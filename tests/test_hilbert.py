@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hilbclass import hilbert, partitions
 from hilbclass.cli import MAX_ORDER, main
-from hilbclass.exact import ParamContext
+from hilbclass.exact import ParamContext, ParamPoly
 from hilbclass.fock import FockElement, hilb_unit
 from hilbclass.hilbert import (
     TANGENT,
@@ -367,8 +367,9 @@ def test_nilpotent_oracle_reads_no_character_table(monkeypatch):
     """cup_nilpotent stays an independent oracle: with the Murnaghan-Nakayama
     recursion and cup_basis all raising, in the modules that define them
     and in `hilbert`, which imports them, it still gives every product of
-    rank <= 9, in both orders up to rank 5, its factor tables built afresh."""
-    pairs = list(_pairs(9))
+    rank <= 10, in both orders up to rank 5, its factor tables built afresh."""
+    pairs = list(_pairs(10))
+    assert len(pairs) == 1860
     expected = [cup_basis(nu, nu2) for nu, nu2 in pairs]
 
     def forbidden(*args):
@@ -403,6 +404,58 @@ def test_factor_tables_and_pair_exponent_are_integral():
         context, H = _pair_exponent(nu, nu2)
         assert (context, H) == reference_pair_exponent(nu, nu2)[0], (nu, nu2)
         assert all(type(c) is int for p in H for c in p.terms.values())
+
+
+def _fields(context, nu, nu2, x):
+    """(exponent, bound, part size) of each parameter of the pair's context
+    in the packed monomial x, the first factor's fields first."""
+    sizes = [*sorted(set(nu)), *sorted(set(nu2))]
+    return [(x >> s & (1 << b.bit_length()) - 1, b, p)
+            for s, b, p in zip(context.shifts, context.bounds, sizes)]
+
+
+def test_pair_exponent_is_saturated():
+    """The premise of `cup_nilpotent`'s prune: H_m = [x^(m-1)] (F1 F2)^m is
+    homogeneous of weighted degree m - 1, a parameter of part size p
+    weighing p - 1, so no parameter of part size p > m divides a monomial
+    of H_m."""
+    for nu, nu2 in _pairs(8):
+        context, H = _pair_exponent(nu, nu2)
+        for m, h in enumerate(H, 1):
+            for x in h.terms:
+                fields = _fields(context, nu, nu2, x)
+                assert sum(e * (p - 1) for e, _, p in fields) == m - 1, (nu, nu2, m)
+                assert not any(e for e, _, p in fields if p > m), (nu, nu2, m)
+
+
+def test_nilpotent_walk_multiplies_only_saturated_monomials(monkeypatch):
+    """The prune itself: every product the walk forms is a running product
+    times one H_k, and each monomial of the running product already
+    has every parameter of part size above k, of either factor, at its
+    bound, since no later factor can raise it."""
+    products = []
+    mul = ParamPoly.__mul__
+
+    def recording(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ParamPoly, "__mul__", recording)
+    count = 0
+    for nu, nu2 in _pairs(7):
+        nu, nu2 = sorted((nu, nu2))  # the order `cup_nilpotent` builds the pair in
+        products.clear()
+        cup_nilpotent(nu, nu2)
+        context, H = _pair_exponent(nu, nu2)
+        for a, b in products:
+            if not b:  # a zero H_k ends its branch, whichever k it is
+                continue
+            (k,) = [m for m, h in enumerate(H, 1) if h == b]
+            for x in a.terms:
+                fields = _fields(context, nu, nu2, x)
+                assert all(e == bound for e, bound, p in fields if p > k), (nu, nu2, k)
+        count += len(products)
+    assert count > 100
 
 
 def test_nilpotent_route_vanishes_below_weight_n():
