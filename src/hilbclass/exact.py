@@ -9,9 +9,9 @@ carries what that oracle uses: packed construction from integer
 coefficients, the product of two values and a truth value (a product of
 parameters can vanish).  It has no denominator, sum, negation, inverse,
 scalar multiple or change of context; the oracle keeps every denominator
-in its walk's divisor, sums integer coefficients itself, shifts a
-factor's packed monomials into the pair's context, and reads the
-coefficients it needs off the packed terms.
+in its walk's divisor, works in one factor's context at a time, sums
+integer coefficients itself and reads the coefficients it needs off the
+packed terms.
 All values are immutable; all operations are pure.
 """
 

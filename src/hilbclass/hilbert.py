@@ -45,18 +45,12 @@ table.  Each factor's F = f(-x) depends only on its part multiplicities
 and n, and the coefficients 0..m-1 of F^m have a closed form by
 Lagrange-Buermann inversion (Stanley, EC2 5.4; Gessel, "Lagrange
 inversion", JCTA 144, 2016), tabulated once per factor over its own
-parameters with no series reversion.  A pair embeds both tables in the
-context of both factors' parameters and reads the exponent series
-h_m = [x^(m-1)] (F1 F2)^m / m^2 off their Cauchy sum, one sum of integer
-numerators per h_m, its m^2 left to the divisor.  The oracle's own
-depth-first walk over those numerators reads each weight-n term's
-multilinear coefficient, computing only what the top parameter monomial
-can still reach.  [x^i] F^m has weighted degree i, a parameter of part
-size p weighing p - 1, so H_m is homogeneous of weighted degree m - 1 and
-no factor appended after part k raises a parameter of part size above k:
-the walk keeps only the monomials already at their bounds there, and at
-each leaf reads the top coefficient without forming the product.  No
-series or Fock element ever holds a parameter polynomial.
+parameters with no series reversion.  The two factors' parameters are
+disjoint, so the multilinear coefficient of a pair's product splits into a
+sum of products of one top-coefficient table per factor, and the pair's
+own exponent series is never formed.  A depth-first walk builds each
+table, computing only what the factor's top parameter monomial can still
+reach.  No series or Fock element ever holds a parameter polynomial.
 """
 
 from __future__ import annotations
@@ -363,29 +357,61 @@ def _factor_powers(mults: tuple[tuple[int, int], ...], n: int):
         for m in range(1, n + 1))
 
 
-def _pair_exponent(nu, nu2) -> tuple[ParamContext, list[ParamPoly]]:
-    """The context of both factors' parameters and H_m = m^2 h_m, m = 1..n,
-    h = lagrange_g(F1 F2, n), for the universal classes of q_nu and q_nu2:
-    H_m = [x^(m-1)] (F1 F2)^m is the Cauchy sum of [x^i] F1^m [x^(m-1-i)]
-    F2^m, read from the factors' power tables, one sum of integer
-    coefficients.  Each factor's fields sit in that context as in its own,
-    the first's at shift 0, so only the second's packed monomials move.
-    The fields are disjoint, so no product exceeds a bound."""
-    n = weight(nu)
-    m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
-    context = ParamContext(tuple(c for _, c in m1 + m2))
-    shift = context.shifts[len(m1)]  # the first factor's fields come first, at shift 0
-    H = []
-    for row1, row2 in zip(_factor_powers(m1, n), _factor_powers(m2, n)):
-        total = {}
-        get = total.get
-        for c1, c2 in zip(row1, reversed(row2)):
-            b_terms = [(k2 << shift, b) for k2, b in c2.terms.items()]
-            for k1, a in c1.terms.items():
-                for k2, b in b_terms:
-                    total[k1 + k2] = get(k1 + k2, 0) + a * b
-        H.append(ParamPoly._make(context, {k: c for k, c in total.items() if c}))
-    return context, H
+@lru_cache(maxsize=None)
+def _factor_tops(mults: tuple[tuple[int, int], ...], n: int):
+    """{lam: (divisor, row, complement row)} over the partitions lam of n,
+    reverse-lexicographically, for the factor with part multiplicities
+    `mults`: the row maps each i with 0 <= i_j < lam_j to the nonzero
+    T(lam, i) = [top] prod_j [x^(i_j)] F^(lam_j), the complement row maps
+    lam - 1 - i to it, and the divisor is prod lam_j^2 prod m_i!.
+
+    The walk appends parts in decreasing order.  [x^i] F^m is homogeneous
+    of weighted degree i, a parameter of part size p weighing p - 1, so
+    sum i_j must reach the top's degree D = n - len(nu), and after part k
+    no factor raises a parameter of part size above k: before multiplying
+    by [x^i] F^k the walk keeps only the monomials at their bounds in those
+    fields, and where k ends the weight it reads the top coefficient alone."""
+    powers = _factor_powers(mults, n)
+    context = powers[0][0].context
+    top = context.pack(context.bounds)
+    D = sum((k - 1) * c for k, c in mults)
+    fields = [((1 << b.bit_length()) - 1) << s for b, s in zip(context.bounds, context.shifts)]
+    need = [(mask, top & mask) for mask in
+            (sum(f for f, (p, _) in zip(fields, mults) if p > k) for k in range(n + 1))]
+    # [x^i] F^k by top - x: the coefficient that completes x to the top monomial
+    rev = [None] + [[{top - x: a for x, a in c.terms.items()} for c in row] for row in powers]
+    out = {}
+    # key, largest part allowed, weight left, divisor, last run, branches (i, sum i, terms);
+    # a leaf, its parent's largest child, is written as its parent pops, so lam comes in order
+    stack = [((), n, n, 1, 0, [((), 0, {0: 1})])]
+    while stack:
+        key, last, left, d, run, branches = stack.pop()
+        for k in range(1, min(last, left) + 1):  # pushed in increasing order: the largest pops first
+            m = run + 1 if k == last else 1
+            rest = left - k
+            if not rest:
+                row = {}
+                for i, s, c in branches:  # the cut below keeps 0 <= D - s < k
+                    get = rev[k][D - s].get
+                    if total := sum(a * get(x, 0) for x, a in c.items()):
+                        row[i + (D - s,)] = total
+                if row:
+                    lam = key + (k,)
+                    out[lam] = (d * k * k * m, row, {tuple(p - 1 - j for p, j in zip(lam, i)): t
+                                                     for i, t in row.items()})
+                continue
+            mask, want = need[k]
+            # the rest has at least ceil(rest / k) parts, each adding at most its size - 1
+            reach = rest + (-rest // k)
+            children = []
+            for i, s, c in branches:
+                kept = ParamPoly._make(context, {x: a for x, a in c.items() if x & mask == want})
+                for j in range(max(0, D - s - reach), min(k, D - s + 1)):
+                    if ck := kept * powers[k - 1][j]:
+                        children.append((i + (j,), s + j, ck.terms))
+            if children:
+                stack.append((key + (k,), k, rest, d * k * k * m, m, children))
+    return out
 
 
 def cup_nilpotent(nu, nu2) -> FockElement:
@@ -395,47 +421,21 @@ def cup_nilpotent(nu, nu2) -> FockElement:
     coefficient multilinear in the parameters of both factors from the
     weight-n piece.  A parameter of bound b stands for b parts of one size,
     so that coefficient is the one at the top monomial (every exponent at
-    its bound) times prod b!: for q_lam, that of prod H_(lam_i), over
-    prod lam_i^2 prod m_i!.
-
-    The walk appends parts in decreasing order.  H_m is homogeneous of
-    weighted degree m - 1, a parameter of part size p weighing p - 1, so it
-    holds no parameter of part size p > m, and after part k no factor
-    raises one of part size above k.  So before multiplying by H_k the walk
-    keeps only the monomials at their bounds in those fields (`need[k]`),
-    and where k ends the weight it reads the top coefficient alone.  Each
-    factor's power table is cached (keyed by its part multiplicities and
-    n); a pair is never cached."""
+    its bound) times prod b!: for q_lam, that of prod H_(lam_j), H_m =
+    [x^(m-1)] (F1 F2)^m = m^2 h_m, over prod lam_j^2 prod m_i!.  The
+    factors' parameters are disjoint, so H_m = sum_i [x^i] F1^m
+    [x^(m-1-i)] F2^m and that coefficient is the sum over i of
+    T1(lam, i) T2(lam, lam - 1 - i) from the factors' `_factor_tops`."""
     nu, nu2 = _same_rank_pair(nu, nu2)
     n = weight(nu)
-    context, H = _pair_exponent(nu, nu2)
-    H = [None, *H]
-    top = context.pack(context.bounds)
-    scale = prod(factorial(b) for b in context.bounds)
-    sizes = [*sorted(set(nu)), *sorted(set(nu2))]  # the part size of each field
-    fields = [((1 << b.bit_length()) - 1) << s for b, s in zip(context.bounds, context.shifts)]
-    need = [sum(f for f, p in zip(fields, sizes) if p > k) for k in range(n + 1)]
-    # H_k by top - x: the coefficient that completes x to the top monomial
-    rev = [None] + [{top - x: a for x, a in h.terms.items()} for h in H[1:]]
+    length = len(nu) + len(nu2) - n  # degree additivity fixes the length
+    m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
+    scale = prod(factorial(c) for _, c in m1 + m2)
+    tops = _factor_tops(m2, n)
     out = {}
-    # key, largest part allowed, weight left, the product's terms, divisor, last run;
-    # a leaf, its parent's largest child, is written as its parent pops, so
-    # the terms come out reverse-lexicographically
-    stack = [((), n, n, {0: 1}, 1, 0)]
-    while stack:
-        key, last, left, c, d, run = stack.pop()
-        for k in range(1, min(last, left) + 1):  # pushed in increasing order: the largest pops first
-            m = run + 1 if k == last else 1
-            if k == left:
-                total = sum(a * rev[k].get(x, 0) for x, a in c.items())
-                if total:
-                    out[key + (k,)] = Fraction(total * scale, d * k * k * m)
-                continue
-            mask = need[k]
-            want = top & mask
-            kept = {x: a for x, a in c.items() if x & mask == want}
-            if kept:  # at the first part, the product is H_k alone
-                ck = ParamPoly._make(context, kept) * H[k] if key else H[k]
-                if ck:
-                    stack.append((key + (k,), k, left - k, ck.terms, d * k * k * m, m))
+    for lam, (d, _, complement) in _factor_tops(m1, n).items():
+        if len(lam) == length and lam in tops:
+            get = tops[lam][1].get
+            if total := sum(a * get(i, 0) for i, a in complement.items()):
+                out[lam] = Fraction(total * scale, d)
     return FockElement(out)

@@ -4,8 +4,8 @@ cross-oracle."""
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, factorial
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,7 @@ from hilbclass.hilbert import (
     TANGENT,
     TAUTOLOGICAL,
     _factor_powers,
-    _pair_exponent,
+    _factor_tops,
     builtin_f,
     cprime_pow_f,
     cup,
@@ -39,10 +39,10 @@ from hilbclass.partitions import enumerate_partitions, multiplicities, weight
 from hilbclass.series import TruncatedSeries
 from hilbclass.verify import random_unit_series
 from reference import (
-    assert_valid_terms, constant, derivative, exp, exp_linear_reference, fixed_point_sum,
-    fock_add, fraction_set, inverse, log, multilinear_part, one_minus_exp_minus_x_over_x,
-    reference_cup_nilpotent, reference_f_minus, reference_pair_exponent, reference_powers, scale,
-    sqrt_unit, widen,
+    assert_valid_terms, coefficient, constant, derivative, exp, exp_linear_reference,
+    fixed_point_sum, fock_add, fraction_set, inverse, log, multilinear_part,
+    one_minus_exp_minus_x_over_x, param_add, reference_cup_nilpotent, reference_f_minus,
+    reference_pair_exponent, reference_powers, scale, sqrt_unit, widen,
 )
 from reference import p_n_series as loop_p_n_series
 
@@ -381,57 +381,100 @@ def test_nilpotent_oracle_reads_no_character_table(monkeypatch):
     with pytest.raises(AssertionError):
         partitions._mn((2, 1), (3,))
     _factor_powers.cache_clear()
-    for (nu, nu2), product in zip(pairs, expected):
-        assert cup_nilpotent(nu, nu2) == product, (nu, nu2)
+    _factor_tops.cache_clear()
+    for (nu, nu2), want in zip(pairs, expected):
+        assert cup_nilpotent(nu, nu2) == want, (nu, nu2)
         if weight(nu) <= 5:
-            assert cup_nilpotent(nu2, nu) == product, (nu2, nu)
+            assert cup_nilpotent(nu2, nu) == want, (nu2, nu)
 
 
-def test_factor_tables_and_pair_exponent_are_integral():
+def test_cup_nilpotent_ignores_cache_state_and_argument_order():
+    """Every pair of rank <= 7 gives the same terms, in the same order,
+    with both factor caches emptied first, with them warm, and with its
+    two factors in either order."""
+    for nu, nu2 in _pairs(7):
+        results = []
+        for a, b in ((nu, nu2), (nu2, nu)):
+            _factor_powers.cache_clear()
+            _factor_tops.cache_clear()
+            results += [cup_nilpotent(a, b), cup_nilpotent(a, b), cup_nilpotent(b, a)]
+        assert all(list(r.terms.items()) == list(results[0].terms.items()) for r in results), (
+            nu, nu2)
+
+
+def _mults(parts):
+    return tuple(sorted(multiplicities(parts).items()))
+
+
+def test_factor_tables_and_top_tables_are_integral():
     """F is integral in the parameters, so every power-table entry of every
-    factor up to n = 10 has int coefficients, and each pair's H_m =
-    [x^(m-1)] (F1 F2)^m = m^2 h_m, the walk's numerator, is the integer sum
-    the defining-equation route gives, with the m^2 left to the divisor."""
+    factor up to n = 10 has int coefficients, and each factor's top table
+    up to n = 6 holds, for every lam and i with 0 <= i_j < lam_j, the int
+    [top] prod_j [x^(i_j)] F^(lam_j) off the defining-equation route's
+    powers when it is nonzero, keyed by i and by lam - 1 - i, with the
+    divisor prod lam_j^2 prod m_i!, and its lam in reverse-lexicographic
+    order."""
     factors = 0
     for n in range(1, 11):
         for lam in enumerate_partitions(n):
-            table = _factor_powers(tuple(sorted(multiplicities(lam).items())), n)
+            table = _factor_powers(_mults(lam), n)
             assert [len(row) for row in table] == list(range(1, n + 1))
             assert all(type(c) is int for row in table for p in row for c in p.terms.values())
             factors += 1
     assert factors == 138
-    for nu, nu2 in _pairs(5):
-        context, H = _pair_exponent(nu, nu2)
-        assert (context, H) == reference_pair_exponent(nu, nu2)[0], (nu, nu2)
-        assert all(type(c) is int for p in H for c in p.terms.values())
+    entries = 0
+    for n in range(1, 7):
+        for nu in enumerate_partitions(n):
+            mults = _mults(nu)
+            context = ParamContext(tuple(c for _, c in mults))
+            powers = reference_powers(reference_f_minus(context, 0, dict(mults), n), n)
+            expected = {}
+            for lam in enumerate_partitions(n):
+                for i in product(*map(range, lam)):
+                    c = constant(context, 1)
+                    for p, j in zip(lam, i):
+                        c = c * powers[p - 1][j]
+                    if top := coefficient(c, context.bounds):
+                        expected.setdefault(lam, {})[i] = top
+            tops = _factor_tops(mults, n)
+            assert {lam: row for lam, (_, row, _) in tops.items()} == expected, nu
+            assert list(tops) == sorted(tops, reverse=True)
+            for lam, (d, row, complement) in tops.items():
+                runs = multiplicities(lam).values()
+                assert d == prod(p * p for p in lam) * prod(map(factorial, runs))
+                assert complement == {tuple(p - 1 - j for p, j in zip(lam, i)): t
+                                      for i, t in row.items()}
+                assert all(type(t) is int for t in row.values())
+                entries += len(row)
+    assert entries > 100
 
 
-def _fields(context, nu, nu2, x):
-    """(exponent, bound, part size) of each parameter of the pair's context
-    in the packed monomial x, the first factor's fields first."""
-    sizes = [*sorted(set(nu)), *sorted(set(nu2))]
+def _fields(context, mults, x):
+    """(exponent, bound, part size) of each parameter of a factor's context
+    in the packed monomial x."""
     return [(x >> s & (1 << b.bit_length()) - 1, b, p)
-            for s, b, p in zip(context.shifts, context.bounds, sizes)]
+            for s, b, (p, _) in zip(context.shifts, context.bounds, mults)]
 
 
-def test_pair_exponent_is_saturated():
-    """The premise of `cup_nilpotent`'s prune: H_m = [x^(m-1)] (F1 F2)^m is
-    homogeneous of weighted degree m - 1, a parameter of part size p
-    weighing p - 1, so no parameter of part size p > m divides a monomial
-    of H_m."""
-    for nu, nu2 in _pairs(8):
-        context, H = _pair_exponent(nu, nu2)
-        for m, h in enumerate(H, 1):
-            for x in h.terms:
-                fields = _fields(context, nu, nu2, x)
-                assert sum(e * (p - 1) for e, _, p in fields) == m - 1, (nu, nu2, m)
-                assert not any(e for e, _, p in fields if p > m), (nu, nu2, m)
+def test_factor_powers_are_saturated():
+    """The premise of the top tables' prune: [x^i] F^m is homogeneous of
+    weighted degree i, a parameter of part size p weighing p - 1, so no
+    parameter of part size p > i + 1 divides one of its monomials."""
+    for n in range(1, 9):
+        for nu in enumerate_partitions(n):
+            mults = _mults(nu)
+            for m, row in enumerate(_factor_powers(mults, n), 1):
+                for i, c in enumerate(row):
+                    for x in c.terms:
+                        fields = _fields(c.context, mults, x)
+                        assert sum(e * (p - 1) for e, _, p in fields) == i, (nu, m, i)
+                        assert not any(e for e, _, p in fields if p > i + 1), (nu, m, i)
 
 
 def test_nilpotent_walk_multiplies_only_saturated_monomials(monkeypatch):
-    """The prune itself: every product the walk forms is a running product
-    times one H_k, and each monomial of the running product already
-    has every parameter of part size above k, of either factor, at its
+    """The prune itself: every product a factor's top-table walk forms is a
+    running product times one [x^i] F^k, and each monomial of the running
+    product already has every parameter of part size above k at its
     bound, since no later factor can raise it."""
     products = []
     mul = ParamPoly.__mul__
@@ -442,19 +485,19 @@ def test_nilpotent_walk_multiplies_only_saturated_monomials(monkeypatch):
 
     monkeypatch.setattr(ParamPoly, "__mul__", recording)
     count = 0
-    for nu, nu2 in _pairs(7):
-        nu, nu2 = sorted((nu, nu2))  # the order `cup_nilpotent` builds the pair in
-        products.clear()
-        cup_nilpotent(nu, nu2)
-        context, H = _pair_exponent(nu, nu2)
-        for a, b in products:
-            if not b:  # a zero H_k ends its branch, whichever k it is
-                continue
-            (k,) = [m for m, h in enumerate(H, 1) if h == b]
-            for x in a.terms:
-                fields = _fields(context, nu, nu2, x)
-                assert all(e == bound for e, bound, p in fields if p > k), (nu, nu2, k)
-        count += len(products)
+    for n in range(1, 8):
+        for nu in enumerate_partitions(n):
+            mults = _mults(nu)
+            products.clear()
+            _factor_tops.cache_clear()
+            _factor_tops(mults, n)
+            powers = _factor_powers(mults, n)
+            for a, b in products:
+                (k,) = [m for m, row in enumerate(powers, 1) if any(c is b for c in row)]
+                for x in a.terms:
+                    fields = _fields(a.context, mults, x)
+                    assert all(e == bound for e, bound, p in fields if p > k), (nu, k)
+            count += len(products)
     assert count > 100
 
 
@@ -463,7 +506,7 @@ def test_nilpotent_route_vanishes_below_weight_n():
     # must carry no multilinear coefficient at a lower weight
     for nu, nu2 in _pairs(5):
         n = weight(nu)
-        context, H = _pair_exponent(nu, nu2)
+        context, H = reference_pair_exponent(nu, nu2)[0]
         dens = [m * m for m in range(n + 1)]
         full = multilinear_part(context, exp_linear_reference([0, *H], n, constant(context, 1),
                                                               dens))
@@ -473,19 +516,25 @@ def test_nilpotent_route_vanishes_below_weight_n():
 
 def test_factor_powers_embed_into_the_pair_ring():
     # pairs whose second factor has several part sizes, so the b fields
-    # are several and start past every a field
+    # are several and start past every a field: each factor's power table,
+    # widened to the pair's context, is the defining-equation route's, and
+    # the Cauchy sums of the two give the pair's H_m = [x^(m-1)] (F1 F2)^m
     pairs = [(nu, nu2) for nu, nu2 in _pairs(6) if len(set(nu2)) > 1]
     assert len(pairs) > 50
     for nu, nu2 in pairs:
         n = weight(nu)
-        context, H = _pair_exponent(nu, nu2)
-        expected, F1, F2 = reference_pair_exponent(nu, nu2)
-        assert (context, H) == expected
-        m1, m2 = multiplicities(nu), multiplicities(nu2)
-        for F, mults, first in ((F1, m1, 0), (F2, m2, len(m1))):
-            table = _factor_powers(tuple(sorted(mults.items())), n)
-            for row, power in zip(table, reference_powers(F, n)):
-                assert [widen(c, context, first) for c in row] == power
+        (context, H), F1, F2 = reference_pair_exponent(nu, nu2)
+        tables = []
+        for F, parts, first in ((F1, nu, 0), (F2, nu2, len(set(nu)))):
+            table = [[widen(c, context, first) for c in row]
+                     for row in _factor_powers(_mults(parts), n)]
+            assert table == reference_powers(F, n)
+            tables.append(table)
+        for row1, row2, h in zip(*tables, H):
+            total = constant(context, 0)
+            for a, b in zip(row1, reversed(row2)):
+                total = param_add(total, a * b)
+            assert total == h, (nu, nu2)
 
 
 _small_rational = st.sampled_from(fraction_set(3, 3))
