@@ -139,12 +139,13 @@ def _records(element: FockElement) -> list[str]:
     terms = element.terms.items()
     if element.terms and type(next(iter(element.terms))) is tuple:  # partitions: a cup product
         terms = [("".join([PART_TEXT[k] for k in parts]), c) for parts, c in terms]
-    pieces, sep = [], "[\n    "
-    for text, c in terms:
-        partition = f"[{text[1:]}\n      ]" if text else "[]"
-        pieces.append(f'{sep}{{\n      "coeff": "{c}",\n      "partition": {partition}\n    }}')
-        sep = ",\n    "
-    pieces.append("\n  ]" if pieces else "[]")
+    pieces = [f',\n    {{\n      "coeff": "{c}",\n      "partition": [{text[1:]}\n      ]\n    }}'
+              for text, c in terms]
+    if not pieces:
+        return ["[]"]
+    # the first separator opens the list; only the first key, of weight 0, can be empty
+    pieces[0] = "[" + pieces[0][1:].replace("[\n      ]", "[]")
+    pieces.append("\n  ]")
     return pieces
 
 

@@ -16,7 +16,9 @@ both, which it only prints.  The cup product of such elements lives in
 `exp_linear` expands exp(sum_k g_k q_k) by one depth-first walk,
 `_exp_walk`, over the integer numerators and divisors of the g_k; the
 caller says how each term's product and divisor become its coefficient,
-and may say how its parts become its key.
+and may say how its parts become its key.  Every partition is mu + 1^j
+with mu free of 1s, so the walk visits only such mu and writes each
+one's terms mu + 1^j, j >= 1, in one step from a table of the runs 1^j.
 """
 
 from __future__ import annotations
@@ -104,25 +106,43 @@ def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make
     top weight; by default label[0] is () and label[k] is (k,), so the key
     is the partition.
 
-    A depth-first walk appends parts in decreasing order, larger parts
-    first, drawn from the k with nums[k] nonzero, and each step extends
-    its parent's key by one table entry; a part k adds k - 1 to the
-    degree, so a branch is cut once its degree passes `degree`.  Each
-    weight's terms come out reverse-lexicographically and one bucket per
-    weight, merged into the first by `dict.update`, orders the weights.
+    A depth-first walk appends parts above 1 in decreasing order, larger
+    parts first, drawn from the k with nums[k] nonzero, and each step
+    extends its parent's key by one table entry; a part k adds k - 1 to
+    the degree, so a branch is cut once its degree passes `degree`.  The
+    closing run of 1s is not walked: each node mu with weight left, of
+    degree `degree` if given (a run adds none), pushes one entry before its
+    children, which writes mu + 1^j for each j the weight left allows (j =
+    left alone with `only`) from one table of label[1] * j, nums[1]^j and
+    dens[1]^j j!.  It pops after every child's subtree, where a walk with
+    parts 1 pops the chain mu + 1, mu + 1 + 1, ... back to back, so the
+    order is kept.  Each weight's terms come out reverse-lexicographically
+    and one bucket per weight, merged into the first by `dict.update`,
+    orders the weights.
     """
     top = bound if only is None else only
     cap = top if degree is None else degree
     if label is None:
         label = [()] + [(k,) for k in range(1, top + 1)]
-    support = [k for k in range(1, top + 1) if nums[k]]  # increasing
+    support = [k for k in range(2, top + 1) if nums[k]]  # increasing
+    # key piece, product and divisor of each run 1^j; none if g_1 is 0 (or absent, at top 0)
+    runs = [(label[1] * j, nums[1] ** j, dens[1] ** j * factorial(j))
+            for j in range(1, top + 1)] if top and nums[1] else []
     buckets = [{} for _ in range(top + 1)]
-    # key, last support index allowed, weight left, degree, product, divisor, last run
+    # key, last support index allowed, weight left, degree, product, divisor, last run;
+    # a last run of None marks the entry that writes the key's runs of 1s
     stack = [(label[0], len(support) - 1, top, 0, 1, 1, 0)]
     while stack:
         key, last, left, deg, c, d, run = stack.pop()
+        if run is None:  # key + 1^j into bucket top - left + j: every j, or j = left alone
+            skip = 0 if only is None else left - 1
+            for bucket, (piece, a, b) in zip(buckets[top - left + 1 + skip:], runs[skip:]):
+                bucket[key + piece] = make(c * a, d * b)
+            continue
         if (only is None or left == 0) and (degree is None or deg == degree):
             buckets[top - left][key] = make(c, d)
+        if left and runs and (degree is None or deg == degree):  # pops after the children
+            stack.append((key, last, left, deg, c, d, None))
         for i in range(last + 1):  # pushed in increasing order: the largest pops first
             k = support[i]
             if k > left or deg + k - 1 > cap:

@@ -309,7 +309,10 @@ def cup_basis(nu, nu2) -> FockElement:
 
 
 def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
-    """Bilinear extension of cup_basis to elements supported in weight n."""
+    """Bilinear extension of cup_basis to elements supported in weight n >= 1,
+    whose keys, partitions already, go to its product cache unchecked."""
+    if n < 1:
+        raise ValueError("the cup product needs n >= 1")
     for elem in (a, b):
         if any(weight(p) != n for p in elem.terms):
             raise ValueError(f"element has support outside weight {n}")
@@ -317,7 +320,8 @@ def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
     for p1, c1 in a.terms.items():
         for p2, c2 in b.terms.items():
             c = c1 * c2
-            for p, v in cup_basis(p1, p2).terms.items():
+            pair = _cup_basis_cached(p1, p2) if p1 <= p2 else _cup_basis_cached(p2, p1)
+            for p, v in pair.terms.items():
                 out[p] = out.get(p, 0) + c * v
     # one weight, so the canonical order is reverse-lexicographic
     return FockElement({p: out[p] for p in sorted(out, reverse=True) if out[p]})

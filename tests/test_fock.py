@@ -179,13 +179,27 @@ def even_support_g() -> tuple[list, list]:
     return [0, 0, 3, 0, -5, 0, 7], [1, 1, 2, 1, 3, 1, 4]
 
 
+def run_factors_g() -> tuple[list, list]:
+    # g = -2/3 t + 3/2 t^2 + 6/4 t^4 - 1/5 t^6: each run 1^j carries
+    # (-2)^j over 3^j j!, and 6/4 is kept unreduced
+    return [0, -2, 3, 0, 6, 0, -1], [1, 3, 2, 1, 4, 1, 5]
+
+
 def test_exp_walk_matches_reference_over_integer_pairs():
-    nums, dens = g = integer_pairs_g()
-    bound = len(nums) - 1
-    expected = exp_linear_reference(nums, bound, 1, dens)
-    assert walk(g, bound) == expected
-    for only in range(bound + 1):
-        assert walk(g, bound, only) == restrict(expected, only)
+    for nums, dens in (integer_pairs_g(), run_factors_g()):
+        bound = len(nums) - 1
+        expected = exp_linear_reference(nums, bound, 1, dens)
+        for only in (None, *range(bound + 1)):
+            for degree in (None, *range(bound + 1)):
+                got = walk((nums, dens), bound, only, degree).terms.items()
+                want = restrict(expected, only, degree).terms.items()
+                assert list(got) == list(want), (nums, only, degree)
+
+
+def test_exp_walk_at_bound_zero():
+    for only, degree in ((None, None), (0, None), (None, 0), (0, 1)):
+        expected = {(): (1, 1)} if degree != 1 else {}
+        assert walk(([0], [1]), 0, only, degree).terms == expected
 
 
 def degree_cases():

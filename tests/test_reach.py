@@ -29,7 +29,7 @@ REQUESTS = [
     (("gseries", "custom", "tangent", "--f", "1,1/2,-1/3", "--order", "5"), 0),
     (("gseries", "cprime-pow", "tangent", "--order", "12", "--r", "1e-1000"), 2),  # too many to print
     (("class", "segre", "tangent", "--weight", "4", "--weight-only", "3",
-      "--degree", "1"), 0),
+      "--degree", "0"), 0),  # degree 0: the run 1^3 alone
     (("class", "custom", "tautological", "--f", "1,2", "--weight", "4"), 0),
     (("cup", "[2,1]", "[2,1]"), 0),
     (("verify", "appendix"), 0),
