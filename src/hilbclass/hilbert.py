@@ -40,27 +40,20 @@ n - len(rho) = (n - len(lam)) + (n - len(mu)); all other coefficients vanish.
 Both chi and H(chi) are read from the shape's beads, one int per shape.
 The paper's own route, which multiplies two universal classes with
 nilpotent parameter coefficients and extracts multilinear coefficients, is
-kept as the independent oracle `cup_nilpotent`; it reads no character
-table.  Each factor's F = f(-x) depends only on its part multiplicities
-and n, and the coefficients 0..m-1 of F^m have a closed form by
-Lagrange-Buermann inversion (Stanley, EC2 5.4; Gessel, "Lagrange
-inversion", JCTA 144, 2016), tabulated once per factor over its own
-parameters with no series reversion.  The two factors' parameters are
-disjoint, so the multilinear coefficient of a pair's product splits into a
-sum of products of one top-coefficient table per factor, and the pair's
-own exponent series is never formed.  A depth-first walk builds each
-table, computing only what the factor's top parameter monomial can still
-reach.  No series or Fock element ever holds a parameter polynomial.
+kept as the independent oracle `cup_nilpotent`, in closed form: by
+Lagrange-Buermann inversion its multilinear coefficient is a block sum
+over the ways to split each factor's parts into blocks that sum to the
+parts of rho (Goulden-Jackson's minimal cactus factorisations), one cached
+table per factor and rho.  It reads no character table, no series and no
+parameter polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial, lcm, prod
 
-from .exact import ParamContext, ParamPoly
 from .fock import FockElement, exp_linear
 from .partitions import (
     _mn,
@@ -331,115 +324,76 @@ def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
 
 
 @lru_cache(maxsize=None)
-def _factor_powers(mults: tuple[tuple[int, int], ...], n: int):
-    """Coefficients 0..m-1 of F^m, m = 1..n, for the F = f(-x) of the
-    universal class with part multiplicities `mults` (sorted (part, count)
-    pairs), over a context holding only this factor's parameters rho_k.
-
-    x/F is the compositional inverse of t + sum_k k rho_k t^k, so by
-    Lagrange-Buermann inversion, for 0 <= i < m,
-
-        [x^i] F^m = m/(m-i) [t^i] (1 + sum_k k rho_k t^(k-1))^(m-i).
-
-    As rho_k^(c_k + 1) = 0, the power is a finite multinomial sum over
-    exponent vectors e <= c: e adds (m-i)! / ((m-i-|e|)! prod e_k!) prod k^(e_k)
-    at rho^e t^(sum e_k (k-1)).  Both divisions are exact on ints:
-    m (m-i-1)! / (m-i-|e|)! is m!/(m-|e|)! at i = 0 and has |e| >= 1
-    otherwise, and F, so each term, is integral in the parameters."""
-    context = ParamContext(tuple(c for _, c in mults))
-    by_degree = [[] for _ in range(n)]  # t-degree -> (packed monomial, |e|, prod k^e_k, prod e_k!)
-    for e in product(*(range(c + 1) for _, c in mults)):
-        deg = sum(x * (k - 1) for x, (k, _) in zip(e, mults))
-        if deg < n:
-            powers = prod(k**x for x, (k, _) in zip(e, mults))
-            by_degree[deg].append((context.pack(e), sum(e), powers, prod(map(factorial, e))))
-    return tuple(
-        tuple(ParamPoly._make(context, {key: m * factorial(m - i - 1) // factorial(m - i - size)
-                                        * num // div for key, size, num, div in by_degree[i]
-                                        if size <= m - i})
-              for i in range(m))
-        for m in range(1, n + 1))
-
-
-@lru_cache(maxsize=None)
-def _factor_tops(mults: tuple[tuple[int, int], ...], n: int):
-    """{lam: (divisor, row, complement row)} over the partitions lam of n,
-    reverse-lexicographically, for the factor with part multiplicities
-    `mults`: the row maps each i with 0 <= i_j < lam_j to the nonzero
-    T(lam, i) = [top] prod_j [x^(i_j)] F^(lam_j), the complement row maps
-    lam - 1 - i to it, and the divisor is prod lam_j^2 prod m_i!.
-
-    The walk appends parts in decreasing order.  [x^i] F^m is homogeneous
-    of weighted degree i, a parameter of part size p weighing p - 1, so
-    sum i_j must reach the top's degree D = n - len(nu), and after part k
-    no factor raises a parameter of part size above k: before multiplying
-    by [x^i] F^k the walk keeps only the monomials at their bounds in those
-    fields, and where k ends the weight it reads the top coefficient alone."""
-    powers = _factor_powers(mults, n)
-    context = powers[0][0].context
-    top = context.pack(context.bounds)
-    D = sum((k - 1) * c for k, c in mults)
-    fields = [((1 << b.bit_length()) - 1) << s for b, s in zip(context.bounds, context.shifts)]
-    need = [(mask, top & mask) for mask in
-            (sum(f for f, (p, _) in zip(fields, mults) if p > k) for k in range(n + 1))]
-    # [x^i] F^k by top - x: the coefficient that completes x to the top monomial
-    rev = [None] + [[{top - x: a for x, a in c.terms.items()} for c in row] for row in powers]
-    out = {}
-    # key, largest part allowed, weight left, divisor, last run, branches (i, sum i, terms);
-    # a leaf, its parent's largest child, is written as its parent pops, so lam comes in order
-    stack = [((), n, n, 1, 0, [((), 0, {0: 1})])]
-    while stack:
-        key, last, left, d, run, branches = stack.pop()
-        for k in range(1, min(last, left) + 1):  # pushed in increasing order: the largest pops first
-            m = run + 1 if k == last else 1
-            rest = left - k
-            if not rest:
-                row = {}
-                for i, s, c in branches:  # the cut below keeps 0 <= D - s < k
-                    get = rev[k][D - s].get
-                    if total := sum(a * get(x, 0) for x, a in c.items()):
-                        row[i + (D - s,)] = total
-                if row:
-                    lam = key + (k,)
-                    out[lam] = (d * k * k * m, row, {tuple(p - 1 - j for p, j in zip(lam, i)): t
-                                                     for i, t in row.items()})
-                continue
-            mask, want = need[k]
-            # the rest has at least ceil(rest / k) parts, each adding at most its size - 1
-            reach = rest + (-rest // k)
-            children = []
-            for i, s, c in branches:
-                kept = ParamPoly._make(context, {x: a for x, a in c.items() if x & mask == want})
-                for j in range(max(0, D - s - reach), min(k, D - s + 1)):
-                    if ck := kept * powers[k - 1][j]:
-                        children.append((i + (j,), s + j, ck.terms))
-            if children:
-                stack.append((key + (k,), k, rest, d * k * k * m, m, children))
-    return out
+def _block_table(mults: tuple[tuple[int, int], ...], lam: tuple[int, ...]) -> dict:
+    """{(s_1..s_l): weight} for the factor with part multiplicities `mults`
+    (sorted (part, count) pairs): the sum, over the ways alpha to send its
+    parts, told apart, to the blocks lam_1..lam_l so that the parts in block
+    j sum to lam_j, of prod_j (s_j - 1)!, s_j the number of parts in block
+    j.  The walk hands each part of lam a sub-multiset of the parts left,
+    e_k of the r_k left of size k, in prod_k C(r_k, e_k) ways."""
+    states = {(tuple(c for _, c in mults), ()): 1}  # (parts left, s so far) -> weight
+    for p in lam:
+        after = {}
+        for (rest, s), w in states.items():
+            takes = [((), 0, w, p)]  # (parts left, parts taken, weight, sum still to take)
+            for (k, _), r in zip(mults, rest):
+                takes = [(left + (r - e,), size + e, v * comb(r, e), q - k * e)
+                         for left, size, v, q in takes for e in range(min(r, q // k) + 1)]
+            for left, size, v, q in takes:
+                if not q:
+                    key = (left, s + (size,))
+                    after[key] = after.get(key, 0) + v * factorial(size - 1)
+        states = after
+    # lam and the parts both sum to n, so every state left has taken every part
+    return {s: w for (_, s), w in states.items()}
 
 
 def cup_nilpotent(nu, nu2) -> FockElement:
-    """cup_basis by the paper's route: take the universal class
-    exp(sum (t-shifted parameter series) q_k) of each factor, multiply the
-    two through the tautological Lagrange formula, and extract the
-    coefficient multilinear in the parameters of both factors from the
-    weight-n piece.  A parameter of bound b stands for b parts of one size,
-    so that coefficient is the one at the top monomial (every exponent at
-    its bound) times prod b!: for q_lam, that of prod H_(lam_j), H_m =
-    [x^(m-1)] (F1 F2)^m = m^2 h_m, over prod lam_j^2 prod m_i!.  The
-    factors' parameters are disjoint, so H_m = sum_i [x^i] F1^m
-    [x^(m-1-i)] F2^m and that coefficient is the sum over i of
-    T1(lam, i) T2(lam, lam - 1 - i) from the factors' `_factor_tops`."""
+    """cup_basis by the paper's route, in closed form.
+
+    The paper takes the universal class exp(sum_m h_m q_m) of each factor,
+    g = t + sum_k rho_k t^k with one nilpotent parameter rho_k per part
+    size k, bound c_k = m_k(nu), multiplies the two through the
+    tautological Lagrange formula, H_m = m^2 h_m = [x^(m-1)] (F1 F2)^m,
+    and reads the coefficient of q_lam at the top monomial of both
+    factors' parameters (every exponent at its bound) times prod c_k!.
+    That coefficient is prod_j H_(lam_j) over prod lam_j^2 prod m_i(lam)!,
+    and H_m = sum_i [x^i] F1^m [x^(m-1-i)] F2^m.
+
+    x/F is the compositional inverse of t + sum_k k rho_k t^k, so by
+    Lagrange-Buermann inversion (Stanley, EC2 5.4), for 0 <= i < m, the
+    coefficient of rho^e in [x^i] F^m is
+    m (m-i-1)! / ((m-i-|e|)! prod e_k!) prod k^(e_k), nonzero only at
+    i = sum_k e_k (k - 1) with |e| <= m - i, that is sum_k k e_k <= m.  At
+    the top monomial the blocks e^(j) of the factors [x^(i_j)] F^(lam_j)
+    take every part of nu, and those sum to n = sum_j lam_j, so block j
+    takes parts summing to exactly lam_j, s_j = |e^(j)| = lam_j - i_j of
+    them, and contributes lam_j (s_j - 1)!.  The prod k^(e_k) make
+    prod(nu); prod c_k! over prod e_k! counts the assignments alpha of the
+    labelled parts to the blocks; the lam_j^2 of the two factors cancel the
+    divisor; and i1_j + i2_j = lam_j - 1 becomes s1_j + s2_j = lam_j + 1.
+    So, for each lam of length len(nu) + len(nu2) - n (summing the last
+    condition over j),
+
+        [q_lam] q_nu q_nu2 = prod(nu) prod(nu2) / prod_i m_i(lam)!
+                             sum_(alpha, beta) prod_j (s_j(alpha) - 1)! (s_j(beta) - 1)!,
+
+    beta assigning the parts of nu2 alike.  Per lam_j this is a count of
+    minimal cactus factorisations of a lam_j-cycle (Goulden-Jackson, Europ.
+    J. Combin. 13, 1992), what the degree-graded class algebra keeps.  Each
+    factor's sums are its `_block_table`, and the pair sums
+    T1(s) T2(lam + 1 - s).  It reads no character table and no series."""
     nu, nu2 = _same_rank_pair(nu, nu2)
     n = weight(nu)
     length = len(nu) + len(nu2) - n  # degree additivity fixes the length
     m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
-    scale = prod(factorial(c) for _, c in m1 + m2)
-    tops = _factor_tops(m2, n)
+    scale = prod(nu) * prod(nu2)
     out = {}
-    for lam, (d, _, complement) in _factor_tops(m1, n).items():
-        if len(lam) == length and lam in tops:
-            get = tops[lam][1].get
-            if total := sum(a * get(i, 0) for i, a in complement.items()):
-                out[lam] = Fraction(total * scale, d)
+    for lam in enumerate_partitions(n):
+        if len(lam) != length or not (table := _block_table(m1, lam)):
+            continue
+        get = _block_table(m2, lam).get
+        if total := sum(w * get(tuple(p + 1 - s for p, s in zip(lam, s1)), 0)
+                        for s1, w in table.items()):
+            out[lam] = Fraction(total * scale, prod(map(factorial, multiplicities(lam).values())))
     return FockElement(out)

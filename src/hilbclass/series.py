@@ -8,9 +8,8 @@ series of different orders are rejected rather than silently truncated
 The operations are the ones some command reaches: the product, `x -> -x`
 and the Lagrange solver.  The built-in defining series come from
 coefficient recurrences in :mod:`hilbclass.hilbert`, with no series
-`exp`, `log`, inverse or square root, and the nilpotent oracle's factor
-tables from a closed form there too, with no reversion and no series over
-its parameters.
+`exp`, `log`, inverse or square root.  The nilpotent cup oracle there is
+a closed-form block sum and uses no series at all.
 
 Every truncated product in the library goes through one convolution,
 `_convolve`: the series product, the Lagrange solver's baby and giant
@@ -29,7 +28,15 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .exact import QQ
+
+class RationalField:
+    """The rational field, kept as the `ring` class attribute of `TruncatedSeries`."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+
+QQ = RationalField()
 
 
 class TruncatedSeries:

@@ -261,10 +261,12 @@ def suite_ring() -> list[Check]:
 
 
 def suite_crossoracle() -> list[Check]:
-    """The class-sum route (q_lam <-> z(lam) C_lam) against the
-    nilpotent-parameter route on every pair of ranks 2..7; both canonicalise
-    a pair, so each unordered pair is compared once.  Ranks 2 and 3 are
-    reported apart, as the calibration of the identification."""
+    """`cup_basis`, the character-table route (q_lam <-> z(lam) C_lam),
+    against `cup_nilpotent`, the nilpotent-parameter route as a block sum,
+    on every pair of ranks 2..7; both canonicalise a pair, so each
+    unordered pair is compared once.  Ranks 2 and 3 are reported apart, as
+    the calibration of the identification.  The two check names keep their
+    old "class-sum" wording, which the golden `verify` digests pin."""
     calibration, agreement = [], []
     for n in range(2, 8):
         for nu, nu2 in combinations_with_replacement(enumerate_partitions(n), 2):

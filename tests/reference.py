@@ -3,8 +3,8 @@
 Each one either recomputes a quantity the library computes by a different
 route, so a test can compare the two, or supplies an operation the library
 does not need (the series exp, inverse, log, square root, composition
-and reversion; the `ParamPoly` int multiple, sum and inverse; the Fock
-sum and product).
+and reversion; the Fock sum and product; polynomials in nilpotent
+parameters).
 The test modules import from this module and never from one another.  It
 has no `test_` prefix, so pytest does not collect it.
 """
@@ -12,8 +12,8 @@ has no `test_` prefix, so pytest does not collect it.
 import operator
 from fractions import Fraction
 from math import comb, factorial, prod
+from typing import NamedTuple
 
-from hilbclass.exact import ParamContext, ParamPoly
 from hilbclass.fock import FockElement
 from hilbclass.hilbert import TANGENT
 from hilbclass.partitions import (
@@ -41,14 +41,15 @@ def scale(s: TruncatedSeries, c) -> TruncatedSeries:
     return TruncatedSeries(s.order, [a * c for a in s.coeffs])
 
 
-def convolve(a, b, zero, plus=operator.add):
+def convolve(a, b, zero, plus=operator.add, times=operator.mul):
     """Truncated product of two coefficient lists, the plain double loop
-    over every pair, to the length of `a`; `plus` adds two coefficients."""
+    over every pair, to the length of `a`; `plus` adds two coefficients
+    and `times` multiplies them."""
     n = len(a) - 1
     out = [zero] * (n + 1)
     for i in range(n + 1):
         for j in range(n + 1 - i):
-            out[i + j] = plus(out[i + j], a[i] * b[j])
+            out[i + j] = plus(out[i + j], times(a[i], b[j]))
     return out
 
 
@@ -155,108 +156,27 @@ def one_minus_exp_minus_x_over_x(order: int) -> TruncatedSeries:
         [Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)], order)
 
 
-# Nilpotent-parameter polynomials, with integer coefficients.  The library
-# builds a `ParamPoly` only from packed integer coefficients and multiplies
-# two of them; construction from exponent vectors, the int multiple, the
-# sum and the inverse are references.
+# Polynomials in nilpotent parameters with integer coefficients, as dicts
+# from exponent tuples to nonzero ints.  Parameter i has the bound
+# bounds[i]: rho_i^(bounds[i] + 1) = 0, so a monomial over a bound drops.
 
 
-def poly(context: ParamContext, terms) -> ParamPoly:
-    """The value with int coefficients `terms`, keyed by exponent vectors;
-    monomials over a bound are dropped."""
-    clean = {}
-    for exps, c in terms.items():
-        if c and all(e <= b for e, b in zip(exps, context.bounds)):
-            clean[context.pack(exps)] = operator.index(c)
-    return ParamPoly._make(context, clean)
+class ParamBounds(NamedTuple):
+    bounds: tuple[int, ...]
 
+    def mul(self, a, b):
+        return reference_mul(self, a, b)
 
-def constant(context: ParamContext, value: int) -> ParamPoly:
-    """The int `value` as a value of `context`."""
-    return ParamPoly._make(context, {0: operator.index(value)} if value else {})
+    def constant(self, value: int) -> dict:
+        return {(0,) * len(self.bounds): value} if value else {}
 
-
-def parameter(context: ParamContext, index: int) -> ParamPoly:
-    """Parameter `index` of `context`."""
-    return poly(context, {tuple(int(i == index) for i in range(len(context.bounds))): 1})
-
-
-def coefficient(p: ParamPoly, exps) -> int:
-    """The coefficient of p at the exponent vector `exps`, 0 past a bound."""
-    if any(e > b for e, b in zip(exps, p.context.bounds)):
-        return 0
-    return p.terms.get(p.context.pack(exps), 0)
-
-
-def constant_term(p: ParamPoly) -> int:
-    return p.terms.get(0, 0)
-
-
-def widen(p: ParamPoly, context: ParamContext, first: int) -> ParamPoly:
-    """p over a wider `context` whose fields first, first + 1, ... repeat
-    p's: each packed monomial unpacked to its exponents, field by field,
-    and packed again in `context`."""
-    fields = list(zip(p.context.shifts, p.context.bounds))
-    pad = (0,) * (len(context.bounds) - first - len(fields))
-    terms = {}
-    for k, c in p.terms.items():
-        exps = tuple(k >> s & ((1 << b.bit_length()) - 1) for s, b in fields)
-        terms[(0,) * first + exps + pad] = c
-    return poly(context, terms)
-
-
-def param_scale(p: ParamPoly, c: int) -> ParamPoly:
-    """The int multiple c p."""
-    return ParamPoly._make(p.context, {k: a * c for k, a in p.terms.items()} if c else {})
-
-
-def param_add(a, b) -> ParamPoly:
-    """Sum of two values of one context, either of which may be an int."""
-    context = (a if isinstance(a, ParamPoly) else b).context
-    a, b = (x if isinstance(x, ParamPoly) else constant(context, x) for x in (a, b))
-    if a.context != b.context:
-        raise ValueError("mismatched parameter contexts")
-    out = dict(a.terms)
-    for k, c in b.terms.items():
-        out[k] = out.get(k, 0) + c
-    return ParamPoly._make(context, {k: c for k, c in out.items() if c})
-
-
-def param_sub(a, b) -> ParamPoly:
-    return param_add(a, param_scale(b, -1) if isinstance(b, ParamPoly) else -b)
-
-
-def param_invert(p: ParamPoly) -> ParamPoly:
-    """Two-sided inverse within the truncation.  Needs a constant term of
-    +-1, its own inverse, so the inverse stays integral; the parameter part
-    is nilpotent, so the geometric series terminates."""
-    c = constant_term(p)
-    if c not in (1, -1):
-        raise ValueError("not a unit: constant term is not +-1")
-    result = constant(p.context, c)
-    power = constant(p.context, 1)
-    step = param_scale(param_sub(p, c), -c)
-    while (power := power * step).terms:
-        result = param_add(result, param_scale(power, c))
-    return result
-
-
-# The same polynomials as dicts from exponent tuples to ints, with the
-# bounds checked coordinate by coordinate; the packed product must agree.
-
-
-def reference_poly(context, terms):
-    clean = {}
-    for exps, c in terms.items():
-        exps = tuple(exps)
-        if any(e > b for e, b in zip(exps, context.bounds)):
-            continue
-        if c:
-            clean[exps] = c
-    return clean
+    def parameter(self, index: int) -> dict:
+        return {tuple(int(i == index) for i in range(len(self.bounds))): 1}
 
 
 def reference_mul(context, a, b):
+    """The product, exponent tuples added coordinate by coordinate and
+    those over a bound dropped."""
     bounds = context.bounds
     out = {}
     if len(a) > len(b):
@@ -264,29 +184,52 @@ def reference_mul(context, a, b):
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
-            if any(x > m for x, m in zip(e, bounds)):
-                continue
-            out[e] = out.get(e, 0) + c1 * c2
-    return reference_poly(context, out)
+            if all(x <= m for x, m in zip(e, bounds)):
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_scale(a: dict, c: int) -> dict:
+    return {e: v * c for e, v in a.items()} if c else {}
+
+
+def poly_invert(context: ParamBounds, p: dict) -> dict:
+    """Inverse of 1 plus a nilpotent part: the geometric series in 1 - p,
+    which terminates."""
+    one = context.constant(1)
+    assert p.get(next(iter(one))) == 1, "not 1 plus a nilpotent part"
+    step = poly_add(one, poly_scale(p, -1))
+    result = power = one
+    while power := context.mul(power, step):
+        result = poly_add(result, power)
+    return result
 
 
 # Weight-truncated creation-monomial combinations.  The library has
 # `exp_linear` and the cup product; the rest are references.
 
 
-def exp_linear_reference(coeffs, bound: int, one=Fraction(1), dens=None) -> FockElement:
+def exp_linear_reference(coeffs, bound: int, one=Fraction(1), dens=None,
+                         times=operator.mul) -> FockElement:
     """exp(sum_k coeffs[k] q_k) by visiting every partition of every weight
-    up to the bound, one coefficient multiply per part, starting from
-    `one`.  The coefficients may be rationals, each term then its product
-    over prod m_i!, or ints or `ParamPoly` with divisors `dens`, each term
-    then the pair (product, prod dens[part] prod m_i!), kept apart, and
-    dropped where the product vanishes."""
+    up to the bound, one coefficient multiply (`times`) per part, starting
+    from `one`.  The coefficients may be rationals, each term then its
+    product over prod m_i!, or ints or parameter polynomials with divisors
+    `dens`, each term then the pair (product, prod dens[part] prod m_i!),
+    kept apart, and dropped where the product vanishes."""
     terms = {}
     for n in range(bound + 1):
         for parts in enumerate_partitions(n):
             c = one
             for part in parts:
-                c = c * coeffs[part]
+                c = times(c, coeffs[part])
             d = prod(factorial(m) for m in multiplicities(parts).values())
             if dens is not None:
                 if c:
@@ -459,70 +402,65 @@ def p_n_series(f: TruncatedSeries, n: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, [Fraction(t, scale) for t in total])
 
 
-# The nilpotent cup-product route as it was before the closed-form factor
-# tables: F = f(-x) from its defining equation, on lists of ParamPoly with
-# the double-loop product and a nilpotent inverse, and the Lagrange power
-# loop on the product F1 F2 in the pair ring.  It uses neither
-# `_factor_powers` nor the library Lagrange solver.
+# The paper's nilpotent cup-product route, literally: F = f(-x) from its
+# defining equation, as lists of parameter polynomials with the
+# double-loop product and a nilpotent inverse, the Lagrange power loop on
+# F1 F2 in the pair's parameters, and the multilinear coefficient of every
+# term of the exponential.  It uses none of the library's cup code and
+# not its Lagrange solver.
 
 
-def inverse_params(s):
-    """Inverse of a ParamPoly list whose constant term is a rational unit
+def inverse_params(context: ParamBounds, s):
+    """Inverse of a list of parameter polynomials whose constant term is 1
     plus a nilpotent part."""
-    inv0 = param_invert(s[0])
+    inv0 = poly_invert(context, s[0])
     out = [inv0]
     for k in range(1, len(s)):
-        acc = constant(inv0.context, 0)
+        acc = {}
         for j in range(1, k + 1):
-            acc = param_add(acc, s[j] * out[k - j])
-        out.append(param_scale(acc * inv0, -1))
+            acc = poly_add(acc, context.mul(s[j], out[k - j]))
+        out.append(poly_scale(context.mul(acc, inv0), -1))
     return out
 
 
-def reference_f_minus(context, first, mults, n):
+def reference_f_minus(context: ParamBounds, first, mults, n):
     """Coefficients 0..n-1 of F = f(-x) for g = t + sum_k rho_k t^k, rho_k
     the parameters first, first + 1, ... of `context`, one per part size k
     in increasing order, from dg/dt (x/F) = F, that is
     F = 1 + sum_k k rho_k (x/F)^(k-1).  Each round of the fixed-point
     iteration fixes one more coefficient."""
-    one, zero = constant(context, 1), constant(context, 0)
-    F = [one] + [zero] * (n - 1)
+    one = context.constant(1)
+    F = [one] + [{}] * (n - 1)
     for _ in range(n):
-        w = [zero] + inverse_params(F)[: n - 1]  # x/F
-        new = [one] + [zero] * (n - 1)
+        w = [{}] + inverse_params(context, F)[: n - 1]  # x/F
+        new = [one] + [{}] * (n - 1)
         for i, k in enumerate(sorted(mults), first):
-            term = [one] + [zero] * (n - 1)
+            term = [one] + [{}] * (n - 1)
             for _ in range(k - 1):
-                term = convolve(term, w, zero, param_add)
-            rho = param_scale(parameter(context, i), k)
-            new = [param_add(x, rho * y) for x, y in zip(new, term)]
+                term = convolve(term, w, {}, poly_add, context.mul)
+            rho = poly_scale(context.parameter(i), k)
+            new = [poly_add(x, context.mul(rho, y)) for x, y in zip(new, term)]
         F = new
     return F
 
 
-def reference_powers(F, n):
-    """Rows 0..m-1 of F^m, m = 1..n."""
-    one, zero = constant(F[0].context, 1), constant(F[0].context, 0)
-    rows, power = [], [one] + [zero] * (n - 1)
-    for m in range(1, n + 1):
-        power = convolve(power, F, zero, param_add)
-        rows.append(power[:m])
-    return rows
-
-
 def reference_pair_exponent(nu, nu2):
-    """The pair's context and H_1..H_n, H_m = [x^(m-1)] (F1 F2)^m = m^2 h_m,
-    with both F from their defining equations; also returns F1 and F2."""
+    """The pair's parameters and H_1..H_n, H_m = [x^(m-1)] (F1 F2)^m = m^2 h_m,
+    with both F from their defining equations."""
     n = weight(nu)
     m1, m2 = multiplicities(nu), multiplicities(nu2)
-    context = ParamContext(tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2)))
+    context = ParamBounds(tuple(m1[k] for k in sorted(m1)) + tuple(m2[k] for k in sorted(m2)))
     F1 = reference_f_minus(context, 0, m1, n)
     F2 = reference_f_minus(context, len(m1), m2, n)
-    rows = reference_powers(convolve(F1, F2, constant(context, 0), param_add), n)
-    return (context, [row[-1] for row in rows]), F1, F2
+    F = convolve(F1, F2, {}, poly_add, context.mul)
+    H, power = [], [context.constant(1)] + [{}] * (n - 1)
+    for m in range(1, n + 1):
+        power = convolve(power, F, {}, poly_add, context.mul)
+        H.append(power[m - 1])
+    return context, H
 
 
-def multilinear_part(context, expansion: FockElement) -> dict:
+def multilinear_part(context: ParamBounds, expansion: FockElement) -> dict:
     """Each term's coefficient at the top parameter monomial (every exponent
     at its bound b), times prod b!, over the term's divisor; terms where it
     vanishes are dropped."""
@@ -530,22 +468,28 @@ def multilinear_part(context, expansion: FockElement) -> dict:
     scale = prod(factorial(b) for b in bounds)
     out = {}
     for parts, (coeff, divisor) in expansion.terms.items():
-        c = Fraction(coefficient(coeff, bounds) * scale, divisor)
+        c = Fraction(coeff.get(bounds, 0) * scale, divisor)
         if c:
             out[parts] = c
     return out
 
 
-def reference_cup_nilpotent(nu, nu2):
-    """The nilpotent route built directly in the pair's context, as before
-    the factors' power tables: every partition of every weight visited,
-    each term's product of H over prod part^2 prod m_i!, and its
-    multilinear coefficient read off; a nonzero one below weight n raises."""
+def reference_expansion(nu, nu2):
+    """The pair's context and exp(sum_m h_m q_m) over every partition of
+    every weight up to n, each term its parameter polynomial and divisor."""
     n = weight(nu)
-    context, H = reference_pair_exponent(nu, nu2)[0]
+    context, H = reference_pair_exponent(nu, nu2)
     dens = [m * m for m in range(n + 1)]  # h_m = H_m / m^2
-    expansion = exp_linear_reference([0, *H], n, constant(context, 1), dens)
-    out = multilinear_part(context, expansion)
+    return context, exp_linear_reference([0, *H], n, context.constant(1), dens, context.mul)
+
+
+def reference_cup_nilpotent(nu, nu2):
+    """The nilpotent route in the pair's parameters: every partition of
+    every weight visited, each term's product of H over prod part^2
+    prod m_i!, and its multilinear coefficient read off; a nonzero one
+    below weight n raises."""
+    n = weight(nu)
+    out = multilinear_part(*reference_expansion(nu, nu2))
     for parts, c in out.items():
         if weight(parts) < n:
             raise AssertionError(f"weight-{weight(parts)} term {parts} at rank {n}: {c}")

@@ -2,10 +2,12 @@
 appendix identities, and the cup product with its nilpotent-parameter
 cross-oracle."""
 
+import importlib
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import comb, factorial, prod
+from itertools import combinations_with_replacement
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,11 @@ from hypothesis import strategies as st
 
 from hilbclass import hilbert, partitions
 from hilbclass.cli import MAX_ORDER, main
-from hilbclass.exact import ParamContext, ParamPoly
 from hilbclass.fock import FockElement, hilb_unit
 from hilbclass.hilbert import (
     TANGENT,
     TAUTOLOGICAL,
-    _factor_powers,
-    _factor_tops,
+    _block_table,
     builtin_f,
     cprime_pow_f,
     cup,
@@ -35,14 +35,13 @@ from hilbclass.hilbert import (
     tangent_g,
     taut_g,
 )
-from hilbclass.partitions import enumerate_partitions, multiplicities, weight
+from hilbclass.partitions import enumerate_partitions, weight
 from hilbclass.series import TruncatedSeries
 from hilbclass.verify import random_unit_series
 from reference import (
-    assert_valid_terms, coefficient, constant, derivative, exp, exp_linear_reference,
-    fixed_point_sum, fock_add, fraction_set, inverse, log, multilinear_part,
-    one_minus_exp_minus_x_over_x, param_add, reference_cup_nilpotent, reference_f_minus,
-    reference_pair_exponent, reference_powers, scale, sqrt_unit, widen,
+    assert_valid_terms, derivative, exp, fixed_point_sum, fock_add, fraction_set, inverse, log,
+    multilinear_part, one_minus_exp_minus_x_over_x, reference_cup_nilpotent, reference_expansion,
+    scale, sqrt_unit,
 )
 from reference import p_n_series as loop_p_n_series
 
@@ -337,20 +336,6 @@ def test_cup_terms_keep_the_fock_invariant():
                     assert_valid_terms(cup_nilpotent(nu, nu2), n, n)
 
 
-def test_factor_powers_match_defining_equation_route():
-    factors = 0
-    for n in range(1, 7):
-        for lam in enumerate_partitions(n):
-            mults = tuple(sorted(multiplicities(lam).items()))
-            table = _factor_powers(mults, n)
-            context = table[0][0].context
-            assert context == ParamContext(tuple(c for _, c in mults))
-            F = reference_f_minus(context, 0, dict(mults), n)
-            assert [list(row) for row in table] == reference_powers(F, n), lam
-            factors += 1
-    assert factors == 29
-
-
 def _pairs(max_n):
     for n in range(1, max_n + 1):
         yield from combinations_with_replacement(enumerate_partitions(n), 2)
@@ -367,7 +352,7 @@ def test_nilpotent_oracle_reads_no_character_table(monkeypatch):
     """cup_nilpotent stays an independent oracle: with the Murnaghan-Nakayama
     recursion and cup_basis all raising, in the modules that define them
     and in `hilbert`, which imports them, it still gives every product of
-    rank <= 10, in both orders up to rank 5, its factor tables built afresh."""
+    rank <= 10, in both orders up to rank 5, its block tables built afresh."""
     pairs = list(_pairs(10))
     assert len(pairs) == 1860
     expected = [cup_basis(nu, nu2) for nu, nu2 in pairs]
@@ -380,8 +365,7 @@ def test_nilpotent_oracle_reads_no_character_table(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(AssertionError):
         partitions._mn((2, 1), (3,))
-    _factor_powers.cache_clear()
-    _factor_tops.cache_clear()
+    _block_table.cache_clear()
     for (nu, nu2), want in zip(pairs, expected):
         assert cup_nilpotent(nu, nu2) == want, (nu, nu2)
         if weight(nu) <= 5:
@@ -390,151 +374,66 @@ def test_nilpotent_oracle_reads_no_character_table(monkeypatch):
 
 def test_cup_nilpotent_ignores_cache_state_and_argument_order():
     """Every pair of rank <= 7 gives the same terms, in the same order,
-    with both factor caches emptied first, with them warm, and with its
-    two factors in either order."""
+    with the block tables emptied first, with them warm, and with its two
+    factors in either order."""
     for nu, nu2 in _pairs(7):
         results = []
         for a, b in ((nu, nu2), (nu2, nu)):
-            _factor_powers.cache_clear()
-            _factor_tops.cache_clear()
+            _block_table.cache_clear()
             results += [cup_nilpotent(a, b), cup_nilpotent(a, b), cup_nilpotent(b, a)]
         assert all(list(r.terms.items()) == list(results[0].terms.items()) for r in results), (
             nu, nu2)
 
 
-def _mults(parts):
-    return tuple(sorted(multiplicities(parts).items()))
-
-
-def test_factor_tables_and_top_tables_are_integral():
-    """F is integral in the parameters, so every power-table entry of every
-    factor up to n = 10 has int coefficients, and each factor's top table
-    up to n = 6 holds, for every lam and i with 0 <= i_j < lam_j, the int
-    [top] prod_j [x^(i_j)] F^(lam_j) off the defining-equation route's
-    powers when it is nonzero, keyed by i and by lam - 1 - i, with the
-    divisor prod lam_j^2 prod m_i!, and its lam in reverse-lexicographic
-    order."""
-    factors = 0
-    for n in range(1, 11):
-        for lam in enumerate_partitions(n):
-            table = _factor_powers(_mults(lam), n)
-            assert [len(row) for row in table] == list(range(1, n + 1))
-            assert all(type(c) is int for row in table for p in row for c in p.terms.values())
-            factors += 1
-    assert factors == 138
-    entries = 0
-    for n in range(1, 7):
-        for nu in enumerate_partitions(n):
-            mults = _mults(nu)
-            context = ParamContext(tuple(c for _, c in mults))
-            powers = reference_powers(reference_f_minus(context, 0, dict(mults), n), n)
-            expected = {}
-            for lam in enumerate_partitions(n):
-                for i in product(*map(range, lam)):
-                    c = constant(context, 1)
-                    for p, j in zip(lam, i):
-                        c = c * powers[p - 1][j]
-                    if top := coefficient(c, context.bounds):
-                        expected.setdefault(lam, {})[i] = top
-            tops = _factor_tops(mults, n)
-            assert {lam: row for lam, (_, row, _) in tops.items()} == expected, nu
-            assert list(tops) == sorted(tops, reverse=True)
-            for lam, (d, row, complement) in tops.items():
-                runs = multiplicities(lam).values()
-                assert d == prod(p * p for p in lam) * prod(map(factorial, runs))
-                assert complement == {tuple(p - 1 - j for p, j in zip(lam, i)): t
-                                      for i, t in row.items()}
-                assert all(type(t) is int for t in row.values())
-                entries += len(row)
-    assert entries > 100
-
-
-def _fields(context, mults, x):
-    """(exponent, bound, part size) of each parameter of a factor's context
-    in the packed monomial x."""
-    return [(x >> s & (1 << b.bit_length()) - 1, b, p)
-            for s, b, (p, _) in zip(context.shifts, context.bounds, mults)]
-
-
-def test_factor_powers_are_saturated():
-    """The premise of the top tables' prune: [x^i] F^m is homogeneous of
-    weighted degree i, a parameter of part size p weighing p - 1, so no
-    parameter of part size p > i + 1 divides one of its monomials."""
-    for n in range(1, 9):
-        for nu in enumerate_partitions(n):
-            mults = _mults(nu)
-            for m, row in enumerate(_factor_powers(mults, n), 1):
-                for i, c in enumerate(row):
-                    for x in c.terms:
-                        fields = _fields(c.context, mults, x)
-                        assert sum(e * (p - 1) for e, _, p in fields) == i, (nu, m, i)
-                        assert not any(e for e, _, p in fields if p > i + 1), (nu, m, i)
-
-
-def test_nilpotent_walk_multiplies_only_saturated_monomials(monkeypatch):
-    """The prune itself: every product a factor's top-table walk forms is a
-    running product times one [x^i] F^k, and each monomial of the running
-    product already has every parameter of part size above k at its
-    bound, since no later factor can raise it."""
-    products = []
-    mul = ParamPoly.__mul__
-
-    def recording(a, b):
-        products.append((a, b))
-        return mul(a, b)
-
-    monkeypatch.setattr(ParamPoly, "__mul__", recording)
-    count = 0
-    for n in range(1, 8):
-        for nu in enumerate_partitions(n):
-            mults = _mults(nu)
-            products.clear()
-            _factor_tops.cache_clear()
-            _factor_tops(mults, n)
-            powers = _factor_powers(mults, n)
-            for a, b in products:
-                (k,) = [m for m, row in enumerate(powers, 1) if any(c is b for c in row)]
-                for x in a.terms:
-                    fields = _fields(a.context, mults, x)
-                    assert all(e == bound for e, bound, p in fields if p > k), (nu, k)
-            count += len(products)
-    assert count > 100
+def test_bench_worker_empties_the_block_tables(monkeypatch):
+    """The bench worker empties every functools cache its module scan finds
+    before each request, so that each `verify` request stays cold; that
+    scan reaches the block tables, and emptying what it finds empties them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    worker = importlib.import_module("worker")
+    cup_nilpotent((2, 1, 1), (3, 1))
+    assert _block_table.cache_info().currsize
+    clears = worker.find_caches()
+    assert _block_table.cache_clear in clears
+    for clear in clears:
+        clear()
+    assert _block_table.cache_info().currsize == 0
 
 
 def test_nilpotent_route_vanishes_below_weight_n():
     # cup_nilpotent expands weight n only; the full expansion of the same h
     # must carry no multilinear coefficient at a lower weight
     for nu, nu2 in _pairs(5):
-        n = weight(nu)
-        context, H = reference_pair_exponent(nu, nu2)[0]
-        dens = [m * m for m in range(n + 1)]
-        full = multilinear_part(context, exp_linear_reference([0, *H], n, constant(context, 1),
-                                                              dens))
-        assert all(weight(parts) == n for parts in full), (nu, nu2, full)
+        full = multilinear_part(*reference_expansion(nu, nu2))
+        assert all(weight(parts) == weight(nu) for parts in full), (nu, nu2, full)
         assert full == cup_nilpotent(nu, nu2).terms
 
 
-def test_factor_powers_embed_into_the_pair_ring():
-    # pairs whose second factor has several part sizes, so the b fields
-    # are several and start past every a field: each factor's power table,
-    # widened to the pair's context, is the defining-equation route's, and
-    # the Cauchy sums of the two give the pair's H_m = [x^(m-1)] (F1 F2)^m
-    pairs = [(nu, nu2) for nu, nu2 in _pairs(6) if len(set(nu2)) > 1]
-    assert len(pairs) > 50
-    for nu, nu2 in pairs:
-        n = weight(nu)
-        (context, H), F1, F2 = reference_pair_exponent(nu, nu2)
-        tables = []
-        for F, parts, first in ((F1, nu, 0), (F2, nu2, len(set(nu)))):
-            table = [[widen(c, context, first) for c in row]
-                     for row in _factor_powers(_mults(parts), n)]
-            assert table == reference_powers(F, n)
-            tables.append(table)
-        for row1, row2, h in zip(*tables, H):
-            total = constant(context, 0)
-            for a, b in zip(row1, reversed(row2)):
-                total = param_add(total, a * b)
-            assert total == h, (nu, nu2)
+# Past rank 10 no pair is checked in full, so a seeded sample of pairs with
+# len(nu) + len(nu2) > n, the degree bound a nonzero product must meet (a
+# random pair is almost always a zero product), fixed before its first run.
+HIGH_RANKS = (12, 14, 16, 18, 20)
+HIGH_RANK_PAIRS = 4
+
+
+def test_cup_basis_matches_block_sum_past_rank_ten():
+    """The character table against the block sum on 4 seeded pairs at each
+    of the ranks 12, 14, 16, 18 and 20, where bead masks run past 7 beads;
+    every product drawn is nonzero."""
+    rng = random.Random(3112)
+    nonzero = 0
+    for n in HIGH_RANKS:
+        shapes = enumerate_partitions(n)
+        drawn = 0
+        while drawn < HIGH_RANK_PAIRS:
+            nu, nu2 = rng.choice(shapes), rng.choice(shapes)
+            if len(nu) + len(nu2) <= n:
+                continue
+            drawn += 1
+            got = cup_basis(nu, nu2)
+            assert got == cup_nilpotent(nu, nu2), (nu, nu2)
+            nonzero += not got.is_zero
+    assert nonzero == len(HIGH_RANKS) * HIGH_RANK_PAIRS
 
 
 _small_rational = st.sampled_from(fraction_set(3, 3))
