@@ -27,25 +27,11 @@ and the signed sum over the hooks is the appendix series P_(n-1) up to a
 factor: one table and one sum give both oracles and P_n.  The sum's
 summands pair off under x -> -x, so it takes half of them.
 
-The cup product on the weight-n piece comes from the class algebra of the
-symmetric group S_n (Lehn-Sorger): under q_lam <-> z(lam) * C_lam, with C_lam
-the sum of the permutations of cycle type lam and z(lam) its centralizer
-order, the ring is the degree-graded centre of Q[S_n].  The Frobenius
-character formula gives each structure constant,
-
-    [q_rho] q_lam * q_mu = (1/z(rho)) sum_chi chi(lam) chi(mu) chi(rho) H(chi),
-
-H(chi) the hook product of the shape of chi, for every rho with
-n - len(rho) = (n - len(lam)) + (n - len(mu)); all other coefficients vanish.
-Both chi and H(chi) are read from the shape's beads, one int per shape.
-The paper's own route, which multiplies two universal classes with
-nilpotent parameter coefficients and extracts multilinear coefficients, is
-kept as the independent oracle `cup_nilpotent`, in closed form: by
-Lagrange-Buermann inversion its multilinear coefficient is a block sum
-over the ways to split each factor's parts into blocks that sum to the
-parts of rho (Goulden-Jackson's minimal cactus factorisations), one cached
-table per factor and rho.  It reads no character table, no series and no
-parameter polynomial.
+The cup product on the weight-n piece runs the paper's route in closed
+form, a block sum over one cached table per factor (`cup_basis`, whose
+docstring has the derivation).  The class algebra of the symmetric group,
+read through the Frobenius character formula, is kept as the independent
+oracle `cup_character`.
 """
 
 from __future__ import annotations
@@ -251,76 +237,7 @@ def p_n_series(f: TruncatedSeries, n: int) -> TruncatedSeries:
     return TruncatedSeries(n, [Fraction(t, scale) for t in _hook_sum(nums, n)])
 
 
-# -- cup product in the class algebra of the symmetric group -------------
-
-
-@lru_cache(maxsize=None)
-def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
-    n = weight(nu)
-    length = len(nu) + len(nu2) - n  # degree additivity fixes the length
-    shapes = [(mask, w * hook_product(mask)) for mask in map(beads, enumerate_partitions(n))
-              if (w := _mn(mask, nu) * _mn(mask, nu2))]
-    out = {}
-    for rho in enumerate_partitions(n):
-        if len(rho) != length:
-            continue
-        total = sum(w * _mn(mask, rho) for mask, w in shapes)
-        if total:
-            out[rho] = Fraction(total, z_of(rho))
-    return FockElement(out)
-
-
-def _same_rank_pair(nu, nu2) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    nu = check_partition(nu)
-    nu2 = check_partition(nu2)
-    if weight(nu) != weight(nu2) or weight(nu) < 1:
-        raise ValueError("the cup product needs two partitions of the same n >= 1")
-    if nu2 < nu:  # cup is commutative; canonicalize
-        nu, nu2 = nu2, nu
-    return nu, nu2
-
-
-def cup_basis(nu, nu2) -> FockElement:
-    """Cup product of the basis monomials q_nu and q_nu2 on the weight-n
-    piece, n = weight(nu) = weight(nu2).
-
-    The ring is the degree-graded class algebra of the symmetric group
-    S_n (Lehn-Sorger), with q_lam <-> z(lam) * C_lam, C_lam the sum of the
-    permutations of cycle type lam.  The Frobenius character formula then
-    gives every structure constant: for each rho with n - len(rho) =
-    (n - len(nu)) + (n - len(nu2)),
-
-        [q_rho] q_nu * q_nu2 = (1/z(rho)) sum_chi chi(nu) chi(nu2) chi(rho) H(chi)
-
-    over the irreducible characters chi of S_n, H(chi) the hook product of
-    its shape.  Other rho get coefficient zero.  `cup_nilpotent` is the
-    independent oracle.  Unequal weights are rejected (the product across
-    different weights is zero by definition; rejecting catches caller
-    mistakes).
-    """
-    return _cup_basis_cached(*_same_rank_pair(nu, nu2))
-
-
-def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
-    """Bilinear extension of cup_basis to elements supported in weight n >= 1,
-    whose keys, partitions already, go to its product cache unchecked."""
-    if n < 1:
-        raise ValueError("the cup product needs n >= 1")
-    for elem in (a, b):
-        if any(weight(p) != n for p in elem.terms):
-            raise ValueError(f"element has support outside weight {n}")
-    out = {}
-    for p1, c1 in a.terms.items():
-        for p2, c2 in b.terms.items():
-            c = c1 * c2
-            pair = _cup_basis_cached(p1, p2) if p1 <= p2 else _cup_basis_cached(p2, p1)
-            for p, v in pair.terms.items():
-                out[p] = out.get(p, 0) + c * v
-    # one weight, so the canonical order is reverse-lexicographic
-    return FockElement({p: out[p] for p in sorted(out, reverse=True) if out[p]})
-
-
-# -- oracle: cup product via nilpotent parameters -------------------------
+# -- cup product as a block sum --------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -348,8 +265,27 @@ def _block_table(mults: tuple[tuple[int, int], ...], lam: tuple[int, ...]) -> di
     return {s: w for (_, s), w in states.items()}
 
 
-def cup_nilpotent(nu, nu2) -> FockElement:
-    """cup_basis by the paper's route, in closed form.
+@lru_cache(maxsize=None)
+def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
+    n = weight(nu)
+    length = len(nu) + len(nu2) - n  # degree additivity fixes the length
+    m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
+    scale = prod(nu) * prod(nu2)
+    out = {}
+    for lam in enumerate_partitions(n):
+        if len(lam) != length or not (table := _block_table(m1, lam)):
+            continue
+        get = _block_table(m2, lam).get
+        if total := sum(w * get(tuple(p + 1 - s for p, s in zip(lam, s1)), 0)
+                        for s1, w in table.items()):
+            out[lam] = Fraction(total * scale, prod(map(factorial, multiplicities(lam).values())))
+    return FockElement(out)
+
+
+def cup_basis(nu, nu2) -> FockElement:
+    """Cup product of the basis monomials q_nu and q_nu2 on the weight-n
+    piece, n = weight(nu) = weight(nu2), by the paper's route in closed
+    form.
 
     The paper takes the universal class exp(sum_m h_m q_m) of each factor,
     g = t + sum_k rho_k t^k with one nilpotent parameter rho_k per part
@@ -378,22 +314,73 @@ def cup_nilpotent(nu, nu2) -> FockElement:
         [q_lam] q_nu q_nu2 = prod(nu) prod(nu2) / prod_i m_i(lam)!
                              sum_(alpha, beta) prod_j (s_j(alpha) - 1)! (s_j(beta) - 1)!,
 
-    beta assigning the parts of nu2 alike.  Per lam_j this is a count of
-    minimal cactus factorisations of a lam_j-cycle (Goulden-Jackson, Europ.
-    J. Combin. 13, 1992), what the degree-graded class algebra keeps.  Each
-    factor's sums are its `_block_table`, and the pair sums
-    T1(s) T2(lam + 1 - s).  It reads no character table and no series."""
-    nu, nu2 = _same_rank_pair(nu, nu2)
+    beta assigning the parts of nu2 alike; other lam get coefficient zero.
+    Per lam_j this is a count of minimal cactus factorisations of a
+    lam_j-cycle (Goulden-Jackson, Europ. J. Combin. 13, 1992), what the
+    degree-graded class algebra keeps.  Each factor's sums are its
+    `_block_table`, and the pair sums T1(s) T2(lam + 1 - s).  It reads no
+    character table and no series; `cup_character` is the independent
+    oracle.  Unequal weights are rejected (the product across different
+    weights is zero by definition; rejecting catches caller mistakes).
+    """
+    nu = check_partition(nu)
+    nu2 = check_partition(nu2)
+    if weight(nu) != weight(nu2) or weight(nu) < 1:
+        raise ValueError("the cup product needs two partitions of the same n >= 1")
+    if nu2 < nu:  # cup is commutative; canonicalize
+        nu, nu2 = nu2, nu
+    return _cup_basis_cached(nu, nu2)
+
+
+def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
+    """Bilinear extension of cup_basis to elements supported in weight n >= 1,
+    whose keys, partitions already, go to its product cache unchecked."""
+    if n < 1:
+        raise ValueError("the cup product needs n >= 1")
+    for elem in (a, b):
+        if any(weight(p) != n for p in elem.terms):
+            raise ValueError(f"element has support outside weight {n}")
+    out = {}
+    for p1, c1 in a.terms.items():
+        for p2, c2 in b.terms.items():
+            c = c1 * c2
+            pair = _cup_basis_cached(p1, p2) if p1 <= p2 else _cup_basis_cached(p2, p1)
+            for p, v in pair.terms.items():
+                out[p] = out.get(p, 0) + c * v
+    # one weight, so the canonical order is reverse-lexicographic
+    return FockElement({p: out[p] for p in sorted(out, reverse=True) if out[p]})
+
+
+# -- oracle: cup product in the class algebra of the symmetric group -----
+
+
+def cup_character(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
+    """cup_basis by the class algebra of the symmetric group S_n
+    (Lehn-Sorger), with no block table.
+
+    Under q_lam <-> z(lam) C_lam, with C_lam the sum of the permutations of
+    cycle type lam and z(lam) its centralizer order, the ring is the
+    degree-graded centre of Q[S_n], and the Frobenius character formula
+    gives every structure constant: for each rho with n - len(rho) =
+    (n - len(nu)) + (n - len(nu2)),
+
+        [q_rho] q_nu * q_nu2 = (1/z(rho)) sum_chi chi(nu) chi(nu2) chi(rho) H(chi)
+
+    over the irreducible characters chi of S_n, H(chi) the hook product of
+    its shape; other rho get coefficient zero.  Both chi and H(chi) are
+    read from the shape's beads, one int per shape.  Its callers, `verify`
+    and the tests, pass two partitions of one n >= 1, unchecked; it caches
+    no pair, since `_mn` caches the subproblems and each pair is asked once.
+    """
     n = weight(nu)
     length = len(nu) + len(nu2) - n  # degree additivity fixes the length
-    m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
-    scale = prod(nu) * prod(nu2)
+    shapes = [(mask, w * hook_product(mask)) for mask in map(beads, enumerate_partitions(n))
+              if (w := _mn(mask, nu) * _mn(mask, nu2))]
     out = {}
-    for lam in enumerate_partitions(n):
-        if len(lam) != length or not (table := _block_table(m1, lam)):
+    for rho in enumerate_partitions(n):
+        if len(rho) != length:
             continue
-        get = _block_table(m2, lam).get
-        if total := sum(w * get(tuple(p + 1 - s for p, s in zip(lam, s1)), 0)
-                        for s1, w in table.items()):
-            out[lam] = Fraction(total * scale, prod(map(factorial, multiplicities(lam).values())))
+        total = sum(w * _mn(mask, rho) for mask, w in shapes)
+        if total:
+            out[rho] = Fraction(total, z_of(rho))
     return FockElement(out)

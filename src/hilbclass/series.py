@@ -8,8 +8,8 @@ series of different orders are rejected rather than silently truncated
 The operations are the ones some command reaches: the product, `x -> -x`
 and the Lagrange solver.  The built-in defining series come from
 coefficient recurrences in :mod:`hilbclass.hilbert`, with no series
-`exp`, `log`, inverse or square root.  The nilpotent cup oracle there is
-a closed-form block sum and uses no series at all.
+`exp`, `log`, inverse or square root.  The cup product there is a
+closed-form block sum and uses no series at all.
 
 Every truncated product in the library goes through one convolution,
 `_convolve`: the series product, the Lagrange solver's baby and giant

@@ -22,7 +22,7 @@ from .hilbert import (
     cprime_pow_f,
     cup,
     cup_basis,
-    cup_nilpotent,
+    cup_character,
     hilbert_class,
     lemma_b1,
     oracle_top_tangent,
@@ -261,17 +261,17 @@ def suite_ring() -> list[Check]:
 
 
 def suite_crossoracle() -> list[Check]:
-    """`cup_basis`, the character-table route (q_lam <-> z(lam) C_lam),
-    against `cup_nilpotent`, the nilpotent-parameter route as a block sum,
-    on every pair of ranks 2..7; both canonicalise a pair, so each
-    unordered pair is compared once.  Ranks 2 and 3 are reported apart, as
-    the calibration of the identification.  The two check names keep their
-    old "class-sum" wording, which the golden `verify` digests pin."""
+    """`cup_basis`, the paper's route as a block sum, against
+    `cup_character`, the character-table route (q_lam <-> z(lam) C_lam),
+    on every unordered pair of ranks 2..7.  Ranks 2 and 3 are reported
+    apart, as the calibration of the identification.  The two check names
+    keep their old "class-sum" wording, which the golden `verify` digests
+    pin."""
     calibration, agreement = [], []
     for n in range(2, 8):
         for nu, nu2 in combinations_with_replacement(enumerate_partitions(n), 2):
             got = cup_basis(nu, nu2)
-            expected = cup_nilpotent(nu, nu2)
+            expected = cup_character(nu, nu2)
             if got != expected:
                 bad = calibration if n < 4 else agreement
                 bad.append((n, nu, nu2, got.terms, expected.terms))

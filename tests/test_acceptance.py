@@ -7,11 +7,12 @@ once, in `hilbclass.verify`, at the sizes `hilbclass verify` prints; each
 suite runs once per session.  Criteria 5 and 10 read `n <= 10` and ranks
 4..7.  In `tests/test_hilbert.py`, `test_oracles_match_every_partition_route`
 takes the fixed-point oracles to `n <= 12`, and
-`test_nilpotent_oracle_reads_no_character_table` the nilpotent-parameter
-oracle to rank 9.  Criterion 3 adds the fixed-point oracle to order 9
-and pins the one check of `verify examples` that fails, the sqrt-Todd
-closed form quoted in the source, 1/(4^n (2n+1) (2n+1)!), which does not
-solve the defining equation; the test records why.  Criterion 7 has no
+`test_cup_routes_give_terms_in_the_same_order` the block-sum cup against
+the character table, term order included, to rank 10.  Criterion 3 adds
+the fixed-point oracle to order 9 and pins the one check of `verify
+examples` that fails, the sqrt-Todd closed form quoted in the source,
+1/(4^n (2n+1) (2n+1)!), which does not solve the defining equation; the
+test records why.  Criterion 7 has no
 suite of its own; it uses the reference `compose`, `inverse`,
 `x_derivative` and `revert` (`tests/reference.py`); `revert` runs the
 library Lagrange solver.
@@ -149,7 +150,7 @@ def test_criterion_09_cross_path():
 
 
 def test_criterion_10_class_algebra_cross_oracle():
-    report_checks(10, "class-algebra cup against the nilpotent-parameter oracle: "
+    report_checks(10, "block-sum cup against the class-algebra oracle: "
                       "calibrated on ranks 2-3, agreement "
                       "for all pairs at ranks 4-7", "crossoracle",
                   "class-sum calibration on ranks 2 and 3",

@@ -2,9 +2,11 @@
 and exit codes."""
 
 import json
+import shlex
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from hilbclass.cli import (
     PART_TEXT, _coeff_text, _parse_rational, _UnprintableCoefficient, main,
 )
 from hilbclass.fock import _exp_walk, exp_linear
-from hilbclass.hilbert import TANGENT, TAUTOLOGICAL, cup_nilpotent, exponent_g, hilbert_class
+from hilbclass.hilbert import TANGENT, TAUTOLOGICAL, cup_basis, exponent_g, hilbert_class
 from hilbclass.series import TruncatedSeries
 
 
@@ -28,6 +30,18 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def test_readme_cli_examples_run(capsys):
+    """Each command of the README's CLI block runs, and exits 0 but for
+    `verify all`, which exits 1 on the quoted sqrt-Todd erratum."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 7 and all(argv[0] == "hilbclass" for argv in commands)
+    codes = {" ".join(argv[1:]): main(argv[1:]) for argv in commands}
+    capsys.readouterr()
+    assert codes == {command: int(command == "verify all") for command in codes}
 
 
 def test_gseries_chern(capsys):
@@ -348,9 +362,9 @@ def test_text_keys_are_the_partitions_text(target):
         assert all(type(p) is tuple and type(c) is Fraction for p, c in plain.terms.items())
         assert list(text.terms.items()) == [("".join(PART_TEXT[k] for k in p), str(c))
                                             for p, c in plain.terms.items()]
-    nilpotent = cup_nilpotent((2, 1, 1), (3, 1))
-    assert nilpotent.terms
-    assert all(type(p) is tuple and type(c) is Fraction for p, c in nilpotent.terms.items())
+    product = cup_basis((2, 1, 1), (3, 1))
+    assert product.terms
+    assert all(type(p) is tuple and type(c) is Fraction for p, c in product.terms.items())
 
 
 @pytest.mark.parametrize("text,value", [

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hilbclass.cli import MAX_RANK, MAX_WEIGHT, PART_TEXT, _coeff_text, _records
 from hilbclass.fock import FockElement, _exp_walk, exp_linear, hilb_unit
 from hilbclass.hilbert import (
-    TANGENT, builtin_f, cup, cup_basis, cup_nilpotent,
+    TANGENT, builtin_f, cup, cup_basis, cup_character,
     hilbert_class, tangent_g, taut_g,
 )
 from hilbclass.partitions import enumerate_partitions, weight
@@ -267,7 +267,7 @@ def test_every_producer_keeps_canonical_order():
             for nu2 in enumerate_partitions(n):
                 assert_canonical(cup_basis(nu, nu2))
     for nu, nu2 in (((2, 1, 1), (3, 1)), ((2, 2, 1), (2, 1, 1, 1)), ((1, 1, 1), (2, 1))):
-        assert_canonical(cup_nilpotent(nu, nu2))
+        assert_canonical(cup_character(nu, nu2))
     a = hilbert_class(builtin_f("sqrt-todd", 5), TANGENT, 6, 6)
     b = hilbert_class(f, TANGENT, 6, 6)
     assert len(a.terms) > 1 and len(b.terms) > 1

@@ -1,6 +1,6 @@
 """Tests for the class engine: exponent series, fixed-point oracles, the
-appendix identities, and the cup product with its nilpotent-parameter
-cross-oracle."""
+appendix identities, and the block-sum cup product with its
+character-table cross-oracle."""
 
 import importlib
 import random
@@ -20,11 +20,12 @@ from hilbclass.hilbert import (
     TANGENT,
     TAUTOLOGICAL,
     _block_table,
+    _cup_basis_cached,
     builtin_f,
     cprime_pow_f,
     cup,
     cup_basis,
-    cup_nilpotent,
+    cup_character,
     exponent_g,
     hilbert_class,
     lemma_b1,
@@ -333,7 +334,7 @@ def test_cup_terms_keep_the_fock_invariant():
             for nu2 in enumerate_partitions(n):
                 assert_valid_terms(cup_basis(nu, nu2), n, n)
                 if n <= 4:
-                    assert_valid_terms(cup_nilpotent(nu, nu2), n, n)
+                    assert_valid_terms(cup_character(nu, nu2), n, n)
 
 
 def _pairs(max_n):
@@ -341,72 +342,112 @@ def _pairs(max_n):
         yield from combinations_with_replacement(enumerate_partitions(n), 2)
 
 
-def test_cup_nilpotent_matches_pair_ring_route():
+def test_cup_basis_matches_pair_ring_route():
     for nu, nu2 in _pairs(6):
         expected = reference_cup_nilpotent(nu, nu2)
-        assert cup_nilpotent(nu, nu2) == expected, (nu, nu2)
-        assert cup_nilpotent(nu2, nu) == expected, (nu2, nu)
+        assert cup_basis(nu, nu2) == expected, (nu, nu2)
+        assert cup_basis(nu2, nu) == expected, (nu2, nu)
 
 
-def test_nilpotent_oracle_reads_no_character_table(monkeypatch):
-    """cup_nilpotent stays an independent oracle: with the Murnaghan-Nakayama
-    recursion and cup_basis all raising, in the modules that define them
-    and in `hilbert`, which imports them, it still gives every product of
-    rank <= 10, in both orders up to rank 5, its block tables built afresh."""
+def _empty_cup_caches():
+    _block_table.cache_clear()
+    _cup_basis_cached.cache_clear()
+
+
+def test_cup_basis_reads_no_character_table(monkeypatch):
+    """The block sum needs no character table: with the Murnaghan-Nakayama
+    recursion raising, in `partitions` and in `hilbert`, which imports it,
+    `cup_basis` still gives every product of rank <= 10, in both orders up
+    to rank 5, its caches emptied first."""
     pairs = list(_pairs(10))
     assert len(pairs) == 1860
+    expected = [cup_character(nu, nu2) for nu, nu2 in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("the block sum read the character table")
+
+    for module in (partitions, hilbert):
+        monkeypatch.setattr(module, "_mn", forbidden)
+    with pytest.raises(AssertionError):
+        partitions._mn((2, 1), (3,))
+    _empty_cup_caches()
+    for (nu, nu2), want in zip(pairs, expected):
+        assert cup_basis(nu, nu2) == want, (nu, nu2)
+        if weight(nu) <= 5:
+            assert cup_basis(nu2, nu) == want, (nu2, nu)
+
+
+def test_character_oracle_reads_no_block_table(monkeypatch):
+    """cup_character stays an independent oracle: with the block tables, the
+    product cache and cup_basis all raising in `hilbert`, it still gives
+    every product of rank <= 10, in both orders up to rank 5, its
+    Murnaghan-Nakayama cache emptied first."""
+    pairs = list(_pairs(10))
     expected = [cup_basis(nu, nu2) for nu, nu2 in pairs]
 
     def forbidden(*args):
-        raise AssertionError("the nilpotent oracle read the character table")
+        raise AssertionError("the character oracle read the block sum")
 
-    for module, name in ((partitions, "_mn"), (hilbert, "_mn"), (hilbert, "cup_basis"),
-                         (hilbert, "_cup_basis_cached")):
-        monkeypatch.setattr(module, name, forbidden)
+    for name in ("_block_table", "_cup_basis_cached", "cup_basis"):
+        monkeypatch.setattr(hilbert, name, forbidden)
     with pytest.raises(AssertionError):
-        partitions._mn((2, 1), (3,))
-    _block_table.cache_clear()
+        hilbert.cup(FockElement.monomial((1,)), FockElement.monomial((1,)), 1)
+    partitions._mn.cache_clear()
     for (nu, nu2), want in zip(pairs, expected):
-        assert cup_nilpotent(nu, nu2) == want, (nu, nu2)
+        assert cup_character(nu, nu2) == want, (nu, nu2)
         if weight(nu) <= 5:
-            assert cup_nilpotent(nu2, nu) == want, (nu2, nu)
+            assert cup_character(nu2, nu) == want, (nu2, nu)
 
 
-def test_cup_nilpotent_ignores_cache_state_and_argument_order():
+def test_cup_routes_give_terms_in_the_same_order():
+    """The writer prints a product's terms in their stored order, which
+    `FockElement` equality ignores: both routes store the same terms in the
+    same order on every pair of rank <= 10."""
+    for nu, nu2 in _pairs(10):
+        assert list(cup_basis(nu, nu2).terms.items()) == list(
+            cup_character(nu, nu2).terms.items()), (nu, nu2)
+
+
+def test_cup_basis_ignores_cache_state_and_argument_order():
     """Every pair of rank <= 7 gives the same terms, in the same order,
-    with the block tables emptied first, with them warm, and with its two
-    factors in either order."""
+    with the block tables and the product cache emptied first, with them
+    warm, with its two factors in either order, and from the uncached
+    block sum with its factors out of canonical order."""
     for nu, nu2 in _pairs(7):
         results = []
         for a, b in ((nu, nu2), (nu2, nu)):
-            _block_table.cache_clear()
-            results += [cup_nilpotent(a, b), cup_nilpotent(a, b), cup_nilpotent(b, a)]
+            _empty_cup_caches()
+            results += [cup_basis(a, b), cup_basis(a, b), cup_basis(b, a),
+                        _cup_basis_cached.__wrapped__(a, b)]
         assert all(list(r.terms.items()) == list(results[0].terms.items()) for r in results), (
             nu, nu2)
 
 
 def test_bench_worker_empties_the_block_tables(monkeypatch):
     """The bench worker empties every functools cache its module scan finds
-    before each request, so that each `verify` request stays cold; that
-    scan reaches the block tables, and emptying what it finds empties them."""
+    before each request, so that each `cup` and `verify` request stays
+    cold; that scan reaches the block tables and the product cache, and
+    emptying what it finds empties them."""
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
     worker = importlib.import_module("worker")
-    cup_nilpotent((2, 1, 1), (3, 1))
-    assert _block_table.cache_info().currsize
+    _empty_cup_caches()
+    cup_basis((2, 1, 1), (3, 1))
+    caches = (_block_table, _cup_basis_cached)
+    assert all(cache.cache_info().currsize for cache in caches)
     clears = worker.find_caches()
-    assert _block_table.cache_clear in clears
+    assert all(cache.cache_clear in clears for cache in caches)
     for clear in clears:
         clear()
-    assert _block_table.cache_info().currsize == 0
+    assert not any(cache.cache_info().currsize for cache in caches)
 
 
 def test_nilpotent_route_vanishes_below_weight_n():
-    # cup_nilpotent expands weight n only; the full expansion of the same h
+    # cup_basis expands weight n only; the full expansion of the same h
     # must carry no multilinear coefficient at a lower weight
     for nu, nu2 in _pairs(5):
         full = multilinear_part(*reference_expansion(nu, nu2))
         assert all(weight(parts) == weight(nu) for parts in full), (nu, nu2, full)
-        assert full == cup_nilpotent(nu, nu2).terms
+        assert full == cup_basis(nu, nu2).terms
 
 
 # Past rank 10 no pair is checked in full, so a seeded sample of pairs with
@@ -416,8 +457,8 @@ HIGH_RANKS = (12, 14, 16, 18, 20)
 HIGH_RANK_PAIRS = 4
 
 
-def test_cup_basis_matches_block_sum_past_rank_ten():
-    """The character table against the block sum on 4 seeded pairs at each
+def test_cup_basis_matches_character_table_past_rank_ten():
+    """The block sum against the character table on 4 seeded pairs at each
     of the ranks 12, 14, 16, 18 and 20, where bead masks run past 7 beads;
     every product drawn is nonzero."""
     rng = random.Random(3112)
@@ -431,7 +472,7 @@ def test_cup_basis_matches_block_sum_past_rank_ten():
                 continue
             drawn += 1
             got = cup_basis(nu, nu2)
-            assert got == cup_nilpotent(nu, nu2), (nu, nu2)
+            assert got == cup_character(nu, nu2), (nu, nu2)
             nonzero += not got.is_zero
     assert nonzero == len(HIGH_RANKS) * HIGH_RANK_PAIRS
 
