@@ -24,8 +24,9 @@ contents {-(n-a-1)..a} (Macdonald, Symmetric Functions and Hall
 Polynomials, I.1 and I.7).  So each hook's product of root factors is
 T_j(-x) T_i(x) for one prefix-product table T_j = prod_(k=1..j) f(k x),
 and the signed sum over the hooks is the appendix series P_(n-1) up to a
-factor: one table and one sum give both oracles and P_n.  The sum's
-summands pair off under x -> -x, so it takes half of them.
+factor.  One table, built once per series to the highest n asked, gives
+every g_n of an oracle, or P_n; each coefficient is read from it as a few
+dot products, since the summands pair off under x -> -x.
 
 The cup product on the weight-n piece runs the paper's route in closed
 form, a block sum over one cached table per factor (`cup_basis`, whose
@@ -39,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .fock import FockElement, exp_linear
 from .partitions import (
@@ -155,59 +157,67 @@ def hilbert_class(f: TruncatedSeries, target: str, bound: int, only: int | None 
 # -- fixed-point oracles --------------------------------------------------
 
 
-def _hook_sum(nums, m: int) -> list[int]:
-    """Integer numerators of K_m = sum_(s=0..m) (-1)^s C(m, s) T_(m-s)(-x) T_s(x),
-    truncated at x^m, from the one prefix table T_j = prod_(k=1..j) f(k x),
-    j = 0..m, for the f with numerators `nums` over a denominator d: K_m is
-    over d^m.  T_j(-x) is T_j with its odd coefficients negated.  Summand
-    m - s is summand s at -x times (-1)^m, so the two give twice summand s
-    at the x^i with i + m even and cancel at the others, and the middle
-    one, s = m/2, is its own mirror: only the summands s <= m/2 are formed."""
-    table = [[1] + [0] * m]
-    for k in range(1, m + 1):
-        table.append(_convolve(table[-1], [a * k**i for i, a in enumerate(nums)], m))
-    total = [0] * (m + 1)
-    for s in range(m // 2 + 1):
-        mirror = [(-1) ** i * a for i, a in enumerate(table[m - s])]
-        weight_s = (-1) ** s * comb(m, s) * (1 if 2 * s == m else 2)
-        total = [t + weight_s * p for t, p in zip(total, _convolve(mirror, table[s], m))]
-    return [t if (i + m) % 2 == 0 else 0 for i, t in enumerate(total)]
+def _prefix_table(nums, top: int) -> tuple[list, list]:
+    """The prefix products T_j = prod_(k=1..j) f(k x), j = 0..top, to x^top,
+    for the f with integer numerators `nums` over a denominator d (T_j is
+    over d^j), and their mirrors T_j(-x), odd coefficients negated."""
+    table = [[1] + [0] * top]
+    for k in range(1, top + 1):
+        table.append(_convolve(table[-1], [a * k**i for i, a in enumerate(nums)], top))
+    return table, [[-a if i % 2 else a for i, a in enumerate(t)] for t in table]
 
 
-def _fixed_point_sum(f: TruncatedSeries, n: int, tangent: bool) -> Fraction:
-    """sum over the hooks (n-a, 1^a) of (-1)^a / (n H) [x^(n-1)] prod_r f(r x),
-    r over the Chern roots, H = n a! (n-a-1)!: weight (-1)^a C(n-1, a) over
-    n n!.  The contents -(n-a-1)..a give T_(n-1-a)(-x) f(0) T_a(x), so the
-    sum is [x^(n-1)] K_(n-1)(f) / (n n!); the hook lengths {n} u
-    {1..n-a-1} u {1..a} give [x^(n-1)] F(n x) K_(n-1)(F) / (n n!), F =
-    f(x) f(-x), which is even.  On integer numerators, divided once."""
-    if n < 1:
+def _hook_coeff(tables, m: int, e: int) -> int:
+    """[x^e] K_m, K_m = sum_(s=0..m) (-1)^s C(m, s) T_(m-s)(-x) T_s(x), over
+    d^m, from the `_prefix_table` pair `tables` (m, e <= top).  Summand m - s
+    is summand s at -x times (-1)^m: the two give twice summand s when e + m
+    is even and cancel otherwise, and s = m/2 is its own mirror, so only the
+    s <= m/2 are read, one dot product each."""
+    if (e + m) % 2:
+        return 0
+    table, mirror = tables
+    return sum((-1) ** s * comb(m, s) * (1 if 2 * s == m else 2)
+               * sum(map(mul, mirror[m - s], table[s][e::-1])) for s in range(m // 2 + 1))
+
+
+def _fixed_point_series(f: TruncatedSeries, order: int, tangent: bool) -> TruncatedSeries:
+    """g_0..g_order, g_n the sum over the hooks (n-a, 1^a) of (-1)^a / (n H)
+    [x^(n-1)] prod_r f(r x), r over the Chern roots, H = n a! (n-a-1)!:
+    weight (-1)^a C(n-1, a) over n n!.  The contents -(n-a-1)..a give
+    T_(n-1-a)(-x) f(0) T_a(x), so g_n is [x^(n-1)] K_(n-1)(f) / (n n!); the
+    hook lengths {n} u {1..n-a-1} u {1..a} give [x^(n-1)] F(n x) K_(n-1)(F)
+    / (n n!), F = f(x) f(-x), which is even.  All n read one prefix table
+    to x^(order-1), on the integer numerators of f.coeffs[:order]."""
+    if order < 1:
         raise ValueError("the oracle needs n >= 1")
     _require_unit_one(f)
-    if f.order < n - 1:
+    if f.order < order - 1:
         raise ValueError("series truncated too low for this n")
-    den, nums = _integer_numerators(f.coeffs[:n])
-    if not tangent:
-        return Fraction(_hook_sum(nums, n - 1)[n - 1], n * factorial(n) * den ** (n - 1))
-    nums = _convolve(nums, [(-1) ** i * a for i, a in enumerate(nums)], n - 1)
-    hook_sum = _hook_sum(nums, n - 1)
-    top = sum(a * n**i * hook_sum[n - 1 - i] for i, a in enumerate(nums))
-    return Fraction(top, n * factorial(n) * den ** (2 * n))
+    den, nums = _integer_numerators(f.coeffs[:order])
+    if tangent:
+        nums = _convolve(nums, [-a if i % 2 else a for i, a in enumerate(nums)], order - 1)
+    tables = _prefix_table(nums, order - 1)
+    g = [Fraction(0)]
+    for n in range(1, order + 1):  # F(n x) is over d^2; the content 0 gives f(0) = 1
+        lead = nums[:n] if tangent else [1]
+        top = sum(a * n**i * _hook_coeff(tables, n - 1, n - 1 - i) for i, a in enumerate(lead))
+        g.append(Fraction(top, n * factorial(n) * den ** (2 * n if tangent else n - 1)))
+    return TruncatedSeries(order, g)
 
 
-def oracle_top_tangent(f: TruncatedSeries, n: int) -> Fraction:
-    """The q_(n)-coefficient of the top-degree class on the weight-n piece,
-    by summation over the torus fixed points whose n-cycle character is
-    nonzero, the hooks (tangent Chern roots: +-hook length per cell).  Must
-    equal coefficient n of tangent_g(f)."""
-    return _fixed_point_sum(f, n, True)
+def oracle_top_tangent(f: TruncatedSeries, order: int) -> TruncatedSeries:
+    """The q_(n)-coefficients, n <= order, of the top-degree classes, by
+    summation over the torus fixed points with a nonzero n-cycle character,
+    the hooks (tangent Chern roots: +-hook length per cell).  Must equal
+    tangent_g(f, order)."""
+    return _fixed_point_series(f, order, True)
 
 
-def oracle_top_taut(f: TruncatedSeries, n: int) -> Fraction:
-    """Same fixed-point sum for the tautological sheaf, whose Chern roots
-    specialize to the cell contents row - column.  Must equal coefficient n
-    of taut_g(f)."""
-    return _fixed_point_sum(f, n, False)
+def oracle_top_taut(f: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Same fixed-point sums for the tautological sheaf, whose Chern roots
+    specialize to the cell contents row - column.  Must equal
+    taut_g(f, order)."""
+    return _fixed_point_series(f, order, False)
 
 
 # -- the two appendix identities -----------------------------------------
@@ -226,15 +236,16 @@ def p_n_series(f: TruncatedSeries, n: int) -> TruncatedSeries:
 
     Its coefficients below x^n vanish and the x^n coefficient equals
     (-1)^n [x^n] f^(n+1).  Summand s's product is T_(n-s)(-x) f(0) T_s(x),
-    so P_n is the hook sum K_n / n!, on integer numerators over f's common
-    denominator d, divided by n! d^n once per coefficient.
+    so P_n is the hook sum K_n / n!, read from one `_prefix_table` on
+    integer numerators over f's common denominator d, divided by n! d^n
+    once per coefficient.
     """
     _require_unit_one(f)
     if f.order < n:
         raise ValueError("series truncated below the requested order")
     den, nums = _integer_numerators(f.coeffs[: n + 1])
-    scale = factorial(n) * den**n
-    return TruncatedSeries(n, [Fraction(t, scale) for t in _hook_sum(nums, n)])
+    tables, scale = _prefix_table(nums, n), factorial(n) * den**n
+    return TruncatedSeries(n, [Fraction(_hook_coeff(tables, n, e), scale) for e in range(n + 1)])
 
 
 # -- cup product as a block sum --------------------------------------------
@@ -354,6 +365,12 @@ def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
 # -- oracle: cup product in the class algebra of the symmetric group -----
 
 
+@lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple[tuple[int, int], ...]:
+    """(beads, hook product) of every shape of n, for `cup_character`."""
+    return tuple((mask, hook_product(mask)) for mask in map(beads, enumerate_partitions(n)))
+
+
 def cup_character(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
     """cup_basis by the class algebra of the symmetric group S_n
     (Lehn-Sorger), with no block table.
@@ -368,13 +385,14 @@ def cup_character(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
 
     over the irreducible characters chi of S_n, H(chi) the hook product of
     its shape; other rho get coefficient zero.  Both chi and H(chi) are
-    read from the shape's beads, one int per shape.  Its callers, `verify`
+    read from the shape's beads, one int per shape; the beads and hook
+    products of rank n are built once, by `_shapes`.  Its callers, `verify`
     and the tests, pass two partitions of one n >= 1, unchecked; it caches
-    no pair, since `_mn` caches the subproblems and each pair is asked once.
+    no pair, since `_mn` caches the characters and each pair is asked once.
     """
     n = weight(nu)
     length = len(nu) + len(nu2) - n  # degree additivity fixes the length
-    shapes = [(mask, w * hook_product(mask)) for mask in map(beads, enumerate_partitions(n))
+    shapes = [(mask, w * hooks) for mask, hooks in _shapes(n)
               if (w := _mn(mask, nu) * _mn(mask, nu2))]
     out = {}
     for rho in enumerate_partitions(n):

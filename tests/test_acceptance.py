@@ -5,11 +5,15 @@ Criteria 1, 2, 4, 5, 6, 8, 9 and 10 read their checks by name from the
 `hilbclass verify` suites, so each closed form, seed and range is written
 once, in `hilbclass.verify`, at the sizes `hilbclass verify` prints; each
 suite runs once per session.  Criteria 5 and 10 read `n <= 10` and ranks
-4..7.  In `tests/test_hilbert.py`, `test_oracles_match_every_partition_route`
-takes the fixed-point oracles to `n <= 12`, and
+4..7; criterion 5 compares each fixed-point series, read from one prefix
+table per series, with the Lagrange series at once, and criterion 10 reads
+each rank's shape table once.  In `tests/test_hilbert.py`,
+`test_oracles_match_every_partition_route` takes the fixed-point oracles
+to `n <= 12`, `test_oracle_series_prefixes_agree` checks that the series
+to order 12 begins with every lower one, and
 `test_cup_routes_give_terms_in_the_same_order` the block-sum cup against
 the character table, term order included, to rank 10.  Criterion 3 adds
-the fixed-point oracle to order 9 and pins the one check of `verify
+the fixed-point oracle series to order 9 and pins the one check of `verify
 examples` that fails, the sqrt-Todd closed form quoted in the source,
 1/(4^n (2n+1) (2n+1)!), which does not solve the defining equation; the
 test records why.  Criterion 7 has no
@@ -82,7 +86,8 @@ def test_criterion_03_sqrt_todd_series():
     failing = [name for name, c in examples.items() if not c.passed]
     f = sqrt_todd_f(20)
     g = tangent_g(f, 21)
-    bad = [n for n in range(1, 10) if oracle_top_tangent(f, n) != g.coeffs[n]]
+    oracle = oracle_top_tangent(f, 9)
+    bad = [n for n in range(1, 10) if oracle.coeffs[n] != g.coeffs[n]]
     ok = CONSISTENT_SQRT_TODD in examples and failing == [QUOTED_SQRT_TODD]
     report(3, "sqrt-Todd exponent series, inversion-consistent closed form "
               "(-1)^n C(2n,n)/(16^n (2n+1)^2) and even vanishing, order 21, "

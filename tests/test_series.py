@@ -1,5 +1,5 @@
-"""Tests for truncated power series: the product, the Lagrange solver,
-and reversion through it.
+"""Tests for truncated power series: the rational field they carry, the
+product, the Lagrange solver, and reversion through it.
 
 The product is checked against the plain double loop, the reference
 `exp` by round trips through the reference `log`, and the Lagrange solver
@@ -10,7 +10,9 @@ terms 1 and other units, on F = G(x^d) for strides d up to 4, and at
 orders where its baby-step count changes.  The reference `revert` is the
 library solver followed by `t d/dt`; it is checked by round trips through
 `compose`.
-Every series is rational.
+Every series is rational: its coefficients are `Fraction`s, and its `ring`
+is the rational field `QQ`, which the bench's `series.mul` counter reads,
+so it must stay the one shared instance.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbclass.hilbert import builtin_f
-from hilbclass.series import TruncatedSeries, _convolve, lagrange_g
+from hilbclass.series import QQ, TruncatedSeries, _convolve, lagrange_g
 from reference import (
     add, compose, convolve, derivative, exp, fraction_set, inverse, log, reference_lagrange_g,
     revert, sqrt_unit, x_derivative,
@@ -49,6 +51,14 @@ def test_constructors():
     assert TruncatedSeries.one(2).coeffs == (1, 0, 0)
     with pytest.raises(ValueError):
         TruncatedSeries.from_coeffs([1, 2, 3], 1)
+
+
+def test_ring_objects():
+    # the one ring object left is the rational field every series carries
+    assert (QQ.zero, QQ.one) == (0, 1)
+    assert isinstance(QQ.zero, Fraction) and isinstance(QQ.one, Fraction)
+    assert TruncatedSeries.one(2).ring is QQ
+    assert TruncatedSeries.from_coeffs([1, 2], 4).ring is QQ
 
 
 def test_mixed_orders_rejected():
