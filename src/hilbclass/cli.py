@@ -27,7 +27,7 @@ from .verify import run_suite
 DEFAULT_ORDER = 12
 
 MAX_WEIGHT = 40  # class time and memory double about every 4 weights (README)
-MAX_RANK = 28  # the slowest cold cup pair: 5.3-6.2 s and 31 MB, 6x the time every 4 ranks (README)
+MAX_RANK = 28  # the slowest cold cup pair measured: 0.1-0.25 s and 19 MB (README)
 MAX_ORDER = 241  # the slowest gseries takes 3.6-3.9 s at this order, 3.5-4x that at 321 (README)
 
 CLASS_NAMES = ("chern", "segre", "sqrt-todd", "cprime-pow", "custom")

@@ -29,9 +29,10 @@ every g_n of an oracle, or P_n; each coefficient is read from it as a few
 dot products, since the summands pair off under x -> -x.
 
 The cup product on the weight-n piece runs the paper's route in closed
-form, a block sum over one cached table per factor (`cup_basis`, whose
-docstring has the derivation).  The class algebra of the symmetric group,
-read through the Frobenius character formula, is kept as the independent
+form, a block sum in one walk over the blocks that places both factors'
+parts at once, each factor's ways memoised (`cup_basis`, whose docstring
+has the derivation).  The class algebra of the symmetric group, read
+through the Frobenius character formula, is kept as the independent
 oracle `cup_character`.
 """
 
@@ -231,49 +232,52 @@ def lemma_b1(m: int, p: int) -> Fraction:
     return Fraction(sum((-1) ** s * comb(m, s) * s**p for s in range(m + 1)), factorial(m))
 
 
-def p_n_series(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """P_n = sum_{s=0}^n (-1)^s/(s!(n-s)!) prod_{k=-(n-s)}^{s} f(k x), to x^n.
+def p_n_series_upto(f: TruncatedSeries, top: int) -> list[TruncatedSeries]:
+    """P_0..P_top, P_n = sum_{s=0}^n (-1)^s/(s!(n-s)!) prod_{k=-(n-s)}^{s} f(k x),
+    to x^n.
 
-    Its coefficients below x^n vanish and the x^n coefficient equals
+    Each P_n's coefficients below x^n vanish and its x^n coefficient equals
     (-1)^n [x^n] f^(n+1).  Summand s's product is T_(n-s)(-x) f(0) T_s(x),
-    so P_n is the hook sum K_n / n!, read from one `_prefix_table` on
-    integer numerators over f's common denominator d, divided by n! d^n
-    once per coefficient.
+    so P_n is the hook sum K_n / n!: every P_n is read from one
+    `_prefix_table` to x^top on integer numerators over f's common
+    denominator d, divided by n! d^n once per coefficient.
     """
     _require_unit_one(f)
-    if f.order < n:
+    if f.order < top:
         raise ValueError("series truncated below the requested order")
-    den, nums = _integer_numerators(f.coeffs[: n + 1])
-    tables, scale = _prefix_table(nums, n), factorial(n) * den**n
-    return TruncatedSeries(n, [Fraction(_hook_coeff(tables, n, e), scale) for e in range(n + 1)])
+    den, nums = _integer_numerators(f.coeffs[: top + 1])
+    tables = _prefix_table(nums, top)
+    return [TruncatedSeries(n, [Fraction(_hook_coeff(tables, n, e), factorial(n) * den**n)
+                                for e in range(n + 1)]) for n in range(top + 1)]
 
 
 # -- cup product as a block sum --------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _block_table(mults: tuple[tuple[int, int], ...], lam: tuple[int, ...]) -> dict:
-    """{(s_1..s_l): weight} for the factor with part multiplicities `mults`
-    (sorted (part, count) pairs): the sum, over the ways alpha to send its
-    parts, told apart, to the blocks lam_1..lam_l so that the parts in block
-    j sum to lam_j, of prod_j (s_j - 1)!, s_j the number of parts in block
-    j.  The walk hands each part of lam a sub-multiset of the parts left,
-    e_k of the r_k left of size k, in prod_k C(r_k, e_k) ways."""
-    states = {(tuple(c for _, c in mults), ()): 1}  # (parts left, s so far) -> weight
-    for p in lam:
-        after = {}
-        for (rest, s), w in states.items():
-            takes = [((), 0, w, p)]  # (parts left, parts taken, weight, sum still to take)
-            for (k, _), r in zip(mults, rest):
-                takes = [(left + (r - e,), size + e, v * comb(r, e), q - k * e)
-                         for left, size, v, q in takes for e in range(min(r, q // k) + 1)]
-            for left, size, v, q in takes:
-                if not q:
-                    key = (left, s + (size,))
-                    after[key] = after.get(key, 0) + v * factorial(size - 1)
-        states = after
-    # lam and the parts both sum to n, so every state left has taken every part
-    return {s: w for (_, s), w in states.items()}
+def _factor_blocks(mults: tuple[tuple[int, int], ...]) -> dict:
+    """{(counts left, p): ways}, the memo of `_block_ways` for the factor with
+    part multiplicities `mults` (sorted (part, count) pairs), across pairs."""
+    return {}
+
+
+def _block_ways(mults, memo: dict, rest: tuple[int, ...], p: int) -> dict:
+    """{s: [(counts left, weight)]}: the ways one block of size p takes s of
+    the factor's parts, r_k of size k left in `rest`, summing to p.  It
+    takes e_k of the r_k in prod_k C(r_k, e_k) ways, and weighs (s - 1)!;
+    sizes go largest first, each e_k covering what smaller parts cannot."""
+    if (ways := memo.get((rest, p))) is None:
+        takes = [((), 0, 1, p)]  # (counts left, parts taken, weight, sum still to take)
+        room = sum(k * r for (k, _), r in zip(mults, rest))
+        for (k, _), r in zip(reversed(mults), reversed(rest)):
+            room -= k * r  # what the smaller parts left can take
+            takes = [((r - e,) + left, size + e, v * comb(r, e), q - k * e)
+                     for left, size, v, q in takes
+                     for e in range(max(0, -((room - q) // k)), min(r, q // k) + 1)]
+        ways = memo[rest, p] = {}
+        for left, size, v, _ in takes:
+            ways.setdefault(size, []).append((left, v * factorial(size - 1)))
+    return ways
 
 
 @lru_cache(maxsize=None)
@@ -281,15 +285,30 @@ def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
     n = weight(nu)
     length = len(nu) + len(nu2) - n  # degree additivity fixes the length
     m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
+    memo1, memo2 = _factor_blocks(m1), _factor_blocks(m2)
     scale = prod(nu) * prod(nu2)
     out = {}
-    for lam in enumerate_partitions(n):
-        if len(lam) != length or not (table := _block_table(m1, lam)):
-            continue
-        get = _block_table(m2, lam).get
-        if total := sum(w * get(tuple(p + 1 - s for p, s in zip(lam, s1)), 0)
-                        for s1, w in table.items()):
-            out[lam] = Fraction(total * scale, prod(map(factorial, multiplicities(lam).values())))
+
+    def walk(lam, left, states):  # states: (counts left of nu, of nu2) -> weight
+        k = length - len(lam)  # parts of lam still to place, summing to left
+        if not k:  # lam sums to n, so the one state left has placed every part
+            out[lam] = Fraction(sum(states.values()) * scale,
+                                prod(map(factorial, multiplicities(lam).values())))
+            return
+        # p at most the last part and leaving 1 for each later one, at least left / k
+        for p in range(min(lam[-1] if lam else n, left - k + 1), (left - 1) // k, -1):
+            after = {}
+            for (r1, r2), w in states.items():
+                ways2 = _block_ways(m2, memo2, r2, p)
+                for s1, takes1 in _block_ways(m1, memo1, r1, p).items():
+                    for l2, v2 in ways2.get(p + 1 - s1, ()):
+                        for l1, v1 in takes1:
+                            after[l1, l2] = after.get((l1, l2), 0) + w * v1 * v2
+            if after:
+                walk(lam + (p,), left - p, after)
+
+    if length > 0:
+        walk((), n, {(tuple(c for _, c in m1), tuple(c for _, c in m2)): 1})
     return FockElement(out)
 
 
@@ -328,11 +347,14 @@ def cup_basis(nu, nu2) -> FockElement:
     beta assigning the parts of nu2 alike; other lam get coefficient zero.
     Per lam_j this is a count of minimal cactus factorisations of a
     lam_j-cycle (Goulden-Jackson, Europ. J. Combin. 13, 1992), what the
-    degree-graded class algebra keeps.  Each factor's sums are its
-    `_block_table`, and the pair sums T1(s) T2(lam + 1 - s).  It reads no
-    character table and no series; `cup_character` is the independent
-    oracle.  Unequal weights are rejected (the product across different
-    weights is zero by definition; rejecting catches caller mistakes).
+    degree-graded class algebra keeps.  One depth-first walk takes those
+    lam in reverse-lexicographic order, keeping (parts of nu, of nu2 left)
+    -> weight; each part p takes s1 parts of nu and p + 1 - s1 of nu2 at
+    once (`_block_ways`, memoised per factor across pairs), and a prefix
+    with no state left is cut.  It reads no character table and no series;
+    `cup_character` is the independent oracle.  Unequal weights are
+    rejected (the product across different weights is zero by definition;
+    rejecting catches caller mistakes).
     """
     nu = check_partition(nu)
     nu2 = check_partition(nu2)

@@ -8,7 +8,6 @@ are read from its beta-set, packed into one int by `beads`.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from math import factorial
 
@@ -28,8 +27,11 @@ def weight(parts) -> int:
 
 
 def multiplicities(parts) -> dict[int, int]:
-    """Map part size -> number of occurrences."""
-    return dict(Counter(parts))
+    """Map part size -> number of occurrences, in order of first occurrence."""
+    counts = {}
+    for k in parts:
+        counts[k] = counts.get(k, 0) + 1
+    return counts
 
 
 @cache

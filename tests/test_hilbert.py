@@ -2,6 +2,7 @@
 appendix identities, and the block-sum cup product with its
 character-table cross-oracle."""
 
+import hashlib
 import importlib
 import random
 from fractions import Fraction
@@ -14,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbclass import hilbert, partitions
-from hilbclass.cli import MAX_ORDER, main
+from hilbclass.cli import MAX_ORDER, _records, main
 from hilbclass.fock import FockElement, hilb_unit
 from hilbclass.hilbert import (
     TANGENT,
     TAUTOLOGICAL,
-    _block_table,
     _cup_basis_cached,
+    _factor_blocks,
     builtin_f,
     cprime_pow_f,
     cup,
@@ -31,7 +32,7 @@ from hilbclass.hilbert import (
     lemma_b1,
     oracle_top_tangent,
     oracle_top_taut,
-    p_n_series,
+    p_n_series_upto,
     sqrt_todd_f,
     tangent_g,
     taut_g,
@@ -234,8 +235,7 @@ def test_lemma_b1():
 
 def test_p_n_series_for_chern():
     f = builtin_f("chern", 8)
-    for n in range(7):
-        p = p_n_series(f, n)
+    for n, p in enumerate(p_n_series_upto(f, 6)):
         assert all(p.coeffs[k] == 0 for k in range(n))
         # leading term (-1)^n [x^n] (1+x)^(n+1) = (-1)^n (n+1)
         assert p.coeffs[n] == Fraction((-1) ** n * (n + 1))
@@ -243,12 +243,17 @@ def test_p_n_series_for_chern():
 
 def test_p_n_series_matches_per_summand_loop():
     """Over the range of `verify appendix` (its five draws, n <= 8) and the
-    built-in classes, against each summand multiplied from scratch."""
+    built-in classes, against each summand multiplied from scratch, both
+    from a table to x^n and, as `verify appendix` reads them, from one
+    table to x^8."""
     rng = random.Random(1002)
     drawn = [random_unit_series(rng, 9) for _ in range(5)]
     for f in drawn + [builtin_f(name, 9) for name in ("chern", "segre", "sqrt-todd")]:
+        p_ns = p_n_series_upto(f, 8)
         for n in range(9):
-            assert p_n_series(f, n) == loop_p_n_series(f, n, n), n
+            expected = loop_p_n_series(f, n, n)
+            assert p_n_series_upto(f, n)[n] == expected, n
+            assert p_ns[n] == expected, n
 
 
 def test_tautological_oracle_is_the_top_coefficient_of_p_n():
@@ -258,9 +263,9 @@ def test_tautological_oracle_is_the_top_coefficient_of_p_n():
     rng = random.Random(1001)
     drawn = [random_unit_series(rng, 12) for _ in range(10)]
     for f in drawn + [builtin_f(name, 12) for name in ("chern", "segre", "sqrt-todd")]:
-        oracle = oracle_top_taut(f, 12)
+        oracle, p_ns = oracle_top_taut(f, 12), p_n_series_upto(f, 11)
         for n in range(1, 13):
-            assert n**2 * oracle.coeffs[n] == p_n_series(f, n - 1).coeffs[n - 1], n
+            assert n**2 * oracle.coeffs[n] == p_ns[n - 1].coeffs[n - 1], n
 
 
 def test_fixed_point_sums_read_no_partition_table(monkeypatch):
@@ -273,8 +278,8 @@ def test_fixed_point_sums_read_no_partition_table(monkeypatch):
     fs = [random_unit_series(rng, 8) for _ in range(3)] + [builtin_f("chern", 8), sqrt_todd_f(8)]
 
     def values():
-        return [(oracle_top_tangent(f, n), oracle_top_taut(f, n), p_n_series(f, n))
-                for f in fs for n in range(1, 9)] + [p_n_series(f, 0) for f in fs]
+        return [(oracle_top_tangent(f, n), oracle_top_taut(f, n))
+                for f in fs for n in range(1, 9)] + [p_n_series_upto(f, 8) for f in fs]
 
     expected = values()
 
@@ -365,7 +370,7 @@ def test_cup_basis_matches_pair_ring_route():
 
 
 def _empty_cup_caches():
-    _block_table.cache_clear()
+    _factor_blocks.cache_clear()
     _cup_basis_cached.cache_clear()
 
 
@@ -393,17 +398,18 @@ def test_cup_basis_reads_no_character_table(monkeypatch):
 
 
 def test_character_oracle_reads_no_block_table(monkeypatch):
-    """cup_character stays an independent oracle: with the block tables, the
-    product cache and cup_basis all raising in `hilbert`, it still gives
-    every product of rank <= 10, in both orders up to rank 5, its
-    Murnaghan-Nakayama cache and shape tables emptied first."""
+    """cup_character stays an independent oracle: with the per-factor block
+    memo, the block walk's ways, the product cache and cup_basis all
+    raising in `hilbert`, it still gives every product of rank <= 10, in
+    both orders up to rank 5, its Murnaghan-Nakayama cache and shape tables
+    emptied first."""
     pairs = list(_pairs(10))
     expected = [cup_basis(nu, nu2) for nu, nu2 in pairs]
 
     def forbidden(*args):
         raise AssertionError("the character oracle read the block sum")
 
-    for name in ("_block_table", "_cup_basis_cached", "cup_basis"):
+    for name in ("_factor_blocks", "_block_ways", "_cup_basis_cached", "cup_basis"):
         monkeypatch.setattr(hilbert, name, forbidden)
     with pytest.raises(AssertionError):
         hilbert.cup(FockElement.monomial((1,)), FockElement.monomial((1,)), 1)
@@ -426,9 +432,9 @@ def test_cup_routes_give_terms_in_the_same_order():
 
 def test_cup_basis_ignores_cache_state_and_argument_order():
     """Every pair of rank <= 7 gives the same terms, in the same order,
-    with the block tables and the product cache emptied first, with them
-    warm, with its two factors in either order, and from the uncached
-    block sum with its factors out of canonical order."""
+    with the per-factor block memo and the product cache emptied first,
+    with them warm, with its two factors in either order, and from the
+    uncached block sum with its factors out of canonical order."""
     for nu, nu2 in _pairs(7):
         results = []
         for a, b in ((nu, nu2), (nu2, nu)):
@@ -442,16 +448,16 @@ def test_cup_basis_ignores_cache_state_and_argument_order():
 def test_bench_worker_empties_the_block_tables(monkeypatch):
     """The bench worker empties every functools cache its module scan finds
     before each request, so that each `cup` and `verify` request stays
-    cold; that scan reaches the block tables, the product cache and the
-    character oracle's per-rank shape tables, and emptying what it finds
-    empties them."""
+    cold; that scan reaches the per-factor block memo, the product cache
+    and the character oracle's per-rank shape tables, and emptying what it
+    finds empties them."""
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
     worker = importlib.import_module("worker")
     _empty_cup_caches()
     hilbert._shapes.cache_clear()
     cup_basis((2, 1, 1), (3, 1))
     cup_character((2, 1, 1), (3, 1))
-    caches = (_block_table, _cup_basis_cached, hilbert._shapes)
+    caches = (_factor_blocks, _cup_basis_cached, hilbert._shapes)
     assert all(cache.cache_info().currsize for cache in caches)
     clears = worker.find_caches()
     assert all(cache.cache_clear in clears for cache in caches)
@@ -478,8 +484,9 @@ HIGH_RANK_PAIRS = 4
 
 def test_cup_basis_matches_character_table_past_rank_ten():
     """The block sum against the character table on 4 seeded pairs at each
-    of the ranks 12, 14, 16, 18 and 20, where bead masks run past 7 beads;
-    every product drawn is nonzero."""
+    of the ranks 12, 14, 16, 18 and 20, where bead masks run past 7 beads,
+    term for term in stored order, which the writer prints; every product
+    drawn is nonzero."""
     rng = random.Random(3112)
     nonzero = 0
     for n in HIGH_RANKS:
@@ -491,9 +498,27 @@ def test_cup_basis_matches_character_table_past_rank_ten():
                 continue
             drawn += 1
             got = cup_basis(nu, nu2)
-            assert got == cup_character(nu, nu2), (nu, nu2)
+            assert list(got.terms.items()) == list(cup_character(nu, nu2).terms.items()), (nu, nu2)
             nonzero += not got.is_zero
     assert nonzero == len(HIGH_RANKS) * HIGH_RANK_PAIRS
+
+
+# Two products at MAX_RANK = 28, where the character table takes seconds
+# per pair, pinned by the SHA-256 of the writer's record text, recorded
+# from an earlier route that built one block table per factor and lam.
+RANK_28_PRODUCTS = [
+    ((5,) + (2,) * 6 + (1,) * 11, (4, 4, 3, 2, 2) + (1,) * 13, 376,
+     "2c034488446f45be449355197bd6efe3f5eebfd5cb5c93dbc9a700effcfe7b02"),
+    ((10,) + (1,) * 18, (10,) + (1,) * 18, 2,
+     "51ebf1f2fcb3cc8409c8d1500cd76f881976529bbb4a8bb898756bab55cf72d4"),
+]
+
+
+@pytest.mark.parametrize("nu, nu2, terms, digest", RANK_28_PRODUCTS)
+def test_cup_basis_at_rank_28_is_pinned(nu, nu2, terms, digest):
+    got = cup_basis(nu, nu2)
+    assert len(got.terms) == terms
+    assert hashlib.sha256("".join(_records(got)).encode()).hexdigest() == digest
 
 
 _small_rational = st.sampled_from(fraction_set(3, 3))
