@@ -230,7 +230,8 @@ def cmd_cup(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = run_suite(args.suite)
-    payload = [c.as_dict() for c in checks]
+    payload = [{"check": c.name, "passed": c.passed, **({"detail": c.detail} if c.detail else {})}
+               for c in checks]
     request = {"subcommand": "verify", "suite": args.suite}
     _emit(_document(request, payload), args.out)
     return 0 if all(c.passed for c in checks) else 1

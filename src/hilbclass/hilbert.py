@@ -39,7 +39,7 @@ oracle `cup_character`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import comb, factorial, lcm, prod
 from operator import mul
 
@@ -254,38 +254,31 @@ def p_n_series_upto(f: TruncatedSeries, top: int) -> list[TruncatedSeries]:
 # -- cup product as a block sum --------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _factor_blocks(mults: tuple[tuple[int, int], ...]) -> dict:
-    """{(counts left, p): ways}, the memo of `_block_ways` for the factor with
-    part multiplicities `mults` (sorted (part, count) pairs), across pairs."""
-    return {}
-
-
-def _block_ways(mults, memo: dict, rest: tuple[int, ...], p: int) -> dict:
+@cache
+def _block_ways(mults: tuple[tuple[int, int], ...], rest: tuple[int, ...], p: int) -> dict:
     """{s: [(counts left, weight)]}: the ways one block of size p takes s of
-    the factor's parts, r_k of size k left in `rest`, summing to p.  It
+    the parts of the factor with part multiplicities `mults` (sorted
+    (part, count) pairs), r_k of size k left in `rest`, summing to p.  It
     takes e_k of the r_k in prod_k C(r_k, e_k) ways, and weighs (s - 1)!;
     sizes go largest first, each e_k covering what smaller parts cannot."""
-    if (ways := memo.get((rest, p))) is None:
-        takes = [((), 0, 1, p)]  # (counts left, parts taken, weight, sum still to take)
-        room = sum(k * r for (k, _), r in zip(mults, rest))
-        for (k, _), r in zip(reversed(mults), reversed(rest)):
-            room -= k * r  # what the smaller parts left can take
-            takes = [((r - e,) + left, size + e, v * comb(r, e), q - k * e)
-                     for left, size, v, q in takes
-                     for e in range(max(0, -((room - q) // k)), min(r, q // k) + 1)]
-        ways = memo[rest, p] = {}
-        for left, size, v, _ in takes:
-            ways.setdefault(size, []).append((left, v * factorial(size - 1)))
+    takes = [((), 0, 1, p)]  # (counts left, parts taken, weight, sum still to take)
+    room = sum(k * r for (k, _), r in zip(mults, rest))
+    for (k, _), r in zip(reversed(mults), reversed(rest)):
+        room -= k * r  # what the smaller parts left can take
+        takes = [((r - e,) + left, size + e, v * comb(r, e), q - k * e)
+                 for left, size, v, q in takes
+                 for e in range(max(0, -((room - q) // k)), min(r, q // k) + 1)]
+    ways = {}
+    for left, size, v, _ in takes:
+        ways.setdefault(size, []).append((left, v * factorial(size - 1)))
     return ways
 
 
-@lru_cache(maxsize=None)
+@cache
 def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
     n = weight(nu)
     length = len(nu) + len(nu2) - n  # degree additivity fixes the length
     m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
-    memo1, memo2 = _factor_blocks(m1), _factor_blocks(m2)
     scale = prod(nu) * prod(nu2)
     out = {}
 
@@ -299,8 +292,8 @@ def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
         for p in range(min(lam[-1] if lam else n, left - k + 1), (left - 1) // k, -1):
             after = {}
             for (r1, r2), w in states.items():
-                ways2 = _block_ways(m2, memo2, r2, p)
-                for s1, takes1 in _block_ways(m1, memo1, r1, p).items():
+                ways2 = _block_ways(m2, r2, p)
+                for s1, takes1 in _block_ways(m1, r1, p).items():
                     for l2, v2 in ways2.get(p + 1 - s1, ()):
                         for l1, v1 in takes1:
                             after[l1, l2] = after.get((l1, l2), 0) + w * v1 * v2
@@ -387,7 +380,7 @@ def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
 # -- oracle: cup product in the class algebra of the symmetric group -----
 
 
-@lru_cache(maxsize=None)
+@cache
 def _shapes(n: int) -> tuple[tuple[int, int], ...]:
     """(beads, hook product) of every shape of n, for `cup_character`."""
     return tuple((mask, hook_product(mask)) for mask in map(beads, enumerate_partitions(n)))

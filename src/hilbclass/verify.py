@@ -9,7 +9,7 @@ string.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
@@ -35,18 +35,19 @@ from .hilbert import (
 from .partitions import enumerate_partitions, weight
 from .series import TruncatedSeries
 
+Check = namedtuple("Check", "name passed detail", defaults=("",))
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
 
-    def as_dict(self) -> dict:
-        d = {"check": self.name, "passed": self.passed}
-        if self.detail:
-            d["detail"] = self.detail
-        return d
+def _check(name: str, bad: list, words: str = "mismatches", shown: int = 2) -> Check:
+    """The check `name`, passed when `bad`, its list of failures, is empty;
+    a failed one's detail is `words` and the first `shown` failures."""
+    return Check(name, not bad, f"{words} {bad[:shown]}" if bad else "")
+
+
+def _series_check(name: str, g: TruncatedSeries, ok: bool, why: str = "") -> Check:
+    """A closed-form check of the series g; a failed one's detail is g's
+    first 8 coefficients and `why`."""
+    return Check(name, ok, "" if ok else f"got {g.to_strings()[:8]}{why}")
 
 
 def random_unit_series(rng: random.Random, order: int) -> TruncatedSeries:
@@ -61,18 +62,13 @@ def random_unit_series(rng: random.Random, order: int) -> TruncatedSeries:
 
 
 def suite_appendix() -> list[Check]:
-    checks = []
-    bad = []
+    grid = []
     for m in range(26):
         for p in range(m + 1):
             value = lemma_b1(m, p)
             expected = Fraction((-1) ** m) if p == m else Fraction(0)
             if value != expected:
-                bad.append((m, p, value))
-    checks.append(Check(
-        "alternating-factorial sum grid m <= 25",
-        not bad, f"mismatches at {bad[:3]}" if bad else "",
-    ))
+                grid.append((m, p, value))
 
     rng = random.Random(1002)
     bad = []
@@ -86,11 +82,11 @@ def suite_appendix() -> list[Check]:
             expected = Fraction((-1) ** n) * fpow.coeffs[n]
             if low or lead != expected:
                 bad.append((i, n, low, lead, expected))
-    checks.append(Check(
-        "telescoped product series: sub-leading vanishing and leading term, n <= 8",
-        not bad, f"mismatches at {bad[:2]}" if bad else "",
-    ))
-    return checks
+    return [
+        _check("alternating-factorial sum grid m <= 25", grid, "mismatches at", 3),
+        _check("telescoped product series: sub-leading vanishing and leading term, n <= 8",
+               bad, "mismatches at"),
+    ]
 
 
 # -- suite: examples ------------------------------------------------------
@@ -104,28 +100,24 @@ def suite_examples() -> list[Check]:
                                              (n + 1) * (2 * n + 1))
              for n in range(21))
     ok = ok and all(g.coeffs[2 * n] == 0 for n in range(21))
-    checks.append(Check("Chern exponent series to order 41", ok,
-                        "" if ok else f"got {g.to_strings()[:8]}"))
+    checks.append(_series_check("Chern exponent series to order 41", g, ok))
 
     g = tangent_g(builtin_f("segre", 40), 41)
     ok = all(g.coeffs[2 * n + 1] == Fraction(comb(3 * n, n), (2 * n + 1) ** 2)
              for n in range(21))
-    checks.append(Check("Segre exponent series to order 41", ok,
-                        "" if ok else f"got {g.to_strings()[:8]}"))
+    checks.append(_series_check("Segre exponent series to order 41", g, ok))
 
     g = tangent_g(sqrt_todd_f(20), 21)
     ok = all(g.coeffs[2 * n + 1] == Fraction(1, 4**n * (2 * n + 1)
                                              * factorial(2 * n + 1))
              for n in range(11))
-    checks.append(Check(
+    checks.append(_series_check(
         "sqrt-Todd exponent series to order 21, hyperbolic-sine-integral "
-        "closed form", ok,
-        "" if ok else (
-            f"got {g.to_strings()[:8]}; the quoted closed form "
-            "1/(4^n (2n+1)(2n+1)!) does not satisfy the defining equation "
-            "dg/dt(x/F) = F (it integrates x/F itself instead of its "
-            "compositional inverse); see the companion check"
-        ),
+        "closed form", g, ok,
+        "; the quoted closed form "
+        "1/(4^n (2n+1)(2n+1)!) does not satisfy the defining equation "
+        "dg/dt(x/F) = F (it integrates x/F itself instead of its "
+        "compositional inverse); see the companion check",
     ))
 
     # The defining equation forces x dg/dx = 2 arcsinh(x/2) composed back,
@@ -136,15 +128,13 @@ def suite_examples() -> list[Check]:
              for n in range(11))
     ok = ok and all(g.coeffs[2 * n] == 0 for n in range(11))
     ok = ok and oracle_top_tangent(sqrt_todd_f(4), 3).coeffs[3] == Fraction(-1, 72)
-    checks.append(Check(
+    checks.append(_series_check(
         "sqrt-Todd exponent series to order 21, inversion-consistent "
-        "closed form with fixed-point confirmation", ok,
-        "" if ok else f"got {g.to_strings()[:8]}"))
+        "closed form with fixed-point confirmation", g, ok))
 
     g = taut_g(builtin_f("chern", 19), 20)
     ok = all(g.coeffs[n] == Fraction((-1) ** (n - 1), n) for n in range(1, 21))
-    checks.append(Check("tautological Chern (Lehn) series to order 20", ok,
-                        "" if ok else f"got {g.to_strings()[:8]}"))
+    checks.append(_series_check("tautological Chern (Lehn) series to order 20", g, ok))
 
     bad = []
     for r in (1, 2, 3):
@@ -153,8 +143,7 @@ def suite_examples() -> list[Check]:
             expected = Fraction((-1) ** (n - 1) * comb(r * n, n - 1), n * n)
             if g.coeffs[n] != expected:
                 bad.append((r, n, g.coeffs[n], expected))
-    checks.append(Check("tautological power series (1+x)^r, r in {1,2,3}",
-                        not bad, f"mismatches {bad[:3]}" if bad else ""))
+    checks.append(_check("tautological power series (1+x)^r, r in {1,2,3}", bad, shown=3))
     return checks
 
 
@@ -173,10 +162,10 @@ def suite_oracle() -> list[Check]:
                 bad.extend((i, n, o.coeffs[n], g.coeffs[n]) for n in range(1, 11)
                            if o.coeffs[n] != g.coeffs[n])
     return [
-        Check("tangent fixed-point sum equals Lagrange route, 10 random f, n <= 10",
-              not bad_tan, f"mismatches {bad_tan[:2]}" if bad_tan else ""),
-        Check("tautological fixed-point sum equals Lagrange route, 10 random f, n <= 10",
-              not bad_taut, f"mismatches {bad_taut[:2]}" if bad_taut else ""),
+        _check("tangent fixed-point sum equals Lagrange route, 10 random f, n <= 10",
+               bad_tan),
+        _check("tautological fixed-point sum equals Lagrange route, 10 random f, n <= 10",
+               bad_taut),
     ]
 
 
@@ -184,73 +173,52 @@ def suite_oracle() -> list[Check]:
 
 
 def suite_ring() -> list[Check]:
-    checks = []
-
     anchored = [
         (((1, 1), (1, 1)), {(1, 1): Fraction(2)}),
         (((2,), (2,)), {}),
         (((2, 1), (2, 1)), {(3,): Fraction(4)}),
     ]
-    bad = []
-    for (nu, nu2), expected in anchored:
-        got = cup_basis(nu, nu2)
-        if got.terms != expected:
-            bad.append((nu, nu2, got.terms, expected))
-    checks.append(Check("anchored basis cup products", not bad,
-                        f"mismatches {bad}" if bad else ""))
+    bad_anchored = [(nu, nu2, got.terms, expected) for (nu, nu2), expected in anchored
+                    if (got := cup_basis(nu, nu2)).terms != expected]
 
-    bad = []
-    for n in range(1, 6):
-        parts = enumerate_partitions(n)
-        unit = hilb_unit(n)
-        for nu in parts:
-            q = FockElement.monomial(nu)
-            if cup(unit, q, n) != q:
-                bad.append(("unit", n, nu))
-            for nu2 in parts:
-                ab = _cup_basis_cached(nu, nu2)
-                ba = _cup_basis_cached(nu2, nu)
-                if ab != ba:
-                    bad.append(("commutativity", nu, nu2))
-                deg = (n - len(nu)) + (n - len(nu2))
-                if deg > n - 1 and not ab.is_zero:
-                    bad.append(("over-degree vanishing", nu, nu2))
-                if any(weight(p) - len(p) != deg for p in ab.terms):
-                    bad.append(("degree additivity", nu, nu2))
-    checks.append(Check(
-        "cup unit, commutativity, degree additivity, over-degree vanishing, n <= 5",
-        not bad, f"violations {bad[:3]}" if bad else "",
-    ))
-
-    bad = []
+    bad_pairs, bad_assoc = [], []
     for n in range(1, 6):
         parts = enumerate_partitions(n)
         basis = {p: FockElement.monomial(p) for p in parts}
+        unit = hilb_unit(n)
         for a in parts:
+            if cup(unit, basis[a], n) != basis[a]:
+                bad_pairs.append(("unit", n, a))
             for b in parts:
+                raw = _cup_basis_cached(a, b)
+                if raw != _cup_basis_cached(b, a):
+                    bad_pairs.append(("commutativity", a, b))
+                deg = (n - len(a)) + (n - len(b))
+                if deg > n - 1 and not raw.is_zero:
+                    bad_pairs.append(("over-degree vanishing", a, b))
+                if any(weight(p) - len(p) != deg for p in raw.terms):
+                    bad_pairs.append(("degree additivity", a, b))
                 ab = cup_basis(a, b)
                 for c in parts:
-                    left = cup(ab, basis[c], n)
-                    right = cup(basis[a], cup_basis(b, c), n)
-                    if left != right:
-                        bad.append((a, b, c))
-    checks.append(Check("cup associativity on all basis triples, n <= 5",
-                        not bad, f"violations {bad[:3]}" if bad else ""))
+                    if cup(ab, basis[c], n) != cup(basis[a], cup_basis(b, c), n):
+                        bad_assoc.append((a, b, c))
 
-    bad = []
+    bad_lehn = []
     for n in range(1, 7):
-        lehn = hilbert_class(builtin_f("chern", n - 1), TAUTOLOGICAL, n, n)
-        power = lehn
+        lehn = power = hilbert_class(builtin_f("chern", n - 1), TAUTOLOGICAL, n, n)
         for r in (2, 3):
             power = cup(power, lehn, n)
             direct = hilbert_class(cprime_pow_f(r, n - 1), TAUTOLOGICAL, n, n)
             if direct != power:
-                bad.append((r, n, direct.terms, power.terms))
-    checks.append(Check(
-        "(1+x)^r class equals r-fold cup power of Lehn's class, r in {2,3}, n <= 6",
-        not bad, f"mismatches {bad[:1]}" if bad else "",
-    ))
-    return checks
+                bad_lehn.append((r, n, direct.terms, power.terms))
+    return [
+        _check("anchored basis cup products", bad_anchored, shown=3),
+        _check("cup unit, commutativity, degree additivity, over-degree vanishing, n <= 5",
+               bad_pairs, "violations", 3),
+        _check("cup associativity on all basis triples, n <= 5", bad_assoc, "violations", 3),
+        _check("(1+x)^r class equals r-fold cup power of Lehn's class, r in {2,3}, n <= 6",
+               bad_lehn, shown=1),
+    ]
 
 
 # -- suite: crossoracle ---------------------------------------------------
@@ -272,10 +240,8 @@ def suite_crossoracle() -> list[Check]:
                 bad = calibration if n < 4 else agreement
                 bad.append((n, nu, nu2, got.terms, expected.terms))
     return [
-        Check("class-sum calibration on ranks 2 and 3", not calibration,
-              f"mismatches {calibration[:1]}" if calibration else ""),
-        Check("class-sum oracle agreement for all pairs, ranks 4..7", not agreement,
-              f"mismatches {agreement[:1]}" if agreement else ""),
+        _check("class-sum calibration on ranks 2 and 3", calibration, shown=1),
+        _check("class-sum oracle agreement for all pairs, ranks 4..7", agreement, shown=1),
     ]
 
 
@@ -289,11 +255,7 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[Check]:
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(run_suite(key))
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name]()
+    return [check for key in (SUITES if name == "all" else (name,))
+            for check in SUITES[key]()]

@@ -3,6 +3,7 @@ and exit codes."""
 
 import json
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
@@ -446,3 +447,15 @@ def test_flag_of_another_class_is_rejected(capsys, argv, named):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert named in captured.err
+
+
+def test_cli_import_skips_dataclasses():
+    """Every command imports `hilbclass.cli`, and `verify` with it; none of
+    them loads `dataclasses`, whose import, `inspect` with it, every start
+    would pay for."""
+    src = Path(__file__).parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import hilbclass.cli; "
+            "print('dataclasses' in sys.modules)")
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")

@@ -20,8 +20,8 @@ from hilbclass.fock import FockElement, hilb_unit
 from hilbclass.hilbert import (
     TANGENT,
     TAUTOLOGICAL,
+    _block_ways,
     _cup_basis_cached,
-    _factor_blocks,
     builtin_f,
     cprime_pow_f,
     cup,
@@ -370,7 +370,7 @@ def test_cup_basis_matches_pair_ring_route():
 
 
 def _empty_cup_caches():
-    _factor_blocks.cache_clear()
+    _block_ways.cache_clear()
     _cup_basis_cached.cache_clear()
 
 
@@ -398,18 +398,17 @@ def test_cup_basis_reads_no_character_table(monkeypatch):
 
 
 def test_character_oracle_reads_no_block_table(monkeypatch):
-    """cup_character stays an independent oracle: with the per-factor block
-    memo, the block walk's ways, the product cache and cup_basis all
-    raising in `hilbert`, it still gives every product of rank <= 10, in
-    both orders up to rank 5, its Murnaghan-Nakayama cache and shape tables
-    emptied first."""
+    """cup_character stays an independent oracle: with the block walk's
+    cached ways, the product cache and cup_basis all raising in `hilbert`,
+    it still gives every product of rank <= 10, in both orders up to rank
+    5, its Murnaghan-Nakayama cache and shape tables emptied first."""
     pairs = list(_pairs(10))
     expected = [cup_basis(nu, nu2) for nu, nu2 in pairs]
 
     def forbidden(*args):
         raise AssertionError("the character oracle read the block sum")
 
-    for name in ("_factor_blocks", "_block_ways", "_cup_basis_cached", "cup_basis"):
+    for name in ("_block_ways", "_cup_basis_cached", "cup_basis"):
         monkeypatch.setattr(hilbert, name, forbidden)
     with pytest.raises(AssertionError):
         hilbert.cup(FockElement.monomial((1,)), FockElement.monomial((1,)), 1)
@@ -432,7 +431,7 @@ def test_cup_routes_give_terms_in_the_same_order():
 
 def test_cup_basis_ignores_cache_state_and_argument_order():
     """Every pair of rank <= 7 gives the same terms, in the same order,
-    with the per-factor block memo and the product cache emptied first,
+    with the block walk's ways and the product cache emptied first,
     with them warm, with its two factors in either order, and from the
     uncached block sum with its factors out of canonical order."""
     for nu, nu2 in _pairs(7):
@@ -448,7 +447,7 @@ def test_cup_basis_ignores_cache_state_and_argument_order():
 def test_bench_worker_empties_the_block_tables(monkeypatch):
     """The bench worker empties every functools cache its module scan finds
     before each request, so that each `cup` and `verify` request stays
-    cold; that scan reaches the per-factor block memo, the product cache
+    cold; that scan reaches the block walk's ways, the product cache
     and the character oracle's per-rank shape tables, and emptying what it
     finds empties them."""
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
@@ -457,7 +456,7 @@ def test_bench_worker_empties_the_block_tables(monkeypatch):
     hilbert._shapes.cache_clear()
     cup_basis((2, 1, 1), (3, 1))
     cup_character((2, 1, 1), (3, 1))
-    caches = (_factor_blocks, _cup_basis_cached, hilbert._shapes)
+    caches = (_block_ways, _cup_basis_cached, hilbert._shapes)
     assert all(cache.cache_info().currsize for cache in caches)
     clears = worker.find_caches()
     assert all(cache.cache_clear in clears for cache in caches)
