@@ -16,13 +16,12 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__
-from .fock import FockElement
 from .hilbert import (
     TANGENT, TAUTOLOGICAL, builtin_f, cup_basis, exponent_g, hilbert_class,
 )
 from .partitions import check_partition, weight
 from .series import TruncatedSeries
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 DEFAULT_ORDER = 12
 
@@ -34,7 +33,7 @@ CLASS_NAMES = ("chern", "segre", "sqrt-todd", "cprime-pow", "custom")
 
 # Each part's JSON text after its separator, for every part a `class` weight or a
 # `cup` rank can hold: the `class` walk grows each key from it one part per step,
-# and `_records` joins it for a `cup` product's partitions
+# and `cmd_cup` joins it for a product's partitions
 PART_TEXT = ["", *(",\n        " + str(k) for k in range(1, max(MAX_WEIGHT, MAX_RANK) + 1))]
 
 
@@ -132,15 +131,12 @@ def _unprintable(request: dict) -> ValueError:
                       f"digits, too many to print; check {' and '.join(flags)}")
 
 
-def _records(element: FockElement) -> list[str]:
+def _records(terms: dict) -> list[str]:
     """[{"coeff": "p/q", "partition": [...]}, ...] in term order, as json.dumps(indent=2,
     sort_keys=True) writes it one level deep, without its Python encoder, in pieces.
-    A key is a partition, or the `class` walk's text of one (`PART_TEXT`)."""
-    terms = element.terms.items()
-    if element.terms and type(next(iter(element.terms))) is tuple:  # partitions: a cup product
-        terms = [("".join([PART_TEXT[k] for k in parts]), c) for parts, c in terms]
+    Each key is the text of a partition joined from `PART_TEXT`."""
     pieces = [f',\n    {{\n      "coeff": "{c}",\n      "partition": [{text[1:]}\n      ]\n    }}'
-              for text, c in terms]
+              for text, c in terms.items()]
     if not pieces:
         return ["[]"]
     # the first separator opens the list; only the first key, of weight 0, can be empty
@@ -151,10 +147,10 @@ def _records(element: FockElement) -> list[str]:
 
 def _emit(doc: dict, out_path: str | None) -> None:
     """The document as json.dumps(indent=2, sort_keys=True) writes it, and a newline,
-    written in pieces; a FockElement payload goes through `_records`."""
+    written in pieces; a dict payload, the terms of an element, goes through `_records`."""
     payload = doc["payload"]
     try:
-        if isinstance(payload, FockElement):
+        if isinstance(payload, dict):
             # sort_keys writes "payload" before "request", whose values may be null
             head, tail = json.dumps({**doc, "payload": None}, indent=2, sort_keys=True,
                                     default=str).split('"payload": null', 1)
@@ -201,11 +197,11 @@ def cmd_class(args) -> int:
         "weight": bound, "degree": args.degree, "r": args.r, "f": args.f,
     }
     try:
-        element = hilbert_class(f, args.target, bound, args.weight_only, args.degree,
-                                _coeff_text, PART_TEXT)
+        terms = hilbert_class(f, args.target, bound, args.weight_only, args.degree,
+                              _coeff_text, PART_TEXT)
     except _UnprintableCoefficient:
         raise _unprintable(request) from None
-    _emit(_document(request, element), args.out)
+    _emit(_document(request, terms), args.out)
     return 0
 
 
@@ -222,9 +218,9 @@ def cmd_cup(args) -> int:
     if weight(nu2) != n:
         raise ValueError(f"partition_b must have the rank of partition_a, {n}, "
                          f"got rank {weight(nu2)}: {_echo(args.partition_b, str)}")
-    result = cup_basis(nu, nu2)
+    terms = {"".join([PART_TEXT[k] for k in lam]): c for lam, c in cup_basis(nu, nu2).items()}
     request = {"subcommand": "cup", "a": list(nu), "b": list(nu2)}
-    _emit(_document(request, result), args.out)
+    _emit(_document(request, terms), args.out)
     return 0
 
 
@@ -276,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cup)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("appendix", "oracle", "examples", "ring",
-                                     "crossoracle", "all"))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

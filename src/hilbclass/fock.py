@@ -1,98 +1,33 @@
-"""Finite linear combinations of creation monomials.
+"""Finite linear combinations of creation monomials, as plain dicts.
 
 An element is a finite linear combination of monomials q_lambda (one
 creation operator per part of the partition lambda, applied to the
-vacuum); it carries no weight bound of its own: the class expansion takes
-its bound N as an argument, and the cup product keeps one weight n.  The
-weight-n piece models the cohomology of the Hilbert scheme of n points on
-the affine plane; the algebraic degree of q_lambda is weight(lambda) -
-length(lambda).  Terms are kept in output order, by weight and then
-reverse-lexicographically, so a writer iterates them as stored.  Keys
-are partitions and coefficients rational everywhere except in the
-expansion the `class` command asks for as text, keys and coefficients
-both, which it only prints.  The cup product of such elements lives in
-:mod:`hilbclass.hilbert`.
+vacuum), stored as the dict {lambda: coefficient}: each key a partition
+(`check_partition`), each coefficient a nonzero Fraction.  It carries no
+weight bound of its own: the class expansion takes its bound N as an
+argument, and the cup product keeps one weight n.  The weight-n piece
+models the cohomology of the Hilbert scheme of n points on the affine
+plane; the algebraic degree of q_lambda is weight(lambda) -
+length(lambda).  Every producer keeps the terms in output order, by
+weight and then reverse-lexicographically, so a writer iterates them as
+stored; dict equality ignores that order.  The one exception to the key
+and coefficient types is the expansion the `class` command asks for as
+text, keys and coefficients both, which it only prints.  The cup product
+of such elements lives in :mod:`hilbclass.hilbert`.
 
-`exp_linear` expands exp(sum_k g_k q_k) by one depth-first walk,
-`_exp_walk`, over the integer numerators and divisors of the g_k; the
-caller says how each term's product and divisor become its coefficient,
-and may say how its parts become its key.  Every partition is mu + 1^j
-with mu free of 1s, so the walk visits only such mu and writes each
-one's terms mu + 1^j, j >= 1, in one step from a table of the runs 1^j.
+`_exp_walk` expands exp(sum_k g_k q_k) by one depth-first walk over the
+integer numerators and divisors of the g_k (`hilbert.hilbert_class`
+passes those of the exponent series); the caller says how each term's
+product and divisor become its coefficient, and may say how its parts
+become its key.  Every partition is mu + 1^j with mu free of 1s, so the
+walk visits only such mu and writes each one's terms mu + 1^j, j >= 1,
+in one step from a table of the runs 1^j.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-
-from .partitions import check_partition
-
-
-class FockElement:
-    """sum_lambda terms[lambda] q_lambda, stored as given: every producer keeps
-    each key a valid partition (`check_partition`), each coefficient a
-    nonzero rational, and the keys in canonical order, by weight and then
-    reverse-lexicographically.  The one exception is the `class` command's
-    expansion, whose keys are the JSON text of their partitions and whose
-    coefficients are their `str()` text, made by the walk for printing
-    alone.  `monomial` is where hand-built terms are checked."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockElement is immutable")
-
-    @classmethod
-    def monomial(cls, parts, coeff=1):
-        """coeff * q_parts; zero if coeff is 0."""
-        parts, coeff = check_partition(parts), Fraction(coeff)
-        return cls({parts: coeff} if coeff else {})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, FockElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        if self.is_zero:
-            return "FockElement(0)"
-        bits = [f"{c!r}*q{p if isinstance(p, str) else list(p)!r}"
-                for p, c in self.terms.items()]
-        return "FockElement(" + " + ".join(bits) + ")"
-
-
-def exp_linear(g, bound: int, only: int | None = None, degree: int | None = None,
-               make=Fraction, label=None) -> FockElement:
-    """exp(sum_k g_k q_k) applied to the vacuum, or its terms of weight `only`
-    and/or algebraic degree `degree`: q_lambda gets prod_i g_{lambda_i} /
-    prod_i m_i!, m_i the part multiplicities.  Requires g(0) = 0 and g
-    truncated at order >= bound.  With each g_k = a_k / b_k reduced, a term
-    is one make(prod a_{lambda_i}, prod b_{lambda_i} prod m_i!): a Fraction
-    by default, its text for a caller that only prints it.  Its key is
-    label[0] + label[lambda_1] + label[lambda_2] + ...: the partition by
-    default, its text for such a caller (see `_exp_walk`).
-    """
-    if g.coeffs[0]:
-        raise ValueError("exp_linear needs a series with zero constant term")
-    if g.order < bound:
-        raise ValueError("series truncated below the requested weight bound")
-    if only is not None and not 0 <= only <= bound:
-        raise ValueError("the single weight must lie in 0..bound")
-    if degree is not None and degree < 0:
-        raise ValueError("the degree must be nonnegative")
-    nums = [c.numerator for c in g.coeffs]
-    dens = [c.denominator for c in g.coeffs]
-    return FockElement(_exp_walk(nums, dens, bound, only, degree, make, label))
 
 
 def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make,
@@ -155,6 +90,6 @@ def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make
     return terms
 
 
-def hilb_unit(n: int) -> FockElement:
+def hilb_unit(n: int) -> dict:
     """The cohomological unit of the weight-n piece: q_{1^n} / n!."""
-    return FockElement.monomial((1,) * n, Fraction(1, factorial(n)))
+    return {(1,) * n: Fraction(1, factorial(n))}

@@ -43,7 +43,7 @@ from functools import cache
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .fock import FockElement, exp_linear
+from .fock import _exp_walk
 from .partitions import (
     _mn,
     beads,
@@ -146,13 +146,24 @@ def exponent_g(f: TruncatedSeries, target: str, order: int) -> TruncatedSeries:
 
 
 def hilbert_class(f: TruncatedSeries, target: str, bound: int, only: int | None = None,
-                  degree: int | None = None, make=Fraction, label=None) -> FockElement:
+                  degree: int | None = None, make=Fraction, label=None) -> dict:
     """The class of f (constant term 1, order at least `bound` - 1) on the
     sheaf `target`, all weights up to `bound` at once, or just its terms of
     weight `only` and/or algebraic degree `degree`: exp(sum_k g_k q_k)
-    applied to the vacuum, each coefficient built by `make` and each key
-    from the part table `label` (see `exp_linear`)."""
-    return exp_linear(exponent_g(f, target, bound), bound, only, degree, make, label)
+    applied to the vacuum, g the exponent series, as the dict
+    {partition: Fraction} in canonical order.  With each g_k = a_k / b_k
+    reduced, a term is one make(prod a_(lambda_i), prod b_(lambda_i)
+    prod m_i!), m_i the part multiplicities: a Fraction by default, its
+    text for a caller that only prints it; its key is label[0] +
+    label[lambda_1] + ...: the partition by default, its text for such a
+    caller (see `fock._exp_walk`)."""
+    g = exponent_g(f, target, bound)
+    if only is not None and not 0 <= only <= bound:
+        raise ValueError("the single weight must lie in 0..bound")
+    if degree is not None and degree < 0:
+        raise ValueError("the degree must be nonnegative")
+    return _exp_walk([c.numerator for c in g.coeffs], [c.denominator for c in g.coeffs],
+                     bound, only, degree, make, label)
 
 
 # -- fixed-point oracles --------------------------------------------------
@@ -255,15 +266,15 @@ def p_n_series_upto(f: TruncatedSeries, top: int) -> list[TruncatedSeries]:
 
 
 @cache
-def _block_ways(mults: tuple[tuple[int, int], ...], rest: tuple[int, ...], p: int) -> dict:
+def _block_ways(sizes: tuple[int, ...], rest: tuple[int, ...], p: int) -> dict:
     """{s: [(counts left, weight)]}: the ways one block of size p takes s of
-    the parts of the factor with part multiplicities `mults` (sorted
-    (part, count) pairs), r_k of size k left in `rest`, summing to p.  It
-    takes e_k of the r_k in prod_k C(r_k, e_k) ways, and weighs (s - 1)!;
-    sizes go largest first, each e_k covering what smaller parts cannot."""
+    the parts of a factor whose distinct part sizes are `sizes`, increasing,
+    r_k of size k left in `rest`, summing to p.  It takes e_k of the r_k in
+    prod_k C(r_k, e_k) ways, and weighs (s - 1)!; sizes go largest first,
+    each e_k covering what smaller parts cannot."""
     takes = [((), 0, 1, p)]  # (counts left, parts taken, weight, sum still to take)
-    room = sum(k * r for (k, _), r in zip(mults, rest))
-    for (k, _), r in zip(reversed(mults), reversed(rest)):
+    room = sum(k * r for k, r in zip(sizes, rest))
+    for k, r in zip(reversed(sizes), reversed(rest)):
         room -= k * r  # what the smaller parts left can take
         takes = [((r - e,) + left, size + e, v * comb(r, e), q - k * e)
                  for left, size, v, q in takes
@@ -275,10 +286,11 @@ def _block_ways(mults: tuple[tuple[int, int], ...], rest: tuple[int, ...], p: in
 
 
 @cache
-def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
+def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> dict:
     n = weight(nu)
     length = len(nu) + len(nu2) - n  # degree additivity fixes the length
-    m1, m2 = (tuple(sorted(multiplicities(p).items())) for p in (nu, nu2))
+    # each factor's distinct part sizes, increasing, and their counts
+    (k1, c1), (k2, c2) = (zip(*sorted(multiplicities(p).items())) for p in (nu, nu2))
     scale = prod(nu) * prod(nu2)
     out = {}
 
@@ -292,8 +304,8 @@ def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
         for p in range(min(lam[-1] if lam else n, left - k + 1), (left - 1) // k, -1):
             after = {}
             for (r1, r2), w in states.items():
-                ways2 = _block_ways(m2, r2, p)
-                for s1, takes1 in _block_ways(m1, r1, p).items():
+                ways2 = _block_ways(k2, r2, p)
+                for s1, takes1 in _block_ways(k1, r1, p).items():
                     for l2, v2 in ways2.get(p + 1 - s1, ()):
                         for l1, v1 in takes1:
                             after[l1, l2] = after.get((l1, l2), 0) + w * v1 * v2
@@ -301,14 +313,16 @@ def _cup_basis_cached(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
                 walk(lam + (p,), left - p, after)
 
     if length > 0:
-        walk((), n, {(tuple(c for _, c in m1), tuple(c for _, c in m2)): 1})
-    return FockElement(out)
+        walk((), n, {(c1, c2): 1})
+    return out
 
 
-def cup_basis(nu, nu2) -> FockElement:
+def cup_basis(nu, nu2) -> dict:
     """Cup product of the basis monomials q_nu and q_nu2 on the weight-n
     piece, n = weight(nu) = weight(nu2), by the paper's route in closed
-    form.
+    form, as {lam: Fraction} in reverse-lexicographic order.  The dict is
+    the product cache's own, shared by every later call on the pair: a
+    caller copies it before changing it.
 
     The paper takes the universal class exp(sum_m h_m q_m) of each factor,
     g = t + sum_k rho_k t^k with one nilpotent parameter rho_k per part
@@ -343,11 +357,11 @@ def cup_basis(nu, nu2) -> FockElement:
     degree-graded class algebra keeps.  One depth-first walk takes those
     lam in reverse-lexicographic order, keeping (parts of nu, of nu2 left)
     -> weight; each part p takes s1 parts of nu and p + 1 - s1 of nu2 at
-    once (`_block_ways`, memoised per factor across pairs), and a prefix
-    with no state left is cut.  It reads no character table and no series;
-    `cup_character` is the independent oracle.  Unequal weights are
-    rejected (the product across different weights is zero by definition;
-    rejecting catches caller mistakes).
+    once (`_block_ways`, memoised by part sizes across pairs), and a
+    prefix with no state left is cut.  It reads no character table and no
+    series; `cup_character` is the independent oracle.  Unequal weights
+    are rejected (the product across different weights is zero by
+    definition; rejecting catches caller mistakes).
     """
     nu = check_partition(nu)
     nu2 = check_partition(nu2)
@@ -358,23 +372,24 @@ def cup_basis(nu, nu2) -> FockElement:
     return _cup_basis_cached(nu, nu2)
 
 
-def cup(a: FockElement, b: FockElement, n: int) -> FockElement:
-    """Bilinear extension of cup_basis to elements supported in weight n >= 1,
-    whose keys, partitions already, go to its product cache unchecked."""
+def cup(a: dict, b: dict, n: int) -> dict:
+    """Bilinear extension of cup_basis to elements {partition: Fraction}
+    supported in weight n >= 1, whose keys, partitions already, go to its
+    product cache unchecked; a new dict in reverse-lexicographic order."""
     if n < 1:
         raise ValueError("the cup product needs n >= 1")
     for elem in (a, b):
-        if any(weight(p) != n for p in elem.terms):
+        if any(weight(p) != n for p in elem):
             raise ValueError(f"element has support outside weight {n}")
     out = {}
-    for p1, c1 in a.terms.items():
-        for p2, c2 in b.terms.items():
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
             c = c1 * c2
             pair = _cup_basis_cached(p1, p2) if p1 <= p2 else _cup_basis_cached(p2, p1)
-            for p, v in pair.terms.items():
+            for p, v in pair.items():
                 out[p] = out.get(p, 0) + c * v
     # one weight, so the canonical order is reverse-lexicographic
-    return FockElement({p: out[p] for p in sorted(out, reverse=True) if out[p]})
+    return {p: out[p] for p in sorted(out, reverse=True) if out[p]}
 
 
 # -- oracle: cup product in the class algebra of the symmetric group -----
@@ -386,7 +401,7 @@ def _shapes(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((mask, hook_product(mask)) for mask in map(beads, enumerate_partitions(n)))
 
 
-def cup_character(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
+def cup_character(nu: tuple[int, ...], nu2: tuple[int, ...]) -> dict:
     """cup_basis by the class algebra of the symmetric group S_n
     (Lehn-Sorger), with no block table.
 
@@ -416,4 +431,4 @@ def cup_character(nu: tuple[int, ...], nu2: tuple[int, ...]) -> FockElement:
         total = sum(w * _mn(mask, rho) for mask, w in shapes)
         if total:
             out[rho] = Fraction(total, z_of(rho))
-    return FockElement(out)
+    return out

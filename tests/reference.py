@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import NamedTuple
 
-from hilbclass.fock import FockElement
 from hilbclass.hilbert import TANGENT
 from hilbclass.partitions import (
     _mn,
@@ -212,12 +211,14 @@ def poly_invert(context: ParamBounds, p: dict) -> dict:
     return result
 
 
-# Weight-truncated creation-monomial combinations.  The library has
-# `exp_linear` and the cup product; the rest are references.
+# Weight-truncated creation-monomial combinations, each a dict
+# {partition: coefficient}.  The library has the expansion walk
+# (`fock._exp_walk`, behind `hilbert_class`) and the cup product; the rest
+# are references.
 
 
 def exp_linear_reference(coeffs, bound: int, one=Fraction(1), dens=None,
-                         times=operator.mul) -> FockElement:
+                         times=operator.mul) -> dict:
     """exp(sum_k coeffs[k] q_k) by visiting every partition of every weight
     up to the bound, one coefficient multiply (`times`) per part, starting
     from `one`.  The coefficients may be rationals, each term then its
@@ -236,16 +237,16 @@ def exp_linear_reference(coeffs, bound: int, one=Fraction(1), dens=None,
                     terms[parts] = (c, d * prod(dens[part] for part in parts))
             elif c := c * Fraction(1, d):
                 terms[parts] = c
-    return FockElement(terms)
+    return terms
 
 
-def restrict(e: FockElement, only=None, degree=None) -> FockElement:
+def restrict(e: dict, only=None, degree=None) -> dict:
     """The terms of e of weight `only` and of algebraic degree `degree`
     (weight - length), each condition skipped when None."""
-    return FockElement({
-        p: c for p, c in e.terms.items()
+    return {
+        p: c for p, c in e.items()
         if (only is None or weight(p) == only) and (degree is None or weight(p) - len(p) == degree)
-    })
+    }
 
 
 def canonical(partitions) -> list:
@@ -255,45 +256,45 @@ def canonical(partitions) -> list:
     return out
 
 
-def fock_add(a: FockElement, b: FockElement, bound: int) -> FockElement:
+def fock_add(a: dict, b: dict, bound: int) -> dict:
     """Sum of two elements of weight at most `bound`, in canonical order; a
     coefficient that cancels is dropped, and a term over the bound raises."""
-    if not isinstance(b, FockElement):
-        raise TypeError("expected a FockElement")
-    if any(weight(p) > bound for e in (a, b) for p in e.terms):
+    if not isinstance(b, dict):
+        raise TypeError("expected a dict of terms")
+    if any(weight(p) > bound for e in (a, b) for p in e):
         raise ValueError(f"a term of weight over {bound}")
-    out = dict(a.terms)
-    for parts, c in b.terms.items():
+    out = dict(a)
+    for parts, c in b.items():
         if parts in out:
             c = out.pop(parts) + c
             if not c:
                 continue
         out[parts] = c
-    return FockElement({p: out[p] for p in canonical(out)})
+    return {p: out[p] for p in canonical(out)}
 
 
-def fock_scale(e: FockElement, c) -> FockElement:
+def fock_scale(e: dict, c) -> dict:
     """Multiple of every coefficient by the scalar c."""
-    return FockElement({p: w for p, v in e.terms.items() if (w := v * c)})
+    return {p: w for p, v in e.items() if (w := v * c)}
 
 
-def fock_product(a: FockElement, b: FockElement, bound: int) -> FockElement:
+def fock_product(a: dict, b: dict, bound: int) -> dict:
     """Fock (symmetric-algebra) product: multiset union of partitions, terms
     of weight beyond `bound` dropped."""
     out = {}
-    for p1, c1 in a.terms.items():
-        for p2, c2 in b.terms.items():
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
             if weight(p1) + weight(p2) <= bound:
                 merged = tuple(sorted(p1 + p2, reverse=True))
                 out[merged] = out.get(merged, 0) + c1 * c2
-    return FockElement({p: c for p, c in out.items() if c})
+    return {p: c for p, c in out.items() if c}
 
 
-def assert_valid_terms(e: FockElement, bound: int, only=None):
-    """The invariant FockElement trusts its producers to keep: each key a
-    partition of weight at most `bound` (exactly `only`, if given), each
-    coefficient nonzero."""
-    for p, c in e.terms.items():
+def assert_valid_terms(e: dict, bound: int, only=None):
+    """The invariant every producer of terms keeps: each key a partition
+    of weight at most `bound` (exactly `only`, if given), each coefficient
+    nonzero."""
+    for p, c in e.items():
         assert check_partition(p) == p and weight(p) <= bound, p
         assert only is None or weight(p) == only, p
         assert c, p
@@ -460,14 +461,14 @@ def reference_pair_exponent(nu, nu2):
     return context, H
 
 
-def multilinear_part(context: ParamBounds, expansion: FockElement) -> dict:
+def multilinear_part(context: ParamBounds, expansion: dict) -> dict:
     """Each term's coefficient at the top parameter monomial (every exponent
     at its bound b), times prod b!, over the term's divisor; terms where it
     vanishes are dropped."""
     bounds = context.bounds
     scale = prod(factorial(b) for b in bounds)
     out = {}
-    for parts, (coeff, divisor) in expansion.terms.items():
+    for parts, (coeff, divisor) in expansion.items():
         c = Fraction(coeff.get(bounds, 0) * scale, divisor)
         if c:
             out[parts] = c
@@ -493,4 +494,4 @@ def reference_cup_nilpotent(nu, nu2):
     for parts, c in out.items():
         if weight(parts) < n:
             raise AssertionError(f"weight-{weight(parts)} term {parts} at rank {n}: {c}")
-    return FockElement(out)
+    return out

@@ -17,9 +17,10 @@ from hilbclass import cli
 from hilbclass.cli import (
     PART_TEXT, _coeff_text, _parse_rational, _UnprintableCoefficient, main,
 )
-from hilbclass.fock import _exp_walk, exp_linear
+from hilbclass.fock import _exp_walk
 from hilbclass.hilbert import TANGENT, TAUTOLOGICAL, cup_basis, exponent_g, hilbert_class
 from hilbclass.series import TruncatedSeries
+from hilbclass.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +221,16 @@ def test_unknown_arguments_rejected():
         main(["verify", "everything"])
 
 
+def test_verify_accepts_exactly_the_suites():
+    """`verify` takes each name of `verify.SUITES`, in its order, and `all`."""
+    commands = next(a for a in cli._PARSER._actions if a.dest == "subcommand").choices
+    suite = next(a for a in commands["verify"]._actions if a.dest == "suite")
+    assert suite.choices == (*SUITES, "all")
+    assert set(SUITES) == {"appendix", "oracle", "examples", "ring", "crossoracle"}
+    for name in suite.choices:
+        assert cli._PARSER.parse_args(["verify", name]).suite == name
+
+
 def test_partition_rejects_bools(capsys):
     assert main(["cup", "[true,1]", "[2]"]) == 2
     assert "partition_a" in capsys.readouterr().err
@@ -334,15 +345,15 @@ def test_library_keeps_rationals_the_cli_prints_their_text(capsys, flag, value):
     assert (g.coeffs[2], g.coeffs[3]) == (Fraction(A, B), Fraction(B, A))
     nums, dens = [c.numerator for c in g.coeffs], [c.denominator for c in g.coeffs]
     assert max(_exp_walk(nums, dens, bound, None, None, gcd).values()) >= A * B
-    for element in (hilbert_class(f, TAUTOLOGICAL, bound), exp_linear(g, bound)):
-        assert element.terms and all(type(c) is Fraction for c in element.terms.values())
+    for terms in (hilbert_class(f, TAUTOLOGICAL, bound),
+                  _exp_walk(nums, dens, bound, None, None, Fraction)):
+        assert terms and all(type(c) is Fraction for c in terms.values())
     only, degree = (value, None) if flag == "--weight-only" else (None, value)
-    element = hilbert_class(f, TAUTOLOGICAL, bound, only, degree)
+    terms = hilbert_class(f, TAUTOLOGICAL, bound, only, degree)
     code, doc = run_json(capsys, "class", "custom", TAUTOLOGICAL, "--weight", str(bound),
                          "--f", ",".join(map(str, SHARED_F)), flag, str(value))
-    assert code == 0 and len(element.terms) > 1
-    assert doc["payload"] == [{"coeff": str(c), "partition": list(p)}
-                              for p, c in element.terms.items()]
+    assert code == 0 and len(terms) > 1
+    assert doc["payload"] == [{"coeff": str(c), "partition": list(p)} for p, c in terms.items()]
 
 
 CUSTOM_F = "1,1/2,-1/3,2/3,-1,1/5,3/4,-2/7"  # a `custom --f` of the benchmark pool
@@ -359,13 +370,13 @@ def test_text_keys_are_the_partitions_text(target):
     for only, degree in ((None, None), (8, None), (None, 4), (8, 4)):
         plain = hilbert_class(f, target, bound, only, degree)
         text = hilbert_class(f, target, bound, only, degree, _coeff_text, PART_TEXT)
-        assert len(plain.terms) > 1
-        assert all(type(p) is tuple and type(c) is Fraction for p, c in plain.terms.items())
-        assert list(text.terms.items()) == [("".join(PART_TEXT[k] for k in p), str(c))
-                                            for p, c in plain.terms.items()]
+        assert len(plain) > 1
+        assert all(type(p) is tuple and type(c) is Fraction for p, c in plain.items())
+        assert list(text.items()) == [("".join(PART_TEXT[k] for k in p), str(c))
+                                      for p, c in plain.items()]
     product = cup_basis((2, 1, 1), (3, 1))
-    assert product.terms
-    assert all(type(p) is tuple and type(c) is Fraction for p, c in product.terms.items())
+    assert product
+    assert all(type(p) is tuple and type(c) is Fraction for p, c in product.items())
 
 
 @pytest.mark.parametrize("text,value", [

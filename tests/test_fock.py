@@ -1,16 +1,19 @@
-"""Tests for finite creation-monomial combinations.
+"""Tests for finite creation-monomial combinations, each a plain dict
+{partition: coefficient}.
 
 An element carries only its terms; the weight bound of a class expansion
 is an argument of the expansion and of every reference that truncates or
-guards by weight.  `exp_linear` is checked against a visit of every
+guards by weight.  The expansion of exp(sum_k g_k q_k), the walk
+`_exp_walk` that `hilbert_class` runs over the numerators and
+denominators of its exponent series, is checked against a visit of every
 partition (`exp_linear_reference`), as an exponential through the
 reference Fock (symmetric-algebra) product, and, cut to one weight or
-degree, against the full expansion filtered (`restrict`).  No command multiplies Fock
-elements that way; the cup product lives in `hilbclass.hilbert`.  Every
-producer must keep the canonical term order (`canonical`).  The walk
-behind `exp_linear`, `_exp_walk`, also runs here over lists of int
-numerators and divisors with gaps in their support, each term then the
-pair (product, divisor), kept apart.
+degree, against the full expansion filtered (`restrict`).  No command
+multiplies Fock elements that way; the cup product lives in
+`hilbclass.hilbert`.  Every producer must keep the canonical term order
+(`canonical`).  The walk also runs here over lists of int numerators and
+divisors with gaps in their support, each term then the pair (product,
+divisor), kept apart.
 """
 
 import json
@@ -20,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbclass.cli import MAX_RANK, MAX_WEIGHT, PART_TEXT, _coeff_text, _records
-from hilbclass.fock import FockElement, _exp_walk, exp_linear, hilb_unit
+import hilbclass
+from hilbclass.cli import MAX_RANK, MAX_WEIGHT, PART_TEXT, _coeff_text, _records, main
+from hilbclass.fock import _exp_walk, hilb_unit
 from hilbclass.hilbert import (
     TANGENT, builtin_f, cup, cup_basis, cup_character,
     hilbert_class, tangent_g, taut_g,
@@ -36,57 +40,47 @@ from reference import (
 small_rationals = st.sampled_from(fraction_set(4, 5))
 
 
-def walk(g, bound: int, only=None, degree=None) -> FockElement:
-    """`exp_linear` of a series, or its walk `_exp_walk` over a pair of
-    lists, int numerators g_0..g_bound and divisors, each term the pair
+def walk(g, bound: int, only=None, degree=None, make=Fraction, label=None) -> dict:
+    """`_exp_walk` over a series g with g(0) = 0, as `hilbert_class` runs it
+    on an exponent series, each term make(product, divisor); or over a pair
+    of lists, int numerators g_0..g_bound and divisors, each term the pair
     (product, divisor), kept apart."""
     if isinstance(g, TruncatedSeries):
-        return exp_linear(g, bound, only, degree)
-    return FockElement(_exp_walk(*g, bound, only, degree, lambda c, d: (c, d)))
+        nums, dens = [c.numerator for c in g.coeffs], [c.denominator for c in g.coeffs]
+        return _exp_walk(nums, dens, bound, only, degree, make, label)
+    return _exp_walk(*g, bound, only, degree, lambda c, d: (c, d))
 
 
-def assert_canonical(e: FockElement):
-    assert list(e.terms) == canonical(e.terms)
-
-
-def test_monomial():
-    q = FockElement.monomial((2, 1), Fraction(1, 2))
-    assert q.terms == {(2, 1): Fraction(1, 2)}
-    assert FockElement.monomial((2, 1), 0).is_zero
-    with pytest.raises(ValueError):
-        FockElement.monomial((1, 2))
-    with pytest.raises(ValueError):
-        FockElement.monomial((1, 0))
+def assert_canonical(e: dict):
+    assert list(e) == canonical(e)
 
 
 def test_truncation_drops_overflow():
-    a = FockElement.monomial((2,))
-    b = FockElement.monomial((2,))
-    assert fock_product(a, b, 3).is_zero  # weight 4 > bound 3
-    c = FockElement.monomial((1,))
-    assert fock_product(a, c, 3).terms.get((2, 1), 0) == 1
+    a = {(2,): Fraction(1)}
+    assert fock_product(a, a, 3) == {}  # weight 4 > bound 3
+    c = {(1,): Fraction(1)}
+    assert fock_product(a, c, 3).get((2, 1), 0) == 1
 
 
 def test_product_merges_partitions():
-    a = FockElement.monomial((2, 1), 2)
-    b = FockElement.monomial((3, 2), Fraction(1, 2))
-    assert fock_product(a, b, 8).terms == {(3, 2, 2, 1): Fraction(1)}
+    a = {(2, 1): Fraction(2)}
+    b = {(3, 2): Fraction(1, 2)}
+    assert fock_product(a, b, 8) == {(3, 2, 2, 1): Fraction(1)}
 
 
 def test_linear_structure():
-    a = FockElement.monomial((2,))
-    b = FockElement.monomial((1, 1))
+    a = {(2,): Fraction(1)}
+    b = {(1, 1): Fraction(1)}
     s = fock_add(a, fock_scale(b, 3), 3)
-    assert s.terms.get((1, 1), 0) == 3
-    assert fock_add(s, fock_scale(s, -1), 3).terms == {}
-    assert fock_scale(s, 0).terms == {}
-    assert fock_add(s, fock_scale(b, -3), 3).terms == {(2,): 1}
-    assert s == s
+    assert s.get((1, 1), 0) == 3
+    assert fock_add(s, fock_scale(s, -1), 3) == {}
+    assert fock_scale(s, 0) == {}
+    assert fock_add(s, fock_scale(b, -3), 3) == {(2,): 1}
 
 
 def test_compatibility_guards():
-    a = FockElement.monomial((1,))
-    b = FockElement.monomial((3,))
+    a = {(1,): Fraction(1)}
+    b = {(3,): Fraction(1)}
     with pytest.raises(ValueError):
         fock_add(a, b, 2)  # b's term is over the bound
     with pytest.raises(TypeError):
@@ -95,26 +89,25 @@ def test_compatibility_guards():
 
 def test_components_partition_element():
     g = TruncatedSeries.from_coeffs([0, 1, Fraction(-1, 2), Fraction(1, 3)], 3)
-    e = exp_linear(g, 3)
-    rebuilt = FockElement({})
+    e = walk(g, 3)
+    rebuilt = {}
     for n in range(4):
-        piece = exp_linear(g, 3, n)
-        assert piece.terms and all(weight(p) == n for p in piece.terms)
+        piece = walk(g, 3, n)
+        assert piece and all(weight(p) == n for p in piece)
         rebuilt = fock_add(rebuilt, piece, 3)
     assert rebuilt == e
-    by_degree = FockElement({})
+    by_degree = {}
     for d in range(4):
         by_degree = fock_add(by_degree, restrict(e, degree=d), 3)
     assert by_degree == e
     for only in (-1, 4):
-        with pytest.raises(ValueError):
-            exp_linear(g, 3, only)
+        with pytest.raises(ValueError, match="the single weight"):
+            hilbert_class(builtin_f("chern", 2), TANGENT, 3, only)
 
 
 def test_exp_linear_anchored():
     g = TruncatedSeries.from_coeffs([0, 1, Fraction(-1, 2)], 2)
-    e = exp_linear(g, 2)
-    assert e.terms == {
+    assert walk(g, 2) == {
         (): Fraction(1),
         (1,): Fraction(1),
         (2,): Fraction(-1, 2),
@@ -122,12 +115,21 @@ def test_exp_linear_anchored():
     }
 
 
-def test_exp_linear_guards():
-    for only in (None, 2):
-        with pytest.raises(ValueError):
-            exp_linear(TruncatedSeries.one(4), 4, only)
-        with pytest.raises(ValueError):
-            exp_linear(TruncatedSeries.from_coeffs([], 2), 4, only)
+def test_hilbert_class_guards_keep_their_order():
+    """The series is checked first (by `exponent_g`), then the single
+    weight, then the degree, whichever of the later ones is also bad."""
+    f = builtin_f("chern", 3)
+    cases = [
+        ((TruncatedSeries.from_coeffs([2, 1], 3), TANGENT, 4, 5, -1), "constant term 1"),
+        ((f, "sheaf", 4, 5, -1), "unknown target"),
+        ((f, TANGENT, 4, 5, -1), "the single weight"),
+        ((f, TANGENT, 4, -1, None), "the single weight"),
+        ((f, TANGENT, 4, None, -1), "the degree"),
+        ((f, TANGENT, 4, 4, -1), "the degree"),
+    ]
+    for args, words in cases:
+        with pytest.raises(ValueError, match=words):
+            hilbert_class(*args)
 
 
 g_value = st.one_of(
@@ -153,16 +155,16 @@ def test_exp_linear_matches_reference(tail, bound, data):
     tail = (tail + [0] * bound)[:bound]
     g = TruncatedSeries.from_coeffs([0] + tail, bound)
     expected = exp_linear_reference(g.coeffs, bound)
-    got = exp_linear(g, bound)
-    assert got.terms == expected.terms
+    got = walk(g, bound)
+    assert got == expected
     assert_valid_terms(got, bound)
     for only in range(bound + 1):
-        piece = exp_linear(g, bound, only)
+        piece = walk(g, bound, only)
         assert piece == restrict(expected, only)
         assert_valid_terms(piece, bound, only)
     cut = st.one_of(st.none(), st.integers(min_value=0, max_value=bound))
     only, degree = data.draw(cut), data.draw(cut)
-    pruned = exp_linear(g, bound, only, degree)
+    pruned = walk(g, bound, only, degree)
     assert pruned == restrict(expected, only, degree)
     assert_valid_terms(pruned, bound)
     assert_canonical(pruned)
@@ -191,15 +193,15 @@ def test_exp_walk_matches_reference_over_integer_pairs():
         expected = exp_linear_reference(nums, bound, 1, dens)
         for only in (None, *range(bound + 1)):
             for degree in (None, *range(bound + 1)):
-                got = walk((nums, dens), bound, only, degree).terms.items()
-                want = restrict(expected, only, degree).terms.items()
+                got = walk((nums, dens), bound, only, degree).items()
+                want = restrict(expected, only, degree).items()
                 assert list(got) == list(want), (nums, only, degree)
 
 
 def test_exp_walk_at_bound_zero():
     for only, degree in ((None, None), (0, None), (None, 0), (0, 1)):
         expected = {(): (1, 1)} if degree != 1 else {}
-        assert walk(([0], [1]), 0, only, degree).terms == expected
+        assert walk(([0], [1]), 0, only, degree) == expected
 
 
 def degree_cases():
@@ -222,7 +224,7 @@ def degree_cases():
 def test_degree_pruned_walk_equals_filtered_walk(g, bound):
     for only in (None, *range(bound + 1)):
         full = walk(g, bound, only)
-        rebuilt = FockElement({})
+        rebuilt = {}
         for degree in range(bound + 1):
             pruned = walk(g, bound, only, degree)
             assert pruned == restrict(full, degree=degree), (only, degree)
@@ -233,11 +235,12 @@ def test_degree_pruned_walk_equals_filtered_walk(g, bound):
 
 
 def test_degree_guard():
-    g = TruncatedSeries.from_coeffs([0, 1, Fraction(-1, 2)], 2)
+    f = builtin_f("chern", 1)
     for only in (None, 2):
-        with pytest.raises(ValueError):
-            exp_linear(g, 2, only, -1)
-    assert exp_linear(g, 2, None, 2).is_zero  # degree 2 needs weight 3
+        with pytest.raises(ValueError, match="the degree"):
+            hilbert_class(f, TANGENT, 2, only, -1)
+    g = TruncatedSeries.from_coeffs([0, 1, Fraction(-1, 2)], 2)
+    assert walk(g, 2, None, 2) == {}  # degree 2 needs weight 3
 
 
 @given(
@@ -248,7 +251,7 @@ def test_degree_guard():
 def test_exp_linear_is_exponential(c1, c2):
     g1 = TruncatedSeries.from_coeffs([0] + c1, 5)
     g2 = TruncatedSeries.from_coeffs([0] + c2, 5)
-    assert exp_linear(add(g1, g2), 5) == fock_product(exp_linear(g1, 5), exp_linear(g2, 5), 5)
+    assert walk(add(g1, g2), 5) == fock_product(walk(g1, 5), walk(g2, 5), 5)
 
 
 def test_every_producer_keeps_canonical_order():
@@ -257,7 +260,7 @@ def test_every_producer_keeps_canonical_order():
     for g in (tangent_g(f, 12), taut_g(f, 12)):
         for only in (None, 0, 7, 12):
             for degree in (None, 0, 4, 11):
-                assert_canonical(exp_linear(g, 12, only, degree))
+                assert_canonical(walk(g, 12, only, degree))
     p = integer_pairs_g()
     for only in (None, 4):
         for degree in (None, 2):
@@ -270,55 +273,48 @@ def test_every_producer_keeps_canonical_order():
         assert_canonical(cup_character(nu, nu2))
     a = hilbert_class(builtin_f("sqrt-todd", 5), TANGENT, 6, 6)
     b = hilbert_class(f, TANGENT, 6, 6)
-    assert len(a.terms) > 1 and len(b.terms) > 1
+    assert len(a) > 1 and len(b) > 1
     assert_canonical(cup(a, b, 6))
     for n in range(5):
         assert_canonical(hilb_unit(n))
 
 
 def test_sum_restores_canonical_order():
-    odd = FockElement({(1,): Fraction(1), (3,): Fraction(2), (5,): Fraction(3)})
-    even = FockElement({(): Fraction(1), (2,): Fraction(-1), (2, 2): Fraction(1, 2),
-                        (3, 1): Fraction(1, 4)})
+    odd = {(1,): Fraction(1), (3,): Fraction(2), (5,): Fraction(3)}
+    even = {(): Fraction(1), (2,): Fraction(-1), (2, 2): Fraction(1, 2), (3, 1): Fraction(1, 4)}
     for total in (fock_add(odd, even, 5), fock_add(even, odd, 5)):
-        assert list(total.terms) == [(), (1,), (2,), (3,), (3, 1), (2, 2), (5,)]
+        assert list(total) == [(), (1,), (2,), (3,), (3, 1), (2, 2), (5,)]
         assert_canonical(total)
-    cancelled = fock_add(odd, FockElement({(3,): Fraction(-2), (1, 1): Fraction(1)}), 5)
-    assert list(cancelled.terms) == [(1,), (1, 1), (5,)]
+    cancelled = fock_add(odd, {(3,): Fraction(-2), (1, 1): Fraction(1)}, 5)
+    assert list(cancelled) == [(1,), (1, 1), (5,)]
 
 
-def test_records_of_a_canonical_element():
+def test_records_of_a_canonical_element(capsys):
     """`_records` writes the bytes json.dumps(indent=2, sort_keys=True) writes one
     level deep: for the `class` walk's text keys, from the empty partition to the
-    table's top part; for partition keys, as a cup product has, with a part of the
-    largest rank; and for no terms."""
+    table's top part, and for no terms; and `cup` requests at the largest rank,
+    one with a part of that rank, print their products as json.dumps would."""
     g = TruncatedSeries.from_coeffs([0, 1] + [0] * 38 + [Fraction(-3, 7)], MAX_WEIGHT)
-    text = exp_linear(g, MAX_WEIGHT, make=_coeff_text, label=PART_TEXT)
-    plain = exp_linear(g, MAX_WEIGHT)
+    text = walk(g, MAX_WEIGHT, make=_coeff_text, label=PART_TEXT)
+    plain = walk(g, MAX_WEIGHT)
     assert len(PART_TEXT) == MAX_WEIGHT + 1 > MAX_RANK
-    assert "" in text.terms and PART_TEXT[MAX_WEIGHT] in text.terms
-    partitions = FockElement({
-        (1,): Fraction(-1),
-        (3,): Fraction(2),
-        (2, 1): Fraction(1, 2),
-        (MAX_RANK,): Fraction(-1, MAX_RANK),
-        (MAX_RANK - 2, 1, 1): Fraction(1, 6),
-    })
-    assert_canonical(partitions)
-    for element, terms in ((text, plain.terms), (partitions, partitions.terms),
-                           (FockElement({}), {})):
-        records = [{"coeff": str(c), "partition": list(p)} for p, c in terms.items()]
-        expected = json.dumps({"payload": records}, indent=2, sort_keys=True)
-        assert '{\n  "payload": ' + "".join(_records(element)) + "\n}" == expected
-
-
-def test_repr_shows_either_key():
-    assert repr(FockElement({(2, 1): Fraction(1, 2)})) == "FockElement(Fraction(1, 2)*q[2, 1])"
-    text = FockElement({PART_TEXT[2] + PART_TEXT[1]: "1/2"})
-    assert repr(text) == "FockElement('1/2'*q',\\n        2,\\n        1')"
+    assert "" in text and PART_TEXT[MAX_WEIGHT] in text
+    for terms, expected in ((text, plain), ({}, {})):
+        records = [{"coeff": str(c), "partition": list(p)} for p, c in expected.items()]
+        want = json.dumps({"payload": records}, indent=2, sort_keys=True)
+        assert '{\n  "payload": ' + "".join(_records(terms)) + "\n}" == want
+    t = (2,) + (1,) * (MAX_RANK - 2)  # a transposition: times q_(MAX_RANK-1,1), q_(MAX_RANK)
+    for nu, nu2, keys in ((t, (MAX_RANK - 1, 1), [(MAX_RANK,)]),
+                          (t, t, [(3,) + (1,) * (MAX_RANK - 3), (2, 2) + (1,) * (MAX_RANK - 4)])):
+        product = cup_basis(nu, nu2)
+        assert list(product) == keys
+        doc = {"request": {"subcommand": "cup", "a": list(nu), "b": list(nu2)},
+               "payload": [{"coeff": str(c), "partition": list(p)} for p, c in product.items()],
+               "engine": f"hilbclass {hilbclass.__version__}"}
+        assert main(["cup", json.dumps(nu), json.dumps(nu2)]) == 0
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_hilb_unit():
-    u = hilb_unit(3)
-    assert u.terms == {(1, 1, 1): Fraction(1, 6)}
-    assert hilb_unit(0).terms == {(): Fraction(1)}
+    assert hilb_unit(3) == {(1, 1, 1): Fraction(1, 6)}
+    assert hilb_unit(0) == {(): Fraction(1)}

@@ -5,9 +5,9 @@ No library code exists only for tests: every `def` in `src/hilbclass/`
 fixed list of small `hilbclass` requests that between them use every
 subcommand and flag, and the ways a result can fail to print.  A profile
 hook records each code object entered while they run.  Class bodies and
-comprehensions are not `def`s; `__repr__`, `__eq__`, `__hash__` and
-`__setattr__` are kept for assertion messages, tests and immutability,
-and are not required.
+comprehensions are not `def`s; `TruncatedSeries`, the one class, keeps
+`__repr__`, `__eq__` and `__setattr__` for assertion messages, tests and
+immutability, and they are not required.
 """
 
 import sys
@@ -19,7 +19,7 @@ import hilbclass
 from hilbclass import cli
 
 SRC = Path(hilbclass.__file__).parent
-KEEP = {"__repr__", "__eq__", "__hash__", "__setattr__"}
+KEEP = {"__repr__", "__eq__", "__setattr__"}
 
 REQUESTS = [
     (("gseries", "chern", "tangent", "--order", "5"), 0),
