@@ -1,9 +1,11 @@
 """Command-line surface: exponent series tables, class expansions in the
 creation-operator basis, cup products, and the verification suites.
 
-Every invocation emits a single deterministic JSON document on stdout (or to
---out).  Exit status is nonzero exactly when input is invalid or a
-verification check fails.
+Every invocation emits one deterministic JSON document on stdout (or to --out),
+the bytes of json.dumps(indent=2, sort_keys=True) written by hand.  A request is
+parsed by its subcommand's parser alone; anything else, and every bad argument,
+is reported as the full parser reports it.  Exit status is nonzero exactly when
+input is invalid or a verification check fails.
 """
 
 from __future__ import annotations
@@ -106,10 +108,6 @@ def _defining_series(args, min_order: int) -> TruncatedSeries:
     return builtin_f(args.class_name, min_order, r)
 
 
-def _document(request: dict, payload) -> dict:
-    return {"request": request, "payload": payload, "engine": f"hilbclass {__version__}"}
-
-
 class _UnprintableCoefficient(ValueError):
     """A coefficient's numerator or denominator is past the interpreter's digit limit."""
 
@@ -132,9 +130,8 @@ def _unprintable(request: dict) -> ValueError:
 
 
 def _records(terms: dict) -> list[str]:
-    """[{"coeff": "p/q", "partition": [...]}, ...] in term order, as json.dumps(indent=2,
-    sort_keys=True) writes it one level deep, without its Python encoder, in pieces.
-    Each key is the text of a partition joined from `PART_TEXT`."""
+    """[{"coeff": "p/q", "partition": [...]}, ...] in term order, in pieces, as json.dumps(
+    indent=2, sort_keys=True) writes it one level deep; each key is a text from `PART_TEXT`."""
     pieces = [f',\n    {{\n      "coeff": "{c}",\n      "partition": [{text[1:]}\n      ]\n    }}'
               for text, c in terms.items()]
     if not pieces:
@@ -145,20 +142,31 @@ def _records(terms: dict) -> list[str]:
     return pieces
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    """The document as json.dumps(indent=2, sort_keys=True) writes it, and a newline,
-    written in pieces; a dict payload, the terms of an element, goes through `_records`."""
-    payload = doc["payload"]
+def _value(v) -> str:
+    """A str, int, None or list of ints as json.dumps(indent=2) writes it two levels deep."""
+    if isinstance(v, list):
+        return "[\n      " + ",\n      ".join(map(str, v)) + "\n    ]" if v else "[]"
+    if isinstance(v, str):
+        return json.encoder.encode_basestring_ascii(v)  # the stdlib's C escaper
+    return "null" if v is None else str(v)
+
+
+def _emit(request: dict, payload, out_path: str | None) -> None:
+    """{"engine", "payload", "request"} as json.dumps(indent=2, sort_keys=True, default=str)
+    writes it, and a newline, in pieces: element terms via `_records`, check dicts re-indented."""
     try:
         if isinstance(payload, dict):
-            # sort_keys writes "payload" before "request", whose values may be null
-            head, tail = json.dumps({**doc, "payload": None}, indent=2, sort_keys=True,
-                                    default=str).split('"payload": null', 1)
-            pieces = [head, '"payload": ', *_records(payload), tail, "\n"]
+            body = _records(payload)
+        elif payload and isinstance(payload[0], dict):
+            body = [json.dumps(payload, indent=2, sort_keys=True).replace("\n", "\n  ")]
         else:
-            pieces = [json.dumps(doc, indent=2, sort_keys=True, default=str), "\n"]
+            body = ['[\n    "' + '",\n    "'.join(map(str, payload)) + '"\n  ]'
+                    if payload else "[]"]
     except ValueError:  # str() of an int past the interpreter's digit limit
-        raise _unprintable(doc["request"]) from None
+        raise _unprintable(request) from None
+    fields = ",\n    ".join([f'"{k}": {_value(v)}' for k, v in sorted(request.items())])
+    pieces = ['{\n  "engine": "hilbclass ', __version__, '",\n  "payload": ', *body,
+              ',\n  "request": {\n    ', fields, "\n  }\n}\n"]
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -174,12 +182,11 @@ def cmd_gseries(args) -> int:
     _check_range("--order", order, MAX_ORDER)
     f = _defining_series(args, max(order - 1, 0))
     g = exponent_g(f, args.target, order)
-    payload = list(g.coeffs[1:])  # _emit prints each as its str()
     request = {
         "subcommand": "gseries", "class": args.class_name, "target": args.target,
         "order": order, "r": args.r, "f": args.f,
     }
-    _emit(_document(request, payload), args.out)
+    _emit(request, g.coeffs[1:], args.out)  # prints each as its str()
     return 0
 
 
@@ -201,7 +208,7 @@ def cmd_class(args) -> int:
                               _coeff_text, PART_TEXT)
     except _UnprintableCoefficient:
         raise _unprintable(request) from None
-    _emit(_document(request, terms), args.out)
+    _emit(request, terms, args.out)
     return 0
 
 
@@ -220,7 +227,7 @@ def cmd_cup(args) -> int:
                          f"got rank {weight(nu2)}: {_echo(args.partition_b, str)}")
     terms = {"".join([PART_TEXT[k] for k in lam]): c for lam, c in cup_basis(nu, nu2).items()}
     request = {"subcommand": "cup", "a": list(nu), "b": list(nu2)}
-    _emit(_document(request, terms), args.out)
+    _emit(request, terms, args.out)
     return 0
 
 
@@ -229,11 +236,11 @@ def cmd_verify(args) -> int:
     payload = [{"check": c.name, "passed": c.passed, **({"detail": c.detail} if c.detail else {})}
                for c in checks]
     request = {"subcommand": "verify", "suite": args.suite}
-    _emit(_document(request, payload), args.out)
+    _emit(request, payload, args.out)
     return 0 if all(c.passed for c in checks) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="hilbclass",
         description="Multiplicative classes and cup products on Hilbert "
@@ -276,10 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = build_parser()  # built once: a build took over half of a cold cup request
+# built once, as a build took over half of a cold cup request; `main` parses a request
+_PARSER, _COMMANDS = build_parser()  # with its subcommand's parser alone, at half the cost
 
 
 def _join_negative_r(argv: list[str]) -> list[str]:
@@ -295,7 +303,14 @@ def _join_negative_r(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(_join_negative_r(sys.argv[1:] if argv is None else argv))
+    argv = _join_negative_r(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+        if extra:  # under the top-level usage, as `_PARSER.parse_args` reports them
+            _PARSER.error("unrecognized arguments: " + " ".join(extra))
+        args.subcommand = argv[0]
+    else:  # no subcommand, -h or a typo: the top-level parser reports it
+        args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

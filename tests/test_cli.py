@@ -1,6 +1,7 @@
 """Tests for the command-line surface: JSON schemas, determinism, filters
 and exit codes."""
 
+import importlib.util
 import json
 import shlex
 import subprocess
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hilbclass import cli
+from hilbclass import __version__, cli
 from hilbclass.cli import (
-    PART_TEXT, _coeff_text, _parse_rational, _UnprintableCoefficient, main,
+    PART_TEXT, _coeff_text, _emit, _parse_rational, _UnprintableCoefficient, main,
 )
 from hilbclass.fock import _exp_walk
 from hilbclass.hilbert import TANGENT, TAUTOLOGICAL, cup_basis, exponent_g, hilbert_class
@@ -176,9 +177,11 @@ def test_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("gseries", "sqrt-todd", "tangent", "--order", "9"),
     ("class", "sqrt-todd", "tautological", "--weight", "6"),
     ("cup", "[3,2,1]", "[2,2,1,1]"),
-], ids=["class", "cup"])
+    ("verify", "appendix"),
+], ids=["gseries", "class", "cup", "verify"])
 def test_out_file_bytes_equal_stdout(tmp_path, capsys, argv):
     path = tmp_path / "result.json"
     _, out = run_cli(capsys, *argv)
@@ -214,21 +217,119 @@ def test_error_exit_codes(capsys):
     capsys.readouterr()
 
 
-def test_unknown_arguments_rejected():
-    with pytest.raises(SystemExit):
-        main(["gseries", "euler", "tangent"])
-    with pytest.raises(SystemExit):
-        main(["verify", "everything"])
+def outcome(capsys, argv):
+    """Exit status, stdout and stderr of `main(argv)`, an argparse exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_unknown_arguments_rejected(capsys, monkeypatch):
+    """A bad value is reported under its subcommand's usage, and leftover
+    arguments under the top-level usage."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal's width
+    for argv, err in [
+        (["gseries", "euler", "tangent"],
+         "usage: hilbclass gseries [-h] [--r R] [--f F] [--order ORDER] [--out OUT]\n"
+         "                         class {tangent,tautological}\n"
+         "hilbclass gseries: error: argument class: invalid choice: 'euler' "
+         "(choose from 'chern', 'segre', 'sqrt-todd', 'cprime-pow', 'custom')\n"),
+        (["verify", "everything"],
+         "usage: hilbclass verify [-h] [--out OUT]\n"
+         "                        {appendix,examples,oracle,ring,crossoracle,all}\n"
+         "hilbclass verify: error: argument suite: invalid choice: 'everything' "
+         "(choose from 'appendix', 'examples', 'oracle', 'ring', 'crossoracle', 'all')\n"),
+        (["cup", "[1]", "[1]", "extra", "--bogus"],
+         "usage: hilbclass [-h] {gseries,class,cup,verify} ...\n"
+         "hilbclass: error: unrecognized arguments: extra --bogus\n"),
+    ]:
+        assert outcome(capsys, argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["cup", "-h"], ["frobnicate"],
+    ["cup", "[1]"], ["cup", "[1]", "[1]", "extra"], ["cup", "[1]", "[1]", "--bogus"],
+    ["verify", "everything"],
+    ["gseries", "chern", "tangent", "--ord", "5"],
+    ["gseries", "cprime-pow", "tangent", "--r", "-3/2"],
+    ["class", "chern", "tangent", "--weight", "x"],
+], ids=repr)
+def test_subcommand_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
+    """`main` hands a request to its subcommand's parser alone; with no
+    subcommand known it goes through `_PARSER.parse_args`.  Both routes give
+    the same stdout, stderr and exit status."""
+    dispatched = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    assert outcome(capsys, argv) == dispatched
 
 
 def test_verify_accepts_exactly_the_suites():
     """`verify` takes each name of `verify.SUITES`, in its order, and `all`."""
-    commands = next(a for a in cli._PARSER._actions if a.dest == "subcommand").choices
-    suite = next(a for a in commands["verify"]._actions if a.dest == "suite")
+    verify = cli._COMMANDS["verify"]
+    suite = next(a for a in verify._actions if a.dest == "suite")
     assert suite.choices == (*SUITES, "all")
     assert set(SUITES) == {"appendix", "oracle", "examples", "ring", "crossoracle"}
     for name in suite.choices:
+        assert verify.parse_args([name]).suite == name
         assert cli._PARSER.parse_args(["verify", name]).suite == name
+
+
+def envelope(request, payload):
+    """The document `_emit` writes, as the stdlib's encoder writes it."""
+    doc = {"request": request, "payload": payload, "engine": f"hilbclass {__version__}"}
+    return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gseries", "custom", "tangent", "--f", "1,\u0661/\u0662", "--order", "4"),
+    ("gseries", "cprime-pow", "tautological", "--r=\u0661/\u0662", "--order", "0"),
+    ("class", "chern", "tangent", "--weight", "4", "--degree", "2"),
+    ("cup", "[3,2,1]", "[2,2,1,1]"),
+    ("verify", "examples"),
+], ids=["gseries", "gseries-empty", "class", "cup", "verify"])
+def test_envelope_is_what_json_dumps_writes(capsys, argv):
+    """Each command's output is the stdlib's indented, key-sorted text of the
+    document it holds; non-ASCII digits are echoed escaped."""
+    _, out, err = outcome(capsys, argv)
+    doc = json.loads(out)
+    assert err == "" and out == envelope(doc["request"], doc["payload"])
+    assert out.isascii()
+
+
+@pytest.mark.parametrize("request_", [
+    {"subcommand": "gseries", "class": "custom", "target": "tangent", "order": 0,
+     "r": None, "f": "1,\u0661/\u0662"},
+    {"subcommand": "cup", "a": [], "b": [3, 1, 1]},
+    {"subcommand": "class", "class": "cprime-pow", "target": "tautological", "weight": 12,
+     "degree": None, "r": 'a"b\\c\x00\x1f\n\t\x7f\u2028\xe9\U0001d7d8', "f": ""},
+], ids=["null-and-digits", "empty-list", "escapes"])
+@pytest.mark.parametrize("payload,expected", [
+    ({"": "1", PART_TEXT[2] + PART_TEXT[1]: "-1/2"},
+     [{"coeff": "1", "partition": []}, {"coeff": "-1/2", "partition": [2, 1]}]),
+    ({}, []),
+    ((Fraction(1), Fraction(-1, 3), Fraction(0)), ["1", "-1/3", "0"]),
+    ((), []),
+    ([{"check": "a", "passed": True}, {"check": "b\n\xe9", "passed": False, "detail": '"x"'}],
+     None),
+], ids=["terms", "no-terms", "series", "empty-series", "checks"])
+def test_envelope_writer_escapes_as_json_dumps(capsys, request_, payload, expected):
+    _emit(request_, payload, None)
+    out = capsys.readouterr().out
+    assert out == envelope(request_, payload if expected is None else expected)
+
+
+def test_tracer_names_resolve_in_the_cli():
+    """Every `cli` function the benchmark's tracer wraps exists under its name."""
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [name for _, module, _, attrs in tracer.SPANS if module == "cli" for name in attrs]
+    assert sorted(names) == ["_emit", "main"]
+    assert all(callable(getattr(cli, name, None)) for name in names)
 
 
 def test_partition_rejects_bools(capsys):
