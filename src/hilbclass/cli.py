@@ -27,9 +27,9 @@ from .verify import SUITES, run_suite
 
 DEFAULT_ORDER = 12
 
-MAX_WEIGHT = 40  # class time and memory double about every 4 weights (README)
-MAX_RANK = 28  # the slowest cold cup pair measured: 0.1-0.25 s and 19 MB (README)
-MAX_ORDER = 241  # the slowest gseries takes 3.6-3.9 s at this order, 3.5-4x that at 321 (README)
+MAX_WEIGHT = 40  # a dense class: 0.7 s and 147 MB, doubling every 4 weights (README)
+MAX_RANK = 28  # the slowest cold cup pair measured: 0.14 s and 18 MB (README)
+MAX_ORDER = 241  # the slowest gseries takes 3.4-3.6 s at this order, 3x that at 321 (README)
 
 CLASS_NAMES = ("chern", "segre", "sqrt-todd", "cprime-pow", "custom")
 

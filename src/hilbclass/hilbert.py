@@ -22,11 +22,13 @@ nonzero n-cycle character.  On a hook that character is (-1)^a, the hook
 product n a! (n-a-1)!, the hook lengths {n} u {1..n-a-1} u {1..a} and the
 contents {-(n-a-1)..a} (Macdonald, Symmetric Functions and Hall
 Polynomials, I.1 and I.7).  So each hook's product of root factors is
-T_j(-x) T_i(x) for one prefix-product table T_j = prod_(k=1..j) f(k x),
-and the signed sum over the hooks is the appendix series P_(n-1) up to a
-factor.  One table, built once per series to the highest n asked, gives
-every g_n of an oracle, or P_n; each coefficient is read from it as a few
-dot products, since the summands pair off under x -> -x.
+T_j(-x) T_i(x) for one prefix-product table T_j = prod_(k=1..j) F(k x),
+F = f (tautological) or f(x) f(-x) (tangent, times F(n x) for the hook
+length n), and the signed sum over the hooks is the appendix series
+P_(n-1) of F up to a factor.  That vanishes below x^(n-1), so F(n x) adds
+only F(0) = 1.  One table, built once per series to the highest n asked,
+gives every g_n of an oracle, or P_n; each coefficient is read from it as
+a few dot products, since the summands pair off under x -> -x.
 
 The cup product on the weight-n piece runs the paper's route in closed
 form, a block sum in one walk over the blocks that places both factors'
@@ -169,19 +171,24 @@ def hilbert_class(f: TruncatedSeries, target: str, bound: int, only: int | None 
 # -- fixed-point oracles --------------------------------------------------
 
 
-def _prefix_table(nums, top: int) -> tuple[list, list]:
-    """The prefix products T_j = prod_(k=1..j) f(k x), j = 0..top, to x^top,
-    for the f with integer numerators `nums` over a denominator d (T_j is
-    over d^j), and their mirrors T_j(-x), odd coefficients negated."""
+def _hook_tables(f: TruncatedSeries, top: int, too_low: str) -> tuple[int, tuple[list, list]]:
+    """Check f (constant term 1, order at least `top`, else `too_low`); give
+    d and the prefix products T_j = prod_(k=1..j) f(k x), j = 0..top, to
+    x^top on the integer numerators of f.coeffs[:top + 1] over d (T_j is
+    over d^j), with their mirrors T_j(-x), odd coefficients negated."""
+    _require_unit_one(f)
+    if f.order < top:
+        raise ValueError(too_low)
+    den, nums = _integer_numerators(f.coeffs[: top + 1])
     table = [[1] + [0] * top]
     for k in range(1, top + 1):
         table.append(_convolve(table[-1], [a * k**i for i, a in enumerate(nums)], top))
-    return table, [[-a if i % 2 else a for i, a in enumerate(t)] for t in table]
+    return den, (table, [[-a if i % 2 else a for i, a in enumerate(t)] for t in table])
 
 
 def _hook_coeff(tables, m: int, e: int) -> int:
     """[x^e] K_m, K_m = sum_(s=0..m) (-1)^s C(m, s) T_(m-s)(-x) T_s(x), over
-    d^m, from the `_prefix_table` pair `tables` (m, e <= top).  Summand m - s
+    d^m, from the `_hook_tables` pair `tables` (m, e <= top).  Summand m - s
     is summand s at -x times (-1)^m: the two give twice summand s when e + m
     is even and cancel otherwise, and s = m/2 is its own mirror, so only the
     s <= m/2 are read, one dot product each."""
@@ -192,44 +199,39 @@ def _hook_coeff(tables, m: int, e: int) -> int:
                * sum(map(mul, mirror[m - s], table[s][e::-1])) for s in range(m // 2 + 1))
 
 
-def _fixed_point_series(f: TruncatedSeries, order: int, tangent: bool) -> TruncatedSeries:
-    """g_0..g_order, g_n the sum over the hooks (n-a, 1^a) of (-1)^a / (n H)
-    [x^(n-1)] prod_r f(r x), r over the Chern roots, H = n a! (n-a-1)!:
-    weight (-1)^a C(n-1, a) over n n!.  The contents -(n-a-1)..a give
-    T_(n-1-a)(-x) f(0) T_a(x), so g_n is [x^(n-1)] K_(n-1)(f) / (n n!); the
-    hook lengths {n} u {1..n-a-1} u {1..a} give [x^(n-1)] F(n x) K_(n-1)(F)
-    / (n n!), F = f(x) f(-x), which is even.  All n read one prefix table
-    to x^(order-1), on the integer numerators of f.coeffs[:order]."""
+def _fixed_point_series(F: TruncatedSeries, order: int) -> TruncatedSeries:
+    """g_0..g_order, g_n = [x^(n-1)] K_(n-1)(F) / (n n!), every n read from
+    one prefix table of F to x^(order-1).  Over the hooks (n-a, 1^a), g_n
+    sums (-1)^a / (n H) [x^(n-1)] prod_r f(r x), r over the Chern roots,
+    H = n a! (n-a-1)!: weight (-1)^a C(n-1, a) over n n!.  The contents
+    give T_(n-1-a)(-x) f(0) T_a(x), so K_(n-1)(f); the hook lengths give
+    F(n x) K_(n-1)(F), F = f(x) f(-x).  K_m vanishes below x^m (P_m =
+    K_m / m!, the identity `lemma_b1` and `verify appendix` check), so
+    F(n x) adds only F(0) = 1 and both sheaves read the one sum."""
     if order < 1:
         raise ValueError("the oracle needs n >= 1")
-    _require_unit_one(f)
-    if f.order < order - 1:
-        raise ValueError("series truncated too low for this n")
-    den, nums = _integer_numerators(f.coeffs[:order])
-    if tangent:
-        nums = _convolve(nums, [-a if i % 2 else a for i, a in enumerate(nums)], order - 1)
-    tables = _prefix_table(nums, order - 1)
-    g = [Fraction(0)]
-    for n in range(1, order + 1):  # F(n x) is over d^2; the content 0 gives f(0) = 1
-        lead = nums[:n] if tangent else [1]
-        top = sum(a * n**i * _hook_coeff(tables, n - 1, n - 1 - i) for i, a in enumerate(lead))
-        g.append(Fraction(top, n * factorial(n) * den ** (2 * n if tangent else n - 1)))
-    return TruncatedSeries(order, g)
+    den, tables = _hook_tables(F, order - 1, "series truncated too low for this n")
+    return TruncatedSeries(order, [Fraction(0)] + [
+        Fraction(_hook_coeff(tables, n - 1, n - 1), n * factorial(n) * den ** (n - 1))
+        for n in range(1, order + 1)])
 
 
 def oracle_top_tangent(f: TruncatedSeries, order: int) -> TruncatedSeries:
     """The q_(n)-coefficients, n <= order, of the top-degree classes, by
     summation over the torus fixed points with a nonzero n-cycle character,
     the hooks (tangent Chern roots: +-hook length per cell).  Must equal
-    tangent_g(f, order)."""
-    return _fixed_point_series(f, order, True)
+    tangent_g(f, order); F = f(x) f(-x) is written out here, not taken from
+    `tangent_g`, so a wrong F there still fails `verify oracle`."""
+    if order >= 1:  # F(0) = f(0)^2 would let f(0) = -1 through
+        _require_unit_one(f)
+    return _fixed_point_series(f * f.negate_arg(), order)
 
 
 def oracle_top_taut(f: TruncatedSeries, order: int) -> TruncatedSeries:
     """Same fixed-point sums for the tautological sheaf, whose Chern roots
     specialize to the cell contents row - column.  Must equal
     taut_g(f, order)."""
-    return _fixed_point_series(f, order, False)
+    return _fixed_point_series(f, order)
 
 
 # -- the two appendix identities -----------------------------------------
@@ -249,15 +251,11 @@ def p_n_series_upto(f: TruncatedSeries, top: int) -> list[TruncatedSeries]:
 
     Each P_n's coefficients below x^n vanish and its x^n coefficient equals
     (-1)^n [x^n] f^(n+1).  Summand s's product is T_(n-s)(-x) f(0) T_s(x),
-    so P_n is the hook sum K_n / n!: every P_n is read from one
-    `_prefix_table` to x^top on integer numerators over f's common
+    so P_n is the hook sum K_n / n!: every P_n is read from one prefix
+    table (`_hook_tables`) to x^top on integer numerators over f's common
     denominator d, divided by n! d^n once per coefficient.
     """
-    _require_unit_one(f)
-    if f.order < top:
-        raise ValueError("series truncated below the requested order")
-    den, nums = _integer_numerators(f.coeffs[: top + 1])
-    tables = _prefix_table(nums, top)
+    den, tables = _hook_tables(f, top, "series truncated below the requested order")
     return [TruncatedSeries(n, [Fraction(_hook_coeff(tables, n, e), factorial(n) * den**n)
                                 for e in range(n + 1)]) for n in range(top + 1)]
 

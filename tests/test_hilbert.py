@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbclass import hilbert, partitions
+from hilbclass import hilbert, partitions, series
 from hilbclass.cli import MAX_ORDER, PART_TEXT, _records, main
 from hilbclass.fock import hilb_unit
 from hilbclass.hilbert import (
@@ -255,16 +255,20 @@ def test_p_n_series_matches_per_summand_loop():
             assert p_ns[n] == expected, n
 
 
-def test_tautological_oracle_is_the_top_coefficient_of_p_n():
-    """n^2 times the tautological fixed-point sum is [x^(n-1)] P_(n-1), both
-    read off the one hook sum, on the draws of `verify oracle` and the
-    built-in classes, n <= 12."""
+@pytest.mark.parametrize("target", (TANGENT, TAUTOLOGICAL))
+def test_oracle_is_the_top_coefficient_of_p_n(target):
+    """n^2 times the fixed-point sum is [x^(n-1)] P_(n-1) of the sheaf's F
+    (f, or f(x) f(-x) for the tangent sheaf), and P_(n-1) vanishes below
+    x^(n-1), so the tangent hook length n's factor F(n x) adds only F(0):
+    on the draws of `verify oracle` and the built-in classes, n <= 12."""
     rng = random.Random(1001)
     drawn = [random_unit_series(rng, 12) for _ in range(10)]
     for f in drawn + [builtin_f(name, 12) for name in ("chern", "segre", "sqrt-todd")]:
-        oracle, p_ns = oracle_top_taut(f, 12), p_n_series_upto(f, 11)
+        F = f * f.negate_arg() if target == TANGENT else f
+        oracle, p_ns = ORACLES[target](f, 12), p_n_series_upto(F, 11)
         for n in range(1, 13):
             assert n**2 * oracle.coeffs[n] == p_ns[n - 1].coeffs[n - 1], n
+            assert not any(p_ns[n - 1].coeffs[: n - 1]), n
 
 
 def test_fixed_point_sums_read_no_partition_table(monkeypatch):
@@ -293,6 +297,30 @@ def test_fixed_point_sums_read_no_partition_table(monkeypatch):
             monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(AssertionError):
         partitions.hook_product(partitions.beads((2, 1)))
+    assert values() == expected
+
+
+def test_fixed_point_oracles_call_no_lagrange_route(monkeypatch):
+    """The oracles stay independent of the route they check: with
+    `lagrange_g` (in `series` and in `hilbert`), `tangent_g`, `taut_g` and
+    `exponent_g` raising, they give the values computed before, up to
+    n = 8."""
+    rng = random.Random(1602)
+    fs = [random_unit_series(rng, 8) for _ in range(3)] + [builtin_f("chern", 8), sqrt_todd_f(8)]
+
+    def values():
+        return [(oracle_top_tangent(f, n), oracle_top_taut(f, n)) for f in fs for n in range(1, 9)]
+
+    expected = values()
+
+    def forbidden(*args):
+        raise AssertionError("the fixed-point oracle ran the Lagrange route")
+
+    monkeypatch.setattr(series, "lagrange_g", forbidden)
+    for name in ("lagrange_g", "tangent_g", "taut_g", "exponent_g"):
+        monkeypatch.setattr(hilbert, name, forbidden)
+    with pytest.raises(AssertionError):
+        tangent_g(fs[0], 8)  # the unpatched engine reaches the patched solver
     assert values() == expected
 
 
