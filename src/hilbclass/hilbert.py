@@ -242,7 +242,10 @@ def lemma_b1(m: int, p: int) -> Fraction:
     vanishes for p < m and equals (-1)^m at p = m."""
     if not 0 <= p <= m:
         raise ValueError("need 0 <= p <= m")
-    return Fraction(sum((-1) ** s * comb(m, s) * s**p for s in range(m + 1)), factorial(m))
+    total, c = 0, 1  # c = (-1)^s C(m, s), carried from one s to the next
+    for s in range(m + 1):
+        total, c = total + c * s**p, -c * (m - s) // (s + 1)
+    return Fraction(total, factorial(m))
 
 
 def p_n_series_upto(f: TruncatedSeries, top: int) -> list[TruncatedSeries]:
@@ -373,21 +376,24 @@ def cup_basis(nu, nu2) -> dict:
 def cup(a: dict, b: dict, n: int) -> dict:
     """Bilinear extension of cup_basis to elements {partition: Fraction}
     supported in weight n >= 1, whose keys, partitions already, go to its
-    product cache unchecked; a new dict in reverse-lexicographic order."""
+    product cache unchecked; a new dict in reverse-lexicographic order, zero
+    terms dropped.  It sums integer numerators, each operand over one common
+    denominator and the cached pair products it reads over one more."""
     if n < 1:
         raise ValueError("the cup product needs n >= 1")
     for elem in (a, b):
         if any(weight(p) != n for p in elem):
             raise ValueError(f"element has support outside weight {n}")
+    (da, na), (db, nb) = (_integer_numerators(e.values()) for e in (a, b))
+    pairs = [(c1 * c2, _cup_basis_cached(p1, p2) if p1 <= p2 else _cup_basis_cached(p2, p1))
+             for p1, c1 in zip(a, na) for p2, c2 in zip(b, nb)]
+    den = lcm(*(v.denominator for _, pair in pairs for v in pair.values()))
     out = {}
-    for p1, c1 in a.items():
-        for p2, c2 in b.items():
-            c = c1 * c2
-            pair = _cup_basis_cached(p1, p2) if p1 <= p2 else _cup_basis_cached(p2, p1)
-            for p, v in pair.items():
-                out[p] = out.get(p, 0) + c * v
+    for c, pair in pairs:
+        for p, v in pair.items():
+            out[p] = out.get(p, 0) + c * v.numerator * (den // v.denominator)
     # one weight, so the canonical order is reverse-lexicographic
-    return {p: out[p] for p in sorted(out, reverse=True) if out[p]}
+    return {p: Fraction(out[p], da * db * den) for p in sorted(out, reverse=True) if out[p]}
 
 
 # -- oracle: cup product in the class algebra of the symmetric group -----

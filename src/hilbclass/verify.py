@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, factorial
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, lcm
 
 from .fock import hilb_unit
 from .hilbert import (
@@ -184,24 +184,38 @@ def suite_ring() -> list[Check]:
     bad_pairs, bad_assoc = [], []
     for n in range(1, 6):
         parts = enumerate_partitions(n)
-        basis = {p: {p: Fraction(1)} for p in parts}
-        unit = hilb_unit(n)
+        raw = {(a, b): _cup_basis_cached(a, b) for a in parts for b in parts}
+        inner = {(a, b): cup_basis(a, b) for a in parts for b in parts}
         for a in parts:
-            if cup(unit, basis[a], n) != basis[a]:
+            if cup(hilb_unit(n), {a: Fraction(1)}, n) != {a: Fraction(1)}:
                 bad_pairs.append(("unit", n, a))
             for b in parts:
-                raw = _cup_basis_cached(a, b)
-                if raw != _cup_basis_cached(b, a):
+                ab = raw[a, b]
+                if ab != raw[b, a]:
                     bad_pairs.append(("commutativity", a, b))
                 deg = (n - len(a)) + (n - len(b))
-                if deg > n - 1 and raw:
+                if deg > n - 1 and ab:
                     bad_pairs.append(("over-degree vanishing", a, b))
-                if any(weight(p) - len(p) != deg for p in raw):
+                if any(weight(p) - len(p) != deg for p in ab):
                     bad_pairs.append(("degree additivity", a, b))
-                ab = cup_basis(a, b)
-                for c in parts:
-                    if cup(ab, basis[c], n) != cup(basis[a], cup_basis(b, c), n):
-                        bad_assoc.append((a, b, c))
+        if any(weight(p) != n for ab in inner.values() for p in ab):
+            raise ValueError(f"element has support outside weight {n}")
+        # the associator (ab)c - a(bc) times D^2, D one denominator of both
+        # tables: inner products from cup_basis, outer ones from the cache
+        # as cup reads it (min, max), so a wrong cup_basis cannot feed both
+        den = lcm(*(v.denominator for table in (raw, inner) for ab in table.values()
+                    for v in ab.values()))
+        canonical = {(a, b): raw[min(a, b), max(a, b)] for a, b in raw}
+        inner, outer = ({key: {p: v.numerator * (den // v.denominator) for p, v in ab.items()}
+                         for key, ab in table.items()} for table in (inner, canonical))
+        for a, b, c in product(parts, repeat=3):
+            diff = {}
+            for terms, x, sign in ((inner[a, b], c, 1), (inner[b, c], a, -1)):
+                for p, v in terms.items():
+                    for lam, w in outer[p, x].items():
+                        diff[lam] = diff.get(lam, 0) + sign * v * w
+            if any(diff.values()):
+                bad_assoc.append((a, b, c))
 
     bad_lehn = []
     for n in range(1, 7):

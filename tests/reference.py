@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import NamedTuple
 
+from hilbclass import hilbert
 from hilbclass.hilbert import TANGENT
 from hilbclass.partitions import (
     _mn,
@@ -495,3 +496,35 @@ def reference_cup_nilpotent(nu, nu2):
         if weight(parts) < n:
             raise AssertionError(f"weight-{weight(parts)} term {parts} at rank {n}: {c}")
     return out
+
+
+def reference_cup(a: dict, b: dict, n: int) -> dict:
+    """The bilinear cup product as a double loop over `Fraction` terms, each
+    pair product read from `hilbert._cup_basis_cached` in canonical order
+    when called; zero terms dropped, reverse-lexicographic order."""
+    assert all(weight(p) == n for p in (*a, *b))
+    out = {}
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
+            for p, v in hilbert._cup_basis_cached(min(p1, p2), max(p1, p2)).items():
+                out[p] = out.get(p, 0) + c1 * c2 * v
+    return {p: out[p] for p in sorted(out, reverse=True) if out[p]}
+
+
+def reference_assoc_violations() -> list:
+    """The basis triples (a, b, c) of ranks 1 to 5 where (a b) c and
+    a (b c) differ, each side through `reference_cup` with its inner
+    product from `hilbert.cup_basis`: the associativity loop that
+    `verify.suite_ring` ran over `Fraction` terms before it scaled its
+    products to integers."""
+    bad = []
+    for n in range(1, 6):
+        parts = enumerate_partitions(n)
+        for a in parts:
+            for b in parts:
+                ab = hilbert.cup_basis(a, b)
+                for c in parts:
+                    if (reference_cup(ab, {c: Fraction(1)}, n)
+                            != reference_cup({a: Fraction(1)}, hilbert.cup_basis(b, c), n)):
+                        bad.append((a, b, c))
+    return bad

@@ -42,8 +42,8 @@ from hilbclass.series import TruncatedSeries
 from hilbclass.verify import random_unit_series
 from reference import (
     assert_valid_terms, derivative, exp, fixed_point_sum, fock_add, fraction_set, inverse, log,
-    multilinear_part, one_minus_exp_minus_x_over_x, reference_cup_nilpotent, reference_expansion,
-    scale, sqrt_unit,
+    multilinear_part, one_minus_exp_minus_x_over_x, reference_cup, reference_cup_nilpotent,
+    reference_expansion, scale, sqrt_unit,
 )
 from reference import p_n_series as loop_p_n_series
 
@@ -353,6 +353,24 @@ def test_cup_guards():
     a = {(2,): Fraction(1)}
     with pytest.raises(ValueError):
         cup(a, a, 3)  # support in weight 2, not 3
+
+
+@pytest.mark.parametrize("target", (TANGENT, TAUTOLOGICAL))
+def test_cup_matches_the_fraction_loop(target):
+    """`cup` on integer numerators gives the terms of the double loop over
+    `Fraction` terms, in the same order: on products of seeded class
+    components at ranks 6, 8 and 10, on a pair whose terms cancel, and with
+    an empty operand."""
+    rng = random.Random(39)
+    for n in (6, 8, 10):
+        a, b = (hilbert_class(random_unit_series(rng, n - 1), target, n, n) for _ in range(2))
+        for x, y in ((a, b), (b, a), (a, a), (a, {}), ({}, b)):
+            assert list(cup(x, y, n).items()) == list(reference_cup(x, y, n).items()), n
+    # q_(2,1)^2 / 4 = q_(3) cancels the -q_(3) that the unit's term gives
+    a = {(1, 1, 1): Fraction(1, 6), (2, 1): Fraction(1, 4)}
+    b = {(2, 1): Fraction(1), (3,): Fraction(-1)}
+    assert list(cup(a, b, 3).items()) == list(reference_cup(a, b, 3).items()) == [
+        ((2, 1), Fraction(1))]
 
 
 def test_cup_unit_at_higher_rank():
