@@ -2,7 +2,9 @@
 creation-operator basis, cup products, and the verification suites.
 
 Every invocation emits one deterministic JSON document on stdout (or to --out),
-the bytes of json.dumps(indent=2, sort_keys=True) written by hand.  A request is
+the bytes of json.dumps(indent=2, sort_keys=True) written by hand.  Each term of
+a `class` or `cup` result is written once, as its whole record, by `_record`:
+the `class` walk calls it on each term as it reaches it.  A request is
 parsed by its subcommand's parser alone; anything else, and every bad argument,
 is reported as the full parser reports it.  Exit status is nonzero exactly when
 input is invalid or a verification check fails.
@@ -27,7 +29,7 @@ from .verify import SUITES, run_suite
 
 DEFAULT_ORDER = 12
 
-MAX_WEIGHT = 40  # a dense class: 0.7 s and 147 MB, doubling every 4 weights (README)
+MAX_WEIGHT = 40  # a dense class: 0.6-1.0 s and 82 MB, doubling every 4 weights (README)
 MAX_RANK = 28  # the slowest cold cup pair measured: 0.14 s and 18 MB (README)
 MAX_ORDER = 241  # the slowest gseries takes 3.4-3.6 s at this order, 3x that at 321 (README)
 
@@ -35,7 +37,7 @@ CLASS_NAMES = ("chern", "segre", "sqrt-todd", "cprime-pow", "custom")
 
 # Each part's JSON text after its separator, for every part a `class` weight or a
 # `cup` rank can hold: the `class` walk grows each key from it one part per step,
-# and `cmd_cup` joins it for a product's partitions
+# and `cmd_cup` joins it for a product's partitions; `_record` writes the key
 PART_TEXT = ["", *(",\n        " + str(k) for k in range(1, max(MAX_WEIGHT, MAX_RANK) + 1))]
 
 
@@ -112,14 +114,19 @@ class _UnprintableCoefficient(ValueError):
     """A coefficient's numerator or denominator is past the interpreter's digit limit."""
 
 
-def _coeff_text(c: int, d: int) -> str:
-    """str(Fraction(c, d)) for ints c and d > 0, without building the Fraction:
-    the `make` of the `class` command's walk, whose terms are only printed."""
+def _record(key: str, c: int, d: int) -> str:
+    """The `{"coeff", "partition"}` record of a term, after its separator, as json.dumps(
+    indent=2, sort_keys=True) writes it one level deep: the coefficient str(Fraction(c, d))
+    for ints c and d > 0, reduced by one gcd, and the partition whose `PART_TEXT` pieces
+    make `key`.  The `make` of the `class` command's walk, so a term is written once."""
     g = gcd(c, d)
     try:
-        return str(c // g) if d == g else f"{c // g}/{d // g}"
+        coeff = str(c // g) if d == g else f"{c // g}/{d // g}"
     except ValueError:  # str() of an int past the interpreter's digit limit
         raise _UnprintableCoefficient from None
+    if not key:  # the empty partition
+        return f',\n    {{\n      "coeff": "{coeff}",\n      "partition": []\n    }}'
+    return f',\n    {{\n      "coeff": "{coeff}",\n      "partition": [{key[1:]}\n      ]\n    }}'
 
 
 def _unprintable(request: dict) -> ValueError:
@@ -127,19 +134,6 @@ def _unprintable(request: dict) -> ValueError:
     flags = [f"--{k}" for k in ("order", "weight", "r", "f") if request.get(k)]
     return ValueError(f"a result coefficient has more than {sys.get_int_max_str_digits()} "
                       f"digits, too many to print; check {' and '.join(flags)}")
-
-
-def _records(terms: dict) -> list[str]:
-    """[{"coeff": "p/q", "partition": [...]}, ...] in term order, in pieces, as json.dumps(
-    indent=2, sort_keys=True) writes it one level deep; each key is a text from `PART_TEXT`."""
-    pieces = [f',\n    {{\n      "coeff": "{c}",\n      "partition": [{text[1:]}\n      ]\n    }}'
-              for text, c in terms.items()]
-    if not pieces:
-        return ["[]"]
-    # the first separator opens the list; only the first key, of weight 0, can be empty
-    pieces[0] = "[" + pieces[0][1:].replace("[\n      ]", "[]")
-    pieces.append("\n  ]")
-    return pieces
 
 
 def _value(v) -> str:
@@ -153,10 +147,10 @@ def _value(v) -> str:
 
 def _emit(request: dict, payload, out_path: str | None) -> None:
     """{"engine", "payload", "request"} as json.dumps(indent=2, sort_keys=True, default=str)
-    writes it, and a newline, in pieces: element terms via `_records`, check dicts re-indented."""
+    writes it, and a newline, in pieces: `_record` texts as they are, check dicts re-indented."""
     try:
-        if isinstance(payload, dict):
-            body = _records(payload)
+        if payload and isinstance(payload[0], str):  # the first separator opens the list
+            body = ["[", payload[0][1:], *payload[1:], "\n  ]"]
         elif payload and isinstance(payload[0], dict):
             body = [json.dumps(payload, indent=2, sort_keys=True).replace("\n", "\n  ")]
         else:
@@ -204,11 +198,11 @@ def cmd_class(args) -> int:
         "weight": bound, "degree": args.degree, "r": args.r, "f": args.f,
     }
     try:
-        terms = hilbert_class(f, args.target, bound, args.weight_only, args.degree,
-                              _coeff_text, PART_TEXT)
+        records = hilbert_class(f, args.target, bound, args.weight_only, args.degree,
+                                _record, PART_TEXT)
     except _UnprintableCoefficient:
         raise _unprintable(request) from None
-    _emit(request, terms, args.out)
+    _emit(request, records, args.out)
     return 0
 
 
@@ -225,9 +219,10 @@ def cmd_cup(args) -> int:
     if weight(nu2) != n:
         raise ValueError(f"partition_b must have the rank of partition_a, {n}, "
                          f"got rank {weight(nu2)}: {_echo(args.partition_b, str)}")
-    terms = {"".join([PART_TEXT[k] for k in lam]): c for lam, c in cup_basis(nu, nu2).items()}
+    records = [_record("".join([PART_TEXT[k] for k in lam]), c.numerator, c.denominator)
+               for lam, c in cup_basis(nu, nu2).items()]
     request = {"subcommand": "cup", "a": list(nu), "b": list(nu2)}
-    _emit(request, terms, args.out)
+    _emit(request, records, args.out)
     return 0
 
 

@@ -10,18 +10,19 @@ models the cohomology of the Hilbert scheme of n points on the affine
 plane; the algebraic degree of q_lambda is weight(lambda) -
 length(lambda).  Every producer keeps the terms in output order, by
 weight and then reverse-lexicographically, so a writer iterates them as
-stored; dict equality ignores that order.  The one exception to the key
-and coefficient types is the expansion the `class` command asks for as
-text, keys and coefficients both, which it only prints.  The cup product
-of such elements lives in :mod:`hilbclass.hilbert`.
+stored; dict equality ignores that order.  The one exception is the
+expansion the `class` command only prints, a list of its JSON records.
+The cup product of such elements lives in :mod:`hilbclass.hilbert`.
 
 `_exp_walk` expands exp(sum_k g_k q_k) by one depth-first walk over the
 integer numerators and divisors of the g_k (`hilbert.hilbert_class`
-passes those of the exponent series); the caller says how each term's
-product and divisor become its coefficient, and may say how its parts
-become its key.  Every partition is mu + 1^j with mu free of 1s, so the
-walk visits only such mu and writes each one's terms mu + 1^j, j >= 1,
-in one step from a table of the runs 1^j.
+passes those of the exponent series).  It hands each term's key, product
+and divisor to the caller's `make` as it reaches the term and returns
+what `make` gives in canonical order: (partition, Fraction) pairs for
+`hilbert_class`'s dict, or the `class` command's finished JSON records,
+so a term is written once.  Every partition is mu + 1^j with mu free of
+1s, so the walk visits only such mu and writes each one's terms mu + 1^j,
+j >= 1, in one step from a table of the runs 1^j.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from math import factorial
 
 
 def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make,
-              label=None) -> dict:
+              label=None) -> list:
     """The terms of exp(sum_k (nums[k] / dens[k]) q_k) of weight at most
     `bound`, or exactly `only`, and of algebraic degree `degree` if given,
-    as {key: make(product, divisor)} in canonical order: `product` is the
-    int prod nums[lambda_i], starting from 1, and `divisor` the int
+    as the list of make(key, product, divisor) in canonical order: `product`
+    is the int prod nums[lambda_i], starting from 1, and `divisor` the int
     prod dens[lambda_i] prod m_i!.  The key is label[0] + label[lambda_1] +
     label[lambda_2] + ..., for a table `label` indexed by part up to the
     top weight; by default label[0] is () and label[k] is (k,), so the key
@@ -52,8 +53,7 @@ def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make
     dens[1]^j j!.  It pops after every child's subtree, where a walk with
     parts 1 pops the chain mu + 1, mu + 1 + 1, ... back to back, so the
     order is kept.  Each weight's terms come out reverse-lexicographically
-    and one bucket per weight, merged into the first by `dict.update`,
-    orders the weights.
+    and one list per weight, joined onto the first, orders the weights.
     """
     top = bound if only is None else only
     cap = top if degree is None else degree
@@ -63,7 +63,7 @@ def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make
     # key piece, product and divisor of each run 1^j; none if g_1 is 0 (or absent, at top 0)
     runs = [(label[1] * j, nums[1] ** j, dens[1] ** j * factorial(j))
             for j in range(1, top + 1)] if top and nums[1] else []
-    buckets = [{} for _ in range(top + 1)]
+    buckets = [[] for _ in range(top + 1)]
     # key, last support index allowed, weight left, degree, product, divisor, last run;
     # a last run of None marks the entry that writes the key's runs of 1s
     stack = [(label[0], len(support) - 1, top, 0, 1, 1, 0)]
@@ -72,10 +72,10 @@ def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make
         if run is None:  # key + 1^j into bucket top - left + j: every j, or j = left alone
             skip = 0 if only is None else left - 1
             for bucket, (piece, a, b) in zip(buckets[top - left + 1 + skip:], runs[skip:]):
-                bucket[key + piece] = make(c * a, d * b)
+                bucket.append(make(key + piece, c * a, d * b))
             continue
         if (only is None or left == 0) and (degree is None or deg == degree):
-            buckets[top - left][key] = make(c, d)
+            buckets[top - left].append(make(key, c, d))
         if left and runs and (degree is None or deg == degree):  # pops after the children
             stack.append((key, last, left, deg, c, d, None))
         for i in range(last + 1):  # pushed in increasing order: the largest pops first
@@ -86,7 +86,7 @@ def _exp_walk(nums, dens, bound: int, only: int | None, degree: int | None, make
             stack.append((key + label[k], i, left - k, deg + k - 1, c * nums[k], d * dens[k] * m, m))
     terms = buckets[0]
     for bucket in buckets[1:]:
-        terms.update(bucket)
+        terms += bucket
     return terms
 
 

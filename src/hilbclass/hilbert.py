@@ -148,24 +148,26 @@ def exponent_g(f: TruncatedSeries, target: str, order: int) -> TruncatedSeries:
 
 
 def hilbert_class(f: TruncatedSeries, target: str, bound: int, only: int | None = None,
-                  degree: int | None = None, make=Fraction, label=None) -> dict:
+                  degree: int | None = None, make=None, label=None) -> dict | list:
     """The class of f (constant term 1, order at least `bound` - 1) on the
     sheaf `target`, all weights up to `bound` at once, or just its terms of
     weight `only` and/or algebraic degree `degree`: exp(sum_k g_k q_k)
     applied to the vacuum, g the exponent series, as the dict
     {partition: Fraction} in canonical order.  With each g_k = a_k / b_k
-    reduced, a term is one make(prod a_(lambda_i), prod b_(lambda_i)
-    prod m_i!), m_i the part multiplicities: a Fraction by default, its
-    text for a caller that only prints it; its key is label[0] +
-    label[lambda_1] + ...: the partition by default, its text for such a
-    caller (see `fock._exp_walk`)."""
+    reduced, a term is prod a_(lambda_i) over prod b_(lambda_i) prod m_i!,
+    m_i the part multiplicities.  Given `make`, the terms are instead the
+    list of make(key, product, divisor) in that order, each key label[0] +
+    label[lambda_1] + ...: the partition by default, its text for a caller
+    that only prints it (see `fock._exp_walk`)."""
     g = exponent_g(f, target, bound)
     if only is not None and not 0 <= only <= bound:
         raise ValueError("the single weight must lie in 0..bound")
     if degree is not None and degree < 0:
         raise ValueError("the degree must be nonnegative")
-    return _exp_walk([c.numerator for c in g.coeffs], [c.denominator for c in g.coeffs],
-                     bound, only, degree, make, label)
+    terms = _exp_walk([c.numerator for c in g.coeffs], [c.denominator for c in g.coeffs],
+                      bound, only, degree, make or (lambda key, c, d: (key, Fraction(c, d))),
+                      label)
+    return terms if make else dict(terms)
 
 
 # -- fixed-point oracles --------------------------------------------------

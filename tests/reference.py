@@ -9,6 +9,7 @@ The test modules import from this module and never from one another.  It
 has no `test_` prefix, so pytest does not collect it.
 """
 
+import json
 import operator
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -248,6 +249,14 @@ def restrict(e: dict, only=None, degree=None) -> dict:
         p: c for p, c in e.items()
         if (only is None or weight(p) == only) and (degree is None or weight(p) - len(p) == degree)
     }
+
+
+def record_text(partition, coeff) -> str:
+    """The payload record {"coeff": str(coeff), "partition": [...]} after its
+    separator, as json.dumps(indent=2, sort_keys=True) writes it one level
+    deep: the text the CLI's record writer must give."""
+    doc = {"coeff": str(coeff), "partition": list(partition)}
+    return ",\n    " + json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 def canonical(partitions) -> list:

@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 
 from hilbclass import __version__, cli
 from hilbclass.cli import (
-    PART_TEXT, _coeff_text, _emit, _parse_rational, _UnprintableCoefficient, main,
+    PART_TEXT, _emit, _parse_rational, _record, _UnprintableCoefficient, main,
 )
 from hilbclass.fock import _exp_walk
-from hilbclass.hilbert import TANGENT, TAUTOLOGICAL, cup_basis, exponent_g, hilbert_class
+from hilbclass.hilbert import (
+    TANGENT, TAUTOLOGICAL, builtin_f, cup_basis, exponent_g, hilbert_class,
+)
 from hilbclass.series import TruncatedSeries
 from hilbclass.verify import SUITES
+from reference import record_text
 
 
 def run_cli(capsys, *argv):
@@ -307,9 +310,9 @@ def test_envelope_is_what_json_dumps_writes(capsys, argv):
      "degree": None, "r": 'a"b\\c\x00\x1f\n\t\x7f\u2028\xe9\U0001d7d8', "f": ""},
 ], ids=["null-and-digits", "empty-list", "escapes"])
 @pytest.mark.parametrize("payload,expected", [
-    ({"": "1", PART_TEXT[2] + PART_TEXT[1]: "-1/2"},
+    ([_record("", 1, 1), _record(PART_TEXT[2] + PART_TEXT[1], -3, 6)],
      [{"coeff": "1", "partition": []}, {"coeff": "-1/2", "partition": [2, 1]}]),
-    ({}, []),
+    ([], []),
     ((Fraction(1), Fraction(-1, 3), Fraction(0)), ["1", "-1/3", "0"]),
     ((), []),
     ([{"check": "a", "passed": True}, {"check": "b\n\xe9", "passed": False, "detail": '"x"'}],
@@ -445,20 +448,24 @@ def test_other_class_errors_keep_their_message(capsys, tmp_path, monkeypatch):
 @example(c=-7, d=3, shared=2**200 * 3**100, shape="any")
 @settings(max_examples=300, deadline=None)
 def test_coeff_text_is_the_text_of_the_fraction(c, d, shared, shape):
+    """A record's coeff is str(Fraction(c, d)) for any unreduced c / d, and the
+    record is the text json.dumps writes."""
     if shape == "d == 1":
         d = 1
     elif shape == "d divides c":
         c *= d
-    assert _coeff_text(c * shared, d * shared) == str(Fraction(c, d))
+    record = _record(PART_TEXT[2] + PART_TEXT[1], c * shared, d * shared)
+    assert json.loads(record[1:])["coeff"] == str(Fraction(c, d))
+    assert record == record_text((2, 1), Fraction(c, d))
 
 
 def test_coeff_text_at_the_digit_limit():
     top = 10 ** LIMIT - 1  # the longest printable int
     for c, d in ((top, 1), (-top, 7), (1, top), (top * 10**LIMIT, 3 * 10**LIMIT)):
-        assert _coeff_text(c, d) == str(Fraction(c, d))
+        assert json.loads(_record(PART_TEXT[1], c, d)[1:])["coeff"] == str(Fraction(c, d))
     for c, d in ((top + 1, 1), (-(top + 1), 7), (1, 3 * (top + 1)), (3 * 10**LIMIT, 1)):
         with pytest.raises(_UnprintableCoefficient):
-            _coeff_text(c, d)
+            _record(PART_TEXT[1], c, d)
     assert issubclass(_UnprintableCoefficient, ValueError)
 
 
@@ -476,10 +483,9 @@ def test_library_keeps_rationals_the_cli_prints_their_text(capsys, flag, value):
     g = exponent_g(f, TAUTOLOGICAL, bound)
     assert (g.coeffs[2], g.coeffs[3]) == (Fraction(A, B), Fraction(B, A))
     nums, dens = [c.numerator for c in g.coeffs], [c.denominator for c in g.coeffs]
-    assert max(_exp_walk(nums, dens, bound, None, None, gcd).values()) >= A * B
-    for terms in (hilbert_class(f, TAUTOLOGICAL, bound),
-                  _exp_walk(nums, dens, bound, None, None, Fraction)):
-        assert terms and all(type(c) is Fraction for c in terms.values())
+    assert max(_exp_walk(nums, dens, bound, None, None, lambda key, c, d: gcd(c, d))) >= A * B
+    terms = hilbert_class(f, TAUTOLOGICAL, bound)
+    assert terms and all(type(p) is tuple and type(c) is Fraction for p, c in terms.items())
     only, degree = (value, None) if flag == "--weight-only" else (None, value)
     terms = hilbert_class(f, TAUTOLOGICAL, bound, only, degree)
     code, doc = run_json(capsys, "class", "custom", TAUTOLOGICAL, "--weight", str(bound),
@@ -493,22 +499,67 @@ CUSTOM_F = "1,1/2,-1/3,2/3,-1,1/5,3/4,-2/7"  # a `custom --f` of the benchmark p
 
 @pytest.mark.parametrize("target", [TANGENT, TAUTOLOGICAL])
 def test_text_keys_are_the_partitions_text(target):
-    """The `class` command's walk, keyed by `PART_TEXT` and valued by `_coeff_text`,
-    lists the library's terms in its order, each key the table's text of the
-    partition and each coefficient the str() of the Fraction; the library's
-    callers keep partitions and Fractions."""
+    """The `class` command's walk, keyed by `PART_TEXT` and written by `_record`,
+    lists the library's terms in its order, each the text json.dumps writes
+    for the partition and the str() of the Fraction; the library's callers
+    keep partitions and Fractions."""
     bound = 10
     f = TruncatedSeries.from_coeffs([Fraction(c) for c in CUSTOM_F.split(",")], bound - 1)
     for only, degree in ((None, None), (8, None), (None, 4), (8, 4)):
         plain = hilbert_class(f, target, bound, only, degree)
-        text = hilbert_class(f, target, bound, only, degree, _coeff_text, PART_TEXT)
+        records = hilbert_class(f, target, bound, only, degree, _record, PART_TEXT)
         assert len(plain) > 1
         assert all(type(p) is tuple and type(c) is Fraction for p, c in plain.items())
-        assert list(text.items()) == [("".join(PART_TEXT[k] for k in p), str(c))
-                                      for p, c in plain.items()]
+        assert records == [record_text(p, c) for p, c in plain.items()]
     product = cup_basis((2, 1, 1), (3, 1))
     assert product
     assert all(type(p) is tuple and type(c) is Fraction for p, c in product.items())
+
+
+# `class` requests for both targets.  g_1 = F(0) = 1 for every f with f(0) = 1, so
+# only weight 0 and the one term (w) of --weight-only w --degree w-1 write no run
+# of 1s; the walk over a g_1 of 0 is tested on int lists (tests/test_fock.py).
+CLASS_GRID = [  # class, --r, --f, --weight, --weight-only, --degree, the partitions printed
+    ("chern", None, None, 0, None, None, [()]),
+    ("segre", None, None, 1, None, None, [(), (1,)]),
+    ("sqrt-todd", None, None, 8, None, None, None),
+    ("cprime-pow", "-3/2", None, 9, 7, None, None),
+    ("custom", None, CUSTOM_F, 10, None, 4, None),
+    ("custom", None, CUSTOM_F, 9, 0, None, [()]),
+    ("custom", None, CUSTOM_F, 9, 9, 8, [(9,)]),
+    ("chern", None, None, 4, None, 5, []),
+    ("segre", None, None, 6, 3, 3, []),
+]
+
+
+@pytest.mark.parametrize("target", [TANGENT, TAUTOLOGICAL])
+@pytest.mark.parametrize("name,r,coeffs,bound,only,degree,printed", CLASS_GRID, ids=[
+    "weight-0", "weight-1", "full", "weight-only", "degree", "weight-only-0",
+    "no-runs", "empty-degree", "empty-weight-and-degree"])
+def test_class_output_is_json_dumps_of_the_library_class(
+        capsys, target, name, r, coeffs, bound, only, degree, printed):
+    """`class` prints json.dumps(indent=2, sort_keys=True) of the envelope
+    holding `hilbert_class`'s {partition: Fraction}, each term a record."""
+    order = max(bound - 1, 0)
+    if coeffs is None:
+        f = builtin_f(name, order, None if r is None else Fraction(r))
+    else:
+        f = TruncatedSeries.from_coeffs([Fraction(c) for c in coeffs.split(",")][: order + 1],
+                                        order)
+    terms = hilbert_class(f, target, bound, only, degree)
+    argv = ["class", name, target, "--weight", str(bound)]
+    for flag, value in (("--r", r), ("--f", coeffs), ("--weight-only", only),
+                        ("--degree", degree)):
+        argv += [] if value is None else [f"{flag}={value}"]
+    code, out = run_cli(capsys, *argv)
+    request = {"subcommand": "class", "class": name, "target": target, "weight": bound,
+               "degree": degree, "r": r, "f": coeffs}
+    payload = [{"coeff": str(c), "partition": list(p)} for p, c in terms.items()]
+    assert code == 0 and out == envelope(request, payload)
+    if printed is None:
+        assert len(terms) > 2
+    else:
+        assert list(terms) == printed
 
 
 @pytest.mark.parametrize("text,value", [

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hilbclass
-from hilbclass.cli import MAX_RANK, MAX_WEIGHT, PART_TEXT, _coeff_text, _records, main
+from hilbclass.cli import MAX_RANK, MAX_WEIGHT, PART_TEXT, _emit, _record, main
 from hilbclass.fock import _exp_walk, hilb_unit
 from hilbclass.hilbert import (
     TANGENT, builtin_f, cup, cup_basis, cup_character,
@@ -40,15 +40,19 @@ from reference import (
 small_rationals = st.sampled_from(fraction_set(4, 5))
 
 
-def walk(g, bound: int, only=None, degree=None, make=Fraction, label=None) -> dict:
+def walk(g, bound: int, only=None, degree=None) -> dict:
     """`_exp_walk` over a series g with g(0) = 0, as `hilbert_class` runs it
-    on an exponent series, each term make(product, divisor); or over a pair
-    of lists, int numerators g_0..g_bound and divisors, each term the pair
-    (product, divisor), kept apart."""
-    if isinstance(g, TruncatedSeries):
-        nums, dens = [c.numerator for c in g.coeffs], [c.denominator for c in g.coeffs]
-        return _exp_walk(nums, dens, bound, only, degree, make, label)
-    return _exp_walk(*g, bound, only, degree, lambda c, d: (c, d))
+    on an exponent series, as {partition: Fraction}; or over a pair of lists,
+    int numerators g_0..g_bound and divisors, each term the pair (product,
+    divisor), kept apart.  No partition may come twice."""
+    series = isinstance(g, TruncatedSeries)
+    if series:
+        g = [c.numerator for c in g.coeffs], [c.denominator for c in g.coeffs]
+    terms = _exp_walk(*g, bound, only, degree,
+                      lambda key, c, d: (key, Fraction(c, d) if series else (c, d)))
+    out = dict(terms)
+    assert len(out) == len(terms)
+    return out
 
 
 def assert_canonical(e: dict):
@@ -290,19 +294,22 @@ def test_sum_restores_canonical_order():
 
 
 def test_records_of_a_canonical_element(capsys):
-    """`_records` writes the bytes json.dumps(indent=2, sort_keys=True) writes one
-    level deep: for the `class` walk's text keys, from the empty partition to the
+    """`_record` and `_emit` write the bytes json.dumps(indent=2, sort_keys=True)
+    writes: for the `class` walk's text keys, from the empty partition to the
     table's top part, and for no terms; and `cup` requests at the largest rank,
     one with a part of that rank, print their products as json.dumps would."""
     g = TruncatedSeries.from_coeffs([0, 1] + [0] * 38 + [Fraction(-3, 7)], MAX_WEIGHT)
-    text = walk(g, MAX_WEIGHT, make=_coeff_text, label=PART_TEXT)
+    nums, dens = [c.numerator for c in g.coeffs], [c.denominator for c in g.coeffs]
+    records = _exp_walk(nums, dens, MAX_WEIGHT, None, None, _record, PART_TEXT)
     plain = walk(g, MAX_WEIGHT)
     assert len(PART_TEXT) == MAX_WEIGHT + 1 > MAX_RANK
-    assert "" in text and PART_TEXT[MAX_WEIGHT] in text
-    for terms, expected in ((text, plain), ({}, {})):
-        records = [{"coeff": str(c), "partition": list(p)} for p, c in expected.items()]
-        want = json.dumps({"payload": records}, indent=2, sort_keys=True)
-        assert '{\n  "payload": ' + "".join(_records(terms)) + "\n}" == want
+    assert () in plain and (MAX_WEIGHT,) in plain
+    request = {"subcommand": "class"}
+    for terms, expected in ((records, plain), ([], {})):
+        _emit(request, terms, None)
+        doc = {"request": request, "engine": f"hilbclass {hilbclass.__version__}",
+               "payload": [{"coeff": str(c), "partition": list(p)} for p, c in expected.items()]}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     t = (2,) + (1,) * (MAX_RANK - 2)  # a transposition: times q_(MAX_RANK-1,1), q_(MAX_RANK)
     for nu, nu2, keys in ((t, (MAX_RANK - 1, 1), [(MAX_RANK,)]),
                           (t, t, [(3,) + (1,) * (MAX_RANK - 3), (2, 2) + (1,) * (MAX_RANK - 4)])):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbclass import hilbert, partitions, series
-from hilbclass.cli import MAX_ORDER, PART_TEXT, _records, main
+from hilbclass.cli import MAX_ORDER, main
 from hilbclass.fock import hilb_unit
 from hilbclass.hilbert import (
     TANGENT,
@@ -551,7 +551,7 @@ def test_cup_basis_matches_character_table_past_rank_ten():
 
 
 # Two products at MAX_RANK = 28, where the character table takes seconds
-# per pair, pinned by the SHA-256 of the writer's record text, recorded
+# per pair, pinned by the SHA-256 of the payload list `cup` prints, recorded
 # from an earlier route that built one block table per factor and lam.
 RANK_28_PRODUCTS = [
     ((5,) + (2,) * 6 + (1,) * 11, (4, 4, 3, 2, 2) + (1,) * 13, 376,
@@ -562,11 +562,11 @@ RANK_28_PRODUCTS = [
 
 
 @pytest.mark.parametrize("nu, nu2, terms, digest", RANK_28_PRODUCTS)
-def test_cup_basis_at_rank_28_is_pinned(nu, nu2, terms, digest):
-    got = cup_basis(nu, nu2)
-    assert len(got) == terms
-    text = {"".join(PART_TEXT[k] for k in lam): c for lam, c in got.items()}
-    assert hashlib.sha256("".join(_records(text)).encode()).hexdigest() == digest
+def test_cup_basis_at_rank_28_is_pinned(capsys, nu, nu2, terms, digest):
+    assert len(cup_basis(nu, nu2)) == terms
+    assert main(["cup", str(list(nu)), str(list(nu2))]) == 0
+    payload = capsys.readouterr().out.split('"payload": ', 1)[1].split(',\n  "request": ', 1)[0]
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 _small_rational = st.sampled_from(fraction_set(3, 3))
